@@ -17,7 +17,9 @@ subtracted digitally.
 The model includes the analog non-idealities that matter at array level:
 per-cell ON-current variation (static, sampled at program time), readout
 noise and ADC quantization.  With all non-idealities disabled the crossbar is
-bit-exact with the quantized matrix, which the unit tests rely on.
+bit-exact with the quantized matrix, which the unit tests rely on: the
+add-shift-sum of exact integer planes is then one integer MVM with the
+stored matrix, and that is how an ideal chip evaluates.
 
 Device axis
 -----------
@@ -28,9 +30,10 @@ alone, so each chip's analog behaviour is reproducible independently of
 which other chips share a batch (the same per-chip determinism a freshly
 rebuilt scalar crossbar with that seed would exhibit).
 :meth:`FeFETCrossbar.compute_energies_devices` evaluates a ``(D, M, n)``
-batch -- one MVM per bit plane covering every chip and replica -- and the
-scalar :meth:`FeFETCrossbar.compute_energy` / single-chip
-:meth:`FeFETCrossbar.compute_energies` are degenerate views over it.
+batch -- one MVM per bit plane (one in all for an ideal chip) covering every
+chip and replica -- and the scalar :meth:`FeFETCrossbar.compute_energy` /
+single-chip :meth:`FeFETCrossbar.compute_energies` are degenerate views over
+it.
 """
 
 from __future__ import annotations
@@ -44,13 +47,6 @@ from repro.cim.adc import ADCModel
 from repro.cim.device_axis import resolve_device_selection
 from repro.core.qubo import QUBOModel
 from repro.fefet.variability import VariabilityModel
-# NOTE: repro.kernels.bits is imported lazily inside the packed
-# conduction-count path: importing the repro.kernels package pulls in the
-# reference backend (and with it repro.batched, which imports this module),
-# so a module-scope import would make the package import order significant.
-
-#: Replica-chunk byte budget of the packed conduction-count temporaries.
-_PACKED_CHUNK_BYTES = 32 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -131,10 +127,17 @@ class FeFETCrossbar:
     # Programming
     # ------------------------------------------------------------------ #
     def _program(self, matrix: np.ndarray) -> None:
-        """Quantize the matrix, slice it into bit planes and sample variability."""
+        """Quantize the matrix and pick the evaluation path once.
+
+        An ideal chip (no ON-current variation, read noise or ADC, and every
+        add-shift-sum partial below ``2**53``) keeps only the signed integer
+        matrix.  Otherwise each sign is sliced into bit planes; sampled
+        ON-current factors are folded into them here, once per chip.
+        """
         n = matrix.shape[0]
         self._n = n
-        bits = self.config.weight_bits
+        config = self.config
+        bits = config.weight_bits
         max_abs = float(np.max(np.abs(matrix))) if matrix.size else 0.0
         is_integer_matrix = bool(np.all(np.abs(matrix - np.round(matrix)) < 1e-9))
         if max_abs == 0.0:
@@ -146,48 +149,31 @@ class FeFETCrossbar:
             self._scale = 1.0
         else:
             self._scale = (2 ** bits - 1) / max_abs
-        positive = np.maximum(matrix, 0.0)
-        negative = np.maximum(-matrix, 0.0)
-        self._pos_quantized = np.round(positive * self._scale).astype(np.int64)
-        self._neg_quantized = np.round(negative * self._scale).astype(np.int64)
+        positive = np.round(np.maximum(matrix, 0.0) * self._scale).astype(np.int64)
+        negative = np.round(np.maximum(-matrix, 0.0) * self._scale).astype(np.int64)
+        #: The stored signed integer matrix ``Q_q`` (exact in float64).
+        self._codes = (positive - negative).astype(float)
 
-        # Bit planes: planes[b][j, i] in {0, 1} is bit b of |Q_ji| for sign s.
-        self._pos_planes = self._slice_bits(self._pos_quantized)
-        self._neg_planes = self._slice_bits(self._neg_quantized)
-        # Packed column masks of the planes, built lazily on the first ideal
-        # (noise-free, ADC-free, variation-free) evaluation.
-        self._plane_words: dict = {}
-
-        # Static per-cell ON-current factors: one (bits, n, n) block per chip,
-        # each chip sampling from its own seed in program order (positive
-        # planes first, then negative), exactly as a freshly built scalar
-        # crossbar with that seed would.  `None` marks the variation-free
-        # fast path where every chip shares the exact bit planes.
-        sigma = self.config.on_current_variation_sigma
-        if sigma > 0:
-            pos_chips = []
-            neg_chips = []
-            for seed in self._device_seeds:
-                var = VariabilityModel(threshold_sigma=0.0, on_current_sigma=sigma,
-                                       seed=seed)
-                pos_chips.append(np.stack(
-                    [var.sample_on_current_factors(n * n).reshape(n, n)
-                     for _ in range(bits)]))
-                neg_chips.append(np.stack(
-                    [var.sample_on_current_factors(n * n).reshape(n, n)
-                     for _ in range(bits)]))
-            self._pos_factors: Optional[np.ndarray] = np.stack(pos_chips)
-            self._neg_factors: Optional[np.ndarray] = np.stack(neg_chips)
-        else:
-            self._pos_factors = None
-            self._neg_factors = None
+        ideal = (config.on_current_variation_sigma == 0
+                 and config.current_noise_sigma == 0
+                 and config.adc_bits is None
+                 and 2 ** bits * n * n < 2 ** 53)
+        #: ``None`` on an ideal chip; otherwise the (positive, negative)
+        #: bit planes, per chip once ON-current factors are folded in.
+        self._planes: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if not ideal:
+            # planes[b][j, i] in {0, 1} is bit b of |Q_ji| for one sign.
+            self._planes = (self._slice_bits(positive),
+                            self._slice_bits(negative))
+            if config.on_current_variation_sigma > 0:
+                self._planes = self._fold_on_current_factors(self._planes)
 
         # Column ADC covering the worst-case column current (all n cells ON),
         # one noise stream per chip.
-        if self.config.adc_bits is not None:
+        if config.adc_bits is not None:
             self._adc = ADCModel(
-                bits=self.config.adc_bits, full_scale=float(n),
-                seed=self.config.seed,
+                bits=config.adc_bits, full_scale=float(n),
+                seed=config.seed,
                 device_seeds=(tuple(self._device_seeds)
                               if self.num_devices > 1 else None))
         else:
@@ -200,6 +186,30 @@ class FeFETCrossbar:
         for b in range(bits):
             planes[b] = (quantized >> b) & 1
         return planes
+
+    def _fold_on_current_factors(self, signs: Tuple[np.ndarray, np.ndarray]
+                                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each chip's ``(D, bits, n, n)`` effective conductances per sign.
+
+        Chip ``d`` samples its static per-cell ON-current factors from its
+        own seed in program order (positive planes first, then negative),
+        exactly as a freshly built scalar crossbar with that seed would;
+        the shared 0/1 planes are multiplied into them in place.
+        """
+        bits, n, _ = signs[0].shape
+        sigma = self.config.on_current_variation_sigma
+        chips = [VariabilityModel(threshold_sigma=0.0, on_current_sigma=sigma,
+                                  seed=seed)
+                 for seed in self._device_seeds]
+        folded = []
+        for planes in signs:
+            conductances = np.empty((len(chips), bits, n, n))
+            for chip, var in zip(conductances, chips):
+                for b in range(bits):
+                    chip[b] = var.sample_on_current_factors(n * n).reshape(n, n)
+            conductances *= planes
+            folded.append(conductances)
+        return tuple(folded)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -226,7 +236,7 @@ class FeFETCrossbar:
 
     def quantized_matrix(self) -> np.ndarray:
         """The signed, quantized matrix actually stored (in original units)."""
-        return (self._pos_quantized - self._neg_quantized) / self._scale
+        return self._codes / self._scale
 
     def quantization_error(self) -> float:
         """Max absolute difference between the stored and the exact matrix."""
@@ -249,96 +259,27 @@ class FeFETCrossbar:
             raise ValueError(f"input length {vec.shape} != crossbar dimension {self._n}")
         return float(self.compute_energies(vec[None, :])[0])
 
-    def _packed_column_planes(self, sign: str) -> np.ndarray:
-        """``(bits, n, W)`` packed column masks of one sign's bit planes.
-
-        Word array ``[b][i]`` packs column ``i`` of plane ``b`` over the row
-        index ``j``, so ANDing it with a packed input state and popcounting
-        yields the column's conduction count (number of cells with both the
-        wordline and the stored bit active).  Built once per sign, cached.
-        """
-        cached = self._plane_words.get(sign)
-        if cached is None:
-            from repro.kernels.bits import pack_bits
-
-            planes = self._pos_planes if sign == "pos" else self._neg_planes
-            cached = np.stack([pack_bits(planes[b].T)
-                               for b in range(planes.shape[0])])
-            self._plane_words[sign] = cached
-        return cached
-
-    def conduction_counts(self, plane_words: np.ndarray,
-                          state_words: np.ndarray) -> np.ndarray:
-        """Per-column conduction counts of packed states against one plane.
-
-        ``plane_words`` is one ``(n, W)`` slice of
-        :meth:`_packed_column_planes`; ``state_words`` packs the input rows
-        ``(R, W)``.  Returns exact ``(R, n)`` int64 counts -- the integer
-        the ideal analog column current digitises to.
-        """
-        masked = plane_words[None, :, :] & state_words[:, None, :]
-        return np.bitwise_count(masked).sum(axis=2, dtype=np.int64)
-
-    def _accumulate_packed(self, sign: str, flat: np.ndarray) -> np.ndarray:
-        """Ideal-path add-shift-sum via packed AND + popcount per word.
-
-        Bit-exact with the dense matrix-product path: each plane's column
-        counts are integers ``<= n``, so the masked row sums and the
-        ``2**b`` shifts reproduce the float accumulation value for value.
-        """
-        from repro.kernels.bits import pack_bits, packed_width
-
-        plane_words = self._packed_column_planes(sign)
-        num_rows, n = flat.shape
-        state_words = pack_bits(flat)
-        total = np.zeros(num_rows)
-        # Chunk replicas so the (chunk, n, W) AND temporary stays cache-near.
-        per_row = max(1, n * packed_width(n) * 8)
-        chunk = max(1, _PACKED_CHUNK_BYTES // per_row)
-        for b in range(self.config.weight_bits):
-            plane = plane_words[b]
-            for start in range(0, num_rows, chunk):
-                stop = min(start + chunk, num_rows)
-                counts = self.conduction_counts(plane,
-                                                state_words[start:stop])
-                total[start:stop] += ((counts * flat[start:stop])
-                                      .sum(axis=1) * (2 ** b))
-        return total
-
-    def _accumulate_devices(self, planes: np.ndarray,
-                            factors: Optional[np.ndarray],
-                            batch: np.ndarray,
+    def _accumulate_devices(self, planes: np.ndarray, batch: np.ndarray,
                             devices: np.ndarray) -> np.ndarray:
         """Add-shift-sum accumulation of one sign's bit planes, device-batched.
 
         ``batch`` is a ``(K, M, n)`` replica tensor whose slice ``k`` runs on
-        chip ``devices[k]``.  Variation-free chips share one matrix product
-        per bit plane over the flattened replica axis (the crossbar
-        evaluating an array of candidates in one shot); chips with sampled
-        ON-current factors get one stacked MVM per bit plane.  Read noise and
-        ADC quantization are applied element-wise from each chip's own
-        stream, i.e. independently per replica row, exactly as the scalar
+        chip ``devices[k]``.  Shared ``(bits, n, n)`` planes take one matrix
+        product per bit plane over the flattened replica axis (the crossbar
+        evaluating an array of candidates in one shot); per-chip
+        ``(D, bits, n, n)`` conductances one stacked MVM per bit plane.  Read
+        noise and ADC quantization are applied element-wise from each chip's
+        own stream, i.e. independently per replica row, exactly as the scalar
         path applies them per evaluation.
         """
         num_chips, num_replicas, n = batch.shape
-        if (factors is None and self.config.current_noise_sigma == 0
-                and self._adc is None
-                and (2 ** self.config.weight_bits) * n * n < 2 ** 53):
-            # Fully ideal pipeline: every chip shares the exact bit planes
-            # and no per-plane noise/ADC step intervenes, so the whole
-            # add-shift-sum collapses to packed conduction counts.
-            sign = "pos" if planes is self._pos_planes else "neg"
-            flat = batch.reshape(num_chips * num_replicas, n)
-            return self._accumulate_packed(sign, flat).reshape(
-                num_chips, num_replicas)
         total = np.zeros((num_chips, num_replicas))
         for b in range(self.config.weight_bits):
-            if factors is None:
+            if planes.ndim == 3:
                 flat = batch.reshape(num_chips * num_replicas, n)
                 column_currents = (flat @ planes[b]).reshape(batch.shape) * batch
             else:
-                effective = planes[b][None, :, :] * factors[devices, b]
-                column_currents = np.matmul(batch, effective) * batch
+                column_currents = np.matmul(batch, planes[devices, b]) * batch
             if self.config.current_noise_sigma > 0:
                 for k, device in enumerate(devices):
                     noise = self._noise_rngs[device].normal(
@@ -397,11 +338,15 @@ class FeFETCrossbar:
         selected = resolve_device_selection(batch.shape[0], devices,
                                             self.num_devices,
                                             kind="crossbar chip batch")
-        positive = self._accumulate_devices(self._pos_planes, self._pos_factors,
-                                            batch, selected)
-        negative = self._accumulate_devices(self._neg_planes, self._neg_factors,
-                                            batch, selected)
-        return (positive - negative) / self._scale + self.qubo.offset
+        if self._planes is None:
+            # Ideal chip: every add-shift-sum partial is an integer below
+            # 2**53, so one MVM with the stored matrix is bit-identical.
+            energies = ((batch @ self._codes) * batch).sum(-1)
+        else:
+            pos_planes, neg_planes = self._planes
+            energies = (self._accumulate_devices(pos_planes, batch, selected)
+                        - self._accumulate_devices(neg_planes, batch, selected))
+        return energies / self._scale + self.qubo.offset
 
     def column_current(self, num_activated_cells: int) -> float:
         """Analog current of a column with ``num_activated_cells`` cells ON.

@@ -10,7 +10,7 @@ unsupported configuration or a missing optional dependency.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.kernels.base import (
     DEFAULT_KERNEL,
@@ -49,14 +49,37 @@ __all__ = [
 AUTO_ORDER = ("numba", "packed", "fused", "reference")
 
 
-def _build(backend: Optional[str], builders: dict) -> SweepKernel:
+def _jit_kernel(name: str) -> Callable[..., SweepKernel]:
+    """Import the numba backend on first use: importing numba is slow."""
+
+    def construct(**kwargs) -> SweepKernel:
+        from repro.kernels import jit
+
+        return getattr(jit, name)(**kwargs)
+
+    return construct
+
+
+#: backend -> constructor per family.  Every non-reference backend of a
+#: family takes the same keywords; the reference kernels take their own.
+_SA_KERNELS = {"fused": FusedSAKernel, "packed": PackedSAKernel,
+               "numba": _jit_kernel("JitSAKernel")}
+_HYCIM_KERNELS = {"fused": FusedHyCiMKernel, "packed": PackedHyCiMKernel,
+                  "numba": _jit_kernel("JitHyCiMKernel")}
+
+
+def _build(backend: Optional[str], kernels: dict,
+           reference: Callable[[], SweepKernel], **kwargs) -> SweepKernel:
+    def construct(name: str) -> SweepKernel:
+        return reference() if name == "reference" else kernels[name](**kwargs)
+
     name = resolve_kernel_backend(backend)
     if name != "auto":
-        return builders[name]()
+        return construct(name)
     last_error: Optional[Exception] = None
     for candidate in AUTO_ORDER:
         try:
-            return builders[candidate]()
+            return construct(candidate)
         except (KernelUnsupportedError, KernelUnavailableError) as error:
             last_error = error
     raise last_error  # pragma: no cover - reference never raises
@@ -68,46 +91,15 @@ def make_sa_kernel(kernel: Optional[str], *, matrix, offset, driver,
                    accept_filter_batch=None, feasibility_constraints=None,
                    generators=None) -> SweepKernel:
     """Construct the SA sweep kernel for the requested backend."""
-
-    def reference() -> SweepKernel:
-        return ReferenceSAKernel(
-            matrix=matrix, offset=offset, driver=driver,
-            move_generator=move_generator, single_flip=single_flip,
-            moves_per_iteration=moves_per_iteration, current=current,
-            current_energy=current_energy, accept_filter=accept_filter,
-            accept_filter_batch=accept_filter_batch)
-
-    def fused() -> SweepKernel:
-        return FusedSAKernel(
-            matrix=matrix, offset=offset, driver=driver,
-            single_flip=single_flip,
-            moves_per_iteration=moves_per_iteration, current=current,
-            current_energy=current_energy, accept_filter=accept_filter,
-            accept_filter_batch=accept_filter_batch,
-            constraints=feasibility_constraints, generators=generators)
-
-    def packed() -> SweepKernel:
-        return PackedSAKernel(
-            matrix=matrix, offset=offset, driver=driver,
-            single_flip=single_flip,
-            moves_per_iteration=moves_per_iteration, current=current,
-            current_energy=current_energy, accept_filter=accept_filter,
-            accept_filter_batch=accept_filter_batch,
-            constraints=feasibility_constraints, generators=generators)
-
-    def numba() -> SweepKernel:
-        from repro.kernels.jit import JitSAKernel
-
-        return JitSAKernel(
-            matrix=matrix, offset=offset, driver=driver,
-            single_flip=single_flip,
-            moves_per_iteration=moves_per_iteration, current=current,
-            current_energy=current_energy, accept_filter=accept_filter,
-            accept_filter_batch=accept_filter_batch,
-            constraints=feasibility_constraints, generators=generators)
-
-    return _build(kernel, {"reference": reference, "fused": fused,
-                           "packed": packed, "numba": numba})
+    shared = dict(matrix=matrix, offset=offset, driver=driver,
+                  single_flip=single_flip,
+                  moves_per_iteration=moves_per_iteration, current=current,
+                  current_energy=current_energy, accept_filter=accept_filter,
+                  accept_filter_batch=accept_filter_batch)
+    return _build(
+        kernel, _SA_KERNELS,
+        lambda: ReferenceSAKernel(move_generator=move_generator, **shared),
+        constraints=feasibility_constraints, generators=generators, **shared)
 
 
 def make_hycim_kernel(kernel: Optional[str], *, num_variables, driver,
@@ -117,48 +109,19 @@ def make_hycim_kernel(kernel: Optional[str], *, num_variables, driver,
                       constraints, use_hardware_filters, use_crossbar,
                       generators=None) -> SweepKernel:
     """Construct the HyCiM sweep kernel for the requested backend."""
+    shared = dict(matrix=matrix, driver=driver, single_flip=single_flip,
+                  moves_per_iteration=moves_per_iteration, current=current,
+                  current_energy=current_energy,
+                  current_feasible=current_feasible)
 
     def reference() -> SweepKernel:
         return ReferenceHyCiMKernel(
-            num_variables=num_variables, driver=driver,
-            move_generator=move_generator, single_flip=single_flip,
-            moves_per_iteration=moves_per_iteration,
+            num_variables=num_variables, move_generator=move_generator,
             feasible_batch=feasible_batch, energies=energies,
-            current=current, current_energy=current_energy,
-            current_feasible=current_feasible, use_delta=use_delta,
-            matrix=matrix, raw_energy=raw_energy)
+            use_delta=use_delta, raw_energy=raw_energy, **shared)
 
-    def fused() -> SweepKernel:
-        return FusedHyCiMKernel(
-            matrix=matrix, driver=driver, single_flip=single_flip,
-            moves_per_iteration=moves_per_iteration, constraints=constraints,
-            current=current, current_energy=current_energy,
-            current_feasible=current_feasible,
-            raw_energy=raw_energy if use_delta else None,
-            use_hardware_filters=use_hardware_filters,
-            use_crossbar=use_crossbar, generators=generators)
-
-    def packed() -> SweepKernel:
-        return PackedHyCiMKernel(
-            matrix=matrix, driver=driver, single_flip=single_flip,
-            moves_per_iteration=moves_per_iteration, constraints=constraints,
-            current=current, current_energy=current_energy,
-            current_feasible=current_feasible,
-            raw_energy=raw_energy if use_delta else None,
-            use_hardware_filters=use_hardware_filters,
-            use_crossbar=use_crossbar, generators=generators)
-
-    def numba() -> SweepKernel:
-        from repro.kernels.jit import JitHyCiMKernel
-
-        return JitHyCiMKernel(
-            matrix=matrix, driver=driver, single_flip=single_flip,
-            moves_per_iteration=moves_per_iteration, constraints=constraints,
-            current=current, current_energy=current_energy,
-            current_feasible=current_feasible,
-            raw_energy=raw_energy if use_delta else None,
-            use_hardware_filters=use_hardware_filters,
-            use_crossbar=use_crossbar, generators=generators)
-
-    return _build(kernel, {"reference": reference, "fused": fused,
-                           "packed": packed, "numba": numba})
+    return _build(
+        kernel, _HYCIM_KERNELS, reference, constraints=constraints,
+        raw_energy=raw_energy if use_delta else None,
+        use_hardware_filters=use_hardware_filters, use_crossbar=use_crossbar,
+        generators=generators, **shared)

@@ -138,6 +138,10 @@ class _FusedCore(SweepKernel):
             temperatures = temperatures[replica_indices]
         return metropolis_decisions(step, temperatures, draws)
 
+    def _record_best(self, improved: np.ndarray) -> None:
+        """Copy the listed replicas' incumbents into the best-so-far state."""
+        self.best[improved] = self.current[improved]
+
     def finalize(self) -> None:
         if self._streams is not None:
             self._streams.write_back()
@@ -277,7 +281,7 @@ class FusedSAKernel(_FusedCore):
                     if better.any():
                         improved = accepted_idx[better]
                         self.best_energy[improved] = energies[better]
-                        self.best[improved] = self.current[improved]
+                        self._record_best(improved)
 
     def swap_arrays(self) -> tuple:
         arrays = [self.current, self.current_energy, self.field]
@@ -391,7 +395,7 @@ class FusedHyCiMKernel(_FusedCore):
                          < self.best_energy[accepted_idx])
                         | ~self.best_feasible[accepted_idx]]
                     self.best_energy[improved] = self.current_energy[improved]
-                    self.best[improved] = self.current[improved]
+                    self._record_best(improved)
                     self.best_feasible[improved] = True
 
     def swap_arrays(self) -> tuple:

@@ -55,8 +55,9 @@ class _PackedModel:
     """Packed replacement for the fused local-field model state.
 
     Overrides the fused ``_init_model`` / ``_propose`` / ``_apply_flips``
-    trio; the constraint-load machinery, acceptance replay and
-    constructor guards are inherited unchanged from the fused layer.
+    / ``_record_best`` hooks; the sweep loops, constraint-load machinery,
+    acceptance replay and constructor guards are inherited unchanged from
+    the fused layer.
     """
 
     backend = "packed"
@@ -156,41 +157,6 @@ class PackedSAKernel(_PackedModel, FusedSAKernel):
         self._best_words = self.words.copy()
         self.best = None
 
-    def run_block(self, start_iteration: int, num_iterations: int) -> None:
-        driver = self.driver
-        for iteration in range(start_iteration,
-                               start_iteration + num_iterations):
-            for _ in range(self.moves_per_iteration):
-                flips, bits, signs, delta = self._propose(driver)
-                if self._num_constraints:
-                    candidate_loads, passed = self._candidate_loads(flips,
-                                                                    signs)
-                    self.num_skipped += ~passed
-                    self.num_feasible += passed
-                    feasible_idx = np.flatnonzero(passed)
-                    if feasible_idx.size == 0:
-                        continue
-                    step = delta[feasible_idx]
-                else:
-                    candidate_loads = None
-                    feasible_idx = self._rows
-                    self.num_feasible += 1
-                    step = delta
-
-                accepted = self._accept(driver, step, feasible_idx, iteration)
-                accepted_idx = feasible_idx[accepted]
-                if accepted_idx.size:
-                    self.current_energy[accepted_idx] += step[accepted]
-                    self._apply_flips(accepted_idx, flips, bits, signs,
-                                      candidate_loads)
-                    self.num_accepted[accepted_idx] += 1
-                    energies = self.current_energy[accepted_idx]
-                    better = energies < self.best_energy[accepted_idx]
-                    if better.any():
-                        improved = accepted_idx[better]
-                        self.best_energy[improved] = energies[better]
-                        self._record_best(improved)
-
     def swap_arrays(self) -> tuple:
         arrays = [self.words, self.current_energy, self._ones]
         if self._num_constraints:
@@ -227,58 +193,6 @@ class PackedHyCiMKernel(_PackedModel, FusedHyCiMKernel):
                          use_crossbar=use_crossbar, generators=generators)
         self._best_words = self.words.copy()
         self.best = None
-
-    def run_block(self, start_iteration: int, num_iterations: int) -> None:
-        driver = self.driver
-        for iteration in range(start_iteration,
-                               start_iteration + num_iterations):
-            for _ in range(self.moves_per_iteration):
-                flips, bits, signs, delta = self._propose(driver)
-                candidate_raw = self.raw_energy + delta
-
-                if self._num_constraints:
-                    candidate_loads, candidate_feasible = \
-                        self._candidate_loads(flips, signs)
-                else:
-                    candidate_loads = None
-                    candidate_feasible = np.ones(self._rows.shape[0],
-                                                 dtype=bool)
-                infeasible_idx = np.flatnonzero(~candidate_feasible)
-                self.num_skipped[infeasible_idx] += 1
-                # Infeasible incumbents drift freely at energy 0 (paper
-                # Eq. (6)), exactly as the reference kernel.
-                drifting = infeasible_idx[
-                    ~self.current_feasible[infeasible_idx]]
-                if drifting.size:
-                    self.current_energy[drifting] = 0.0
-                    self.raw_energy[drifting] = candidate_raw[drifting]
-                    self._apply_flips(drifting, flips, bits, signs,
-                                      candidate_loads)
-
-                feasible_idx = np.flatnonzero(candidate_feasible)
-                if feasible_idx.size == 0:
-                    continue
-                self.num_feasible[feasible_idx] += 1
-
-                candidate_energy = candidate_raw[feasible_idx]
-                step = candidate_energy - self.current_energy[feasible_idx]
-                accepted = self._accept(driver, step, feasible_idx, iteration)
-                accepted_idx = feasible_idx[accepted]
-                if accepted_idx.size:
-                    self.current_energy[accepted_idx] = \
-                        candidate_raw[accepted_idx]
-                    self.raw_energy[accepted_idx] = candidate_raw[accepted_idx]
-                    self.current_feasible[accepted_idx] = True
-                    self._apply_flips(accepted_idx, flips, bits, signs,
-                                      candidate_loads)
-                    self.num_accepted[accepted_idx] += 1
-                    improved = accepted_idx[
-                        (self.current_energy[accepted_idx]
-                         < self.best_energy[accepted_idx])
-                        | ~self.best_feasible[accepted_idx]]
-                    self.best_energy[improved] = self.current_energy[improved]
-                    self._record_best(improved)
-                    self.best_feasible[improved] = True
 
     def swap_arrays(self) -> tuple:
         arrays = [self.words, self.current_energy, self.current_feasible,

@@ -23,12 +23,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cim.crossbar import CrossbarConfig
 from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_trials
 
 FIXTURE = Path(__file__).with_name("golden_trajectories.json")
 MASTER_SEED = 2024
 NUM_TRIALS = 4
+
+#: Per-trial chips with sampled filter cells, crossbar read noise and an
+#: 8-bit column ADC.
+_NOISY_CHIPS = {"num_iterations": 30,
+                "variability": {"threshold_sigma": 0.02,
+                                "on_current_sigma": 0.05},
+                "crossbar_config": CrossbarConfig(current_noise_sigma=0.02,
+                                                  adc_bits=8, seed=7)}
 
 #: Solver cells frozen by the snapshot: registry name -> params.
 CELLS = {
@@ -39,6 +48,15 @@ CELLS = {
                                  "move_generator": "knapsack",
                                  "use_hardware": False}),
     "sa": ("sa", {"num_iterations": 30}),
+    # Shared crossbar planes with per-chip read noise and ADC.
+    "hycim-noisy-chips": ("hycim", _NOISY_CHIPS),
+    # Per-chip ON-current variation on top: each chip's own conductances.
+    "hycim-varied-chips": ("hycim", dict(
+        _NOISY_CHIPS, crossbar_config=CrossbarConfig(
+            current_noise_sigma=0.02, adc_bits=8,
+            on_current_variation_sigma=0.05, seed=7))),
+    # Ideal crossbar at the D-QUBO's wider bit width.
+    "dqubo-hardware": ("dqubo", {"num_iterations": 30, "use_hardware": True}),
 }
 
 

@@ -6,9 +6,8 @@ states) via its backend fixture.  This module covers what is unique to the
 bit-packed representation: the words/popcount state stays consistent with a
 dense recomputation under arbitrary sweeps (hypothesis), block boundaries
 are unobservable, the shared-RNG fallback and CSR matrices stay exact, the
-store addresses packed runs separately from reference ones, the crossbar's
-packed bit-plane accumulation equals the dense plane dot product, and the
-packed travelling state is an order of magnitude smaller per replica.
+store addresses packed runs separately from reference ones, and the packed
+travelling state is an order of magnitude smaller per replica.
 """
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.dynamics import Dynamics
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.schedule import GeometricSchedule
 from repro.kernels import make_sa_kernel
-from repro.kernels.bits import pack_bits, popcount_rows, unpack_bits
+from repro.kernels.bits import popcount_rows, unpack_bits
 from repro.kernels.packed import PackedSAKernel
 from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_trials
@@ -203,24 +202,6 @@ class TestStoreRunKeys:
         np.testing.assert_array_equal(cold.best_energies, warm.best_energies)
         manifest = store.get_manifest(cold.run_key)
         assert manifest.provenance.get("kernel_resolved") == "packed"
-
-
-class TestCrossbarBitPlanes:
-    def test_conduction_counts_equal_dense_plane_dot(self, qkp):
-        from repro.cim.crossbar import FeFETCrossbar
-
-        crossbar = FeFETCrossbar.from_qubo(qkp.to_qubo())
-        rng = np.random.default_rng(3)
-        states = (rng.random((7, crossbar.num_variables)) < 0.5).astype(float)
-        state_words = pack_bits(states)
-        for sign, planes in (("pos", crossbar._pos_planes),
-                             ("neg", crossbar._neg_planes)):
-            packed_planes = crossbar._packed_column_planes(sign)
-            for b in range(planes.shape[0]):
-                counts = crossbar.conduction_counts(packed_planes[b],
-                                                    state_words)
-                np.testing.assert_array_equal(
-                    counts, (states @ planes[b]).astype(np.int64))
 
 
 class TestStateFootprint:
