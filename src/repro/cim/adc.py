@@ -106,6 +106,11 @@ class ADCModel:
         (all devices in order when ``devices`` is omitted), so each chip's
         codes are deterministic in its own seed alone.
         """
+        return self._device_codes(values, devices).astype(int)
+
+    def _device_codes(self, values: np.ndarray,
+                      devices: Optional[np.ndarray]) -> np.ndarray:
+        """:meth:`convert_devices`' codes as a fresh float array."""
         arr = np.asarray(values, dtype=float)
         if arr.ndim < 1:
             raise ValueError("device-axis conversion needs a leading device axis")
@@ -116,8 +121,9 @@ class ADCModel:
             for k, device in enumerate(selected):
                 arr[k] += self._rngs[device].normal(0.0, self.noise_sigma,
                                                     size=arr.shape[1:])
-        clipped = np.clip(arr, 0.0, self.full_scale)
-        return np.round(clipped / self.lsb).astype(int)
+        codes = np.clip(arr, 0.0, self.full_scale)
+        codes /= self.lsb
+        return np.round(codes, out=codes)
 
     def reconstruct(self, code: int) -> float:
         """Analog value corresponding to an output code (mid-tread)."""
@@ -137,5 +143,11 @@ class ADCModel:
 
     def quantize_devices(self, values: np.ndarray,
                          devices: Optional[np.ndarray] = None) -> np.ndarray:
-        """Round-trip :meth:`convert_devices` + :meth:`reconstruct_array`."""
-        return self.reconstruct_array(self.convert_devices(values, devices=devices))
+        """Round-trip :meth:`convert_devices` + :meth:`reconstruct_array`.
+
+        The codes stay floats between the two steps -- exact, being
+        integers far below ``2**53`` -- and are scaled in place.
+        """
+        codes = self._device_codes(values, devices)
+        codes *= self.lsb
+        return codes

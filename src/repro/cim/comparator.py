@@ -57,7 +57,14 @@ class TwoStageComparator:
 
     @property
     def num_decisions(self) -> int:
-        """How many comparisons this instance has performed."""
+        """How many comparisons this instance has performed.
+
+        Counts :meth:`decide` / :meth:`decide_batch` calls only.  A noise-free
+        :class:`~repro.cim.inequality_filter.InequalityFilter` settles its
+        verdict methods on per-chip load limits without calling the
+        comparator; its :meth:`evaluate` readouts, and every verdict of a
+        noisy filter, still count here.
+        """
         return self._num_decisions
 
     def decide(self, v_plus: float, v_minus: float) -> bool:

@@ -30,10 +30,10 @@ alone, so each chip's analog behaviour is reproducible independently of
 which other chips share a batch (the same per-chip determinism a freshly
 rebuilt scalar crossbar with that seed would exhibit).
 :meth:`FeFETCrossbar.compute_energies_devices` evaluates a ``(D, M, n)``
-batch -- one MVM per bit plane (one in all for an ideal chip) covering every
-chip and replica -- and the scalar :meth:`FeFETCrossbar.compute_energy` /
-single-chip :meth:`FeFETCrossbar.compute_energies` are degenerate views over
-it.
+batch in one pass -- one MVM in all for an ideal chip, otherwise every bit
+plane of every chip read at once, with one noise draw per chip and one ADC
+call -- and the scalar :meth:`FeFETCrossbar.compute_energy` / single-chip
+:meth:`FeFETCrossbar.compute_energies` are degenerate views over it.
 """
 
 from __future__ import annotations
@@ -259,48 +259,60 @@ class FeFETCrossbar:
             raise ValueError(f"input length {vec.shape} != crossbar dimension {self._n}")
         return float(self.compute_energies(vec[None, :])[0])
 
-    def _accumulate_devices(self, planes: np.ndarray, batch: np.ndarray,
-                            devices: np.ndarray) -> np.ndarray:
-        """Add-shift-sum accumulation of one sign's bit planes, device-batched.
+    def _read_planes(self, batch: np.ndarray,
+                     devices: np.ndarray) -> np.ndarray:
+        """Add-shift-sum read of every bit plane of both signs in one pass.
 
         ``batch`` is a ``(K, M, n)`` replica tensor whose slice ``k`` runs on
-        chip ``devices[k]``.  Shared ``(bits, n, n)`` planes take one matrix
-        product per bit plane over the flattened replica axis (the crossbar
-        evaluating an array of candidates in one shot); per-chip
-        ``(D, bits, n, n)`` conductances one stacked MVM per bit plane.  Read
-        noise and ADC quantization are applied element-wise from each chip's
-        own stream, i.e. independently per replica row, exactly as the scalar
-        path applies them per evaluation.
+        chip ``devices[k]``.  All ``2 * bits`` planes land in one
+        ``(K, 2, bits, M, n)`` column-current stack: shared 0/1 planes take
+        one stacked product over the flattened replica axis (exact), per-chip
+        ``(D, bits, n, n)`` conductances one stacked product per slice and
+        sign, so every plane keeps the operand shapes of a plane-by-plane
+        read.  Slice ``k`` then draws its read noise for the whole stack at
+        once from chip ``devices[k]``'s stream -- for distinct chips the very
+        values a plane-by-plane read draws (positive planes, then negative,
+        one plane at a time); a chip named twice draws slice by slice rather
+        than interleaved plane by plane.  One ADC call digitises the stack,
+        and each sign's per-plane row sums are shifted by ``2**b`` and added
+        in increasing ``b``.  Returns the ``(K, M)`` positive-minus-negative
+        sums.
         """
+        config = self.config
+        bits = config.weight_bits
         num_chips, num_replicas, n = batch.shape
-        total = np.zeros((num_chips, num_replicas))
-        for b in range(self.config.weight_bits):
+        currents = np.empty((num_chips, 2, bits, num_replicas, n))
+        for sign, planes in enumerate(self._planes):
             if planes.ndim == 3:
                 flat = batch.reshape(num_chips * num_replicas, n)
-                column_currents = (flat @ planes[b]).reshape(batch.shape) * batch
+                currents[:, sign] = (flat @ planes).reshape(
+                    bits, num_chips, num_replicas, n).swapaxes(0, 1)
             else:
-                column_currents = np.matmul(batch, planes[devices, b]) * batch
-            if self.config.current_noise_sigma > 0:
                 for k, device in enumerate(devices):
-                    noise = self._noise_rngs[device].normal(
-                        0.0, self.config.current_noise_sigma,
-                        size=(num_replicas, n))
-                    column_currents[k] = column_currents[k] * (1.0 + noise)
-                column_currents = np.maximum(column_currents, 0.0)
-            if self._adc is not None:
-                column_currents = self._adc.quantize_devices(
-                    column_currents,
-                    devices=(devices if self._adc.num_devices > 1 else
-                             np.zeros(num_chips, dtype=int)))
-            total += column_currents.sum(axis=2) * (2 ** b)
-        return total
+                    currents[k, sign] = batch[k] @ planes[device]
+        currents *= batch[:, None, None]
+        if config.current_noise_sigma > 0:
+            for k, device in enumerate(devices):
+                currents[k] *= 1.0 + self._noise_rngs[device].normal(
+                    0.0, config.current_noise_sigma, size=currents.shape[1:])
+            np.maximum(currents, 0.0, out=currents)
+        if self._adc is not None:
+            currents = self._adc.quantize_devices(
+                currents,
+                devices=(devices if self._adc.num_devices > 1 else
+                         np.zeros(num_chips, dtype=int)))
+        plane_sums = currents.sum(axis=-1)
+        totals = np.zeros((num_chips, 2, num_replicas))
+        for b in range(bits):
+            totals += plane_sums[:, :, b] * (2 ** b)
+        return totals[:, 0] - totals[:, 1]
 
     def compute_energies(self, configurations: np.ndarray) -> np.ndarray:
         """Evaluate an ``(M, n)`` batch of configurations on chip 0.
 
         The single-chip view over :meth:`compute_energies_devices`: one
-        matrix product per bit plane covers every replica row, with read
-        noise and ADC quantization applied per replica.  Noise-free results
+        read covers every replica row, with read noise and ADC quantization
+        applied per replica.  Noise-free results
         equal the scalar path's (bit-for-bit for losslessly stored integer
         matrices); with read noise enabled the draw order differs from ``M``
         scalar calls, so noisy batches are reproducible at batch granularity
@@ -325,7 +337,8 @@ class FeFETCrossbar:
         order when omitted, requiring ``K = D``).  Returns a ``(K, M)``
         energy matrix; each chip's noise and ADC codes come from its own
         seeded streams, so a chip's results do not depend on its batch
-        neighbours.
+        neighbours.  A selection naming one noisy chip twice draws that
+        chip's read noise slice by slice (see :meth:`_read_planes`).
         """
         batch = np.asarray(configurations, dtype=float)
         if batch.ndim != 3 or batch.shape[2] != self._n:
@@ -343,9 +356,7 @@ class FeFETCrossbar:
             # 2**53, so one MVM with the stored matrix is bit-identical.
             energies = ((batch @ self._codes) * batch).sum(-1)
         else:
-            pos_planes, neg_planes = self._planes
-            energies = (self._accumulate_devices(pos_planes, batch, selected)
-                        - self._accumulate_devices(neg_planes, batch, selected))
+            energies = self._read_planes(batch, selected)
         return energies / self._scale + self.qubo.offset
 
     def column_current(self, num_activated_cells: int) -> float:

@@ -332,6 +332,35 @@ class WorkingArray:
         return resolve_device_selection(count, devices, self.num_devices,
                                         kind="filter-array batch")
 
+    def _loads(self, batch: np.ndarray, devices: np.ndarray) -> np.ndarray:
+        """``(K, M)`` loads ``x . w_eff`` of a binary ``(K, M, n)`` batch.
+
+        Row ``k`` is loaded onto chip ``devices[k]``'s effective weights.
+        The loads are integers (far below ``2**53``), so they are exact.
+        """
+        if not np.all((batch == 0) | (batch == 1)):
+            raise ValueError("input configurations must be binary")
+        return np.einsum("kmn,kn->km", batch, self._device_effective[devices])
+
+    def _readout(self, weighted_sums: np.ndarray,
+                 rng: Optional[np.random.Generator],
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eq. (9) for given loads: ``(voltage, ideal_voltage, discharge)``.
+
+        Readout noise (when configured) is drawn once for the whole array of
+        loads from ``rng``.
+        """
+        discharge = self.config.discharge_per_unit * weighted_sums
+        ideal_voltages = self.config.supply_voltage - discharge
+        if self.config.noise_sigma > 0:
+            generator = rng or np.random.default_rng()
+            noise = generator.normal(0.0, self.config.noise_sigma,
+                                     size=np.shape(weighted_sums))
+        else:
+            noise = 0.0
+        voltages = np.maximum(0.0, ideal_voltages + noise)
+        return voltages, ideal_voltages, discharge
+
     def _evaluate_kernel(
         self, batch: np.ndarray, rng: Optional[np.random.Generator],
         devices: np.ndarray,
@@ -344,20 +373,20 @@ class WorkingArray:
         the ``D = M = 1`` view consumes exactly the single draw the scalar
         path historically made.
         """
-        if not np.all((batch == 0) | (batch == 1)):
-            raise ValueError("input configurations must be binary")
-        effective = self._device_effective[devices]
-        weighted_sums = np.einsum("kmn,kn->km", batch, effective)
-        discharge = self.config.discharge_per_unit * weighted_sums
-        ideal_voltages = self.config.supply_voltage - discharge
-        if self.config.noise_sigma > 0:
-            generator = rng or np.random.default_rng()
-            noise = generator.normal(0.0, self.config.noise_sigma,
-                                     size=weighted_sums.shape)
-        else:
-            noise = 0.0
-        voltages = np.maximum(0.0, ideal_voltages + noise)
-        return voltages, ideal_voltages, discharge, weighted_sums
+        weighted_sums = self._loads(batch, devices)
+        return self._readout(weighted_sums, rng) + (weighted_sums,)
+
+    def _device_batch(self, configurations: np.ndarray,
+                      devices: Optional[np.ndarray],
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """A validated ``(K, M, n)`` batch and the chip of each slice."""
+        batch = np.asarray(configurations, dtype=float)
+        if batch.ndim != 3 or batch.shape[2] != self.num_columns:
+            raise ValueError(
+                f"device batch shape {batch.shape} is not (chips, replicas, "
+                f"{self.num_columns})"
+            )
+        return batch, self._resolve_devices(batch.shape[0], devices)
 
     def evaluate(self, x: Sequence[int],
                  rng: Optional[np.random.Generator] = None,
@@ -410,14 +439,8 @@ class WorkingArray:
         Slice ``k`` evaluates on chip ``devices[k]`` (all chips in order when
         omitted, requiring ``K = D``).  Returns a ``(K, M)`` voltage matrix.
         """
-        batch = np.asarray(configurations, dtype=float)
-        if batch.ndim != 3 or batch.shape[2] != self.num_columns:
-            raise ValueError(
-                f"device batch shape {batch.shape} is not (chips, replicas, "
-                f"{self.num_columns})"
-            )
-        return self._evaluate_kernel(
-            batch, rng, self._resolve_devices(batch.shape[0], devices))[0]
+        batch, selected = self._device_batch(configurations, devices)
+        return self._evaluate_kernel(batch, rng, selected)[0]
 
     def phase_waveform(self, x: Sequence[int]) -> np.ndarray:
         """Matchline voltage after each of the four staircase phases.

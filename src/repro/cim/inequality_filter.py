@@ -11,6 +11,17 @@ decision
 in one analog evaluation, which is what lets the HyCiM annealer skip the QUBO
 computation for infeasible configurations.
 
+Without matchline or comparator noise that decision depends on ``x`` only
+through its integer load ``x . w_eff`` (the effective weights the working
+cells realise), and the voltage comparison is monotone in the load.  Such a
+filter therefore programs one *load limit* per chip -- the largest load the
+comparator accepts, ``-1`` when it accepts none -- and its verdict methods
+(:meth:`InequalityFilter.is_feasible`, ``is_feasible_batch``,
+``is_feasible_devices``) compare loads against it, exactly.  Noisy filters
+decide from freshly read voltages, and :meth:`InequalityFilter.evaluate` /
+``evaluate_batch`` always read the voltages (the Fig. 8 readouts), so for any
+given inputs a filter uses exactly one of the two paths.
+
 The filter carries the hardware stack's device axis (ARCHITECTURE.md):
 constructed with a *sequence* of variability models it simulates one filter
 instance per chip, and :meth:`InequalityFilter.is_feasible_devices` decides a
@@ -187,6 +198,37 @@ class InequalityFilter:
         self.comparator = comparator or TwoStageComparator()
         self._num_evaluations = 0
         self._num_feasible = 0
+        #: Per-chip largest accepted load; ``None`` for a noisy filter,
+        #: whose verdicts need fresh voltages.
+        self._load_limits: Optional[np.ndarray] = None
+        if self.config.noise_sigma == 0 and self.comparator.noise_sigma == 0:
+            self._load_limits = self._program_load_limits()
+
+    def _program_load_limits(self) -> np.ndarray:
+        """Each chip's largest integer load ``L`` its comparator accepts.
+
+        Without matchline or comparator noise a verdict depends on the input
+        only through its integer load ``L = x . w_eff[d]``: chip ``d``
+        accepts when ``max(0, V_DD - dV * L) + offset >= V_replica[d]``,
+        evaluated with the voltage path's own float operations.  The rule
+        is monotone in ``L``, so bisection over every load the array can
+        reach (``0`` to ``n * max_column_weight``) finds the largest load
+        that passes, or ``-1`` when none does.
+        """
+        replica = self.replica_array.evaluate_devices(1)[:, 0]
+        offset = self.comparator.offset
+        passing = np.full(self.num_devices, -1)
+        failing = np.full(self.num_devices,
+                          self.num_items * self.config.max_column_weight + 1)
+        unsettled = failing - passing > 1
+        while np.any(unsettled):
+            loads = (passing + failing) // 2
+            working = self.working_array._readout(loads.astype(float), None)[0]
+            accepted = working + offset >= replica
+            passing = np.where(unsettled & accepted, loads, passing)
+            failing = np.where(unsettled & ~accepted, loads, failing)
+            unsettled = failing - passing > 1
+        return passing
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -203,7 +245,11 @@ class InequalityFilter:
 
     @property
     def num_evaluations(self) -> int:
-        """How many configurations the filter has evaluated."""
+        """How many configurations the filter has evaluated.
+
+        Every verdict counts, whether a load limit or the comparator
+        decided it.
+        """
         return self._num_evaluations
 
     @property
@@ -214,10 +260,29 @@ class InequalityFilter:
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
+    def _count(self, verdicts: np.ndarray) -> np.ndarray:
+        self._num_evaluations += int(verdicts.size)
+        self._num_feasible += int(np.count_nonzero(verdicts))
+        return verdicts
+
+    def _limit_verdicts(self, batch: np.ndarray,
+                        devices: Optional[np.ndarray]) -> np.ndarray:
+        """``(K, M)`` verdicts of a ``(K, M, n)`` batch: loads vs. limits.
+
+        The working array's own input checks apply, as on the voltage path.
+        """
+        batch, chips = self.working_array._device_batch(batch, devices)
+        loads = self.working_array._loads(batch, chips)
+        return self._count(loads <= self._load_limits[chips][:, None])
+
     def evaluate(self, x: Sequence[int],
                  rng: Optional[np.random.Generator] = None,
                  device: int = 0) -> FilterDecision:
-        """Evaluate one input configuration on chip ``device``."""
+        """Evaluate one input configuration on chip ``device``.
+
+        Always reads both matchline voltages (the Fig. 8 readout) and lets
+        the comparator decide, noise-free or not.
+        """
         working = self.working_array.evaluate(x, rng=rng, device=device)
         replica = self.replica_array.evaluate(rng=rng, device=device)
         feasible = self.comparator.decide(working.voltage, replica.voltage)
@@ -231,7 +296,11 @@ class InequalityFilter:
                     rng: Optional[np.random.Generator] = None,
                     device: int = 0) -> bool:
         """Single-bit decision (the signal routed to the SA logic in Fig. 3)."""
-        return self.evaluate(x, rng=rng, device=device).feasible
+        if self._load_limits is None:
+            return self.evaluate(x, rng=rng, device=device).feasible
+        inputs = np.asarray(list(x) if not isinstance(x, np.ndarray) else x,
+                            dtype=float)
+        return bool(self._limit_verdicts(inputs[None, None], [device])[0, 0])
 
     def evaluate_batch(self, configurations: np.ndarray,
                        rng: Optional[np.random.Generator] = None,
@@ -247,10 +316,12 @@ class InequalityFilter:
                           device: int = 0) -> np.ndarray:
         """Single-bit decisions for an ``(M, n)`` replica batch, vectorised.
 
-        One working-array product and one replica readout vector cover every
-        row (the filter array evaluating a batch of candidates in one analog
-        shot); the comparator decides all rows in one call.  Noise-free
-        decisions equal row-wise :meth:`is_feasible` exactly.  Note that the
+        A noise-free filter compares every row's load with the chip's load
+        limit; a noisy one reads one working-array product and one replica
+        readout vector for every row (the filter array evaluating a batch of
+        candidates in one analog shot) and the comparator decides all rows
+        in one call.  Either way the verdicts equal row-wise
+        :meth:`is_feasible` exactly when noise-free.  Note that the
         multi-replica annealing engine evaluates *every* constraint's filter
         for every row (no per-row short-circuit across constraints), so the
         evaluation counters can exceed the scalar path's.
@@ -258,15 +329,15 @@ class InequalityFilter:
         batch = np.asarray(configurations, dtype=float)
         if batch.ndim == 1:
             batch = batch[None, :]
+        if self._load_limits is not None:
+            return self._limit_verdicts(batch[None], [device])[0]
         working_voltages = self.working_array.evaluate_batch(batch, rng=rng,
                                                              device=device)
         replica_voltages = self.replica_array.evaluate_batch(batch.shape[0],
                                                              rng=rng,
                                                              device=device)
-        verdicts = self.comparator.decide_batch(working_voltages, replica_voltages)
-        self._num_evaluations += int(batch.shape[0])
-        self._num_feasible += int(np.count_nonzero(verdicts))
-        return verdicts
+        return self._count(self.comparator.decide_batch(working_voltages,
+                                                        replica_voltages))
 
     def is_feasible_devices(self, configurations: np.ndarray,
                             rng: Optional[np.random.Generator] = None,
@@ -276,21 +347,22 @@ class InequalityFilter:
         Slice ``k`` is judged by chip ``devices[k]`` (all chips in order when
         omitted).  A 2-D ``(K, n)`` input is the one-replica-per-chip
         convenience form and returns a ``(K,)`` verdict vector; 3-D input
-        returns ``(K, M)``.  Noise-free verdicts equal per-chip
-        :meth:`is_feasible` calls exactly.
+        returns ``(K, M)``.  Noise-free verdicts are load-limit comparisons
+        and equal per-chip :meth:`is_feasible` calls exactly.
         """
         batch = np.asarray(configurations, dtype=float)
         squeeze = batch.ndim == 2
         if squeeze:
             batch = batch[:, None, :]
-        working_voltages = self.working_array.evaluate_devices(batch, rng=rng,
-                                                               devices=devices)
-        replica_voltages = self.replica_array.evaluate_devices(batch.shape[1],
-                                                               rng=rng,
-                                                               devices=devices)
-        verdicts = self.comparator.decide_batch(working_voltages, replica_voltages)
-        self._num_evaluations += int(verdicts.size)
-        self._num_feasible += int(np.count_nonzero(verdicts))
+        if self._load_limits is not None:
+            verdicts = self._limit_verdicts(batch, devices)
+        else:
+            working_voltages = self.working_array.evaluate_devices(
+                batch, rng=rng, devices=devices)
+            replica_voltages = self.replica_array.evaluate_devices(
+                batch.shape[1], rng=rng, devices=devices)
+            verdicts = self._count(self.comparator.decide_batch(
+                working_voltages, replica_voltages))
         return verdicts[:, 0] if squeeze else verdicts
 
     def classification_accuracy(self, configurations: np.ndarray,

@@ -28,7 +28,6 @@ contracts make the model usable from both the scalar and the batched
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -136,21 +135,24 @@ class VariabilityModel:
         interleaved stream consumption in one vectorised draw: both
         ``Generator.normal`` and ``Generator.lognormal`` reduce to scaled
         standard normals, so one ``standard_normal(2 * N)`` batch carries the
-        exact values of ``N`` sequential (shift, factor) pairs.  Zero-sigma
-        components are skipped without consuming the stream, exactly as the
-        scalar samplers do.
+        exact values of ``N`` sequential (shift, factor) pairs.  The factors
+        are read by replaying the same ``2 * N`` draws through
+        ``Generator.lognormal`` from the saved bit-generator state and
+        keeping every second entry -- its per-element libm ``exp`` is the
+        scalar sampler's, which numpy's SIMD ``np.exp`` can miss by one ulp.
+        Zero-sigma components are skipped without consuming the stream,
+        exactly as the scalar samplers do.
         """
         count = self._check_size(num_devices)
         t_sigma, o_sigma = self.threshold_sigma, self.on_current_sigma
         if t_sigma == 0.0 and o_sigma == 0.0:
             return np.zeros(count), np.ones(count)
         if t_sigma > 0.0 and o_sigma > 0.0:
+            bit_generator = self._rng.bit_generator
+            state = bit_generator.state
+            factors = self._rng.lognormal(0.0, o_sigma, size=2 * count)[1::2]
+            bit_generator.state = state
             draws = self._rng.standard_normal(2 * count)
-            # libm exp per element, matching Generator.lognormal bit for bit
-            # (numpy's SIMD np.exp can differ from libm by one ulp).
-            factors = np.fromiter(
-                (math.exp(v) for v in o_sigma * draws[1::2]),
-                dtype=float, count=count)
             return t_sigma * draws[0::2], factors
         if t_sigma > 0.0:
             return self.sample_threshold_shifts(count), np.ones(count)

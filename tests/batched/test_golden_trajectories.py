@@ -25,6 +25,7 @@ import pytest
 
 from repro.cim.crossbar import CrossbarConfig
 from repro.problems.generators import generate_qkp_instance
+from repro.problems.multidim_knapsack import generate_mdqkp_instance
 from repro.runtime import run_trials
 
 FIXTURE = Path(__file__).with_name("golden_trajectories.json")
@@ -39,37 +40,52 @@ _NOISY_CHIPS = {"num_iterations": 30,
                 "crossbar_config": CrossbarConfig(current_noise_sigma=0.02,
                                                   adc_bits=8, seed=7)}
 
-#: Solver cells frozen by the snapshot: registry name -> params.
+#: Solver cells frozen by the snapshot: label -> (problem, registry name,
+#: params), the problem naming an entry of :func:`_problems`.
 CELLS = {
-    "hycim-software": ("hycim", {"num_iterations": 30, "use_hardware": False}),
-    "hycim-hardware": ("hycim", {"num_iterations": 30, "use_hardware": True}),
-    "hycim-knapsack": ("hycim", {"num_iterations": 20,
-                                 "moves_per_iteration": 3,
-                                 "move_generator": "knapsack",
-                                 "use_hardware": False}),
-    "sa": ("sa", {"num_iterations": 30}),
+    "hycim-software": ("qkp", "hycim", {"num_iterations": 30,
+                                        "use_hardware": False}),
+    "hycim-hardware": ("qkp", "hycim", {"num_iterations": 30,
+                                        "use_hardware": True}),
+    "hycim-knapsack": ("qkp", "hycim", {"num_iterations": 20,
+                                        "moves_per_iteration": 3,
+                                        "move_generator": "knapsack",
+                                        "use_hardware": False}),
+    "sa": ("qkp", "sa", {"num_iterations": 30}),
     # Shared crossbar planes with per-chip read noise and ADC.
-    "hycim-noisy-chips": ("hycim", _NOISY_CHIPS),
+    "hycim-noisy-chips": ("qkp", "hycim", _NOISY_CHIPS),
     # Per-chip ON-current variation on top: each chip's own conductances.
-    "hycim-varied-chips": ("hycim", dict(
+    "hycim-varied-chips": ("qkp", "hycim", dict(
         _NOISY_CHIPS, crossbar_config=CrossbarConfig(
             current_noise_sigma=0.02, adc_bits=8,
             on_current_variation_sigma=0.05, seed=7))),
     # Ideal crossbar at the D-QUBO's wider bit width.
-    "dqubo-hardware": ("dqubo", {"num_iterations": 30, "use_hardware": True}),
+    "dqubo-hardware": ("qkp", "dqubo", {"num_iterations": 30,
+                                        "use_hardware": True}),
+    # The non-ideal-chips benchmark in miniature: three device-axis filters
+    # per chip, varied conductances, read noise and ADC.
+    "hycim-mdqkp-chips": ("mdqkp", "hycim", dict(
+        _NOISY_CHIPS, crossbar_config=CrossbarConfig(
+            current_noise_sigma=0.02, on_current_variation_sigma=0.05,
+            adc_bits=8, seed=7))),
 }
 
 
-def _problem():
-    return generate_qkp_instance(num_items=15, density=0.5, max_weight=10,
-                                 max_profit=60, seed=404, name="golden")
+def _problems():
+    return {
+        "qkp": generate_qkp_instance(num_items=15, density=0.5, max_weight=10,
+                                     max_profit=60, seed=404, name="golden"),
+        "mdqkp": generate_mdqkp_instance(num_items=12, num_constraints=3,
+                                         density=0.5, seed=404,
+                                         name="golden-md"),
+    }
 
 
 def _compute_records(backend="serial"):
-    problem = _problem()
+    problems = _problems()
     records = {}
-    for label, (solver, params) in CELLS.items():
-        batch = run_trials(problem, solver, num_trials=NUM_TRIALS,
+    for label, (problem, solver, params) in CELLS.items():
+        batch = run_trials(problems[problem], solver, num_trials=NUM_TRIALS,
                            params=params, backend=backend,
                            master_seed=MASTER_SEED)
         records[label] = [

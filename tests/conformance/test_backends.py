@@ -3,12 +3,14 @@
 Clause 4 of the contract: with the family's registered solver parameters,
 per-seed results are *bitwise identical* across serial, process and
 vectorized backends (integer conformance instances, software mode), and
-hardware mode runs the same pipeline through the FeFET filter stack.
+hardware mode runs the same pipeline through the FeFET filter stack --
+serial and vectorized per seed alike, ideal or non-ideal chips.
 """
 
 import numpy as np
 import pytest
 
+from repro.cim.crossbar import CrossbarConfig
 from repro.runtime import run_trials
 
 from harness import MASTER_SEED, solver_params
@@ -18,6 +20,19 @@ def _solve(family, instance, backend, *, num_trials=4, **kwargs):
     params = solver_params(family, instance, **kwargs.pop("params", {}))
     return run_trials(instance, ("hycim", params), num_trials=num_trials,
                       backend=backend, master_seed=MASTER_SEED, **kwargs)
+
+
+def _assert_exact(reference, other):
+    """Same best energies, configurations and proposal counters per seed."""
+    np.testing.assert_array_equal(reference.best_energies,
+                                  other.best_energies)
+    for a, b in zip(reference.results, other.results):
+        assert a.trial_seed == b.trial_seed
+        np.testing.assert_array_equal(a.best_configuration,
+                                      b.best_configuration)
+        assert a.num_accepted_moves == b.num_accepted_moves
+        assert a.num_feasible_evaluations == b.num_feasible_evaluations
+        assert a.num_infeasible_skipped == b.num_infeasible_skipped
 
 
 class TestSerialVectorizedParity:
@@ -63,21 +78,37 @@ class TestHardwareMode:
             assert instance.is_feasible(result.best_configuration)
 
 
+class TestHardwareBackendParity:
+    """Clause 5 in hardware mode: the vectorized engine's device-axis
+    filters and crossbar reproduce the serial solver's per-trial hardware --
+    same best configurations, energies and proposal counters per seed --
+    on ideal chips, on chips with sampled filter cells, and with crossbar
+    read noise, ON-current variation and an ADC on top."""
+
+    CHIPS = {"threshold_sigma": 0.02, "on_current_sigma": 0.05}
+    CONFIGS = {
+        "ideal": {},
+        "variability": {"variability": CHIPS},
+        "noisy-crossbar": {"variability": CHIPS,
+                           "crossbar_config": CrossbarConfig(
+                               current_noise_sigma=0.02,
+                               on_current_variation_sigma=0.05, adc_bits=8,
+                               seed=5)},
+    }
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_serial_and_vectorized_agree_per_seed(self, family, instance,
+                                                  config):
+        params = {"use_hardware": True, "num_iterations": 40,
+                  **self.CONFIGS[config]}
+        _assert_exact(_solve(family, instance, "serial", params=params),
+                      _solve(family, instance, "vectorized", params=params))
+
+
 class TestKernelBackends:
     """Clause 5: sweep-kernel backends are exact on the integer conformance
     instances -- same best energies, configurations and proposal counters
     per seed as the reference backend, for every family."""
-
-    def _assert_exact(self, reference, other):
-        np.testing.assert_array_equal(reference.best_energies,
-                                      other.best_energies)
-        for a, b in zip(reference.results, other.results):
-            assert a.trial_seed == b.trial_seed
-            np.testing.assert_array_equal(a.best_configuration,
-                                          b.best_configuration)
-            assert a.num_accepted_moves == b.num_accepted_moves
-            assert a.num_feasible_evaluations == b.num_feasible_evaluations
-            assert a.num_infeasible_skipped == b.num_infeasible_skipped
 
     def test_fused_kernel_is_exact(self, family, instance):
         # The fused backend covers single-flip dynamics, so both arms run
@@ -92,7 +123,7 @@ class TestKernelBackends:
         fused = run_trials(instance, ("hycim", dict(params, kernel="fused")),
                            num_trials=4, backend="vectorized",
                            master_seed=MASTER_SEED)
-        self._assert_exact(reference, fused)
+        _assert_exact(reference, fused)
 
     def test_packed_kernel_is_exact(self, family, instance):
         # The popcount backend's exactness precondition (integer-valued
@@ -105,7 +136,7 @@ class TestKernelBackends:
         packed = run_trials(instance, ("hycim", dict(params, kernel="packed")),
                             num_trials=4, backend="vectorized",
                             master_seed=MASTER_SEED)
-        self._assert_exact(reference, packed)
+        _assert_exact(reference, packed)
 
     def test_auto_kernel_is_exact(self, family, instance):
         # "auto" resolves to the fastest supported backend; whatever it
@@ -113,4 +144,4 @@ class TestKernelBackends:
         reference = _solve(family, instance, "vectorized")
         auto = _solve(family, instance, "vectorized",
                       params={"kernel": "auto"})
-        self._assert_exact(reference, auto)
+        _assert_exact(reference, auto)
