@@ -16,10 +16,10 @@ import reporting
 from repro.analysis.reporting import format_table
 from repro.annealing.dqubo_solver import DQUBOAnnealer
 from repro.annealing.hycim import HyCiMSolver
-from repro.annealing.moves import KnapsackNeighborhoodMove
-from repro.annealing.schedule import GeometricSchedule
 from repro.cim.energy_model import dqubo_run_cost, energy_saving, hycim_run_cost
 from repro.core.quantization import quantization_report
+from repro.dynamics.moves import KnapsackNeighborhoodMove
+from repro.dynamics.schedule import GeometricSchedule
 from repro.problems.generators import generate_qkp_instance
 
 

@@ -31,11 +31,7 @@ import pytest
 import reporting
 from repro.annealing.sa import SimulatedAnnealer
 from repro.batched import BatchedSimulatedAnnealer
-from repro.batched.kernels import batched_energies
 from repro.dynamics import Dynamics
-from repro.dynamics.driver import LoopDriver
-from repro.dynamics.schedule import GeometricSchedule
-from repro.kernels import make_sa_kernel
 from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_trials
 
@@ -188,138 +184,3 @@ class TestFusedKernelThroughputFloor:
             f"the pinned {FLOOR_SPEEDUP:.1f}x floor "
             f"(reference {reference_us:.2f}us vs fused {fused_us:.2f}us "
             "per replica-iteration)")
-
-
-# Packed-kernel floor: the popcount backend pays a fixed B/64 words of
-# popcount work per proposed variable while the fused backend pays an O(n)
-# field update per *accepted* flip, so the packed kernel overtakes fused
-# once the acceptance rate clears ~B/64.  The pinned geometry holds the
-# anneal in that exploration regime (accept rate ~0.7 at this schedule);
-# measured ~1.7-2.0x on a dev box, and the floor only demands parity so
-# the assertion survives slower CI machines.
-PACKED_N = 4096
-PACKED_REPLICAS = 128
-PACKED_ITERATIONS = 2500
-PACKED_SCHEDULE = (16000.0, 4000.0)
-PACKED_FLOOR = 1.0
-
-
-class TestPackedKernelThroughputFloor:
-    @pytest.fixture(scope="class")
-    def floor_problem(self):
-        return generate_qkp_instance(num_items=PACKED_N, density=0.02,
-                                     seed=9, name="packed_floor_qkp_4096")
-
-    def test_packed_vs_fused_speedup_at_n4096(self, floor_problem):
-        problem = floor_problem
-        qubo = problem.to_qubo()
-        constraints = problem.linear_feasibility_constraints()
-        start_rng = np.random.default_rng(3)
-        starts = np.stack([problem.random_feasible_configuration(start_rng)
-                           for _ in range(PACKED_REPLICAS)])
-
-        def run(backend, iterations=PACKED_ITERATIONS):
-            runner = BatchedSimulatedAnnealer(SimulatedAnnealer(
-                num_iterations=iterations,
-                schedule=GeometricSchedule(*PACKED_SCHEDULE)))
-            generators = [np.random.default_rng([17, replica])
-                          for replica in range(PACKED_REPLICAS)]
-            started = time.perf_counter()
-            results = runner.anneal(
-                qubo, starts, generators,
-                accept_filter_batch=problem.is_feasible_batch,
-                feasibility_constraints=constraints, kernel=backend)
-            return time.perf_counter() - started, results
-
-        run("fused", iterations=20)
-        run("packed", iterations=20)
-
-        fused_seconds, fused_results = min(
-            (run("fused") for _ in range(2)), key=lambda pair: pair[0])
-        packed_seconds, packed_results = min(
-            (run("packed") for _ in range(2)), key=lambda pair: pair[0])
-
-        # Identical seeds and replayed RNG streams: the packed run is
-        # bit-identical to the fused one, so the timing compares two
-        # backends doing exactly the same accepted-move sequence.
-        fused_best = [trial.best_energy for trial in fused_results]
-        packed_best = [trial.best_energy for trial in packed_results]
-        assert fused_best == packed_best
-
-        accept_rate = float(np.mean(
-            [trial.num_accepted_moves for trial in fused_results])
-            ) / PACKED_ITERATIONS
-        per_replica_iter = PACKED_REPLICAS * PACKED_ITERATIONS
-        fused_us = fused_seconds / per_replica_iter * 1e6
-        packed_us = packed_seconds / per_replica_iter * 1e6
-        speedup = fused_us / packed_us
-        print(f"\nPacked-kernel throughput floor (n={PACKED_N}, "
-              f"M={PACKED_REPLICAS}, {PACKED_ITERATIONS} iterations, "
-              f"accept rate {accept_rate:.2f}):")
-        print(f"  fused:   {fused_us:6.2f} us/replica-iteration")
-        print(f"  packed:  {packed_us:6.2f} us/replica-iteration")
-        print(f"  speedup: {speedup:6.2f}x  (pinned floor "
-              f"{PACKED_FLOOR:.1f}x)")
-
-        reporting.emit(
-            "packed_kernel_throughput_floor",
-            "packed-kernel per-replica speedup over the fused kernel in the "
-            "exploration regime (n=4096, software mode)",
-            speedup, "x", floor=PACKED_FLOOR,
-            details={"num_variables": PACKED_N,
-                     "num_replicas": PACKED_REPLICAS,
-                     "num_iterations": PACKED_ITERATIONS,
-                     "schedule": list(PACKED_SCHEDULE),
-                     "accept_rate": accept_rate,
-                     "fused_us_per_replica_iteration": fused_us,
-                     "packed_us_per_replica_iteration": packed_us})
-
-        assert speedup >= PACKED_FLOOR, (
-            f"packed kernel speedup {speedup:.2f}x at n={PACKED_N} is below "
-            f"the pinned {PACKED_FLOOR:.1f}x floor "
-            f"(fused {fused_us:.2f}us vs packed {packed_us:.2f}us "
-            "per replica-iteration)")
-
-    def test_packed_state_bytes_per_replica(self, floor_problem):
-        # The packed representation's other win: the travelling per-replica
-        # state (packed words vs float field caches) is ~2 orders of
-        # magnitude smaller, which is what lets large-n ladders fit in
-        # cache.  Emitted as a memory metric alongside the throughput one.
-        problem = floor_problem
-        matrix = problem.to_qubo().matrix
-        start_rng = np.random.default_rng(3)
-        starts = np.stack([problem.random_feasible_configuration(start_rng)
-                           for _ in range(PACKED_REPLICAS)]).astype(float)
-        nbytes = {}
-        for backend in ("fused", "packed"):
-            generators = [np.random.default_rng([17, replica])
-                          for replica in range(PACKED_REPLICAS)]
-            kernel = make_sa_kernel(
-                backend,
-                matrix=matrix, offset=0.0,
-                driver=LoopDriver(GeometricSchedule(*PACKED_SCHEDULE), 10,
-                                  generators),
-                move_generator=None, single_flip=True,
-                moves_per_iteration=1, current=starts.copy(),
-                current_energy=batched_energies(matrix, starts),
-                accept_filter_batch=problem.is_feasible_batch,
-                feasibility_constraints=(
-                    problem.linear_feasibility_constraints()),
-                generators=generators)
-            nbytes[backend] = kernel.state_nbytes_per_replica()
-
-        ratio = nbytes["fused"] / nbytes["packed"]
-        print(f"\nPer-replica travelling state at n={PACKED_N}: "
-              f"fused {nbytes['fused']:.0f} B, "
-              f"packed {nbytes['packed']:.0f} B ({ratio:.0f}x smaller)")
-
-        reporting.emit(
-            "packed_state_bytes_per_replica",
-            "packed-kernel travelling state per replica (n=4096)",
-            nbytes["packed"], "bytes", higher_is_better=False,
-            details={"num_variables": PACKED_N,
-                     "num_replicas": PACKED_REPLICAS,
-                     "fused_bytes_per_replica": nbytes["fused"],
-                     "ratio_fused_over_packed": ratio})
-
-        assert nbytes["packed"] < nbytes["fused"] / 4

@@ -20,14 +20,6 @@ from repro.analysis.metrics import (
     mean_success_rate,
     success_rate,
 )
-from repro.annealing.moves import (
-    KnapsackNeighborhoodMove,
-    MoveGenerator,
-    OneHotGroupMove,
-    PermutationSwapMove,
-    SingleFlipMove,
-)
-from repro.annealing.schedule import GeometricSchedule
 from repro.cim.cost_model import (
     CostModelParameters,
     dqubo_hardware_cost,
@@ -38,6 +30,14 @@ from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
 from repro.cim.inequality_filter import InequalityFilter
 from repro.core.dqubo import SlackEncoding, predict_dqubo_dimension, predict_dqubo_qmax
 from repro.core.quantization import QuantizationReport, quantization_report
+from repro.dynamics.moves import (
+    KnapsackNeighborhoodMove,
+    MoveGenerator,
+    OneHotGroupMove,
+    PermutationSwapMove,
+    SingleFlipMove,
+)
+from repro.dynamics.schedule import GeometricSchedule
 from repro.exact.brute_force import solve_brute_force
 from repro.exact.dp_knapsack import solve_knapsack_dp
 from repro.exact.local_search import reference_qkp_value

@@ -1,8 +1,5 @@
 """Simulated annealing engines and the two solver frontends.
 
-* :mod:`repro.annealing.schedule` -- temperature schedules.
-* :mod:`repro.annealing.moves` -- move generators (single flip, multi flip,
-  one-hot group moves for permutation/colouring encodings).
 * :mod:`repro.annealing.sa` -- a generic QUBO simulated annealer.
 * :mod:`repro.annealing.hycim` -- the HyCiM hybrid solver: inequality filter
   -> CiM crossbar -> SA logic (paper Fig. 3 / Fig. 6(b)).
@@ -10,38 +7,12 @@
   embeds constraints as penalties with auxiliary variables.
 """
 
-from repro.annealing.schedule import (
-    ConstantSchedule,
-    ExponentialSchedule,
-    GeometricSchedule,
-    LinearSchedule,
-    TemperatureSchedule,
-)
-from repro.annealing.moves import (
-    KnapsackNeighborhoodMove,
-    MoveGenerator,
-    MultiFlipMove,
-    OneHotGroupMove,
-    PermutationSwapMove,
-    SingleFlipMove,
-)
 from repro.annealing.result import SolveResult
 from repro.annealing.sa import SimulatedAnnealer
 from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.dqubo_solver import DQUBOAnnealer
 
 __all__ = [
-    "TemperatureSchedule",
-    "GeometricSchedule",
-    "LinearSchedule",
-    "ExponentialSchedule",
-    "ConstantSchedule",
-    "MoveGenerator",
-    "SingleFlipMove",
-    "MultiFlipMove",
-    "OneHotGroupMove",
-    "PermutationSwapMove",
-    "KnapsackNeighborhoodMove",
     "SolveResult",
     "SimulatedAnnealer",
     "HyCiMSolver",

@@ -4,8 +4,8 @@ See :mod:`repro.kernels.base` for the interface and the backend matrix.
 The factories here are what the engines call: given a backend name (or
 ``"auto"``) and the engine's loop state, they construct the matching
 :class:`~repro.kernels.base.SweepKernel`, falling back along
-``numba -> packed -> fused -> reference`` when ``"auto"`` meets an
-unsupported configuration or a missing optional dependency.
+``numba -> fused -> reference`` when ``"auto"`` meets an unsupported
+configuration or a missing optional dependency.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.kernels.base import (
     resolve_kernel_backend,
 )
 from repro.kernels.fused import FusedHyCiMKernel, FusedSAKernel
-from repro.kernels.packed import PackedHyCiMKernel, PackedSAKernel
 from repro.kernels.reference import ReferenceHyCiMKernel, ReferenceSAKernel
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "FusedSAKernel",
     "KernelUnavailableError",
     "KernelUnsupportedError",
-    "PackedHyCiMKernel",
-    "PackedSAKernel",
     "ReferenceHyCiMKernel",
     "ReferenceSAKernel",
     "SweepKernel",
@@ -46,7 +43,7 @@ __all__ = [
 #: ``"auto"`` tries backends in this order, falling through on
 #: KernelUnsupportedError / KernelUnavailableError; the reference backend
 #: supports everything, so "auto" never fails for support reasons.
-AUTO_ORDER = ("numba", "packed", "fused", "reference")
+AUTO_ORDER = ("numba", "fused", "reference")
 
 
 def _jit_kernel(name: str) -> Callable[..., SweepKernel]:
@@ -62,9 +59,8 @@ def _jit_kernel(name: str) -> Callable[..., SweepKernel]:
 
 #: backend -> constructor per family.  Every non-reference backend of a
 #: family takes the same keywords; the reference kernels take their own.
-_SA_KERNELS = {"fused": FusedSAKernel, "packed": PackedSAKernel,
-               "numba": _jit_kernel("JitSAKernel")}
-_HYCIM_KERNELS = {"fused": FusedHyCiMKernel, "packed": PackedHyCiMKernel,
+_SA_KERNELS = {"fused": FusedSAKernel, "numba": _jit_kernel("JitSAKernel")}
+_HYCIM_KERNELS = {"fused": FusedHyCiMKernel,
                   "numba": _jit_kernel("JitHyCiMKernel")}
 
 

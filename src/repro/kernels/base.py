@@ -34,15 +34,6 @@ Backends
     same ``LoopDriver`` calls, so trajectories are exactly equal whenever
     the arithmetic is (integer-valued coefficient data -- the conformance
     families); float data agrees to summation-order tolerance.
-``"packed"``
-    Bit-packed states (:mod:`repro.kernels.packed`): replicas travel as
-    ``(M, ceil(n/64))`` uint64 words, the single-flip ΔE is recomputed per
-    proposal by AND + popcount against precomputed bit-plane masks of
-    ``Q + Q^T``, and an accepted flip is a one-word XOR.  Same RNG replay
-    as ``fused``; requires integer-valued coefficients (the popcount
-    field sums are exact int64, hence bit-identical to the float caches)
-    and a plane table within the :data:`repro.kernels.bits.MAX_MASK_BYTES`
-    budget, else :class:`KernelUnsupportedError`.
 ``"numba"``
     The fused loop JIT-compiled (:mod:`repro.kernels.jit`), replaying each
     replica's PCG64 stream bit-exactly inside the compiled block.  Only
@@ -50,10 +41,10 @@ Backends
     raises :class:`KernelUnavailableError`.
 ``"auto"``
     The fastest backend that supports the requested configuration
-    (``numba`` > ``packed`` > ``fused`` > ``reference``); never raises for
-    support reasons.  Note the resolved backend depends on the environment
-    (numba present or not), so persisted runs that must be reproducible
-    elsewhere should pin an explicit backend instead.
+    (``numba`` > ``fused`` > ``reference``); never raises for support
+    reasons.  Note the resolved backend depends on the environment (numba
+    present or not), so persisted runs that must be reproducible elsewhere
+    should pin an explicit backend instead.
 """
 
 from __future__ import annotations
@@ -71,7 +62,7 @@ __all__ = [
 
 #: Explicit kernel backends, fastest last.  ``"auto"`` resolves to one of
 #: these at engine-construction time.
-KERNEL_BACKENDS = ("reference", "fused", "packed", "numba")
+KERNEL_BACKENDS = ("reference", "fused", "numba")
 
 #: The backend engines use when none is requested (and the one the golden
 #: trajectory suite pins byte-for-byte).
@@ -163,19 +154,3 @@ class SweepKernel:
     def finalize(self) -> None:
         """Hook run once after the last block (JIT kernels write RNG state
         back to the replicas' generators here).  Default: nothing."""
-
-    def state_nbytes_per_replica(self) -> float:
-        """Bytes of travelling per-replica sweep state.
-
-        Counts the swap arrays (configurations, energies, caches) plus the
-        best-so-far tracking arrays -- the memory a kernel keeps hot per
-        replica between blocks.  Benchmarks report this next to throughput
-        so backend memory footprints are comparable; backends whose best
-        tracking lives elsewhere (the packed words) override it.
-        """
-        arrays = list(self.swap_arrays())
-        for name in ("best", "best_energy", "best_feasible"):
-            value = getattr(self, name, None)
-            if value is not None and hasattr(value, "nbytes"):
-                arrays.append(value)
-        return sum(array.nbytes for array in arrays) / arrays[0].shape[0]

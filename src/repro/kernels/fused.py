@@ -26,9 +26,10 @@ kernel's and only the ΔE arithmetic (summation order) differs -- which on
 the integer-valued conformance families means trajectories are *exactly*
 equal, and on float data tolerance-equal.
 
-Configurations a fused kernel cannot express -- generic move generators,
-opaque feasibility callables, hardware-mode evaluation, noisy filters --
-raise :class:`~repro.kernels.base.KernelUnsupportedError` at construction;
+Without numba, ``kernel="auto"`` resolves to these kernels.  Configurations
+a fused kernel cannot express -- generic move generators, opaque
+feasibility callables, hardware-mode evaluation, noisy filters -- raise
+:class:`~repro.kernels.base.KernelUnsupportedError` at construction;
 ``kernel="auto"`` then falls back to the reference backend.
 """
 
@@ -90,11 +91,7 @@ class _FusedCore(SweepKernel):
                                                      dtype=float))
         self._num_variables = int(self._diag.shape[0])
         self._rows = np.arange(current.shape[0])
-        self._init_constraints(current, constraints)
 
-    def _init_constraints(self, current: np.ndarray,
-                          constraints: Sequence[LinearConstraint]) -> None:
-        """Running-load state shared with the packed backend's model."""
         weights = [np.asarray(c.weight_vector, dtype=float)
                    for c in constraints]
         self._num_constraints = len(weights)
@@ -137,10 +134,6 @@ class _FusedCore(SweepKernel):
         if isinstance(temperatures, np.ndarray):
             temperatures = temperatures[replica_indices]
         return metropolis_decisions(step, temperatures, draws)
-
-    def _record_best(self, improved: np.ndarray) -> None:
-        """Copy the listed replicas' incumbents into the best-so-far state."""
-        self.best[improved] = self.current[improved]
 
     def finalize(self) -> None:
         if self._streams is not None:
@@ -281,7 +274,7 @@ class FusedSAKernel(_FusedCore):
                     if better.any():
                         improved = accepted_idx[better]
                         self.best_energy[improved] = energies[better]
-                        self._record_best(improved)
+                        self.best[improved] = self.current[improved]
 
     def swap_arrays(self) -> tuple:
         arrays = [self.current, self.current_energy, self.field]
@@ -395,7 +388,7 @@ class FusedHyCiMKernel(_FusedCore):
                          < self.best_energy[accepted_idx])
                         | ~self.best_feasible[accepted_idx]]
                     self.best_energy[improved] = self.current_energy[improved]
-                    self._record_best(improved)
+                    self.best[improved] = self.current[improved]
                     self.best_feasible[improved] = True
 
     def swap_arrays(self) -> tuple:

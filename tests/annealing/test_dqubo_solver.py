@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.annealing.dqubo_solver import DQUBOAnnealer
-from repro.annealing.schedule import GeometricSchedule
 from repro.core.dqubo import SlackEncoding
+from repro.dynamics.schedule import GeometricSchedule
 
 
 class TestConstruction:

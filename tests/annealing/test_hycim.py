@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.annealing.hycim import HyCiMSolver
-from repro.annealing.moves import KnapsackNeighborhoodMove
-from repro.annealing.schedule import GeometricSchedule
 from repro.core.transformation import InequalityQUBO
 from repro.core.qubo import QUBOModel
+from repro.dynamics.moves import KnapsackNeighborhoodMove
+from repro.dynamics.schedule import GeometricSchedule
 from repro.exact.brute_force import solve_brute_force
 
 

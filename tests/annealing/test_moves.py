@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.annealing.moves import (
+from repro.dynamics.moves import (
     KnapsackNeighborhoodMove,
     MultiFlipMove,
     OneHotGroupMove,

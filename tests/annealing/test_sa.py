@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.annealing.moves import MultiFlipMove
 from repro.annealing.sa import SimulatedAnnealer
-from repro.annealing.schedule import GeometricSchedule
 from repro.core.qubo import QUBOModel
+from repro.dynamics.moves import MultiFlipMove
+from repro.dynamics.schedule import GeometricSchedule
 from repro.problems.generators import generate_maxcut_instance, generate_sk_instance
 
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.annealing.schedule import (
+from repro.dynamics.acceptance import acceptance_probability
+from repro.dynamics.schedule import (
     ConstantSchedule,
     ExponentialSchedule,
     GeometricSchedule,
     LinearSchedule,
-    acceptance_probability,
 )
 
 

@@ -18,8 +18,8 @@ import pytest
 
 from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.sa import SimulatedAnnealer
-from repro.annealing.schedule import GeometricSchedule
 from repro.batched import BatchedHyCiMSolver, BatchedSimulatedAnnealer
+from repro.dynamics.schedule import GeometricSchedule
 from repro.runtime import derive_trial_seeds, run_trials
 
 NUM_REPLICAS = 8
@@ -77,7 +77,7 @@ class TestEngineLevelParity:
         assert_results_match(scalar, batched, exact=True)
 
     def test_software_mode_knapsack_moves_exact(self, medium_qkp):
-        from repro.annealing.moves import KnapsackNeighborhoodMove
+        from repro.dynamics.moves import KnapsackNeighborhoodMove
         seeds = derive_trial_seeds(5, NUM_REPLICAS)
         scalar, batched = self._scalar_and_batched(
             dict(use_hardware=False, num_iterations=40, moves_per_iteration=4,
@@ -127,7 +127,7 @@ class TestEngineLevelParity:
     def test_sa_generic_move_generator_parity(self, medium_qkp):
         """Non-single-flip SA moves take the per-replica propose path but
         still evaluate energies in batch."""
-        from repro.annealing.moves import MultiFlipMove
+        from repro.dynamics.moves import MultiFlipMove
         seeds = derive_trial_seeds(19, 4)
         qubo = medium_qkp.to_qubo()
         kwargs = dict(num_iterations=30, move_generator=MultiFlipMove(2),

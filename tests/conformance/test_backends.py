@@ -125,19 +125,6 @@ class TestKernelBackends:
                            master_seed=MASTER_SEED)
         _assert_exact(reference, fused)
 
-    def test_packed_kernel_is_exact(self, family, instance):
-        # The popcount backend's exactness precondition (integer-valued
-        # coefficients) holds on every conformance instance, so the packed
-        # path must reproduce the reference trajectories bit for bit.
-        params = solver_params(family, instance)
-        params.pop("move_generator", None)
-        reference = run_trials(instance, ("hycim", params), num_trials=4,
-                               backend="vectorized", master_seed=MASTER_SEED)
-        packed = run_trials(instance, ("hycim", dict(params, kernel="packed")),
-                            num_trials=4, backend="vectorized",
-                            master_seed=MASTER_SEED)
-        _assert_exact(reference, packed)
-
     def test_auto_kernel_is_exact(self, family, instance):
         # "auto" resolves to the fastest supported backend; whatever it
         # picks must preserve the per-seed contract.

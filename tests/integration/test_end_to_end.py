@@ -5,9 +5,9 @@ import pytest
 
 from repro.annealing.dqubo_solver import DQUBOAnnealer
 from repro.annealing.hycim import HyCiMSolver
-from repro.annealing.moves import KnapsackNeighborhoodMove
-from repro.annealing.schedule import GeometricSchedule
 from repro.cim.inequality_filter import InequalityFilter
+from repro.dynamics.moves import KnapsackNeighborhoodMove
+from repro.dynamics.schedule import GeometricSchedule
 from repro.exact.brute_force import solve_brute_force
 from repro.exact.local_search import reference_qkp_value
 from repro.fefet.variability import VariabilityModel

@@ -1,4 +1,4 @@
-"""Backend parity: fused, packed (and interpreted-JIT) kernels vs reference.
+"""Backend parity: fused (and interpreted-JIT) kernels vs the reference.
 
 The contract from :mod:`repro.kernels.base`: on integer-valued instances the
 fused backend consumes the same RNG draws and produces *exactly* equal
@@ -76,7 +76,7 @@ def assert_exact_parity(reference, other, generator_pairs=None):
             assert state_a["uinteger"] == state_b["uinteger"]
 
 
-@pytest.fixture(params=["fused", "packed", "numba"])
+@pytest.fixture(params=["fused", "numba"])
 def backend(request, monkeypatch):
     if request.param == "numba":
         # Run the JIT kernels interpreted when numba is missing -- the

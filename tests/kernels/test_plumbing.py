@@ -20,6 +20,7 @@ from repro.kernels import (
     KernelUnavailableError,
     KernelUnsupportedError,
     canonical_kernel_param,
+    make_hycim_kernel,
     make_sa_kernel,
     resolve_kernel_backend,
 )
@@ -136,6 +137,24 @@ def _kernel_args(problem, *, single_flip=True, generic_filter=False):
         generators=generators)
 
 
+def _hycim_kernel_args(problem, shift):
+    args = _kernel_args(problem)
+    matrix = args["matrix"] + shift
+    current = args["current"]
+    energy = batched_energies(matrix, current)
+    return dict(
+        num_variables=problem.num_variables, driver=args["driver"],
+        move_generator=args["move_generator"], single_flip=True,
+        moves_per_iteration=1, feasible_batch=problem.is_feasible_batch,
+        energies=lambda batch, replicas=None: batched_energies(matrix, batch),
+        current=current, current_energy=energy,
+        current_feasible=np.ones(current.shape[0], dtype=bool),
+        use_delta=True, matrix=matrix, raw_energy=energy.copy(),
+        constraints=problem.linear_feasibility_constraints(),
+        use_hardware_filters=False, use_crossbar=False,
+        generators=args["generators"])
+
+
 class TestConstructionFallbacks:
     def test_auto_falls_back_to_reference_on_unsupported(self, problem):
         # An opaque per-row filter is not expressible incrementally: "auto"
@@ -160,22 +179,39 @@ class TestConstructionFallbacks:
         with pytest.raises(KernelUnavailableError, match="numba"):
             make_sa_kernel("numba", **_kernel_args(problem))
 
-    def test_auto_never_fails_for_support_reasons(self, problem):
-        # The QKP matrix is integer-valued, so auto lands on the fastest
-        # pure-NumPy backend (packed) unless numba is importable.
-        kernel = make_sa_kernel("auto", **_kernel_args(problem))
-        assert kernel.backend in ("packed", "numba")
+    def test_packed_is_not_a_backend(self, problem):
+        with pytest.raises(ValueError, match="unknown kernel backend") as info:
+            make_sa_kernel("packed", **_kernel_args(problem))
+        assert str(info.value).endswith(
+            "('reference', 'fused', 'numba', 'auto')")
 
-    def test_auto_falls_back_to_fused_on_float_matrices(self, problem):
-        # Non-integer coefficients void the popcount exactness guarantee:
-        # packed refuses them, so auto lands on fused.
-        args = _kernel_args(problem)
-        args["matrix"] = args["matrix"] + 0.25
-        kernel = make_sa_kernel("auto", **args)
-        assert kernel.backend in ("fused", "numba")
 
-    def test_explicit_packed_raises_on_float_matrices(self, problem):
-        args = _kernel_args(problem)
-        args["matrix"] = args["matrix"] + 0.25
-        with pytest.raises(KernelUnsupportedError, match="integer-valued"):
-            make_sa_kernel("packed", **args)
+@pytest.mark.skipif(_has_numba(), reason="numba is installed")
+class TestAutoResolvesToFused:
+    """Without numba, "auto" lands on the fused backend wherever fused runs."""
+
+    def test_both_engine_families_on_integer_and_float_matrices(self,
+                                                                problem):
+        for shift in (0.0, 0.25):
+            args = _kernel_args(problem)
+            args["matrix"] = args["matrix"] + shift
+            assert make_sa_kernel("auto", **args).backend == "fused"
+            hycim = make_hycim_kernel("auto",
+                                      **_hycim_kernel_args(problem, shift))
+            assert hycim.backend == "fused"
+
+    def test_run_stamps_the_resolved_backend(self, problem, tmp_path):
+        store = CampaignStore(tmp_path / "store")
+        params = dict(PARAMS, kernel="auto")
+        batch = run_trials(problem, "hycim", num_trials=2, params=params,
+                           backend="vectorized", master_seed=6, store=store)
+        assert [r.metadata["kernel"] for r in batch.results] == ["fused"] * 2
+        provenance = store.get_manifest(batch.run_key).provenance
+        assert provenance["kernel_resolved"] == "fused"
+        # A warm rerun loads every trial and keeps the stamp.
+        warm = run_trials(problem, "hycim", num_trials=2, params=params,
+                          backend="vectorized", master_seed=6, store=store)
+        assert warm.num_loaded_from_store == 2
+        np.testing.assert_array_equal(batch.best_energies, warm.best_energies)
+        provenance = store.get_manifest(warm.run_key).provenance
+        assert provenance["kernel_resolved"] == "fused"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.annealing.hycim import HyCiMSolver
-from repro.annealing.moves import KnapsackNeighborhoodMove
-from repro.annealing.schedule import GeometricSchedule
+from repro.dynamics.moves import KnapsackNeighborhoodMove
+from repro.dynamics.schedule import GeometricSchedule
 from repro.exact.brute_force import solve_brute_force
 from repro.problems.multidim_knapsack import (
     MultiDimensionalKnapsackProblem,

@@ -4,17 +4,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.annealing.moves import (
+from repro.dynamics.acceptance import acceptance_probability
+from repro.dynamics.moves import (
     KnapsackNeighborhoodMove,
     MultiFlipMove,
     OneHotGroupMove,
     SingleFlipMove,
 )
-from repro.annealing.schedule import (
+from repro.dynamics.schedule import (
     ExponentialSchedule,
     GeometricSchedule,
     LinearSchedule,
-    acceptance_probability,
 )
 
 

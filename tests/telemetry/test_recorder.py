@@ -117,10 +117,10 @@ class TestInMemoryRecorder:
     def test_annotate_rides_on_span_end(self):
         recorder = InMemoryRecorder()
         with recorder.span("trial_group", solver="sa") as span:
-            span.annotate(kernel_resolved="packed",
+            span.annotate(kernel_resolved="fused",
                           planes=np.int64(6))
         end = recorder.events_of_kind("span_end")[0]
-        assert end["kernel_resolved"] == "packed"
+        assert end["kernel_resolved"] == "fused"
         assert end["planes"] == 6  # coerced like any other attr
         json.dumps(end)
         # span_start stays what it was at open time.
@@ -128,7 +128,7 @@ class TestInMemoryRecorder:
 
     def test_annotate_is_silent_when_disabled(self):
         with NullRecorder().span("quiet") as span:
-            span.annotate(kernel_resolved="packed")  # must not raise
+            span.annotate(kernel_resolved="fused")  # must not raise
 
 
 class TestAmbientRecorder:

@@ -137,9 +137,9 @@ class TestAnalyze:
     def test_annotated_attrs_render_on_span_line(self):
         recorder = InMemoryRecorder()
         with recorder.span("trial_group", solver="sa") as span:
-            span.annotate(kernel_resolved="packed")
+            span.annotate(kernel_resolved="fused")
         lines = build_timeline(recorder.events)
-        assert any("trial_group" in line and "kernel_resolved=packed" in line
+        assert any("trial_group" in line and "kernel_resolved=fused" in line
                    for line in lines)
 
     def test_multi_session_separator(self, tmp_path):
