@@ -10,6 +10,7 @@ serial and vectorized per seed alike, ideal or non-ideal chips.
 import numpy as np
 import pytest
 
+import repro.kernels.jit as jit_module
 from repro.cim.crossbar import CrossbarConfig
 from repro.runtime import run_trials
 
@@ -124,6 +125,24 @@ class TestKernelBackends:
                            num_trials=4, backend="vectorized",
                            master_seed=MASTER_SEED)
         _assert_exact(reference, fused)
+
+    def test_auto_kernel_with_jit_is_exact(self, family, instance,
+                                           monkeypatch):
+        # numba heads auto's fall-through order.  With the JIT kernels
+        # allowed (interpreted where numba is missing), auto puts every
+        # family whose constraints the compiled loop expresses on numba and
+        # the rest on fused; per-seed results stay exact either way.
+        monkeypatch.setattr(jit_module, "_ALLOW_INTERPRETED", True)
+        params = solver_params(family, instance)
+        params.pop("move_generator", None)
+        reference = run_trials(instance, ("hycim", params), num_trials=4,
+                               backend="vectorized", master_seed=MASTER_SEED)
+        auto = run_trials(instance, ("hycim", dict(params, kernel="auto")),
+                          num_trials=4, backend="vectorized",
+                          master_seed=MASTER_SEED)
+        _assert_exact(reference, auto)
+        assert {r.metadata["kernel"] for r in auto.results} <= {"numba",
+                                                                "fused"}
 
     def test_auto_kernel_is_exact(self, family, instance):
         # "auto" resolves to the fastest supported backend; whatever it

@@ -1,10 +1,12 @@
-"""Backend parity: fused (and interpreted-JIT) kernels vs the reference.
+"""Backend parity: fused, interpreted-JIT and "auto" kernels vs the reference.
 
 The contract from :mod:`repro.kernels.base`: on integer-valued instances the
 fused backend consumes the same RNG draws and produces *exactly* equal
 trajectories -- best energies, configurations, proposal counters, recorded
 histories, and (crucially) the final per-replica generator states, so a
-kernel swap mid-campaign cannot desynchronise a seeded experiment.
+kernel swap mid-campaign cannot desynchronise a seeded experiment.  The
+``"auto"`` arm holds whatever backend the environment resolves to (numba
+when installed, else fused) to the same contract.
 
 The JIT kernels are exercised here through their interpreted fallback
 (``_ALLOW_INTERPRETED``), so the compiled path's draw-replay logic is
@@ -21,10 +23,12 @@ from repro.annealing.sa import SimulatedAnnealer
 from repro.batched import BatchedHyCiMSolver, BatchedSimulatedAnnealer
 from repro.dynamics import (
     Dynamics,
+    GeometricSchedule,
     ParallelTempering,
     exchange_stream,
 )
 from repro.problems.maxcut import MaxCutProblem
+from repro.problems.multidim_knapsack import generate_mdqkp_instance
 from repro.problems.qkp import QuadraticKnapsackProblem
 
 NUM_REPLICAS = 5
@@ -76,7 +80,7 @@ def assert_exact_parity(reference, other, generator_pairs=None):
             assert state_a["uinteger"] == state_b["uinteger"]
 
 
-@pytest.fixture(params=["fused", "numba"])
+@pytest.fixture(params=["fused", "numba", "auto"])
 def backend(request, monkeypatch):
     if request.param == "numba":
         # Run the JIT kernels interpreted when numba is missing -- the
@@ -185,6 +189,46 @@ class TestHyCiMParity:
         assert (reference[0].metadata["exchange_accepted"]
                 == other[0].metadata["exchange_accepted"])
         assert reference[0].metadata["exchange_attempts"] > 0
+
+
+    def test_recorded_history(self, backend, qkp, qkp_initials):
+        solver = HyCiMSolver(qkp, use_hardware=False, num_iterations=80,
+                             record_history=True)
+        ref_gens, gens = make_generators(43), make_generators(43)
+        reference = BatchedHyCiMSolver(solver).solve_batch(
+            qkp_initials, ref_gens, kernel="reference")
+        other = BatchedHyCiMSolver(solver).solve_batch(
+            qkp_initials, gens, kernel=backend)
+        assert_exact_parity(reference, other, (ref_gens, gens))
+        assert reference[0].energy_history  # the histories were recorded
+
+    def test_multiple_moves_per_iteration(self, backend, qkp, qkp_initials):
+        solver = HyCiMSolver(qkp, use_hardware=False, num_iterations=60,
+                             moves_per_iteration=3)
+        ref_gens, gens = make_generators(47), make_generators(47)
+        reference = BatchedHyCiMSolver(solver).solve_batch(
+            qkp_initials, ref_gens, kernel="reference")
+        other = BatchedHyCiMSolver(solver).solve_batch(
+            qkp_initials, gens, kernel=backend)
+        assert_exact_parity(reference, other, (ref_gens, gens))
+
+    def test_multidimensional_constraints(self, backend):
+        # Several running loads per replica: every constraint column must
+        # gate the same proposals the reference's batch filter rejects.
+        # A hot schedule keeps items moving in and out of the knapsacks.
+        problem = generate_mdqkp_instance(num_items=16, num_constraints=4,
+                                          seed=8)
+        initials = np.zeros((NUM_REPLICAS, problem.num_variables))
+        solver = HyCiMSolver(problem, use_hardware=False, num_iterations=150,
+                             schedule=GeometricSchedule(1000.0, 1.0))
+        ref_gens, gens = make_generators(53), make_generators(53)
+        reference = BatchedHyCiMSolver(solver).solve_batch(
+            initials, ref_gens, kernel="reference")
+        other = BatchedHyCiMSolver(solver).solve_batch(
+            initials, gens, kernel=backend)
+        assert_exact_parity(reference, other, (ref_gens, gens))
+        assert all(r.num_infeasible_skipped > 0 for r in reference)
+        assert all(r.num_accepted_moves > 0 for r in reference)
 
 
 class TestSharedRNGMode:

@@ -12,7 +12,9 @@ documents.
 import numpy as np
 import pytest
 
+import repro.kernels.jit as jit_module
 from repro.batched.kernels import batched_energies
+from repro.core.constraints import EqualityConstraint
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.moves import SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule
@@ -178,6 +180,43 @@ class TestConstructionFallbacks:
     def test_numba_unavailable_raises(self, problem):
         with pytest.raises(KernelUnavailableError, match="numba"):
             make_sa_kernel("numba", **_kernel_args(problem))
+
+    def test_auto_never_fails_for_support_reasons(self, problem):
+        # Whatever the configuration, auto lands on some backend: the
+        # integer QKP on the fastest one available, configurations fused
+        # cannot express on the reference kernel.
+        kernel = make_sa_kernel("auto", **_kernel_args(problem))
+        assert kernel.backend in ("fused", "numba")
+        for unsupported in (dict(generic_filter=True),
+                            dict(single_flip=False)):
+            kernel = make_sa_kernel("auto",
+                                    **_kernel_args(problem, **unsupported))
+            assert kernel.backend == "reference"
+
+    def test_auto_falls_back_to_fused_on_float_matrices(self, problem):
+        # Non-integer coefficients only cost the fused path its exactness
+        # guarantee (tolerance-equal instead), not its support: auto still
+        # lands on fused -- or numba, when installed.
+        args = _kernel_args(problem)
+        args["matrix"] = args["matrix"] + 0.25
+        kernel = make_sa_kernel("auto", **args)
+        assert kernel.backend in ("fused", "numba")
+
+    def test_auto_steps_from_numba_to_fused_on_equality_constraints(
+            self, problem, monkeypatch):
+        # The compiled loop has no equality compare.  With the JIT kernels
+        # allowed (interpreted where numba is missing), explicit numba
+        # refuses an equality constraint and auto takes the next backend in
+        # line -- fused, not the reference.
+        monkeypatch.setattr(jit_module, "_ALLOW_INTERPRETED", True)
+        args = _kernel_args(problem)
+        args["feasibility_constraints"] = [
+            EqualityConstraint(np.ones(problem.num_variables), 0.0)]
+        with pytest.raises(KernelUnsupportedError, match="equality"):
+            make_sa_kernel("numba", **args)
+        assert make_sa_kernel("auto", **args).backend == "fused"
+        del args["feasibility_constraints"]
+        assert make_sa_kernel("auto", **args).backend == "numba"
 
     def test_packed_is_not_a_backend(self, problem):
         with pytest.raises(ValueError, match="unknown kernel backend") as info:

@@ -10,6 +10,11 @@ Three invariants back the incremental arithmetic:
    re-evaluation, exactly, on integer data);
 3. fusing K iterations into one ``run_block`` call leaves exactly the same
    state as K single-iteration calls (block boundaries are unobservable).
+
+The SA and the HyCiM kernel both carry each invariant; the HyCiM runs start
+from arbitrary (possibly infeasible) batches so the drift path is covered
+too.  A fourth invariant pins the best-so-far state: every feasible best
+configuration re-evaluates to its recorded best energy.
 """
 
 import numpy as np
@@ -22,7 +27,7 @@ from repro.core.constraints import InequalityConstraint
 from repro.core.sparse import symmetrized_matrix
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.schedule import GeometricSchedule
-from repro.kernels.fused import FusedSAKernel
+from repro.kernels.fused import FusedHyCiMKernel, FusedSAKernel
 
 scipy_sparse = pytest.importorskip("scipy.sparse")
 
@@ -108,6 +113,45 @@ def annealing_run(draw):
     return matrix, starts, constraints, iterations, draw(st.integers(0, 999))
 
 
+def _make_hycim_kernel(matrix, starts, constraints, num_iterations, seed):
+    """A software-mode FusedHyCiMKernel wired to a fresh driver.
+
+    Incumbents start as the batched engine sets them up: infeasible rows at
+    energy 0 (paper Eq. (6)), the raw QUBO value tracked for every row.
+    """
+    generators = [np.random.default_rng([seed, k])
+                  for k in range(starts.shape[0])]
+    driver = LoopDriver(GeometricSchedule(5.0, 0.1), num_iterations,
+                        generators)
+    current = starts.copy()
+    raw_energy = batched_energies(matrix, current)
+    feasible = _satisfies(current, constraints)
+    return FusedHyCiMKernel(
+        matrix=matrix, driver=driver, single_flip=True,
+        moves_per_iteration=1, constraints=constraints, current=current,
+        current_energy=np.where(feasible, raw_energy, 0.0),
+        current_feasible=feasible, raw_energy=raw_energy,
+        generators=generators)
+
+
+def _satisfies(batch, constraints):
+    """Row-wise verdict of every inequality constraint on ``batch``."""
+    verdict = np.ones(batch.shape[0], dtype=bool)
+    for constraint in constraints:
+        verdict &= batch @ constraint.weight_vector <= constraint.bound + 1e-9
+    return verdict
+
+
+@st.composite
+def hycim_run(draw):
+    """Like :func:`annealing_run`, but from random, possibly infeasible,
+    starting batches."""
+    matrix, starts, constraints, iterations, seed = draw(annealing_run())
+    rng = np.random.default_rng(seed)
+    starts = (rng.random(starts.shape) < 0.5).astype(float)
+    return matrix, starts, constraints, iterations, seed
+
+
 class TestFieldCacheConsistency:
     @given(annealing_run())
     @settings(max_examples=40, deadline=None)
@@ -131,6 +175,29 @@ class TestFieldCacheConsistency:
         # Incremental energies equal full re-evaluation.
         np.testing.assert_array_equal(kernel.current_energy,
                                       batched_energies(matrix, kernel.current))
+
+    @given(hycim_run())
+    @settings(max_examples=40, deadline=None)
+    def test_hycim_caches_equal_recomputation_after_arbitrary_sweeps(self,
+                                                                     run):
+        matrix, starts, constraints, iterations, seed = run
+        kernel = _make_hycim_kernel(matrix, starts, constraints, iterations,
+                                    seed)
+        kernel.run_block(0, iterations)
+        current = kernel.current
+        np.testing.assert_array_equal(
+            kernel.field, current @ symmetrized_matrix(matrix))
+        if constraints:
+            weights = np.stack([c.weight_vector for c in constraints], axis=1)
+            np.testing.assert_array_equal(kernel.loads, current @ weights)
+        # The feasibility flags follow the travelling rows, the raw energy
+        # tracks every row, and a drifting (infeasible) row sits at 0.
+        feasible = _satisfies(current, constraints)
+        np.testing.assert_array_equal(kernel.current_feasible, feasible)
+        np.testing.assert_array_equal(kernel.raw_energy,
+                                      batched_energies(matrix, current))
+        np.testing.assert_array_equal(
+            kernel.current_energy, np.where(feasible, kernel.raw_energy, 0.0))
 
     @given(annealing_run())
     @settings(max_examples=20, deadline=None)
@@ -165,3 +232,56 @@ class TestBlockFusionInvariance:
         np.testing.assert_array_equal(fused.num_accepted, stepped.num_accepted)
         np.testing.assert_array_equal(fused.num_feasible, stepped.num_feasible)
         np.testing.assert_array_equal(fused.num_skipped, stepped.num_skipped)
+
+    @given(hycim_run())
+    @settings(max_examples=20, deadline=None)
+    def test_hycim_one_block_of_k_equals_k_single_steps(self, run):
+        matrix, starts, constraints, iterations, seed = run
+        fused = _make_hycim_kernel(matrix, starts, constraints, iterations,
+                                   seed)
+        stepped = _make_hycim_kernel(matrix, starts, constraints, iterations,
+                                     seed)
+        fused.run_block(0, iterations)
+        for iteration in range(iterations):
+            stepped.run_block(iteration, 1)
+        fused.finalize()
+        stepped.finalize()
+        for name in ("current", "current_energy", "current_feasible",
+                     "raw_energy", "best", "best_energy", "best_feasible",
+                     "num_accepted", "num_feasible", "num_skipped"):
+            np.testing.assert_array_equal(getattr(fused, name),
+                                          getattr(stepped, name))
+
+
+class TestBestTracking:
+    @given(annealing_run())
+    @settings(max_examples=30, deadline=None)
+    def test_sa_best_reevaluates_to_best_energy(self, run):
+        matrix, starts, constraints, iterations, seed = run
+        kernel = _make_kernel(matrix, starts, constraints, iterations, seed)
+        kernel.run_block(0, iterations)
+        kernel.finalize()
+        np.testing.assert_array_equal(kernel.best_energy,
+                                      batched_energies(matrix, kernel.best))
+        assert (kernel.best_energy <= kernel.current_energy).all()
+        assert _satisfies(kernel.best, constraints).all()
+
+    @given(hycim_run())
+    @settings(max_examples=30, deadline=None)
+    def test_hycim_best_reevaluates_to_best_energy(self, run):
+        matrix, starts, constraints, iterations, seed = run
+        kernel = _make_hycim_kernel(matrix, starts, constraints, iterations,
+                                    seed)
+        kernel.run_block(0, iterations)
+        kernel.finalize()
+        found = kernel.best_feasible
+        np.testing.assert_array_equal(
+            kernel.best_energy[found],
+            batched_energies(matrix, kernel.best[found]))
+        assert _satisfies(kernel.best[found], constraints).all()
+        # A feasible incumbent never sits below its recorded best.
+        settled = found & kernel.current_feasible
+        assert (kernel.best_energy[settled]
+                <= kernel.current_energy[settled]).all()
+        # A replica that never reached feasibility keeps its start as best.
+        np.testing.assert_array_equal(kernel.best[~found], starts[~found])
