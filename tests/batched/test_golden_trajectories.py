@@ -3,10 +3,11 @@
 ``run_trials`` promises that per-trial outcomes are a pure function of
 ``(problem, solver spec, master_seed)`` -- the ``SeedSequence.spawn`` scheme
 pins every trial's seed, and each trial's trajectory is pinned by that seed.
-This test freezes a small per-seed (trial_seed, energy, objective,
-feasibility) fixture so a future refactor of the seeding scheme, the solver
-defaults or the engines shows up as a reviewable diff instead of silent
-drift in every downstream experiment.
+This test freezes a small per-seed fixture -- trial seed, energy,
+objective, feasibility, best configuration, the three proposal counters and,
+where a cell records one, the energy history -- so a future refactor of the
+seeding scheme, the solver defaults or the engines shows up as a reviewable
+diff instead of silent drift in every downstream experiment.
 
 The snapshot covers the serial path and, through the backend-parity
 guarantee, the vectorized path (asserted here for the software rows).
@@ -68,7 +69,30 @@ CELLS = {
         _NOISY_CHIPS, crossbar_config=CrossbarConfig(
             current_noise_sigma=0.02, on_current_variation_sigma=0.05,
             adc_bits=8, seed=7))),
+    # The penalty QUBO annealed in exact arithmetic.
+    "dqubo-software": ("qkp", "dqubo", {"num_iterations": 30}),
+    # Generic proposals with full re-evaluation instead of flip deltas.
+    "sa-multi-flip": ("qkp", "sa", {"num_iterations": 30,
+                                    "move_generator": "multi_flip"}),
+    # Noisy matchlines draw per candidate and short-circuit across the
+    # three constraints, so the filter runs replica by replica.
+    "hycim-mdqkp-noisy-filter": ("mdqkp", "hycim", {
+        "num_iterations": 30, "use_hardware": True,
+        "matchline_noise_sigma": 0.01}),
+    # A noisy, ADC-read D-QUBO crossbar, with its per-iteration history.
+    "dqubo-hardware-history": ("qkp", "dqubo", {
+        "num_iterations": 30, "use_hardware": True, "record_history": True,
+        "crossbar_config": CrossbarConfig(weight_bits=16,
+                                          current_noise_sigma=0.02,
+                                          adc_bits=8, seed=7)}),
+    "hycim-hardware-history": ("qkp", "hycim", {"num_iterations": 30,
+                                                "use_hardware": True,
+                                                "record_history": True}),
 }
+
+#: Fields compared exactly; ``energy_history`` only where a cell records it.
+_EXACT_FIELDS = ("best_configuration", "num_feasible_evaluations",
+                 "num_infeasible_skipped", "num_accepted_moves")
 
 
 def _problems():
@@ -88,16 +112,31 @@ def _compute_records(backend="serial"):
         batch = run_trials(problems[problem], solver, num_trials=NUM_TRIALS,
                            params=params, backend=backend,
                            master_seed=MASTER_SEED)
-        records[label] = [
-            {
-                "trial_seed": result.trial_seed,
-                "best_energy": result.best_energy,
-                "best_objective": result.best_objective,
-                "feasible": result.feasible,
-            }
-            for result in batch.results
-        ]
+        records[label] = [_record(result) for result in batch.results]
     return records
+
+
+def _record(result):
+    record = {
+        "trial_seed": result.trial_seed,
+        "best_energy": result.best_energy,
+        "best_objective": result.best_objective,
+        "feasible": result.feasible,
+        "best_configuration": [int(v) for v in result.best_configuration],
+        "num_feasible_evaluations": result.num_feasible_evaluations,
+        "num_infeasible_skipped": result.num_infeasible_skipped,
+        "num_accepted_moves": result.num_accepted_moves,
+    }
+    if result.energy_history:
+        record["energy_history"] = list(result.energy_history)
+    return record
+
+
+def _assert_exact_fields(expected, actual, where):
+    for name in _EXACT_FIELDS:
+        assert actual[name] == expected[name], f"{where}: {name} drifted"
+    assert actual.get("energy_history") == expected.get("energy_history"), \
+        f"{where}: energy history drifted"
 
 
 def regenerate():  # pragma: no cover - manual tool
@@ -135,6 +174,7 @@ class TestGoldenTrajectories:
                 else:
                     assert actual["best_objective"] == pytest.approx(
                         expected["best_objective"], rel=1e-12), where
+                _assert_exact_fields(expected, actual, where)
 
     def test_vectorized_backend_reproduces_snapshot(self, golden):
         """The vectorized backend must hit the same frozen per-seed outcomes
@@ -146,3 +186,4 @@ class TestGoldenTrajectories:
                 assert actual["feasible"] == expected["feasible"]
                 assert actual["best_energy"] == pytest.approx(
                     expected["best_energy"], rel=1e-9)
+                _assert_exact_fields(expected, actual, label)
