@@ -27,7 +27,8 @@ General Combinatorial Optimization Problems with Inequality Constraints"
 * :mod:`repro.batched` -- the vectorised multi-replica annealing engine
   behind ``run_trials(backend="vectorized")``: M lock-step replicas per
   instance with batched energy/filter evaluation and per-replica RNG
-  streams, per-seed identical to scalar trials in software mode.
+  streams, per-seed identical on integer-valued data to serial trials
+  (one-replica runs of the same engine).
 * :mod:`repro.store` -- the checkpointed campaign store: every completed
   trial persists as an append-only JSONL record under a deterministic,
   content-addressed run key, so interrupted sweeps resume

@@ -4,8 +4,9 @@ The conventional route the paper compares against: the inequality constraint
 is embedded in the objective with auxiliary one-hot slack variables and
 penalty weights ``alpha = beta = 2``, producing an unconstrained QUBO over
 ``n + C`` variables, which is then annealed with a standard simulated
-annealer (optionally evaluated on the same FeFET crossbar model for a fair
-hardware comparison).
+annealer -- or, for a fair hardware comparison, by the HyCiM engine over the
+constraint-free penalty model, whose FeFET crossbar then evaluates every
+candidate.
 
 Because the search space is ``2^(n+C)`` and the penalty landscape is full of
 deep local minima at infeasible configurations, the baseline frequently ends
@@ -20,17 +21,18 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.result import SolveResult
-from repro.annealing.sa import _METROPOLIS, SimulatedAnnealer
+from repro.annealing.sa import SimulatedAnnealer
 from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
-from repro.dynamics.moves import MoveGenerator, SingleFlipMove
-from repro.dynamics.schedule import GeometricSchedule, TemperatureSchedule
 from repro.core.dqubo import DQUBOTransformation, SlackEncoding, to_dqubo
 from repro.core.qubo import QUBOModel
+from repro.core.quantization import matrix_bit_width
+from repro.core.transformation import InequalityQUBO
+from repro.dynamics.moves import MoveGenerator, SingleFlipMove
+from repro.dynamics.schedule import GeometricSchedule, TemperatureSchedule
 from repro.problems.knapsack import KnapsackProblem
 from repro.problems.qkp import QuadraticKnapsackProblem
-from repro.telemetry.probes import SweepProbe
-from repro.telemetry.recorder import current_recorder
 
 KnapsackLike = Union[QuadraticKnapsackProblem, KnapsackProblem]
 
@@ -94,13 +96,23 @@ class DQUBOAnnealer:
             beta=self.beta,
             encoding=self.encoding,
         )
-        self._crossbar: Optional[FeFETCrossbar] = None
+        # Hardware mode anneals on the HyCiM engine over the constraint-free
+        # penalty model: no filters, every candidate read on the crossbar.
+        self._hardware: Optional[HyCiMSolver] = None
         if self.use_hardware:
-            from repro.core.quantization import matrix_bit_width
-
             bits = matrix_bit_width(self._transformation)
-            config = self.crossbar_config or CrossbarConfig(weight_bits=bits, seed=self.seed)
-            self._crossbar = FeFETCrossbar.from_qubo(self._transformation.qubo, config=config)
+            self._hardware = HyCiMSolver(
+                InequalityQUBO(self._transformation.qubo),
+                num_iterations=self.num_iterations,
+                moves_per_iteration=self.moves_per_iteration,
+                schedule=self.schedule,
+                move_generator=self.move_generator,
+                crossbar_config=(self.crossbar_config
+                                 or CrossbarConfig(weight_bits=bits,
+                                                   seed=self.seed)),
+                record_history=self.record_history,
+                seed=self.seed,
+            )
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -113,7 +125,7 @@ class DQUBOAnnealer:
     @property
     def crossbar(self) -> Optional[FeFETCrossbar]:
         """The CiM crossbar used for energy evaluation (``None`` in software mode)."""
-        return self._crossbar
+        return None if self._hardware is None else self._hardware.crossbar
 
     # ------------------------------------------------------------------ #
     # Initial-configuration handling
@@ -150,11 +162,6 @@ class DQUBOAnnealer:
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
-    def _energy(self, x: np.ndarray) -> float:
-        if self._crossbar is not None:
-            return self._crossbar.compute_energy(x)
-        return self._transformation.qubo.energy(x)
-
     def solve(self, initial: Optional[np.ndarray] = None,
               rng: Optional[np.random.Generator] = None) -> SolveResult:
         """Run one SA descent on the penalised D-QUBO objective.
@@ -180,27 +187,19 @@ class DQUBOAnnealer:
                     f"the problem dimension {n} nor the full dimension {total}"
                 )
 
-        if self._crossbar is None:
-            annealer = SimulatedAnnealer(
+        if self._hardware is None:
+            inner = SimulatedAnnealer(
                 schedule=self.schedule,
                 move_generator=self.move_generator,
                 num_iterations=self.num_iterations,
                 moves_per_iteration=self.moves_per_iteration,
                 record_history=self.record_history,
-            )
-            inner = annealer.anneal(self._transformation.qubo, initial=start, rng=generator)
-            best_full = inner.best_configuration
-            best_energy = inner.best_energy
-            history = inner.energy_history
-            num_feasible = inner.num_feasible_evaluations
-            num_accepted = inner.num_accepted_moves
+            ).anneal(self._transformation.qubo, initial=start, rng=generator)
         else:
-            best_full, best_energy, history, num_feasible, num_accepted = (
-                self._anneal_on_crossbar(start, generator)
-            )
-
-        return self.assemble_result(best_full, best_energy, history,
-                                    num_feasible, num_accepted)
+            inner = self._hardware.solve(initial=start, rng=generator)
+        return self.assemble_result(
+            inner.best_configuration, inner.best_energy, inner.energy_history,
+            inner.num_feasible_evaluations, inner.num_accepted_moves)
 
     def assemble_result(self, best_full: np.ndarray, best_energy: float,
                         history: list, num_feasible: int, num_accepted: int,
@@ -210,7 +209,7 @@ class DQUBOAnnealer:
         The single assembly point shared by :meth:`solve` and the batched
         trial function (:func:`repro.batched.trials.dqubo_batched_trials`),
         so slack decoding, the infeasible-objective convention and the
-        metadata schema cannot drift between the scalar and lock-step paths.
+        metadata schema are the same for one replica and for a batch.
         """
         decoded = self._transformation.decode(best_full)
         feasible = self._transformation.is_feasible(best_full)
@@ -236,40 +235,6 @@ class DQUBOAnnealer:
                 **(extra_metadata or {}),
             },
         )
-
-    def _anneal_on_crossbar(self, start: np.ndarray, generator: np.random.Generator):
-        """Full-re-evaluation SA loop on the crossbar (hardware mode)."""
-        current = start.copy()
-        current_energy = self._energy(current)
-        best = current.copy()
-        best_energy = current_energy
-        history = []
-        num_feasible = 0
-        num_accepted = 0
-        temperatures = self.schedule.temperatures(self.num_iterations)
-        probe = SweepProbe(current_recorder(), "D-QUBO", self.num_iterations)
-        for iteration in range(self.num_iterations):
-            temperature = temperatures[iteration]
-            for _ in range(self.moves_per_iteration):
-                candidate = self.move_generator.propose(current, generator)
-                candidate_energy = self._energy(candidate)
-                num_feasible += 1
-                delta = candidate_energy - current_energy
-                if _METROPOLIS.accept_scalar(delta, temperature, generator):
-                    current = candidate
-                    current_energy = candidate_energy
-                    num_accepted += 1
-                    if current_energy < best_energy:
-                        best = current.copy()
-                        best_energy = current_energy
-            if probe.every:
-                probe.maybe(iteration, temperature=temperature,
-                            energy=current_energy, best_energy=best_energy,
-                            num_feasible=num_feasible, num_skipped=0,
-                            num_accepted=num_accepted)
-            if self.record_history:
-                history.append(best_energy)
-        return best, best_energy, history, num_feasible, num_accepted
 
     def solve_many(self, initial_configurations: np.ndarray,
                    base_seed: int = 0) -> list[SolveResult]:

@@ -11,7 +11,9 @@ Each SA iteration follows the paper's flow exactly: the SA logic proposes a
 new configuration, the inequality filter decides feasibility *before* any
 QUBO computation, infeasible candidates are bounced straight back to the SA
 logic, and feasible ones are evaluated on the crossbar and subjected to the
-Metropolis acceptance rule.
+Metropolis acceptance rule.  That loop exists once, in the lock-step engine:
+:meth:`HyCiMSolver.solve` is its one-replica run
+(:class:`~repro.batched.engine.BatchedHyCiMSolver` with ``M = 1``).
 
 ``use_hardware=False`` replaces the filter and crossbar with exact arithmetic
 (software mode), which is useful for isolating algorithmic effects from
@@ -26,7 +28,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.annealing.result import SolveResult
-from repro.annealing.sa import _METROPOLIS
+from repro.annealing.sa import _start_state
 from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
 from repro.dynamics.moves import MoveGenerator, SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule, TemperatureSchedule
@@ -35,8 +37,6 @@ from repro.core.constraints import InequalityConstraint
 from repro.core.transformation import InequalityQUBO
 from repro.fefet.variability import VariabilityModel
 from repro.problems.base import CombinatorialProblem
-from repro.telemetry.probes import SweepProbe
-from repro.telemetry.recorder import current_recorder
 
 ProblemOrModel = Union[CombinatorialProblem, InequalityQUBO]
 
@@ -155,31 +155,6 @@ class HyCiMSolver:
         return self._crossbar
 
     # ------------------------------------------------------------------ #
-    # Evaluation primitives
-    # ------------------------------------------------------------------ #
-    def _is_feasible(self, x: np.ndarray, rng: np.random.Generator) -> bool:
-        """Inequality constraints via the CiM filter; equalities in SA logic."""
-        for index, constraint in enumerate(self._model.constraints):
-            hardware_filter = self._filters.get(index)
-            if hardware_filter is not None:
-                if not hardware_filter.is_feasible(x, rng=rng):
-                    return False
-            elif not constraint.is_satisfied(x):
-                return False
-        return True
-
-    def _qubo_energy(self, x: np.ndarray) -> float:
-        """QUBO value of a *feasible* configuration (crossbar or exact)."""
-        if self._crossbar is not None:
-            return self._crossbar.compute_energy(x)
-        return self._model.qubo.energy(x)
-
-    def _native_objective(self, x: np.ndarray) -> Optional[float]:
-        if self._native_problem is None:
-            return None
-        return self._native_problem.objective(x)
-
-    # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
     def solve(self, initial: Optional[np.ndarray] = None,
@@ -195,96 +170,12 @@ class HyCiMSolver:
         rng:
             External random generator (overrides ``seed``).
         """
+        from repro.batched.engine import BatchedHyCiMSolver
+
         generator = rng or np.random.default_rng(self.seed)
-        n = self._model.num_variables
-        if initial is None:
-            current = generator.integers(0, 2, size=n).astype(float)
-        else:
-            current = np.asarray(initial, dtype=float).copy()
-            if current.shape[0] != n:
-                raise ValueError(f"initial configuration length {current.shape[0]} != {n}")
-
-        current_feasible = self._is_feasible(current, generator)
-        current_energy = self._qubo_energy(current) if current_feasible else 0.0
-
-        best = current.copy()
-        best_energy = current_energy
-        best_feasible = current_feasible
-
-        # Validated once, computed once (see repro.dynamics.schedule): the
-        # hot loop indexes the table, bit-identical to temperature() calls.
-        temperatures = self.schedule.temperatures(self.num_iterations)
-        history = []
-        num_feasible = 0
-        num_skipped = 0
-        num_accepted = 0
-        probe = SweepProbe(current_recorder(), "HyCiM", self.num_iterations)
-
-        for iteration in range(self.num_iterations):
-            temperature = temperatures[iteration]
-            for _ in range(self.moves_per_iteration):
-                candidate = self.move_generator.propose(current, generator)
-
-                # Step 1: inequality evaluation on the CiM filter (Fig. 6(b)).
-                if not self._is_feasible(candidate, generator):
-                    num_skipped += 1
-                    # Under Eq. (6) every infeasible configuration has energy
-                    # 0, so while the incumbent is itself infeasible the walk
-                    # may drift freely (delta = 0) without touching the
-                    # crossbar; once a feasible incumbent exists, infeasible
-                    # candidates are simply bounced back to the SA logic.
-                    if not current_feasible:
-                        current = candidate
-                        current_energy = 0.0
-                    continue
-                num_feasible += 1
-
-                # Step 2: QUBO computation on the CiM crossbar.
-                candidate_energy = self._qubo_energy(candidate)
-
-                # Step 3: Metropolis acceptance in the SA logic.
-                delta = candidate_energy - current_energy
-                if _METROPOLIS.accept_scalar(delta, temperature, generator):
-                    current = candidate
-                    current_energy = candidate_energy
-                    current_feasible = True
-                    num_accepted += 1
-                    if candidate_energy < best_energy or not best_feasible:
-                        best = candidate.copy()
-                        best_energy = candidate_energy
-                        best_feasible = True
-
-            if probe.every:
-                probe.maybe(iteration, temperature=temperature,
-                            energy=current_energy, best_energy=best_energy,
-                            num_feasible=num_feasible,
-                            num_skipped=num_skipped,
-                            num_accepted=num_accepted,
-                            feasible=current_feasible)
-
-            if self.record_history:
-                history.append(best_energy)
-
-        objective = self._native_objective(best) if best_feasible else (
-            0.0 if self._native_problem is not None else None
-        )
-        return SolveResult(
-            best_configuration=best,
-            best_energy=float(best_energy),
-            best_objective=objective,
-            feasible=best_feasible,
-            energy_history=history,
-            num_iterations=self.num_iterations * self.moves_per_iteration,
-            num_feasible_evaluations=num_feasible,
-            num_infeasible_skipped=num_skipped,
-            num_accepted_moves=num_accepted,
-            solver_name="HyCiM",
-            metadata={
-                "use_hardware": self.use_hardware,
-                "seed": self.seed,
-                "num_constraints": self._model.num_constraints,
-            },
-        )
+        start = _start_state(initial, self._model.num_variables, generator)
+        return BatchedHyCiMSolver(self).solve_batch(start[None, :],
+                                                    [generator])[0]
 
     def solve_many(self, initial_configurations: np.ndarray,
                    base_seed: int = 0) -> list[SolveResult]:

@@ -1,11 +1,12 @@
 """Generic QUBO simulated annealer.
 
-A software reference annealer over any :class:`~repro.core.qubo.QUBOModel`.
-Single-flip moves use the O(n) incremental energy delta, so the annealer is
-usable at the paper's problem scale; arbitrary move generators fall back to
-full re-evaluation.  It is the engine behind the unconstrained rows of the
-Table 1 reproduction (Max-Cut, spin glass) and a building block of the
-D-QUBO baseline.
+A software annealer over any :class:`~repro.core.qubo.QUBOModel`.  One
+descent is the one-replica run of the lock-step engine
+(:class:`~repro.batched.engine.BatchedSimulatedAnnealer`), so single-flip
+moves use the O(n) incremental energy delta and arbitrary move generators
+fall back to full re-evaluation, exactly as on a replica batch.  It is the
+engine behind the unconstrained rows of the Table 1 reproduction (Max-Cut,
+spin glass) and a building block of the D-QUBO baseline.
 """
 
 from __future__ import annotations
@@ -17,15 +18,20 @@ import numpy as np
 
 from repro.annealing.result import SolveResult
 from repro.core.qubo import QUBOModel
-from repro.dynamics.acceptance import MetropolisRule
 from repro.dynamics.moves import MoveGenerator, SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule, TemperatureSchedule
-from repro.telemetry.probes import SweepProbe
-from repro.telemetry.recorder import current_recorder
 
-#: The scalar solvers decide through the dynamics layer's batched rule (its
-#: M = 1 view), so the Metropolis logic exists exactly once in the codebase.
-_METROPOLIS = MetropolisRule()
+
+def _start_state(initial: Optional[np.ndarray], num_variables: int,
+                 generator: np.random.Generator) -> np.ndarray:
+    """One descent's starting configuration: ``initial`` or a random draw."""
+    if initial is None:
+        return generator.integers(0, 2, size=num_variables).astype(float)
+    start = np.asarray(initial, dtype=float)
+    if start.shape[0] != num_variables:
+        raise ValueError(
+            f"initial configuration length {start.shape[0]} != {num_variables}")
+    return start
 
 
 @dataclass
@@ -85,79 +91,9 @@ class SimulatedAnnealer:
         rng:
             External random generator (overrides ``seed``).
         """
+        from repro.batched.engine import BatchedSimulatedAnnealer
+
         generator = rng or np.random.default_rng(self.seed)
-        n = qubo.num_variables
-        if initial is None:
-            current = generator.integers(0, 2, size=n).astype(float)
-        else:
-            current = np.asarray(initial, dtype=float).copy()
-            if current.shape[0] != n:
-                raise ValueError(f"initial configuration length {current.shape[0]} != {n}")
-        current_energy = qubo.energy(current)
-        best = current.copy()
-        best_energy = current_energy
-
-        single_flip = isinstance(self.move_generator, SingleFlipMove)
-        # Validated once, computed once: the hot loop indexes the table
-        # instead of re-deriving (and re-checking) the temperature per
-        # iteration.  Entries are bit-identical to temperature() calls.
-        temperatures = self.schedule.temperatures(self.num_iterations)
-        history = []
-        num_feasible = 0
-        num_skipped = 0
-        num_accepted = 0
-        probe = SweepProbe(current_recorder(), "SimulatedAnnealer",
-                           self.num_iterations)
-
-        for iteration in range(self.num_iterations):
-            temperature = temperatures[iteration]
-
-            for _ in range(self.moves_per_iteration):
-                if single_flip:
-                    flip_index = int(generator.integers(0, n))
-                    candidate = current.copy()
-                    candidate[flip_index] = 1.0 - candidate[flip_index]
-                else:
-                    candidate = self.move_generator.propose(current, generator)
-
-                if accept_filter is not None and not accept_filter(candidate):
-                    num_skipped += 1
-                    continue
-                num_feasible += 1
-
-                if single_flip:
-                    delta = qubo.energy_delta(current, flip_index)
-                    candidate_energy = current_energy + delta
-                else:
-                    candidate_energy = qubo.energy(candidate)
-                    delta = candidate_energy - current_energy
-
-                if _METROPOLIS.accept_scalar(delta, temperature, generator):
-                    current = candidate
-                    current_energy = candidate_energy
-                    num_accepted += 1
-                    if current_energy < best_energy:
-                        best_energy = current_energy
-                        best = current.copy()
-
-            if probe.every:
-                probe.maybe(iteration, temperature=temperature,
-                            energy=current_energy, best_energy=best_energy,
-                            num_feasible=num_feasible,
-                            num_skipped=num_skipped,
-                            num_accepted=num_accepted)
-
-            if self.record_history:
-                history.append(best_energy)
-
-        return SolveResult(
-            best_configuration=best,
-            best_energy=float(best_energy),
-            energy_history=history,
-            num_iterations=self.num_iterations * self.moves_per_iteration,
-            num_feasible_evaluations=num_feasible,
-            num_infeasible_skipped=num_skipped,
-            num_accepted_moves=num_accepted,
-            solver_name="SimulatedAnnealer",
-            metadata={"seed": self.seed},
-        )
+        start = _start_state(initial, qubo.num_variables, generator)
+        return BatchedSimulatedAnnealer(self).anneal(
+            qubo, start[None, :], [generator], accept_filter=accept_filter)[0]

@@ -1,28 +1,27 @@
 """Lock-step multi-replica annealing engines (vectorised over replicas).
 
 The paper's evaluation protocol runs many independent SA replicas per
-instance; the scalar solvers (:class:`~repro.annealing.sa.SimulatedAnnealer`,
-:class:`~repro.annealing.hycim.HyCiMSolver`) advance one configuration at a
-time through Python-level loops, so the crossbar -- which in hardware
-evaluates a whole array in one shot -- is simulated one candidate at a time.
-The engines in this module advance ``M`` replicas per instance in lock-step:
-every iteration proposes one move per replica, checks feasibility for all
-replicas with one batched filter evaluation, evaluates all feasible
-candidates with one batched QUBO computation (crossbar MVM in hardware mode,
-one BLAS product in software mode) and applies the Metropolis rule per
-replica.
+instance.  The engines in this module advance ``M`` replicas per instance
+in lock-step: every iteration proposes one move per replica, checks
+feasibility for all replicas with one batched filter evaluation, evaluates
+all feasible candidates with one batched QUBO computation (crossbar MVM in
+hardware mode, one BLAS product in software mode) and applies the Metropolis
+rule per replica.  They are the only annealing loops in the codebase: the
+solvers of :mod:`repro.annealing` run one descent as the ``M = 1`` batch
+(:meth:`HyCiMSolver.solve <repro.annealing.hycim.HyCiMSolver.solve>`,
+:meth:`SimulatedAnnealer.anneal
+<repro.annealing.sa.SimulatedAnnealer.anneal>` and, through them, the
+D-QUBO baseline in both modes).
 
-**Scalar parity.**  Each replica owns its own :class:`numpy.random.Generator`
-and the engines consume those streams in exactly the order the scalar solvers
-do (one move draw per proposal, one uniform draw per feasible candidate), so
-for fixed per-replica seeds the vectorised trajectories -- energies,
-accept/reject decisions, final configurations -- are *identical* to ``M``
-independent scalar runs in software mode (bit-for-bit on the integer-valued
-paper benchmarks) and match within floating-point tolerance in ideal-hardware
-mode, where the batched crossbar/filter arithmetic may associate sums
-differently.  Hardware non-idealities that draw from a *shared* device RNG
-(crossbar read noise on a shared chip) keep per-replica streams intact but
-are only reproducible at batch granularity.
+**Per-replica streams.**  Each replica owns its own
+:class:`numpy.random.Generator` and consumes it in the order one descent
+does (the initial-state draw, one move draw per proposal, one uniform draw
+per feasible candidate), so replica ``k`` of a batch follows exactly the
+trajectory of a one-replica run with the same stream -- energies,
+accept/reject decisions, final configurations.  Hardware non-idealities
+that draw from a *shared* device RNG (crossbar read noise on a shared chip)
+keep per-replica streams intact but are only reproducible at batch
+granularity.
 
 **Batch-of-chips.**  Per-trial device resampling -- the paper's Monte-Carlo
 over simulated chips -- runs through the hardware stack's device axis
@@ -32,11 +31,11 @@ device-axis filters and a device-axis crossbar, so replica ``k`` anneals on
 chip ``k``'s sampled non-idealities while all chips advance per NumPy
 operation.  Chip ``k``'s devices, noise and ADC codes are functions of chip
 ``k``'s seeds alone, which keeps per-seed results identical to ``M``
-independent scalar trials that each rebuild their own hardware.
+one-replica trials that each build their own hardware.
 
 The engines are deliberately *not* new solvers: they borrow the model,
-hardware, schedule and move generator from a scalar solver instance, so any
-configuration accepted by the scalar path runs vectorised unchanged.
+hardware, schedule and move generator from a solver instance, so any
+configuration a solver accepts runs as a replica batch unchanged.
 
 **Dynamics.**  The control loop itself -- temperature table, acceptance
 decisions, inter-replica exchange, RNG topology -- is owned by
@@ -45,15 +44,15 @@ Metropolis or cooling code.  Passing a
 :class:`~repro.dynamics.Dynamics` bundle to :meth:`anneal` /
 :meth:`solve_batch` turns the lock-step batch into a temperature ladder
 with replica exchange (parallel tempering) and/or switches all replicas to
-one chip-faithful shared RNG stream; the default dynamics reproduce the
-scalar trajectories bit for bit.
+one chip-faithful shared RNG stream; the default dynamics keep every
+replica on its own stream.
 
 **Kernels.**  The inner sweep itself -- propose, delta, filter, accept,
 state update, best tracking -- lives in :mod:`repro.kernels`; the engines
 build a :class:`~repro.kernels.SweepKernel` and drive it block-wise, with
 :meth:`LoopDriver.block_length` placing block boundaries exactly where an
 exchange round or telemetry probe is due.  ``kernel="reference"`` (the
-default) is the engines' original loop body moved verbatim;
+default) is the engines' original loop body;
 ``kernel="fused"`` / ``"numba"`` are the incremental local-field kernels
 (same RNG draws, different arithmetic -- exact on integer data); see
 :mod:`repro.kernels.base` for the backend matrix.
@@ -61,6 +60,7 @@ default) is the engines' original loop body moved verbatim;
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -87,7 +87,7 @@ from repro.fefet.variability import VariabilityModel
 
 __all__ = ["BatchedHyCiMSolver", "BatchedSimulatedAnnealer"]
 
-#: Per-row feasibility predicate (scalar fallback).
+#: Per-row feasibility predicate.
 RowFilter = Callable[[np.ndarray], bool]
 #: Vectorised feasibility predicate over an ``(M, n)`` batch.
 BatchFilter = Callable[[np.ndarray], np.ndarray]
@@ -147,7 +147,7 @@ class BatchedSimulatedAnnealer:
     Parameters
     ----------
     annealer:
-        The scalar annealer whose schedule, move generator and iteration
+        The annealer whose schedule, move generator and iteration
         budget the replicas share.  Single-flip moves take the fast path
         (vectorised incremental deltas); other move generators are proposed
         per replica but still evaluated in batch.
@@ -184,8 +184,8 @@ class BatchedSimulatedAnnealer:
             (e.g. seeded from :func:`repro.runtime.derive_trial_seeds`); in
             shared-RNG mode the entries alias the group's shared stream.
         accept_filter:
-            Per-row feasibility predicate, semantically identical to the
-            scalar annealer's ``accept_filter`` hook.
+            Per-row feasibility predicate (the annealer's
+            ``accept_filter`` hook).
         accept_filter_batch:
             Optional vectorised form evaluating a whole candidate batch at
             once (e.g. :meth:`CombinatorialProblem.is_feasible_batch`); must
@@ -193,7 +193,7 @@ class BatchedSimulatedAnnealer:
         dynamics:
             Optional :class:`~repro.dynamics.Dynamics` bundle (temperature
             ladder, exchange policy, RNG topology).  ``None`` -- or a
-            default bundle -- reproduces the scalar trajectories exactly.
+            default bundle -- keeps every replica on its own stream.
         exchange_rng / shared_rng:
             The dedicated auxiliary streams coupled dynamics need (see
             :func:`repro.dynamics.exchange_stream` /
@@ -217,22 +217,22 @@ class BatchedSimulatedAnnealer:
 
         current_energy = batched_energies(matrix, current, qubo.offset)
         single_flip = isinstance(cfg.move_generator, SingleFlipMove)
-        driver = LoopDriver(cfg.schedule, cfg.num_iterations, generators,
-                            dynamics=dynamics, exchange_rng=exchange_rng,
-                            shared_rng=shared_rng)
         from repro.kernels import make_sa_kernel
 
-        sweep = make_sa_kernel(
-            kernel, matrix=matrix, offset=qubo.offset, driver=driver,
-            move_generator=cfg.move_generator, single_flip=single_flip,
-            moves_per_iteration=cfg.moves_per_iteration, current=current,
-            current_energy=current_energy, accept_filter=accept_filter,
-            accept_filter_batch=accept_filter_batch,
-            feasibility_constraints=feasibility_constraints,
-            generators=generators)
         histories: List[List[float]] = [[] for _ in range(num_replicas)]
-        _drive_kernel(driver, sweep, cfg.num_iterations, cfg.record_history,
-                      histories, "SimulatedAnnealer")
+        with LoopDriver(cfg.schedule, cfg.num_iterations, generators,
+                        dynamics=dynamics, exchange_rng=exchange_rng,
+                        shared_rng=shared_rng) as driver:
+            sweep = make_sa_kernel(
+                kernel, matrix=matrix, offset=qubo.offset, driver=driver,
+                move_generator=cfg.move_generator, single_flip=single_flip,
+                moves_per_iteration=cfg.moves_per_iteration, current=current,
+                current_energy=current_energy, accept_filter=accept_filter,
+                accept_filter_batch=accept_filter_batch,
+                feasibility_constraints=feasibility_constraints,
+                generators=generators)
+            _drive_kernel(driver, sweep, cfg.num_iterations,
+                          cfg.record_history, histories, "SimulatedAnnealer")
 
         dynamics_meta = driver.metadata()
         kernel_meta = ({} if sweep.backend == "reference"
@@ -266,22 +266,22 @@ class BatchedHyCiMSolver:
     Parameters
     ----------
     solver:
-        The scalar solver whose model, schedule, move generator and iteration
+        The solver whose model, schedule, move generator and iteration
         budget the replicas share.
     chips:
         Optional per-replica :class:`VariabilityModel` list (one freshly
         sampled chip per replica).  In hardware mode the engine then builds
         *device-axis* filters and crossbar -- replica ``k`` runs on chip
         ``k``'s sampled cells -- instead of the solver's shared hardware.
-        Each chip's model is consumed in the scalar programming order
+        Each chip's model is consumed in the solver's programming order
         (filters in constraint order, working before replica array), so chip
-        ``k`` is identical to the hardware a scalar trial with the same
+        ``k`` is identical to the hardware a one-replica trial with the same
         model would build.
     chip_seeds:
         Per-replica crossbar/ADC seeds used when ``chips`` is given: chip
         ``k`` draws its crossbar ON-current factors, read noise and ADC
         noise from ``chip_seeds[k]``, mirroring the per-trial
-        ``CrossbarConfig`` seed of the scalar path.
+        ``CrossbarConfig`` seed of a one-replica trial.
     """
 
     def __init__(self, solver: HyCiMSolver,
@@ -319,60 +319,65 @@ class BatchedHyCiMSolver:
     # ------------------------------------------------------------------ #
     # Batched evaluation primitives
     # ------------------------------------------------------------------ #
-    def _is_feasible_on_chip(self, x: np.ndarray, rng: np.random.Generator,
-                             chip: int) -> bool:
-        """Scalar mirror of ``HyCiMSolver._is_feasible`` on one chip slice."""
-        for index, constraint in enumerate(self.solver.model.constraints):
-            hardware_filter = self._device_filters.get(index)
-            if hardware_filter is not None:
-                if not hardware_filter.is_feasible(x, rng=rng, device=chip):
-                    return False
-            elif not constraint.is_satisfied(x):
-                return False
-        return True
+    def _feasibility(self, generators: Sequence[np.random.Generator]
+                     ) -> BatchFilter:
+        """The run's feasibility test over an ``(M, n)`` batch, chosen once.
 
-    def _feasible_batch(self, batch: np.ndarray,
-                        generators: Sequence[np.random.Generator]) -> np.ndarray:
-        """Vectorised mirror of ``HyCiMSolver._is_feasible`` over replicas.
-
-        With matchline noise enabled the scalar path consumes per-candidate
-        noise draws *and* short-circuits across constraints, so the only way
-        to preserve per-replica streams is to evaluate per replica; that slow
-        path is taken automatically (per chip slice when a device axis is
-        active).  Noise-free filters (and software mode) are evaluated in one
-        shot per constraint -- a single device-axis shot covering every chip
-        when per-replica chips are in play.
+        Inequality constraints go to their CiM filter and the others to
+        exact arithmetic.  Noise-free filters (and software mode) judge the
+        whole batch in one shot per constraint -- one device-axis shot
+        covering every chip when per-replica chips are in play.  A noisy
+        matchline draws per candidate and the check short-circuits across
+        constraints, so the only way to keep every replica's stream is to
+        check replica by replica, each on its own chip slice.
         """
-        solver = self.solver
+        constraints = self.solver.model.constraints
         device_mode = self._device_filters is not None
         filters = (self._device_filters if device_mode
-                   else solver.inequality_filters)
-        noisy = any(f.config.noise_sigma > 0 for f in filters.values())
-        if noisy:
-            if device_mode:
-                return np.array([
-                    self._is_feasible_on_chip(batch[k], generators[k], k)
-                    for k in range(batch.shape[0])
-                ], dtype=bool)
-            return np.array([
-                solver._is_feasible(batch[k], generators[k])
-                for k in range(batch.shape[0])
-            ], dtype=bool)
-        verdicts = np.ones(batch.shape[0], dtype=bool)
-        for index, constraint in enumerate(solver.model.constraints):
+                   else self.solver.inequality_filters)
+        if any(f.config.noise_sigma > 0 for f in filters.values()):
+            checks = [(filters.get(index), constraint)
+                      for index, constraint in enumerate(constraints)]
+
+            def feasible(x: np.ndarray, replica: int) -> bool:
+                chip = replica if device_mode else 0
+                for hardware_filter, constraint in checks:
+                    if hardware_filter is not None:
+                        passed = hardware_filter.is_feasible(
+                            x, rng=generators[replica], device=chip)
+                    else:
+                        passed = constraint.is_satisfied(x)
+                    if not passed:
+                        return False
+                return True
+
+            return lambda batch: np.array(
+                [feasible(batch[k], k) for k in range(batch.shape[0])],
+                dtype=bool)
+        tests: List[BatchFilter] = []
+        for index, constraint in enumerate(constraints):
             hardware_filter = filters.get(index)
             if hardware_filter is not None:
-                if device_mode:
-                    verdicts &= hardware_filter.is_feasible_devices(batch)
-                else:
-                    verdicts &= hardware_filter.is_feasible_batch(batch)
+                tests.append(hardware_filter.is_feasible_devices if device_mode
+                             else hardware_filter.is_feasible_batch)
             elif isinstance(constraint, InequalityConstraint):
-                verdicts &= batched_inequality_verdicts(
-                    constraint.weight_vector, constraint.bound, batch)
+                tests.append(functools.partial(
+                    batched_inequality_verdicts, constraint.weight_vector,
+                    constraint.bound))
             else:
-                verdicts &= np.array(
-                    [constraint.is_satisfied(row) for row in batch], dtype=bool)
-        return verdicts
+                tests.append(lambda batch, constraint=constraint: np.array(
+                    [constraint.is_satisfied(row) for row in batch],
+                    dtype=bool))
+        if len(tests) == 1:
+            return tests[0]
+
+        def all_pass(batch: np.ndarray) -> np.ndarray:
+            verdicts = np.ones(batch.shape[0], dtype=bool)
+            for test in tests:
+                verdicts &= test(batch)
+            return verdicts
+
+        return all_pass
 
     def _energies(self, batch: np.ndarray,
                   replicas: Optional[np.ndarray] = None) -> np.ndarray:
@@ -403,16 +408,16 @@ class BatchedHyCiMSolver:
                     ) -> List[SolveResult]:
         """Run one HyCiM SA descent per replica, in lock-step.
 
-        Mirrors ``HyCiMSolver.solve`` step for step: inequality filtering
-        first (batched), QUBO computation on feasible candidates only
-        (batched), then the per-replica Metropolis rule; infeasible
-        incumbents drift freely at energy 0 exactly as in the scalar flow.
+        The paper's flow for every replica: inequality filtering first
+        (batched), QUBO computation on feasible candidates only (batched),
+        then the per-replica Metropolis rule; infeasible incumbents drift
+        freely at energy 0 (paper Eq. (6)).
 
         ``dynamics`` plugs in a temperature ladder, replica exchange across
         the lock-step batch and/or the chip-faithful shared RNG topology
         (with the matching ``exchange_rng`` / ``shared_rng`` auxiliary
-        streams); the default dynamics reproduce the scalar trajectories
-        exactly.  Exchange swaps travelling state -- configurations,
+        streams); the default dynamics keep every replica on its own
+        stream.  Exchange swaps travelling state -- configurations,
         energies, feasibility flags, cached raw energies and kernel caches
         -- between rungs; on a device axis the chips stay put (replica ``k``
         keeps annealing chip ``k``, only its configuration migrates).
@@ -433,7 +438,8 @@ class BatchedHyCiMSolver:
                 f"{num_replicas} replicas"
             )
 
-        current_feasible = self._feasible_batch(current, generators)
+        feasible_batch = self._feasibility(generators)
+        current_feasible = feasible_batch(current)
         current_energy = np.zeros(num_replicas)
         feasible_idx = np.flatnonzero(current_feasible)
         if feasible_idx.size:
@@ -444,10 +450,9 @@ class BatchedHyCiMSolver:
         # Software-mode single-flip fast path: track the raw QUBO value of
         # every incumbent (feasible or not) and update it with the O(n)
         # incremental delta instead of recomputing the O(n^2) quadratic form
-        # per proposal.  The scalar solver recomputes in full, but for the
-        # losslessly stored integer matrices of the paper benchmarks both
-        # routes are exact, so parity is preserved; the hardware path always
-        # goes through the batched crossbar MVM.
+        # per proposal (exact on the integer matrices of the paper
+        # benchmarks); the hardware path always goes through the batched
+        # crossbar MVM.
         use_crossbar = (solver.crossbar is not None
                         or self._device_crossbar is not None)
         use_delta = single_flip and not use_crossbar
@@ -456,26 +461,25 @@ class BatchedHyCiMSolver:
                       if use_delta else None)
         use_hardware_filters = (self._device_filters is not None
                                 or bool(solver.inequality_filters))
-        driver = LoopDriver(solver.schedule, solver.num_iterations, generators,
-                            dynamics=dynamics, exchange_rng=exchange_rng,
-                            shared_rng=shared_rng)
         from repro.kernels import make_hycim_kernel
 
-        sweep = make_hycim_kernel(
-            kernel, num_variables=n, driver=driver,
-            move_generator=solver.move_generator, single_flip=single_flip,
-            moves_per_iteration=solver.moves_per_iteration,
-            feasible_batch=lambda batch: self._feasible_batch(batch,
-                                                              generators),
-            energies=self._energies, current=current,
-            current_energy=current_energy, current_feasible=current_feasible,
-            use_delta=use_delta, matrix=qubo.matrix, raw_energy=raw_energy,
-            constraints=solver.model.constraints,
-            use_hardware_filters=use_hardware_filters,
-            use_crossbar=use_crossbar, generators=generators)
         histories: List[List[float]] = [[] for _ in range(num_replicas)]
-        _drive_kernel(driver, sweep, solver.num_iterations,
-                      solver.record_history, histories, "HyCiM")
+        with LoopDriver(solver.schedule, solver.num_iterations, generators,
+                        dynamics=dynamics, exchange_rng=exchange_rng,
+                        shared_rng=shared_rng) as driver:
+            sweep = make_hycim_kernel(
+                kernel, num_variables=n, driver=driver,
+                move_generator=solver.move_generator, single_flip=single_flip,
+                moves_per_iteration=solver.moves_per_iteration,
+                feasible_batch=feasible_batch, energies=self._energies,
+                current=current, current_energy=current_energy,
+                current_feasible=current_feasible, use_delta=use_delta,
+                matrix=qubo.matrix, raw_energy=raw_energy,
+                constraints=solver.model.constraints,
+                use_hardware_filters=use_hardware_filters,
+                use_crossbar=use_crossbar, generators=generators)
+            _drive_kernel(driver, sweep, solver.num_iterations,
+                          solver.record_history, histories, "HyCiM")
 
         best = sweep.best
         best_energy = sweep.best_energy

@@ -1,19 +1,19 @@
 """Batched NumPy kernels for multi-replica annealing.
 
-These are the vectorised counterparts of the scalar hot-path primitives the
-solvers call once per proposal: full QUBO evaluation
-(:meth:`repro.core.qubo.QUBOModel.energy`), the O(n) single-flip delta
+These are the vectorised counterparts of the scalar primitives
+:meth:`repro.core.qubo.QUBOModel.energy`, the O(n) single-flip delta
 (:meth:`~repro.core.qubo.QUBOModel.energy_delta`) and the inequality
 feasibility test (:meth:`repro.core.constraints.InequalityConstraint.
-is_satisfied`).  Each kernel takes an ``(M, n)`` configuration matrix -- one
-replica per row -- and returns one value per replica, so ``M`` replicas cost
-one BLAS call instead of ``M`` Python round-trips.
+is_satisfied`), and what the annealing engines call once per proposal.  Each
+kernel takes an ``(M, n)`` configuration matrix -- one replica per row -- and
+returns one value per replica, so ``M`` replicas cost one BLAS call instead
+of ``M`` Python round-trips.
 
 All kernels are numerically *identical* to their scalar counterparts when the
 coefficient data is integer-valued (every intermediate is an exactly
 representable float64 integer, so summation order cannot change the result).
 For float coefficients they agree to normal floating-point tolerance; the
-scalar-parity suite under ``tests/batched`` therefore uses the paper's
+parity suite under ``tests/batched`` therefore uses the paper's
 integer-valued QKP family for its exact-match assertions.
 
 ``matrix`` may be a dense ``(n, n)`` array or a SciPy CSR matrix (anything
@@ -96,7 +96,13 @@ def batched_energy_delta(matrix: np.ndarray, batch: np.ndarray,
         raise ValueError(
             f"flip_indices must have one entry per replica, got shape {flips.shape}"
         )
-    if flips.size and (flips.min() < 0 or flips.max() >= matrix.shape[0]):
+    # One replica (every single-trial proposal) skips the min/max reductions.
+    if flips.shape[0] == 1:
+        in_range = 0 <= flips[0] < matrix.shape[0]
+    else:
+        in_range = not flips.size or (0 <= flips.min()
+                                      and flips.max() < matrix.shape[0])
+    if not in_range:
         raise IndexError("a flip index is out of range")
     if symmetric is None:
         symmetric = symmetrized_matrix(matrix)

@@ -1,29 +1,28 @@
 """Batched trial functions: vectorised counterparts of the registry solvers.
 
 A *batched trial function* runs a whole group of trials -- one replica per
-spawned trial seed -- through a lock-step engine instead of a scalar loop:
+spawned trial seed -- through a lock-step engine in one batch:
 
     batched_fn(problem, params, seeds, initials) -> [SolveResult, ...]
 
 The contract mirrors :data:`repro.runtime.registry.TrialFunction` exactly:
 replica ``k`` consumes ``np.random.default_rng(seeds[k])`` in the same order
-the scalar trial function would (initial-configuration draw first, then the
-solver's own draws), so the returned results are identical per seed to the
-scalar path in software mode and match within floating-point tolerance under
-ideal hardware.  This is what lets :func:`repro.runtime.run_trials` treat
+the single-trial function does (initial-configuration draw first, then the
+solver's own draws).  Both run the same engine -- a single trial is its
+one-replica batch -- so the returned results are identical per seed to the
+serial path.  This is what lets :func:`repro.runtime.run_trials` treat
 ``backend="vectorized"`` (and ``replicas_per_task`` groups on the process
 backend) as a pure throughput knob.
 
 Per-trial device ``variability`` -- a freshly programmed chip per trial --
 runs through the hardware stack's *device axis* (ARCHITECTURE.md): each
-trial's chip is sampled exactly as the scalar path samples it (one
+trial's chip is sampled exactly as a single trial samples it (one
 :func:`~repro.runtime.registry._build_variability` model per trial seed) and
 occupies one slice of the device-axis filters/crossbar, so the Monte-Carlo
-over chips advances in lock-step instead of falling back to scalar trials.
-Only the ``dqubo`` hardware mode (a per-trial crossbar over the combined
-penalty QUBO, an overhead study rather than a throughput path) still
-delegates to scalar trials, replica by replica, so every registry parameter
-dict stays valid.
+over chips advances in lock-step instead of trial by trial.  Only the
+``dqubo`` hardware mode (a per-trial crossbar over the combined penalty
+QUBO, an overhead study rather than a throughput path) still runs trial by
+trial, so every registry parameter dict stays valid.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ def _replica_starts(problem: CombinatorialProblem, params: Mapping[str, object],
     """Per-replica starting configurations, drawn from each replica's stream.
 
     Uses the registry's own policy resolution so the draw order (and thus the
-    remaining stream) is identical to the scalar trial functions.
+    remaining stream) is identical to the single-trial functions.
     """
     return np.stack([
         _initial_configuration(problem, params, rng, initial)
@@ -131,9 +130,9 @@ def hycim_batched_trials(
     (one programmed crossbar, one filter per constraint); with a
     ``variability`` template each trial becomes a freshly sampled chip on the
     engine's device axis -- chip ``k`` is built from the *same* model the
-    scalar trial function derives from ``seeds[k]``, and its crossbar/ADC
+    single-trial function derives from ``seeds[k]``, and its crossbar/ADC
     streams restart from the same per-trial seed, so per-seed results equal
-    the scalar path's even under non-ideal devices.
+    the serial path's even under non-ideal devices.
     """
     with current_recorder().span("trial_group", solver="hycim",
                                  replicas=len(seeds),
@@ -161,9 +160,9 @@ def hycim_batched_trials(
         )
         chips = chip_seeds = None
         if device_mode:
-            # One freshly sampled chip per trial, derived exactly as the
-            # scalar path derives it; the chip's crossbar/ADC seed mirrors
-            # the scalar per-trial CrossbarConfig (the trial seed when no
+            # One freshly sampled chip per trial, derived exactly as a
+            # single trial derives it; the chip's crossbar/ADC seed mirrors
+            # that trial's CrossbarConfig (the trial seed when no
             # config is given, the config's own seed -- restarted per trial
             # -- otherwise).
             chips = [_build_variability(variability, int(seed))
@@ -258,22 +257,23 @@ def dqubo_batched_trials(
     The D-QUBO construction (penalty + slack transformation) is shared by
     every replica; the SA descent on the combined matrix then advances all
     replicas in lock-step with batched energy evaluation on the dQUBO
-    matrix, replaying each replica's scalar stream exactly (slack-bit
-    seeding included).  Hardware mode -- a per-trial crossbar over the
-    combined matrix, used only for the Fig. 9 overhead study -- falls back
-    to scalar trials with identical per-seed results.
+    matrix, replaying each replica's stream exactly (slack-bit seeding
+    included).  Hardware mode -- a per-trial crossbar over the combined
+    matrix, used only for the Fig. 9 overhead study -- runs trial by trial
+    with identical per-seed results.
     """
     if bool(params.get("use_hardware", False)):
         dynamics = build_dynamics(params.get("dynamics"))
         if dynamics is not None and dynamics.coupled:
             raise ValueError(
-                "hardware-mode dqubo is the documented scalar fallback and "
-                "cannot run coupled dynamics (replica exchange / shared RNG)")
+                "hardware-mode dqubo runs trial by trial (one crossbar per "
+                "trial) and cannot run coupled dynamics (replica exchange / "
+                "shared RNG)")
         if canonical_kernel_param(params.get("kernel")) is not None:
             raise ValueError(
-                "hardware-mode dqubo is the documented scalar fallback and "
-                "cannot select a sweep-kernel backend; drop params['kernel'] "
-                "or run software mode")
+                "hardware-mode dqubo runs trial by trial (one crossbar per "
+                "trial) and cannot select a sweep-kernel backend; drop "
+                "params['kernel'] or run software mode")
         return [_dqubo_trial(problem, params, int(seed), initial)
                 for seed, initial in zip(seeds, initials)]
     with current_recorder().span("trial_group", solver="dqubo",
@@ -342,7 +342,7 @@ def dqubo_batched_trials(
 
 
 # Guarded pairing: registration is skipped if the user already replaced the
-# scalar solver (or claimed the batched slot) before this module loaded.
+# single-trial solver (or claimed the batched slot) before this module loaded.
 _register_builtin_batched("hycim", hycim_batched_trials, _hycim_trial)
 _register_builtin_batched("sa", sa_batched_trials, _sa_trial)
 _register_builtin_batched("dqubo", dqubo_batched_trials, _dqubo_trial)

@@ -32,7 +32,12 @@ def resolve_device_selection(count: int, devices: Optional[np.ndarray],
             f"device selection of shape {selected.shape} does not match the "
             f"{count}-slice {kind}"
         )
-    if selected.size and not (0 <= selected.min()
-                              and selected.max() < num_devices):
+    # One chip (every one-replica read) skips the min/max reductions.
+    if count == 1:
+        in_range = 0 <= selected[0] < num_devices
+    else:
+        in_range = not selected.size or (0 <= selected.min()
+                                         and selected.max() < num_devices)
+    if not in_range:
         raise IndexError("a device index is out of range")
     return selected

@@ -336,11 +336,13 @@ class WorkingArray:
         """``(K, M)`` loads ``x . w_eff`` of a binary ``(K, M, n)`` batch.
 
         Row ``k`` is loaded onto chip ``devices[k]``'s effective weights.
-        The loads are integers (far below ``2**53``), so they are exact.
+        The loads are integers (far below ``2**53``), so they are exact in
+        any summation order.
         """
-        if not np.all((batch == 0) | (batch == 1)):
+        if np.count_nonzero(batch * (batch - 1)):
             raise ValueError("input configurations must be binary")
-        return np.einsum("kmn,kn->km", batch, self._device_effective[devices])
+        return np.matmul(batch,
+                         self._device_effective[devices][:, :, None])[..., 0]
 
     def _readout(self, weighted_sums: np.ndarray,
                  rng: Optional[np.random.Generator],

@@ -3,10 +3,10 @@
 Per the ARCHITECTURE.md shape contract, the batched ``(M,)``-shaped decision
 is the **only** decision code path: :meth:`AcceptanceRule.accept` decides for
 a whole replica batch while preserving each replica's ``Generator`` stream,
-and the scalar solvers call :meth:`AcceptanceRule.accept_scalar`, the
-``M = 1`` view over the same implementation.  This is what keeps a borderline
-uniform draw from deciding differently between the scalar and vectorised
-engines.
+and every annealer -- a one-replica trial included -- decides through it.
+:meth:`AcceptanceRule.accept_scalar` is the ``M = 1`` view over the same
+decision for one-off callers outside the engines, so a borderline uniform
+draw cannot decide differently between them.
 
 :class:`MetropolisRule` is the rule of the paper's SA logic (and the only
 built-in today): always accept downhill moves, accept an uphill move of size
@@ -98,14 +98,14 @@ class MetropolisRule(AcceptanceRule):
                replica_indices: np.ndarray) -> np.ndarray:
         per_replica = isinstance(temperatures, np.ndarray) and temperatures.ndim > 0
         decisions = np.empty(replica_indices.shape[0], dtype=bool)
-        for position, replica in enumerate(replica_indices):
+        for position, (replica, step) in enumerate(
+                zip(replica_indices.tolist(), np.asarray(delta).tolist())):
             draw = uniform_draws[replica]()
-            step = delta[position]
             temperature = (float(temperatures[replica]) if per_replica
                            else float(temperatures))
             # delta <= 0 is always accepted (probability 1 > any uniform
             # draw), but the draw above still happens to keep the stream
-            # aligned with the scalar solvers.
+            # at one draw per feasible candidate.
             decisions[position] = step <= 0 or \
                 draw < acceptance_probability(float(step), temperature)
         return decisions
@@ -122,8 +122,7 @@ class MetropolisRule(AcceptanceRule):
 
     def accept_scalar(self, delta: float, temperature: float,
                       rng: np.random.Generator) -> bool:
-        # Allocation-free fast path for the scalar solvers' innermost loop
-        # (millions of calls per campaign); the decision -- one uniform draw
+        # Allocation-free single decision; the decision -- one uniform draw
         # compared against the scalar acceptance_probability -- is exactly
         # the generic M = 1 view of accept().
         draw = rng.random()

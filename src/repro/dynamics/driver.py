@@ -8,14 +8,14 @@ so :class:`~repro.batched.engine.BatchedSimulatedAnnealer` and
 :class:`~repro.batched.engine.BatchedHyCiMSolver` contain no Metropolis or
 cooling code of their own.
 
-**Parity contract.**  With default dynamics (no ladder, no exchange,
+**Stream contract.**  With default dynamics (no ladder, no exchange,
 per-replica streams) the driver consumes each replica's ``Generator`` in
-exactly the order the scalar solvers do -- one integer draw per single-flip
-proposal, one uniform draw per feasible candidate -- and decides through the
-same scalar :func:`~repro.dynamics.acceptance.acceptance_probability`, so
-per-seed trajectories are bit-identical to the scalar path.  Temperatures
-come from :meth:`TemperatureSchedule.temperatures`, whose entries are
-bit-identical to per-iteration ``temperature()`` calls.
+one fixed order -- one integer draw per single-flip proposal, one uniform
+draw per feasible candidate -- and decides through the scalar
+:func:`~repro.dynamics.acceptance.acceptance_probability`, so a replica's
+trajectory depends on its own stream alone, whatever the batch size.
+Temperatures come from :meth:`TemperatureSchedule.temperatures`, whose
+entries are bit-identical to per-iteration ``temperature()`` calls.
 
 With coupled dynamics the driver adds behaviour on top without touching the
 replica streams: exchange decisions draw from a dedicated per-run stream, so
@@ -58,6 +58,11 @@ class LoopDriver:
     shared_rng:
         The single chip-faithful stream; required when
         ``dynamics.rng_mode == "shared"``.
+
+    With a live recorder the driver opens a ``sweep_block`` span at
+    construction and re-opens one after every probe; use it as a context
+    manager so a run that raises before its final probe still closes its
+    open block (and later spans keep their parents).
     """
 
     def __init__(self, schedule: TemperatureSchedule, num_iterations: int,
@@ -116,6 +121,15 @@ class LoopDriver:
                 "sweep_block", replicas=self.num_replicas)
             self._block.__enter__()
 
+    def __enter__(self) -> "LoopDriver":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if self.probing and self._block is not None:
+            self._block.__exit__(exc_type, exc, tb)
+            self._block = None
+        return False
+
     # ------------------------------------------------------------------ #
     # Temperatures
     # ------------------------------------------------------------------ #
@@ -173,8 +187,8 @@ class LoopDriver:
         if self._shared_rng is not None:
             return self._shared_rng.integers(
                 0, num_variables, size=self.num_replicas).astype(np.intp)
-        return np.fromiter((draw(0, num_variables) for draw in self._int_draws),
-                           dtype=np.intp, count=self.num_replicas)
+        return np.array([draw(0, num_variables) for draw in self._int_draws],
+                        dtype=np.intp)
 
     def propose(self, move_generator: MoveGenerator,
                 current: np.ndarray) -> np.ndarray:
@@ -258,8 +272,8 @@ class LoopDriver:
         the whole zero-overhead-when-off contract; this method assumes a
         live recorder.  The counter arguments are the engine's cumulative
         ``(M,)`` tallies; rates are reported over the window since the last
-        probe (deltas), matching the scalar :class:`SweepProbe`.  Pass
-        ``final=True`` on the last iteration so short runs still probe.
+        probe (deltas).  Pass ``final=True`` on the last iteration so short
+        runs still probe.
         """
         due = final or (iteration + 1) % self._probe_every == 0
         if not due or iteration == self._last_probe_iteration:

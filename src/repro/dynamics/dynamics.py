@@ -7,19 +7,19 @@ inter-replica :class:`~repro.dynamics.exchange.ExchangePolicy`, and the RNG
 topology -- into one picklable, store-canonicalisable value that travels
 through ``run_trials(..., dynamics=...)`` as a solver parameter.
 
-A bundle is *coupled* when the scalar per-trial path cannot honour it, so
-the replica group must run as one batched unit on every backend:
+A bundle is *coupled* when a single trial cannot honour it, so the replica
+group must run as one batched unit on every backend:
 
 * an active exchange policy (replica exchange / parallel tempering) -- the
   replicas genuinely interact;
 * a temperature ladder -- a replica's rung (and so its result) depends on
   its position in the group;
-* a non-default acceptance rule -- the scalar solvers decide through the
+* a non-default acceptance rule -- a single trial decides through the
   stock Metropolis rule;
 * ``rng_mode="shared"``, the chip-faithful mode where all replicas draw
   moves and acceptance uniforms from **one** stream, the way the physical SA
   logic of the paper's chip would.  Shared mode deliberately gives up
-  scalar-parity (per-replica streams) for batched draws -- the per-replica
+  per-replica streams for batched draws -- the per-replica
   Python-level RNG calls are the vectorised engines' throughput floor.
 
 Because coupled trial outcomes depend on the replica-group composition, the

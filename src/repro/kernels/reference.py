@@ -1,13 +1,17 @@
-"""Reference sweep kernels: the engines' original NumPy inner loops.
+"""Reference sweep kernels: the engines' NumPy inner loops.
 
-The loop bodies in this module are the exact code
+The loop bodies in this module are the inner loops of
 :class:`~repro.batched.engine.BatchedSimulatedAnnealer` and
-:class:`~repro.batched.engine.BatchedHyCiMSolver` inlined before the kernel
-layer existed -- moved, not rewritten -- so per-seed trajectories are
-byte-identical to every release since PR 2 (pinned by
-``tests/batched/test_golden_trajectories.py`` and the scalar-parity suite).
-One full-batch operation per proposal: an O(M*n) candidate copy, an O(M*n)
-delta gather (or batched crossbar MVM), one batched filter pass.
+:class:`~repro.batched.engine.BatchedHyCiMSolver`, and the only annealing
+loop of the codebase: a serial trial is their one-replica run.  Per-seed
+trajectories are pinned byte for byte by
+``tests/batched/test_golden_trajectories.py``.  One full-batch
+operation per proposal: an O(M*n) candidate copy, an O(M*n) delta gather
+(or batched crossbar MVM), one batched filter pass.  The loops skip the
+index and copy work a step does not need -- the infeasible-replica
+bookkeeping when every candidate passes, the commit when none is accepted
+-- which is most of a one-replica proposal's NumPy overhead; every
+arithmetic op and RNG draw stays the same.
 
 This backend supports every engine configuration -- hardware or software
 evaluation, any move generator, noisy filters, device axes, both RNG
@@ -34,26 +38,14 @@ from repro.kernels.base import SweepKernel
 
 __all__ = ["ReferenceHyCiMKernel", "ReferenceSAKernel"]
 
-#: Per-row feasibility predicate (scalar fallback).
+#: Per-row feasibility predicate.
 RowFilter = Callable[[np.ndarray], bool]
 #: Vectorised feasibility predicate over an ``(M, n)`` batch.
 BatchFilter = Callable[[np.ndarray], np.ndarray]
 
 
-def _apply_filters(candidates: np.ndarray,
-                   accept_filter: Optional[RowFilter],
-                   accept_filter_batch: Optional[BatchFilter]) -> np.ndarray:
-    """Feasibility verdicts for a candidate batch (vectorised when possible)."""
-    if accept_filter_batch is not None:
-        return np.asarray(accept_filter_batch(candidates), dtype=bool)
-    if accept_filter is not None:
-        return np.array([bool(accept_filter(row)) for row in candidates],
-                        dtype=bool)
-    return np.ones(candidates.shape[0], dtype=bool)
-
-
 class ReferenceSAKernel(SweepKernel):
-    """The batched SA sweep, exactly as the engine inlined it.
+    """The batched SA sweep.
 
     Parameters mirror what the engine's loop closed over: the QUBO data,
     the driver (temperatures + draws + acceptance), the move generator and
@@ -75,8 +67,16 @@ class ReferenceSAKernel(SweepKernel):
         self.move_generator = move_generator
         self.single_flip = bool(single_flip)
         self.moves_per_iteration = int(moves_per_iteration)
-        self.accept_filter = accept_filter
-        self.accept_filter_batch = accept_filter_batch
+        # The candidate filter, chosen once: the vectorised predicate when
+        # given, else the row-wise one, else none (every candidate passes).
+        if accept_filter_batch is not None:
+            self._filter: Optional[BatchFilter] = lambda batch: np.asarray(
+                accept_filter_batch(batch), dtype=bool)
+        elif accept_filter is not None:
+            self._filter = lambda batch: np.array(
+                [bool(accept_filter(row)) for row in batch], dtype=bool)
+        else:
+            self._filter = None
 
         self.current = current
         self.current_energy = current_energy
@@ -101,6 +101,7 @@ class ReferenceSAKernel(SweepKernel):
         current = self.current
         current_energy = self.current_energy
         rows = self._rows
+        num_replicas = rows.shape[0]
         n = self._num_variables
         for iteration in range(start_iteration,
                                start_iteration + num_iterations):
@@ -117,46 +118,57 @@ class ReferenceSAKernel(SweepKernel):
                     flips = None
                     candidates = driver.propose(self.move_generator, current)
 
-                passed = _apply_filters(candidates, self.accept_filter,
-                                        self.accept_filter_batch)
-                self.num_skipped[~passed] += 1
-                feasible_idx = np.flatnonzero(passed)
-                if feasible_idx.size == 0:
-                    continue
+                if self._filter is None:
+                    feasible_idx = rows
+                else:
+                    passed = self._filter(candidates)
+                    feasible_idx = passed.nonzero()[0]
+                if feasible_idx.shape[0] < num_replicas:
+                    self.num_skipped[~passed] += 1
+                    if feasible_idx.shape[0] == 0:
+                        continue
+                    if self.single_flip:
+                        feasible_current = current[feasible_idx]
+                        flips = flips[feasible_idx]
+                    else:
+                        feasible_candidates = candidates[feasible_idx]
+                else:
+                    feasible_current = current
+                    feasible_candidates = candidates
                 self.num_feasible[feasible_idx] += 1
 
                 if self.single_flip:
                     delta = batched_energy_delta(
-                        self.matrix, current[feasible_idx],
-                        flips[feasible_idx], symmetric=self._symmetric)
+                        self.matrix, feasible_current, flips,
+                        symmetric=self._symmetric)
                     candidate_energy = current_energy[feasible_idx] + delta
                 else:
                     candidate_energy = batched_energies(
-                        self.matrix, candidates[feasible_idx], self.offset)
+                        self.matrix, feasible_candidates, self.offset)
                     delta = candidate_energy - current_energy[feasible_idx]
 
                 accepted = driver.metropolis(delta, feasible_idx, iteration)
                 accepted_idx = feasible_idx[accepted]
-                if accepted_idx.size:
-                    current[accepted_idx] = candidates[accepted_idx]
-                    current_energy[accepted_idx] = candidate_energy[accepted]
-                    self.num_accepted[accepted_idx] += 1
-                    improved = accepted_idx[
-                        current_energy[accepted_idx]
-                        < self.best_energy[accepted_idx]]
-                    self.best_energy[improved] = current_energy[improved]
-                    self.best[improved] = current[improved]
+                if accepted_idx.shape[0] == 0:
+                    continue
+                current[accepted_idx] = candidates[accepted_idx]
+                current_energy[accepted_idx] = candidate_energy[accepted]
+                self.num_accepted[accepted_idx] += 1
+                improved = accepted_idx[current_energy[accepted_idx]
+                                        < self.best_energy[accepted_idx]]
+                self.best_energy[improved] = current_energy[improved]
+                self.best[improved] = current[improved]
 
     def swap_arrays(self) -> tuple:
         return (self.current, self.current_energy)
 
 
 class ReferenceHyCiMKernel(SweepKernel):
-    """The batched HyCiM sweep, exactly as the engine inlined it.
+    """The batched HyCiM sweep.
 
     The engine stays the owner of the hardware stack: ``feasible_batch``
-    and ``energies`` are its bound evaluation primitives (CiM filters /
-    crossbar, device axes, scalar fallbacks for noisy filters), so this
+    and ``energies`` are its evaluation primitives (CiM filters / crossbar,
+    device axes, the replica-by-replica check of noisy filters), so this
     kernel runs every hardware configuration the engine does.
     ``use_delta`` enables the software-mode single-flip incremental path
     over the raw QUBO value (``raw_energy``), as before.
@@ -209,6 +221,7 @@ class ReferenceHyCiMKernel(SweepKernel):
         current_feasible = self.current_feasible
         raw_energy = self.raw_energy
         rows = self._rows
+        num_replicas = rows.shape[0]
         n = self._num_variables
         for iteration in range(start_iteration,
                                start_iteration + num_iterations):
@@ -228,20 +241,23 @@ class ReferenceHyCiMKernel(SweepKernel):
 
                 # Step 1: inequality evaluation, one batched filter pass.
                 candidate_feasible = self.feasible_batch(candidates)
-                infeasible_idx = np.flatnonzero(~candidate_feasible)
-                self.num_skipped[infeasible_idx] += 1
-                # Replicas whose incumbent is itself infeasible drift freely
-                # at energy 0 (paper Eq. (6)), as in the scalar solver.
-                drifting = infeasible_idx[~current_feasible[infeasible_idx]]
-                if drifting.size:
-                    current[drifting] = candidates[drifting]
-                    current_energy[drifting] = 0.0
-                    if self.use_delta:
-                        raw_energy[drifting] = candidate_raw[drifting]
-
-                feasible_idx = np.flatnonzero(candidate_feasible)
-                if feasible_idx.size == 0:
-                    continue
+                feasible_idx = candidate_feasible.nonzero()[0]
+                if feasible_idx.shape[0] < num_replicas:
+                    infeasible_idx = (~candidate_feasible).nonzero()[0]
+                    self.num_skipped[infeasible_idx] += 1
+                    # Replicas whose incumbent is itself infeasible drift
+                    # freely at energy 0 (paper Eq. (6)).
+                    drifting = infeasible_idx[~current_feasible[infeasible_idx]]
+                    if drifting.shape[0]:
+                        current[drifting] = candidates[drifting]
+                        current_energy[drifting] = 0.0
+                        if self.use_delta:
+                            raw_energy[drifting] = candidate_raw[drifting]
+                    if feasible_idx.shape[0] == 0:
+                        continue
+                    feasible_candidates = candidates[feasible_idx]
+                else:
+                    feasible_candidates = candidates
                 self.num_feasible[feasible_idx] += 1
 
                 # Step 2: QUBO computation for all feasible candidates in one
@@ -249,27 +265,28 @@ class ReferenceHyCiMKernel(SweepKernel):
                 if self.use_delta:
                     candidate_energy = candidate_raw[feasible_idx]
                 else:
-                    candidate_energy = self.energies(candidates[feasible_idx],
+                    candidate_energy = self.energies(feasible_candidates,
                                                      feasible_idx)
 
                 # Step 3: per-replica Metropolis acceptance.
                 delta = candidate_energy - current_energy[feasible_idx]
                 accepted = driver.metropolis(delta, feasible_idx, iteration)
                 accepted_idx = feasible_idx[accepted]
-                if accepted_idx.size:
-                    current[accepted_idx] = candidates[accepted_idx]
-                    current_energy[accepted_idx] = candidate_energy[accepted]
-                    if self.use_delta:
-                        raw_energy[accepted_idx] = candidate_energy[accepted]
-                    current_feasible[accepted_idx] = True
-                    self.num_accepted[accepted_idx] += 1
-                    improved = accepted_idx[
-                        (current_energy[accepted_idx]
-                         < self.best_energy[accepted_idx])
-                        | ~self.best_feasible[accepted_idx]]
-                    self.best_energy[improved] = current_energy[improved]
-                    self.best[improved] = current[improved]
-                    self.best_feasible[improved] = True
+                if accepted_idx.shape[0] == 0:
+                    continue
+                current[accepted_idx] = candidates[accepted_idx]
+                current_energy[accepted_idx] = candidate_energy[accepted]
+                if self.use_delta:
+                    raw_energy[accepted_idx] = candidate_energy[accepted]
+                current_feasible[accepted_idx] = True
+                self.num_accepted[accepted_idx] += 1
+                improved = accepted_idx[
+                    (current_energy[accepted_idx]
+                     < self.best_energy[accepted_idx])
+                    | ~self.best_feasible[accepted_idx]]
+                self.best_energy[improved] = current_energy[improved]
+                self.best[improved] = current[improved]
+                self.best_feasible[improved] = True
 
     def swap_arrays(self) -> tuple:
         arrays = [self.current, self.current_energy, self.current_feasible]

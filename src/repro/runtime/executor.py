@@ -19,8 +19,8 @@ door for running them at scale:
   identical to the serial backend in software mode on the integer-valued
   paper benchmarks, at an order-of-magnitude better per-replica throughput.
   Per-trial device ``variability`` runs on the engine's batch-of-chips
-  device axis (each trial is one freshly sampled chip slice, no scalar
-  fallback; see ARCHITECTURE.md).  ``replicas_per_task`` composes both
+  device axis (each trial is one freshly sampled chip slice; see
+  ARCHITECTURE.md).  ``replicas_per_task`` composes both
   levels of parallelism: each process-backend worker task runs its trials
   as vectorised replica groups of that size.
 * **Chunked dispatch** -- trials are grouped into chunks of ``chunk_size``
@@ -175,7 +175,7 @@ def _resolve_workers(num_workers: Optional[int]) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-#: Chunk payload: problem, spec, scalar trial fn, batched trial fn (or None),
+#: Chunk payload: problem, spec, single-trial fn, batched trial fn (or None),
 #: replica-group size for the batched path, the chunk's trials, the chunk
 #: index, the recorder spec a pool worker mirrors (None = record nothing),
 #: and whether the chunk executes inside a pool worker.
@@ -218,7 +218,7 @@ def _execute_chunk(payload: _ChunkPayload) -> List[Tuple[int, SolveResult]]:
 
     When a batched trial function is available and ``replicas_per_task > 1``,
     the chunk's trials advance in lock-step replica groups of that size;
-    otherwise they run through the scalar trial function one by one.  Both
+    otherwise they run through the single-trial function one by one.  Both
     paths produce identical per-seed results (the batched-function contract),
     so grouping is purely a throughput knob.
 
@@ -332,19 +332,20 @@ def run_trials(
     params:
         Extra solver parameters merged over the spec's own params.
     backend:
-        ``"serial"`` (in-process, scalar trials), ``"process"``
+        ``"serial"`` (in-process, one trial at a time -- for the annealers
+        a one-replica run of the lock-step engine), ``"process"``
         (multiprocessing pool) or ``"vectorized"`` (in-process, all trials of
         a chunk advanced in lock-step through the solver's batched replica
         engine).  Serial and process are bitwise identical per seed.  The
-        vectorized backend consumes identical per-replica random streams and
-        is bitwise identical in software mode for integer-valued objective
-        data (the paper's QKP benchmark family; every intermediate is an
-        exactly representable float64 integer); float-valued coefficients
-        and ideal-hardware mode agree to floating-point tolerance, where a
-        borderline Metropolis draw could in principle diverge (see
-        :mod:`repro.batched`).  Solvers without a batched implementation run
-        their vectorized chunks through the scalar path, so any registry
-        solver is valid on any backend.
+        vectorized backend runs the same engine on more replicas at once,
+        with identical per-replica random streams: bitwise identical per
+        seed for integer-valued objective data (the paper's QKP benchmark
+        family; every intermediate is an exactly representable float64
+        integer); float-valued coefficients agree to floating-point
+        tolerance, where a borderline Metropolis draw could in principle
+        diverge (see :mod:`repro.batched`).  Solvers without a batched
+        implementation run their vectorized chunks trial by trial, so any
+        registry solver is valid on any backend.
     master_seed:
         Seed of the :class:`numpy.random.SeedSequence` the per-trial seeds
         are spawned from.
@@ -360,8 +361,8 @@ def run_trials(
         across backends.
     replicas_per_task:
         Lock-step replica group size used *inside* each chunk.  Defaults to
-        the chunk size on the vectorized backend and to 1 (scalar trials)
-        elsewhere; pass a value > 1 on the process backend to compose both
+        the chunk size on the vectorized backend and to 1 (one trial at a
+        time) elsewhere; pass a value > 1 on the process backend to compose both
         levels of parallelism -- chunks fan out over workers, and each
         worker advances its trials as vectorised replica groups.
     initial_states:
@@ -507,7 +508,7 @@ def run_trials(
     # A non-default kernel backend (or the sparse matrix path) lives in the
     # lock-step engines, so requesting one routes every group through the
     # batched trial function even when groups have a single replica -- the
-    # per-seed results are identical to the scalar path by contract.
+    # per-seed results are identical to the single-trial path by contract.
     batched_fn = (get_batched_trial_function(spec.solver)
                   if replicas_per_task > 1 or coupled or wants_engine
                   else None)
@@ -686,17 +687,11 @@ def run_trials(
             get_batched_trial_function(spec.solver) is not None:
         # Stamp the *resolved* sweep-kernel backend (what "auto" actually
         # picked) into the run's provenance snapshot.  Results carry the
-        # engine's stamp whether fresh or loaded; an engine run without a
-        # stamp is the reference backend, and results without the engine's
-        # "vectorized" marker came from the scalar trial path.
+        # engine's stamp whether fresh or loaded; a result without a stamp
+        # ran on the reference backend.
         metadata = results[0].metadata or {}
-        if "kernel" in metadata:
-            resolved = str(metadata["kernel"])
-        elif metadata.get("vectorized"):
-            resolved = "reference"
-        else:
-            resolved = "scalar"
-        store.annotate_provenance(run_key, kernel_resolved=resolved)
+        store.annotate_provenance(
+            run_key, kernel_resolved=str(metadata.get("kernel", "reference")))
     return TrialBatch(
         results=results,
         spec=spec,

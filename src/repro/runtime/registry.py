@@ -14,12 +14,14 @@ to module-level trial functions with the uniform signature
 Annealing solvers are rebuilt from scratch inside every trial (so device
 variability and crossbar programming are re-sampled per trial exactly as a
 real chip would be reprogrammed), seeded deterministically from the trial
-seed.  The vectorised counterparts in :mod:`repro.batched.trials` replay
-those per-trial streams in lock-step -- per-trial variability becomes one
-freshly sampled chip per device-axis slice (ARCHITECTURE.md) -- so batched
-and scalar trials are interchangeable per seed.  Exact / heuristic reference
-solvers are wrapped so they return the same
-:class:`~repro.annealing.result.SolveResult` shape as the annealers.
+seed; each trial is a one-replica run of the lock-step engine
+(:mod:`repro.batched.engine`).  The batched counterparts in
+:mod:`repro.batched.trials` run whole replica groups through the same
+engine -- per-trial variability becomes one freshly sampled chip per
+device-axis slice (ARCHITECTURE.md) -- so grouped and single trials are
+interchangeable per seed.  Exact / heuristic reference solvers are wrapped
+so they return the same :class:`~repro.annealing.result.SolveResult` shape
+as the annealers.
 
 Parameter dicts may either carry plain values (``{"schedule": {"kind":
 "geometric", "start_temperature": 100.0}}``, ``{"move_generator":
@@ -71,7 +73,7 @@ TrialFunction = Callable[
 
 #: A batched trial function runs one lock-step replica group: one trial per
 #: spawned seed, returning one SolveResult per seed in order.  Replica ``k``
-#: must consume ``np.random.default_rng(seeds[k])`` exactly as the scalar
+#: must consume ``np.random.default_rng(seeds[k])`` exactly as the single
 #: trial function would, so both paths yield identical per-seed results.
 BatchedTrialFunction = Callable[
     [CombinatorialProblem, Mapping[str, Any], Sequence[int],
@@ -253,11 +255,11 @@ def build_dynamics(value: Any) -> Optional[Dynamics]:
 
 
 def _coupled_dynamics_guard(dynamics: Optional[Dynamics], solver: str) -> None:
-    """Scalar trial functions honour only the schedule component.
+    """Single-trial functions honour only the schedule component.
 
     Everything else -- temperature ladders, non-default acceptance rules,
     replica exchange, the shared RNG topology -- needs the lock-step replica
-    group, so a coupled bundle reaching a scalar trial function is an error
+    group, so a coupled bundle reaching a single-trial function is an error
     rather than a silent drop.
     """
     if dynamics is not None and dynamics.coupled:
@@ -265,8 +267,8 @@ def _coupled_dynamics_guard(dynamics: Optional[Dynamics], solver: str) -> None:
             "coupled dynamics (temperature ladder / custom acceptance rule / "
             "replica exchange / shared RNG) span a lock-step replica group; "
             f"run solver {solver!r} through "
-            "repro.runtime.run_trials(dynamics=...), which routes the group "
-            "to the batched engine instead of scalar trials"
+            "repro.runtime.run_trials(dynamics=...), which runs the group "
+            "as one lock-step replica batch"
         )
 
 
@@ -361,7 +363,6 @@ def _finalize(result: SolveResult, seed: int, elapsed: float) -> SolveResult:
 def _hycim_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
                  seed: int, initial: Optional[np.ndarray]) -> SolveResult:
     with current_recorder().span("trial", solver="hycim", seed=int(seed),
-                                 kernel_resolved="scalar",
                                  **worker_attrs()) as span:
         dynamics = build_dynamics(params.get("dynamics"))
         _coupled_dynamics_guard(dynamics, "hycim")
@@ -385,6 +386,8 @@ def _hycim_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
         rng = np.random.default_rng(seed)
         start = _initial_configuration(problem, params, rng, initial)
         result = solver.solve(initial=start, rng=rng)
+        span.annotate(
+            kernel_resolved=result.metadata.get("kernel", "reference"))
     return _finalize(result, seed, span.elapsed)
 
 
@@ -399,7 +402,6 @@ def _sa_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
     CiM filter).  Pass ``respect_constraints=False`` to anneal the raw QUBO.
     """
     with current_recorder().span("trial", solver="sa", seed=int(seed),
-                                 kernel_resolved="scalar",
                                  **worker_attrs()) as span:
         dynamics = build_dynamics(params.get("dynamics"))
         _coupled_dynamics_guard(dynamics, "sa")
@@ -422,13 +424,14 @@ def _sa_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
         result.feasible = problem.is_feasible(best)
         result.best_objective = (problem.objective(best)
                                  if result.feasible else None)
+        span.annotate(
+            kernel_resolved=result.metadata.get("kernel", "reference"))
     return _finalize(result, seed, span.elapsed)
 
 
 def _dqubo_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
                  seed: int, initial: Optional[np.ndarray]) -> SolveResult:
     with current_recorder().span("trial", solver="dqubo", seed=int(seed),
-                                 kernel_resolved="scalar",
                                  **worker_attrs()) as span:
         dynamics = build_dynamics(params.get("dynamics"))
         _coupled_dynamics_guard(dynamics, "dqubo")
@@ -453,6 +456,8 @@ def _dqubo_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
         rng = np.random.default_rng(seed)
         start = _initial_configuration(problem, params, rng, initial)
         result = solver.solve(initial=start, rng=rng)
+        span.annotate(
+            kernel_resolved=result.metadata.get("kernel", "reference"))
     return _finalize(result, seed, span.elapsed)
 
 
@@ -571,18 +576,18 @@ def _load_batched_builtins() -> None:
 
 
 def _register_builtin_batched(name: str, batched_fn: BatchedTrialFunction,
-                              scalar_fn: TrialFunction) -> None:
-    """Pair a built-in batched engine with its built-in scalar trial function.
+                              trial_fn: TrialFunction) -> None:
+    """Pair a built-in batched engine with its built-in single-trial function.
 
     Because the built-ins load lazily (on the first vectorized run), the user
-    may already have replaced the scalar solver or registered their own
-    batched function under ``name``.  A batched engine is only a valid
-    stand-in for the *specific* scalar function it mirrors, so registration
-    is skipped unless ``name`` still maps to ``scalar_fn`` and no user
+    may already have replaced the single-trial solver or registered their
+    own batched function under ``name``.  A batched engine is only a valid
+    stand-in for the *specific* trial function it mirrors, so registration
+    is skipped unless ``name`` still maps to ``trial_fn`` and no user
     batched function claimed the slot -- the executor then simply falls back
-    to the (possibly user-supplied) scalar path.
+    to the (possibly user-supplied) single-trial path.
     """
-    if _REGISTRY.get(name) is scalar_fn and name not in _BATCHED_REGISTRY:
+    if _REGISTRY.get(name) is trial_fn and name not in _BATCHED_REGISTRY:
         _BATCHED_REGISTRY[name] = batched_fn
 
 
@@ -606,9 +611,9 @@ def register_solver(name: str, trial_fn: TrialFunction, *,
     if not callable(trial_fn):
         raise TypeError("trial_fn must be callable")
     if _REGISTRY.get(name) is not trial_fn:
-        # A previously paired batched engine mirrors the *old* scalar
+        # A previously paired batched engine mirrors the *old* trial
         # function; dropping it makes every backend fall back to the new
-        # scalar path instead of silently running stale vectorised code.
+        # single-trial path instead of silently running stale batched code.
         _BATCHED_REGISTRY.pop(name, None)
     _REGISTRY[name] = trial_fn
 
@@ -620,9 +625,9 @@ def register_batched_solver(name: str, batched_fn: BatchedTrialFunction, *,
     ``batched_fn`` must honour the ``(problem, params, seeds, initials) ->
     [SolveResult, ...]`` signature, return one result per seed in order, and
     consume ``default_rng(seeds[k])`` for replica ``k`` exactly as the
-    scalar trial function registered under the same name would -- the
+    single-trial function registered under the same name would -- the
     executor relies on this to keep ``backend="vectorized"`` results
-    identical per seed to the serial backend.  Like scalar trial functions it
+    identical per seed to the serial backend.  Like single-trial functions it
     must be a picklable module-level function to work with the process
     backend's ``replicas_per_task`` grouping.
     """
@@ -640,7 +645,7 @@ def register_batched_solver(name: str, batched_fn: BatchedTrialFunction, *,
 def get_batched_trial_function(name: str) -> Optional[BatchedTrialFunction]:
     """The batched trial function for ``name``, or ``None`` if the solver has
     no vectorised implementation (the executor then falls back to running the
-    group's trials through the scalar trial function, one by one, which
+    group's trials through the single-trial function, one by one, which
     yields identical results)."""
     _load_batched_builtins()
     return _BATCHED_REGISTRY.get(name)

@@ -29,7 +29,6 @@ regression-gates the benchmark trajectory (:mod:`repro.telemetry.bench`).
 
 from repro.telemetry.analyze import (build_timeline, counter_totals,
                                      probe_rows, probe_summary, span_summary)
-from repro.telemetry.probes import SweepProbe
 from repro.telemetry.recorder import (DEFAULT_PROBE_INTERVAL, InMemoryRecorder,
                                       JsonlRecorder, NullRecorder,
                                       NULL_RECORDER, RecorderSpec, Span,
@@ -52,7 +51,6 @@ __all__ = [
     "RunWatch",
     "ShardTailer",
     "Span",
-    "SweepProbe",
     "TelemetryError",
     "build_timeline",
     "counter_totals",

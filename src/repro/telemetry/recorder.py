@@ -62,8 +62,8 @@ span owner :meth:`~Span.annotate`-d mid-span (facts only known once the
 work ran, e.g. the resolved kernel backend).  Counter events
 add ``value`` and the cumulative ``total``.  Probe events add ``iteration``
 and a ``values`` mapping whose per-replica entries are ``(M,)`` lists,
-matching the axis contract of the batched engines (``M = 1`` for scalar
-solvers).
+matching the axis contract of the batched engines (``M = 1`` for a single
+trial).
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ class Span:
     """A hierarchical timer: always times, emits only when recording.
 
     Spans are the runtime's *single* timing code path -- ``run_trials``, the
-    batched trial functions and the scalar trial functions all read their
+    batched trial functions and the single-trial functions all read their
     wall time from ``span.elapsed`` after the ``with`` block exits -- so the
     two ``perf_counter`` calls happen for every recorder, null included.
     Event emission (``span_start`` / ``span_end`` with parent links) is

@@ -39,7 +39,7 @@ class TestProvenance:
         manifest = store.get_manifest(batch.run_key)
         # Environment snapshot plus the post-run kernel_resolved stamp.
         assert manifest.provenance == dict(run_provenance(),
-                                           kernel_resolved="scalar")
+                                           kernel_resolved="reference")
         # the snapshot survives a round-trip through a fresh handle
         reread = CampaignStore(tmp_path / "store").get_manifest(batch.run_key)
         assert reread.provenance == manifest.provenance
@@ -110,7 +110,7 @@ class TestStoreCliJson:
         output = capsys.readouterr().out
         assert "provenance" in output
         # the post-run kernel stamp rides the summary line
-        assert "kernel scalar" in output
+        assert "kernel reference" in output
 
 
 class TestMergeCarriesSidecars:

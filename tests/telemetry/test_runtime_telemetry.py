@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dynamics import ParallelTempering
+from repro.kernels import KernelUnsupportedError
 from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_campaign, run_portfolio, run_trials
 from repro.runtime.aggregate import aggregate_trials, statistics_fingerprint
@@ -58,6 +59,25 @@ class TestSpans:
                        master_seed=1)
         assert recorder.events_of_kind("span_start")
 
+    def test_failed_probed_run_closes_its_spans(self, problem):
+        """A run that dies inside the engine must not leave its sweep block
+        open: later spans on the same recorder would nest under it."""
+        recorder = InMemoryRecorder(probe_interval=5)
+        with pytest.raises(KernelUnsupportedError):
+            run_trials(problem, "hycim", num_trials=2, backend="vectorized",
+                       params={"num_iterations": 20, "kernel": "fused",
+                               "use_hardware": True},
+                       master_seed=1, telemetry=recorder)
+        started = [e["span"] for e in recorder.events_of_kind("span_start")]
+        ended = [e["span"] for e in recorder.events_of_kind("span_end")]
+        assert sorted(started) == sorted(ended)
+        run_trials(problem, ("hycim", HYCIM_FAST), num_trials=1,
+                   master_seed=1, telemetry=recorder)
+        runs = [e for e in recorder.events_of_kind("span_start")
+                if e["name"] == "run"]
+        assert len(runs) == 2
+        assert runs[-1]["parent"] is None
+
     def test_counters_count_trials(self, problem):
         recorder = InMemoryRecorder(probe_interval=20)
         run_trials(problem, ("hycim", HYCIM_FAST), num_trials=3,
@@ -75,7 +95,7 @@ class TestProbes:
         assert [p["iteration"] for p in probes] == [20, 40, 60]
         probe = probes[-1]
         assert probe["solver"] == "HyCiM"
-        assert probe["engine"] == "scalar"
+        assert probe["engine"] == "batched"
         assert probe["replicas"] == 1
         values = probe["values"]
         for key in ("temperature", "energy", "best_energy", "accept_rate",
