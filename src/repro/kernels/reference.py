@@ -127,25 +127,20 @@ class ReferenceSAKernel(SweepKernel):
                     self.num_skipped[~passed] += 1
                     if feasible_idx.shape[0] == 0:
                         continue
-                    if self.single_flip:
-                        feasible_current = current[feasible_idx]
-                        flips = flips[feasible_idx]
-                    else:
-                        feasible_candidates = candidates[feasible_idx]
+                    subset = feasible_idx
                 else:
-                    feasible_current = current
-                    feasible_candidates = candidates
-                self.num_feasible[feasible_idx] += 1
+                    subset = slice(None)  # every candidate passed: no gathers
+                self.num_feasible[subset] += 1
 
                 if self.single_flip:
                     delta = batched_energy_delta(
-                        self.matrix, feasible_current, flips,
+                        self.matrix, current[subset], flips[subset],
                         symmetric=self._symmetric)
-                    candidate_energy = current_energy[feasible_idx] + delta
+                    candidate_energy = current_energy[subset] + delta
                 else:
                     candidate_energy = batched_energies(
-                        self.matrix, feasible_candidates, self.offset)
-                    delta = candidate_energy - current_energy[feasible_idx]
+                        self.matrix, candidates[subset], self.offset)
+                    delta = candidate_energy - current_energy[subset]
 
                 accepted = driver.metropolis(delta, feasible_idx, iteration)
                 accepted_idx = feasible_idx[accepted]
@@ -255,21 +250,21 @@ class ReferenceHyCiMKernel(SweepKernel):
                             raw_energy[drifting] = candidate_raw[drifting]
                     if feasible_idx.shape[0] == 0:
                         continue
-                    feasible_candidates = candidates[feasible_idx]
+                    subset = feasible_idx
                 else:
-                    feasible_candidates = candidates
-                self.num_feasible[feasible_idx] += 1
+                    subset = slice(None)  # every candidate passed: no gathers
+                self.num_feasible[subset] += 1
 
                 # Step 2: QUBO computation for all feasible candidates in one
                 # batched crossbar MVM (or BLAS product in software mode).
                 if self.use_delta:
-                    candidate_energy = candidate_raw[feasible_idx]
+                    candidate_energy = candidate_raw[subset]
                 else:
-                    candidate_energy = self.energies(feasible_candidates,
+                    candidate_energy = self.energies(candidates[subset],
                                                      feasible_idx)
 
                 # Step 3: per-replica Metropolis acceptance.
-                delta = candidate_energy - current_energy[feasible_idx]
+                delta = candidate_energy - current_energy[subset]
                 accepted = driver.metropolis(delta, feasible_idx, iteration)
                 accepted_idx = feasible_idx[accepted]
                 if accepted_idx.shape[0] == 0:
