@@ -23,7 +23,7 @@ integer-exact energies, at O(M * nnz-per-row) per proposal.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
