@@ -96,13 +96,7 @@ def batched_energy_delta(matrix: np.ndarray, batch: np.ndarray,
         raise ValueError(
             f"flip_indices must have one entry per replica, got shape {flips.shape}"
         )
-    # One replica (every single-trial proposal) skips the min/max reductions.
-    if flips.shape[0] == 1:
-        in_range = 0 <= flips[0] < matrix.shape[0]
-    else:
-        in_range = not flips.size or (0 <= flips.min()
-                                      and flips.max() < matrix.shape[0])
-    if not in_range:
+    if flips.size and (flips.min() < 0 or flips.max() >= matrix.shape[0]):
         raise IndexError("a flip index is out of range")
     if symmetric is None:
         symmetric = symmetrized_matrix(matrix)

@@ -63,7 +63,7 @@ class TestKernels:
         with pytest.raises(IndexError):
             batched_energy_delta(random_qubo.matrix, replica_batch,
                                  np.full(replica_batch.shape[0], 99))
-        for flip in (-1, 12):  # one replica checks its range on its own path
+        for flip in (-1, 12):
             with pytest.raises(IndexError):
                 batched_energy_delta(random_qubo.matrix, replica_batch[:1],
                                      np.array([flip]))
