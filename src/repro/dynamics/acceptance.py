@@ -119,12 +119,3 @@ class MetropolisRule(AcceptanceRule):
                              -np.inf)
         probabilities = np.exp(np.minimum(exponents, 0.0))
         return (delta <= 0) | (np.asarray(draws, dtype=float) < probabilities)
-
-    def accept_scalar(self, delta: float, temperature: float,
-                      rng: np.random.Generator) -> bool:
-        # Allocation-free single decision; the decision -- one uniform draw
-        # compared against the scalar acceptance_probability -- is exactly
-        # the generic M = 1 view of accept().
-        draw = rng.random()
-        return delta <= 0 or draw < acceptance_probability(float(delta),
-                                                           float(temperature))
