@@ -687,11 +687,19 @@ def run_trials(
             get_batched_trial_function(spec.solver) is not None:
         # Stamp the *resolved* sweep-kernel backend (what "auto" actually
         # picked) into the run's provenance snapshot.  Results carry the
-        # engine's stamp whether fresh or loaded; a result without a stamp
-        # ran on the reference backend.
+        # engine's stamp whether fresh or loaded; an engine result without a
+        # stamp ran on the reference backend, and a result without the
+        # engine's "vectorized" marker was persisted by the scalar loops
+        # that single trials ran on before they became one-replica engine
+        # runs.
         metadata = results[0].metadata or {}
-        store.annotate_provenance(
-            run_key, kernel_resolved=str(metadata.get("kernel", "reference")))
+        if "kernel" in metadata:
+            resolved = str(metadata["kernel"])
+        elif metadata.get("vectorized"):
+            resolved = "reference"
+        else:
+            resolved = "scalar"
+        store.annotate_provenance(run_key, kernel_resolved=resolved)
     return TrialBatch(
         results=results,
         spec=spec,

@@ -44,6 +44,23 @@ class TestProvenance:
         reread = CampaignStore(tmp_path / "store").get_manifest(batch.run_key)
         assert reread.provenance == manifest.provenance
 
+    def test_trials_of_the_scalar_loops_stamp_scalar(self, problem, tmp_path):
+        # Trials persisted before single trials ran on the engine carry
+        # neither the engine's "vectorized" marker nor a kernel stamp.
+        store = CampaignStore(tmp_path / "store")
+        batch = run_trials(problem, ("hycim", HYCIM_FAST), num_trials=2,
+                           master_seed=1, store=store)
+        for index, result in enumerate(batch.results):
+            for key in ("vectorized", "num_replicas", "kernel"):
+                result.metadata.pop(key, None)
+            store.append_result(batch.run_key, index, result)
+        reread = CampaignStore(tmp_path / "store")
+        resumed = run_trials(problem, ("hycim", HYCIM_FAST), num_trials=2,
+                             master_seed=1, store=reread)
+        assert resumed.num_loaded_from_store == 2
+        provenance = reread.get_manifest(batch.run_key).provenance
+        assert provenance["kernel_resolved"] == "scalar"
+
     def test_old_manifests_tolerated(self):
         # A manifest line written before provenance existed parses fine.
         legacy = {"run_key": "k" * 64, "solver": "hycim", "label": "hycim",
