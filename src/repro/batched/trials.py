@@ -1,33 +1,40 @@
-"""Batched trial functions: vectorised counterparts of the registry solvers.
+"""Trial functions of the annealers: one setup per solver, any group size.
 
-A *batched trial function* runs a whole group of trials -- one replica per
-spawned trial seed -- through a lock-step engine in one batch:
+Each annealer's trial setup -- building the solver from its parameter dict,
+drawing the starting configurations, running the lock-step engine -- lives
+here once, in a *replica runner* that runs any number of trials (one replica
+per trial seed) as one batch:
+
+    hycim_replicas(problem, params, seeds, initials) -> [SolveResult, ...]
+
+The registry's single-trial functions (:data:`repro.runtime.registry.
+TrialFunction`) run it for one seed inside a ``trial`` span; the *batched
+trial functions* below run it for a whole replica group inside a
+``trial_group`` span:
 
     batched_fn(problem, params, seeds, initials) -> [SolveResult, ...]
 
-The contract mirrors :data:`repro.runtime.registry.TrialFunction` exactly:
-replica ``k`` consumes ``np.random.default_rng(seeds[k])`` in the same order
-the single-trial function does (initial-configuration draw first, then the
-solver's own draws).  Both run the same engine -- a single trial is its
-one-replica batch -- so the returned results are identical per seed to the
-serial path.  This is what lets :func:`repro.runtime.run_trials` treat
-``backend="vectorized"`` (and ``replicas_per_task`` groups on the process
-backend) as a pure throughput knob.
+Replica ``k`` consumes ``np.random.default_rng(seeds[k])`` in the same order
+whatever the group size (initial-configuration draw first, then the solver's
+own draws), so the results are identical per seed to the serial path.  This
+is what lets :func:`repro.runtime.run_trials` treat ``backend="vectorized"``
+(and ``replicas_per_task`` groups on the process backend) as a pure
+throughput knob.
 
 Per-trial device ``variability`` -- a freshly programmed chip per trial --
 runs through the hardware stack's *device axis* (ARCHITECTURE.md): each
-trial's chip is sampled exactly as a single trial samples it (one
-:func:`~repro.runtime.registry._build_variability` model per trial seed) and
+trial's chip is sampled from one
+:func:`~repro.runtime.registry._build_variability` model per trial seed and
 occupies one slice of the device-axis filters/crossbar, so the Monte-Carlo
 over chips advances in lock-step instead of trial by trial.  Only the
 ``dqubo`` hardware mode (a per-trial crossbar over the combined penalty
-QUBO, an overhead study rather than a throughput path) still runs trial by
-trial, so every registry parameter dict stays valid.
+QUBO, an overhead study rather than a throughput path) runs trial by trial,
+so every registry parameter dict stays valid.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -117,150 +124,159 @@ def _stamp(results: List[SolveResult], seeds: Sequence[int],
     return results
 
 
-def hycim_batched_trials(
+def hycim_replicas(
     problem: CombinatorialProblem,
     params: Mapping[str, object],
     seeds: Sequence[int],
     initials: Sequence[Optional[np.ndarray]],
 ) -> List[SolveResult]:
-    """Vectorised counterpart of the registry's ``"hycim"`` trial function.
+    """Run the ``"hycim"`` trials of ``seeds`` as one lock-step replica batch.
 
     All replicas share one :class:`HyCiMSolver` instance's model and
     schedule.  Without per-trial ``variability`` they also share its hardware
     (one programmed crossbar, one filter per constraint); with a
     ``variability`` template each trial becomes a freshly sampled chip on the
-    engine's device axis -- chip ``k`` is built from the *same* model the
-    single-trial function derives from ``seeds[k]``, and its crossbar/ADC
-    streams restart from the same per-trial seed, so per-seed results equal
-    the serial path's even under non-ideal devices.
+    engine's device axis -- chip ``k`` is built from the model
+    :func:`~repro.runtime.registry._build_variability` derives from
+    ``seeds[k]``, and its crossbar/ADC streams restart from the same
+    per-trial seed, so a trial's result does not depend on its group.
     """
-    with current_recorder().span("trial_group", solver="hycim",
-                                 replicas=len(seeds),
-                                 **worker_attrs()) as span:
-        dynamics, exchange_rng, shared_rng = _dynamics_setup(params, seeds)
-        use_hardware = bool(params.get("use_hardware", True))
-        variability = params.get("variability")
-        device_mode = use_hardware and variability is not None
-        solver = HyCiMSolver(
-            problem,
-            use_hardware=use_hardware,
-            num_iterations=int(params.get("num_iterations", 1000)),
-            moves_per_iteration=int(params.get("moves_per_iteration", 1)),
-            schedule=_resolve_schedule(problem, params, dynamics),
-            move_generator=_build_move(
-                params.get("move_generator", "single_flip")),
-            filter_rows=int(params.get("filter_rows", 16)),
-            crossbar_config=params.get("crossbar_config"),
-            matchline_noise_sigma=float(
-                params.get("matchline_noise_sigma", 0.0)),
-            record_history=bool(params.get("record_history", False)),
-            # Device-axis hardware replaces the shared components; building
-            # the shared crossbar/filters would be pure dead work per chunk.
-            defer_hardware=device_mode,
-        )
-        chips = chip_seeds = None
-        if device_mode:
-            # One freshly sampled chip per trial, derived exactly as a
-            # single trial derives it; the chip's crossbar/ADC seed mirrors
-            # that trial's CrossbarConfig (the trial seed when no
-            # config is given, the config's own seed -- restarted per trial
-            # -- otherwise).
-            chips = [_build_variability(variability, int(seed))
-                     for seed in seeds]
-            config = params.get("crossbar_config")
-            chip_seeds = ([config.seed] * len(chips) if config is not None
-                          else [int(seed) for seed in seeds])
-        rngs = _group_generators(seeds, shared_rng)
-        starts = _replica_starts(problem, params, rngs, initials)
-        results = BatchedHyCiMSolver(solver, chips=chips,
-                                     chip_seeds=chip_seeds).solve_batch(
-            starts, rngs, dynamics=dynamics, exchange_rng=exchange_rng,
-            shared_rng=shared_rng, kernel=params.get("kernel"))
-        # What "auto" actually picked, read back from the engine's stamp
-        # (absent stamp == reference backend).
-        span.annotate(kernel_resolved=(
-            results[0].metadata.get("kernel", "reference")
-            if results else "reference"))
-    return _stamp(results, seeds, span.elapsed)
+    dynamics, exchange_rng, shared_rng = _dynamics_setup(params, seeds)
+    use_hardware = bool(params.get("use_hardware", True))
+    variability = params.get("variability")
+    device_mode = use_hardware and variability is not None
+    solver = HyCiMSolver(
+        problem,
+        use_hardware=use_hardware,
+        num_iterations=int(params.get("num_iterations", 1000)),
+        moves_per_iteration=int(params.get("moves_per_iteration", 1)),
+        schedule=_resolve_schedule(problem, params, dynamics),
+        move_generator=_build_move(
+            params.get("move_generator", "single_flip")),
+        filter_rows=int(params.get("filter_rows", 16)),
+        crossbar_config=params.get("crossbar_config"),
+        matchline_noise_sigma=float(
+            params.get("matchline_noise_sigma", 0.0)),
+        record_history=bool(params.get("record_history", False)),
+        # Device-axis hardware replaces the shared components; building
+        # the shared crossbar/filters would be pure dead work per chunk.
+        defer_hardware=device_mode,
+    )
+    chips = chip_seeds = None
+    if device_mode:
+        # One freshly sampled chip per trial; the chip's crossbar/ADC seed
+        # is the trial seed when no CrossbarConfig is given, the config's
+        # own seed -- restarted per trial -- otherwise.
+        chips = [_build_variability(variability, int(seed))
+                 for seed in seeds]
+        config = params.get("crossbar_config")
+        chip_seeds = ([config.seed] * len(chips) if config is not None
+                      else [int(seed) for seed in seeds])
+    rngs = _group_generators(seeds, shared_rng)
+    starts = _replica_starts(problem, params, rngs, initials)
+    return BatchedHyCiMSolver(solver, chips=chips,
+                              chip_seeds=chip_seeds).solve_batch(
+        starts, rngs, dynamics=dynamics, exchange_rng=exchange_rng,
+        shared_rng=shared_rng, kernel=params.get("kernel"))
 
 
-def sa_batched_trials(
+def sa_replicas(
     problem: CombinatorialProblem,
     params: Mapping[str, object],
     seeds: Sequence[int],
     initials: Sequence[Optional[np.ndarray]],
 ) -> List[SolveResult]:
-    """Vectorised counterpart of the registry's ``"sa"`` trial function.
+    """Run the ``"sa"`` trials of ``seeds`` as one lock-step replica batch.
 
-    Feasibility rejection uses the problem's vectorised
+    Software SA on the objective QUBO with feasibility rejection:
+    ``problem.to_qubo()`` deliberately omits inequality constraints for
+    knapsack-type problems, so an unconstrained anneal would drift over
+    capacity.  By default infeasible candidates are rejected through the
+    problem's vectorised
     :meth:`~repro.problems.base.CombinatorialProblem.is_feasible_batch` (one
-    constraint evaluation for all replicas); problems without a vectorised
+    constraint evaluation for all replicas; problems without a vectorised
     override fall back to row-wise ``is_feasible`` calls with identical
-    verdicts.
+    verdicts).  ``respect_constraints=False`` anneals the raw QUBO.
     """
-    with current_recorder().span("trial_group", solver="sa",
-                                 replicas=len(seeds),
-                                 **worker_attrs()) as span:
-        dynamics, exchange_rng, shared_rng = _dynamics_setup(params, seeds)
-        annealer = SimulatedAnnealer(
-            schedule=_resolve_schedule(problem, params, dynamics),
-            move_generator=_build_move(
-                params.get("move_generator", "single_flip")),
-            num_iterations=int(params.get("num_iterations", 1000)),
-            moves_per_iteration=int(params.get("moves_per_iteration", 1)),
-            record_history=bool(params.get("record_history", False)),
-        )
-        rngs = _group_generators(seeds, shared_rng)
-        starts = _replica_starts(problem, params, rngs, initials)
-        respect_constraints = bool(params.get("respect_constraints", True))
-        # ``sparse=True`` anneals the CSR encoding (needs SciPy); the kernels
-        # are duck-typed over the matrix, so everything downstream is shared.
-        qubo = (problem.to_sparse_qubo() if params.get("sparse")
-                else problem.to_qubo())
-        results = BatchedSimulatedAnnealer(annealer).anneal(
-            qubo,
-            starts,
-            rngs,
-            accept_filter=problem.is_feasible if respect_constraints else None,
-            accept_filter_batch=(problem.is_feasible_batch
+    dynamics, exchange_rng, shared_rng = _dynamics_setup(params, seeds)
+    annealer = SimulatedAnnealer(
+        schedule=_resolve_schedule(problem, params, dynamics),
+        move_generator=_build_move(
+            params.get("move_generator", "single_flip")),
+        num_iterations=int(params.get("num_iterations", 1000)),
+        moves_per_iteration=int(params.get("moves_per_iteration", 1)),
+        record_history=bool(params.get("record_history", False)),
+    )
+    rngs = _group_generators(seeds, shared_rng)
+    starts = _replica_starts(problem, params, rngs, initials)
+    respect_constraints = bool(params.get("respect_constraints", True))
+    # ``sparse=True`` anneals the CSR encoding (needs SciPy); the kernels
+    # are duck-typed over the matrix, so everything downstream is shared.
+    qubo = (problem.to_sparse_qubo() if params.get("sparse")
+            else problem.to_qubo())
+    results = BatchedSimulatedAnnealer(annealer).anneal(
+        qubo,
+        starts,
+        rngs,
+        accept_filter=problem.is_feasible if respect_constraints else None,
+        accept_filter_batch=(problem.is_feasible_batch
+                             if respect_constraints else None),
+        dynamics=dynamics,
+        exchange_rng=exchange_rng,
+        shared_rng=shared_rng,
+        kernel=params.get("kernel"),
+        # The fused/JIT backends trade the opaque batch filter for
+        # incrementally maintained linear constraint loads; ``None``
+        # (no linear form) makes them report unsupported, which "auto"
+        # turns into a reference-backend fallback.
+        feasibility_constraints=(problem.linear_feasibility_constraints()
                                  if respect_constraints else None),
-            dynamics=dynamics,
-            exchange_rng=exchange_rng,
-            shared_rng=shared_rng,
-            kernel=params.get("kernel"),
-            # The fused/JIT backends trade the opaque batch filter for
-            # incrementally maintained linear constraint loads; ``None``
-            # (no linear form) makes them report unsupported, which "auto"
-            # turns into a reference-backend fallback.
-            feasibility_constraints=(problem.linear_feasibility_constraints()
-                                     if respect_constraints else None),
-        )
-        for result in results:
-            best = result.best_configuration
-            result.feasible = problem.is_feasible(best)
-            result.best_objective = (problem.objective(best)
-                                     if result.feasible else None)
-        span.annotate(kernel_resolved=(
-            results[0].metadata.get("kernel", "reference")
-            if results else "reference"))
-    return _stamp(results, seeds, span.elapsed)
+    )
+    for result in results:
+        best = result.best_configuration
+        result.feasible = problem.is_feasible(best)
+        result.best_objective = (problem.objective(best)
+                                 if result.feasible else None)
+    return results
 
 
-def dqubo_batched_trials(
+def _dqubo_solver(problem: CombinatorialProblem, params: Mapping[str, object],
+                  dynamics, **hardware) -> DQUBOAnnealer:
+    """The D-QUBO solver a parameter dict describes; ``hardware`` carries
+    the hardware-mode flag and, in hardware mode, crossbar config and seed."""
+    encoding = params.get("encoding", SlackEncoding.ONE_HOT)
+    if isinstance(encoding, str):
+        encoding = SlackEncoding(encoding)
+    return DQUBOAnnealer(
+        problem,
+        alpha=float(params.get("alpha", 2.0)),
+        beta=float(params.get("beta", 2.0)),
+        encoding=encoding,
+        num_iterations=int(params.get("num_iterations", 1000)),
+        moves_per_iteration=int(params.get("moves_per_iteration", 1)),
+        schedule=_resolve_schedule(problem, params, dynamics),
+        move_generator=_build_move(
+            params.get("move_generator", "single_flip")),
+        record_history=bool(params.get("record_history", False)),
+        **hardware,
+    )
+
+
+def dqubo_replicas(
     problem: CombinatorialProblem,
     params: Mapping[str, object],
     seeds: Sequence[int],
     initials: Sequence[Optional[np.ndarray]],
 ) -> List[SolveResult]:
-    """Vectorised counterpart of the registry's ``"dqubo"`` trial function.
+    """Run the ``"dqubo"`` trials of ``seeds`` as one lock-step replica batch.
 
     The D-QUBO construction (penalty + slack transformation) is shared by
     every replica; the SA descent on the combined matrix then advances all
     replicas in lock-step with batched energy evaluation on the dQUBO
     matrix, replaying each replica's stream exactly (slack-bit seeding
     included).  Hardware mode -- a per-trial crossbar over the combined
-    matrix, used only for the Fig. 9 overhead study -- runs trial by trial
-    with identical per-seed results.
+    matrix, seeded from the trial seed and used only for the Fig. 9
+    overhead study -- runs trial by trial.
     """
     if bool(params.get("use_hardware", False)):
         dynamics = build_dynamics(params.get("dynamics"))
@@ -274,71 +290,96 @@ def dqubo_batched_trials(
                 "hardware-mode dqubo runs trial by trial (one crossbar per "
                 "trial) and cannot select a sweep-kernel backend; drop "
                 "params['kernel'] or run software mode")
-        return [_dqubo_trial(problem, params, int(seed), initial)
-                for seed, initial in zip(seeds, initials)]
-    with current_recorder().span("trial_group", solver="dqubo",
+        results = []
+        for seed, initial in zip(seeds, initials):
+            solver = _dqubo_solver(
+                problem, params, dynamics, use_hardware=True,
+                crossbar_config=params.get("crossbar_config"), seed=int(seed))
+            rng = np.random.default_rng(int(seed))
+            start = _initial_configuration(problem, params, rng, initial)
+            results.append(solver.solve(initial=start, rng=rng))
+        return results
+    dynamics, exchange_rng, shared_rng = _dynamics_setup(params, seeds)
+    solver = _dqubo_solver(problem, params, dynamics, use_hardware=False)
+    transformation = solver.transformation
+    total = transformation.num_variables
+    rngs = _group_generators(seeds, shared_rng)
+    starts = _replica_starts(problem, params, rngs, initials)
+    # Slack-bit seeding per replica, from that replica's stream (the same
+    # extend_initial branch DQUBOAnnealer.solve takes for problem-dim
+    # initials; full-dimension initials pass through untouched).
+    extended = np.stack([
+        start.copy() if start.shape[0] == total
+        else solver.extend_initial(start, rng=rng)
+        for start, rng in zip(starts, rngs)
+    ])
+    annealer = SimulatedAnnealer(
+        schedule=solver.schedule,
+        move_generator=solver.move_generator,
+        num_iterations=solver.num_iterations,
+        moves_per_iteration=solver.moves_per_iteration,
+        record_history=solver.record_history,
+    )
+    inner = BatchedSimulatedAnnealer(annealer).anneal(
+        transformation.qubo, extended, rngs, dynamics=dynamics,
+        exchange_rng=exchange_rng, shared_rng=shared_rng,
+        # The penalty QUBO is annealed unconstrained, so the fused/JIT
+        # backends apply without a linear-feasibility form.
+        kernel=params.get("kernel"))
+    return [
+        solver.assemble_result(
+            raw.best_configuration, raw.best_energy, raw.energy_history,
+            raw.num_feasible_evaluations, raw.num_accepted_moves,
+            # Propagate the inner engine's kernel stamp so dqubo results
+            # carry the same backend provenance as hycim/sa ones.
+            extra_metadata={"vectorized": True,
+                            "num_replicas": len(inner),
+                            **({"kernel": raw.metadata["kernel"]}
+                               if "kernel" in raw.metadata else {})})
+        for raw in inner
+    ]
+
+
+def _trial_group(solver: str, replicas: Callable[..., List[SolveResult]],
+                 problem: CombinatorialProblem, params: Mapping[str, object],
+                 seeds: Sequence[int],
+                 initials: Sequence[Optional[np.ndarray]]) -> List[SolveResult]:
+    with current_recorder().span("trial_group", solver=solver,
                                  replicas=len(seeds),
                                  **worker_attrs()) as span:
-        dynamics, exchange_rng, shared_rng = _dynamics_setup(params, seeds)
-        encoding = params.get("encoding", SlackEncoding.ONE_HOT)
-        if isinstance(encoding, str):
-            encoding = SlackEncoding(encoding)
-        solver = DQUBOAnnealer(
-            problem,
-            alpha=float(params.get("alpha", 2.0)),
-            beta=float(params.get("beta", 2.0)),
-            encoding=encoding,
-            use_hardware=False,
-            num_iterations=int(params.get("num_iterations", 1000)),
-            moves_per_iteration=int(params.get("moves_per_iteration", 1)),
-            schedule=_resolve_schedule(problem, params, dynamics),
-            move_generator=_build_move(
-                params.get("move_generator", "single_flip")),
-            record_history=bool(params.get("record_history", False)),
-        )
-        transformation = solver.transformation
-        total = transformation.num_variables
-        rngs = _group_generators(seeds, shared_rng)
-        starts = _replica_starts(problem, params, rngs, initials)
-        # Slack-bit seeding per replica, from that replica's stream (the same
-        # extend_initial branch DQUBOAnnealer.solve takes for problem-dim
-        # initials; full-dimension initials pass through untouched).
-        extended = np.stack([
-            start.copy() if start.shape[0] == total
-            else solver.extend_initial(start, rng=rng)
-            for start, rng in zip(starts, rngs)
-        ])
-        annealer = SimulatedAnnealer(
-            schedule=solver.schedule,
-            move_generator=solver.move_generator,
-            num_iterations=solver.num_iterations,
-            moves_per_iteration=solver.moves_per_iteration,
-            record_history=solver.record_history,
-        )
-        inner = BatchedSimulatedAnnealer(annealer).anneal(
-            transformation.qubo, extended, rngs, dynamics=dynamics,
-            exchange_rng=exchange_rng, shared_rng=shared_rng,
-            # The penalty QUBO is annealed unconstrained, so the fused/JIT
-            # backends apply without a linear-feasibility form.
-            kernel=params.get("kernel"))
-        results: List[SolveResult] = [
-            solver.assemble_result(
-                raw.best_configuration, raw.best_energy, raw.energy_history,
-                raw.num_feasible_evaluations, raw.num_accepted_moves,
-                # Propagate the inner engine's kernel stamp so dqubo results
-                # carry the same backend provenance as hycim/sa ones.
-                extra_metadata={"vectorized": True,
-                                "num_replicas": len(inner),
-                                **({"kernel": raw.metadata["kernel"]}
-                                   if "kernel" in raw.metadata else {})})
-            for raw in inner
-        ]
-        # assemble_result rebuilds metadata, so read the resolved backend
-        # from the inner engine results that still carry the stamp.
+        results = replicas(problem, params, seeds, initials)
+        # What "auto" actually picked, read back from the engine's stamp
+        # (absent stamp == reference backend).
         span.annotate(kernel_resolved=(
-            inner[0].metadata.get("kernel", "reference")
-            if inner else "reference"))
+            results[0].metadata.get("kernel", "reference")
+            if results else "reference"))
     return _stamp(results, seeds, span.elapsed)
+
+
+def hycim_batched_trials(problem: CombinatorialProblem,
+                         params: Mapping[str, object], seeds: Sequence[int],
+                         initials: Sequence[Optional[np.ndarray]]
+                         ) -> List[SolveResult]:
+    """The ``"hycim"`` batched trial function (see :func:`hycim_replicas`)."""
+    return _trial_group("hycim", hycim_replicas, problem, params, seeds,
+                        initials)
+
+
+def sa_batched_trials(problem: CombinatorialProblem,
+                      params: Mapping[str, object], seeds: Sequence[int],
+                      initials: Sequence[Optional[np.ndarray]]
+                      ) -> List[SolveResult]:
+    """The ``"sa"`` batched trial function (see :func:`sa_replicas`)."""
+    return _trial_group("sa", sa_replicas, problem, params, seeds, initials)
+
+
+def dqubo_batched_trials(problem: CombinatorialProblem,
+                         params: Mapping[str, object], seeds: Sequence[int],
+                         initials: Sequence[Optional[np.ndarray]]
+                         ) -> List[SolveResult]:
+    """The ``"dqubo"`` batched trial function (see :func:`dqubo_replicas`)."""
+    return _trial_group("dqubo", dqubo_replicas, problem, params, seeds,
+                        initials)
 
 
 # Guarded pairing: registration is skipped if the user already replaced the

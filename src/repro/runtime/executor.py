@@ -470,7 +470,6 @@ def run_trials(
             del canonical_params["sparse"]
     if canonical_params != dict(spec.params):
         spec = SolverSpec(spec.solver, canonical_params, label=spec.label)
-    wants_engine = kernel_param is not None or bool(spec.params.get("sparse"))
     if chunk_size is None:
         if coupled:
             # One replica-exchange ladder / shared-stream group per run, on
@@ -505,18 +504,14 @@ def run_trials(
     chunks = [trials[start:start + chunk_size]
               for start in range(0, num_trials, chunk_size)]
     trial_fn = get_trial_function(spec.solver)
-    # A non-default kernel backend (or the sparse matrix path) lives in the
-    # lock-step engines, so requesting one routes every group through the
-    # batched trial function even when groups have a single replica -- the
-    # per-seed results are identical to the single-trial path by contract.
     batched_fn = (get_batched_trial_function(spec.solver)
-                  if replicas_per_task > 1 or coupled or wants_engine
-                  else None)
+                  if replicas_per_task > 1 or coupled else None)
     if coupled and batched_fn is None:
         raise ValueError(
             f"solver {spec.solver!r} has no batched trial function, so it "
             "cannot run coupled dynamics (replica exchange / shared RNG)")
-    if wants_engine and batched_fn is None:
+    if ((kernel_param is not None or spec.params.get("sparse"))
+            and get_batched_trial_function(spec.solver) is None):
         raise ValueError(
             f"solver {spec.solver!r} has no batched trial function, so it "
             "cannot honour params['kernel'] / params['sparse'] (the sweep-"

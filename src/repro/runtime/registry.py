@@ -14,14 +14,14 @@ to module-level trial functions with the uniform signature
 Annealing solvers are rebuilt from scratch inside every trial (so device
 variability and crossbar programming are re-sampled per trial exactly as a
 real chip would be reprogrammed), seeded deterministically from the trial
-seed; each trial is a one-replica run of the lock-step engine
-(:mod:`repro.batched.engine`).  The batched counterparts in
-:mod:`repro.batched.trials` run whole replica groups through the same
-engine -- per-trial variability becomes one freshly sampled chip per
-device-axis slice (ARCHITECTURE.md) -- so grouped and single trials are
-interchangeable per seed.  Exact / heuristic reference solvers are wrapped
-so they return the same :class:`~repro.annealing.result.SolveResult` shape
-as the annealers.
+seed.  Their setup lives once, in the replica runners of
+:mod:`repro.batched.trials`: a single trial here is the runner on one seed
+(a one-replica run of the lock-step engine), and the batched trial
+functions there run it on whole replica groups -- per-trial variability
+becomes one freshly sampled chip per device-axis slice (ARCHITECTURE.md) --
+so grouped and single trials are interchangeable per seed.  Exact /
+heuristic reference solvers are wrapped so they return the same
+:class:`~repro.annealing.result.SolveResult` shape as the annealers.
 
 Parameter dicts may either carry plain values (``{"schedule": {"kind":
 "geometric", "start_temperature": 100.0}}``, ``{"move_generator":
@@ -36,11 +36,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.annealing.dqubo_solver import DQUBOAnnealer
-from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.result import SolveResult
-from repro.annealing.sa import SimulatedAnnealer
-from repro.core.dqubo import SlackEncoding
 from repro.dynamics.dynamics import Dynamics, ParallelTempering
 from repro.dynamics.exchange import EvenOddExchange, ExchangePolicy, NoExchange
 from repro.dynamics.moves import (
@@ -254,24 +250,6 @@ def build_dynamics(value: Any) -> Optional[Dynamics]:
     raise TypeError("dynamics must be a Dynamics bundle, a config dict or None")
 
 
-def _coupled_dynamics_guard(dynamics: Optional[Dynamics], solver: str) -> None:
-    """Single-trial functions honour only the schedule component.
-
-    Everything else -- temperature ladders, non-default acceptance rules,
-    replica exchange, the shared RNG topology -- needs the lock-step replica
-    group, so a coupled bundle reaching a single-trial function is an error
-    rather than a silent drop.
-    """
-    if dynamics is not None and dynamics.coupled:
-        raise ValueError(
-            "coupled dynamics (temperature ladder / custom acceptance rule / "
-            "replica exchange / shared RNG) span a lock-step replica group; "
-            f"run solver {solver!r} through "
-            "repro.runtime.run_trials(dynamics=...), which runs the group "
-            "as one lock-step replica batch"
-        )
-
-
 def _resolve_schedule(problem: CombinatorialProblem, params: Mapping[str, Any],
                       dynamics: Optional[Dynamics]) -> TemperatureSchedule:
     """Schedule precedence: dynamics override > explicit param > auto."""
@@ -360,105 +338,44 @@ def _finalize(result: SolveResult, seed: int, elapsed: float) -> SolveResult:
 # --------------------------------------------------------------------- #
 # Annealing trial functions
 # --------------------------------------------------------------------- #
-def _hycim_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
+def _one_replica(solver: str, replicas: Callable[..., List[SolveResult]],
+                 problem: CombinatorialProblem, params: Mapping[str, Any],
                  seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    with current_recorder().span("trial", solver="hycim", seed=int(seed),
+    """One annealer trial: the solver's replica runner on a single seed.
+
+    The runners (:mod:`repro.batched.trials`, imported lazily because that
+    module imports this one) are the same setup the batched trial functions
+    run for whole replica groups.
+    """
+    with current_recorder().span("trial", solver=solver, seed=int(seed),
                                  **worker_attrs()) as span:
-        dynamics = build_dynamics(params.get("dynamics"))
-        _coupled_dynamics_guard(dynamics, "hycim")
-        solver = HyCiMSolver(
-            problem,
-            # Defaults mirror HyCiMSolver's own: hardware simulation on.
-            use_hardware=bool(params.get("use_hardware", True)),
-            num_iterations=int(params.get("num_iterations", 1000)),
-            moves_per_iteration=int(params.get("moves_per_iteration", 1)),
-            schedule=_resolve_schedule(problem, params, dynamics),
-            move_generator=_build_move(
-                params.get("move_generator", "single_flip")),
-            filter_rows=int(params.get("filter_rows", 16)),
-            crossbar_config=params.get("crossbar_config"),
-            variability=_build_variability(params.get("variability"), seed),
-            matchline_noise_sigma=float(
-                params.get("matchline_noise_sigma", 0.0)),
-            record_history=bool(params.get("record_history", False)),
-            seed=seed,
-        )
-        rng = np.random.default_rng(seed)
-        start = _initial_configuration(problem, params, rng, initial)
-        result = solver.solve(initial=start, rng=rng)
+        result = replicas(problem, params, [int(seed)], [initial])[0]
         span.annotate(
             kernel_resolved=result.metadata.get("kernel", "reference"))
     return _finalize(result, seed, span.elapsed)
+
+
+def _hycim_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
+                 seed: int, initial: Optional[np.ndarray]) -> SolveResult:
+    from repro.batched.trials import hycim_replicas
+
+    return _one_replica("hycim", hycim_replicas, problem, params, seed,
+                        initial)
 
 
 def _sa_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
               seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    """Software SA on the objective QUBO with feasibility-rejection.
+    from repro.batched.trials import sa_replicas
 
-    ``problem.to_qubo()`` deliberately omits inequality constraints for
-    knapsack-type problems, so an unconstrained anneal would drift over
-    capacity; by default infeasible candidates are rejected through the
-    annealer's ``accept_filter`` hook (the same hook HyCiM replaces with the
-    CiM filter).  Pass ``respect_constraints=False`` to anneal the raw QUBO.
-    """
-    with current_recorder().span("trial", solver="sa", seed=int(seed),
-                                 **worker_attrs()) as span:
-        dynamics = build_dynamics(params.get("dynamics"))
-        _coupled_dynamics_guard(dynamics, "sa")
-        annealer = SimulatedAnnealer(
-            schedule=_resolve_schedule(problem, params, dynamics),
-            move_generator=_build_move(
-                params.get("move_generator", "single_flip")),
-            num_iterations=int(params.get("num_iterations", 1000)),
-            moves_per_iteration=int(params.get("moves_per_iteration", 1)),
-            record_history=bool(params.get("record_history", False)),
-            seed=seed,
-        )
-        rng = np.random.default_rng(seed)
-        start = _initial_configuration(problem, params, rng, initial)
-        accept_filter = (problem.is_feasible
-                         if params.get("respect_constraints", True) else None)
-        result = annealer.anneal(problem.to_qubo(), initial=start, rng=rng,
-                                 accept_filter=accept_filter)
-        best = result.best_configuration
-        result.feasible = problem.is_feasible(best)
-        result.best_objective = (problem.objective(best)
-                                 if result.feasible else None)
-        span.annotate(
-            kernel_resolved=result.metadata.get("kernel", "reference"))
-    return _finalize(result, seed, span.elapsed)
+    return _one_replica("sa", sa_replicas, problem, params, seed, initial)
 
 
 def _dqubo_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
                  seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    with current_recorder().span("trial", solver="dqubo", seed=int(seed),
-                                 **worker_attrs()) as span:
-        dynamics = build_dynamics(params.get("dynamics"))
-        _coupled_dynamics_guard(dynamics, "dqubo")
-        encoding = params.get("encoding", SlackEncoding.ONE_HOT)
-        if isinstance(encoding, str):
-            encoding = SlackEncoding(encoding)
-        solver = DQUBOAnnealer(
-            problem,
-            alpha=float(params.get("alpha", 2.0)),
-            beta=float(params.get("beta", 2.0)),
-            encoding=encoding,
-            use_hardware=bool(params.get("use_hardware", False)),
-            num_iterations=int(params.get("num_iterations", 1000)),
-            moves_per_iteration=int(params.get("moves_per_iteration", 1)),
-            schedule=_resolve_schedule(problem, params, dynamics),
-            move_generator=_build_move(
-                params.get("move_generator", "single_flip")),
-            crossbar_config=params.get("crossbar_config"),
-            record_history=bool(params.get("record_history", False)),
-            seed=seed,
-        )
-        rng = np.random.default_rng(seed)
-        start = _initial_configuration(problem, params, rng, initial)
-        result = solver.solve(initial=start, rng=rng)
-        span.annotate(
-            kernel_resolved=result.metadata.get("kernel", "reference"))
-    return _finalize(result, seed, span.elapsed)
+    from repro.batched.trials import dqubo_replicas
+
+    return _one_replica("dqubo", dqubo_replicas, problem, params, seed,
+                        initial)
 
 
 # --------------------------------------------------------------------- #

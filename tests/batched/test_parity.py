@@ -259,8 +259,8 @@ class TestBackendParity:
 
     def test_variability_runs_batched_on_the_device_axis(self, small_qkp):
         """Per-trial device resampling runs as a batch of chips -- one
-        device-axis slice per trial, NOT a scalar fallback -- with per-seed
-        results exactly matching scalar trials that rebuild their hardware."""
+        device-axis slice per trial -- with per-seed results exactly matching
+        serial trials, each a one-chip batch."""
         params = {"num_iterations": 15, "use_hardware": True,
                   "variability": {"threshold_sigma": 0.02,
                                   "on_current_sigma": 0.05}}
@@ -270,7 +270,7 @@ class TestBackendParity:
                                 params=params, backend="vectorized",
                                 master_seed=19)
         # The engine stamps its metadata on every result: proof the batch
-        # went through the lock-step device axis, not the scalar path.
+        # went through the lock-step device axis as one group.
         assert all(r.metadata.get("vectorized") for r in vectorized.results)
         assert all(r.metadata.get("num_chips") == 4
                    for r in vectorized.results)
@@ -282,7 +282,7 @@ class TestBackendParity:
             self, small_qkp):
         """Matchline noise consumes per-candidate draws with short-circuit
         across constraints; the device-axis engine must evaluate chip by
-        chip on exactly the scalar streams."""
+        chip on exactly each trial's own stream."""
         params = {"num_iterations": 12, "use_hardware": True,
                   "matchline_noise_sigma": 0.01,
                   "variability": {"threshold_sigma": 0.02,
@@ -297,8 +297,8 @@ class TestBackendParity:
 
     def test_variability_with_noisy_crossbar_matches_per_seed(self, small_qkp):
         """Each chip's crossbar noise, ON-current factors and ADC codes come
-        from that chip's own seeded streams, reproducing the per-trial
-        hardware rebuild of the scalar path draw for draw."""
+        from that chip's own seeded streams, so a chip draws the same in a
+        group of four as alone."""
         from repro.cim.crossbar import CrossbarConfig
         params = {"num_iterations": 10, "use_hardware": True,
                   "variability": {"threshold_sigma": 0.02,
@@ -316,6 +316,41 @@ class TestBackendParity:
         for a, b in zip(serial.results, vectorized.results):
             np.testing.assert_array_equal(a.best_configuration,
                                           b.best_configuration)
+
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"matchline_noise_sigma": 0.01},
+        {"crossbar_config": {"current_noise_sigma": 0.01, "adc_bits": 8,
+                             "on_current_variation_sigma": 0.05, "seed": 11}},
+    ], ids=["varied", "matchline_noise", "noisy_crossbar"])
+    def test_device_axis_chip_matches_a_solver_built_on_its_model(
+            self, small_qkp, extra):
+        """A trial's device-axis chip reproduces a HyCiMSolver that builds
+        its own filters and crossbar from the same variability model and
+        seed, draw for draw."""
+        from repro.cim.crossbar import CrossbarConfig
+        from repro.runtime.registry import (_auto_schedule,
+                                            _build_variability,
+                                            run_single_trial)
+        template = {"threshold_sigma": 0.02, "on_current_sigma": 0.05}
+        config = (CrossbarConfig(**extra["crossbar_config"])
+                  if "crossbar_config" in extra else None)
+        params = {"num_iterations": 15, "use_hardware": True,
+                  "variability": template,
+                  **dict(extra, crossbar_config=config)}
+        for seed in derive_trial_seeds(29, 3):
+            trial = run_single_trial(small_qkp, ("hycim", params), seed)
+            rng = np.random.default_rng(seed)
+            start = small_qkp.random_feasible_configuration(rng)
+            direct = HyCiMSolver(
+                small_qkp, num_iterations=15,
+                schedule=_auto_schedule(small_qkp),
+                crossbar_config=config,
+                variability=_build_variability(template, seed),
+                matchline_noise_sigma=extra.get("matchline_noise_sigma", 0.0),
+                seed=seed).solve(initial=start, rng=rng)
+            assert trial.metadata.get("num_chips") == 1
+            assert_results_match([direct], [trial], exact=True)
 
     def test_variability_in_software_mode_is_a_no_op_batch(self, medium_qkp):
         """Software mode builds no hardware, so a variability template must
@@ -369,8 +404,8 @@ class TestBackendParity:
                                       vectorized.best_energies)
 
     def test_dqubo_hardware_mode_falls_back_to_scalar(self, small_qkp):
-        """Hardware-mode dqubo (the Fig. 9 overhead configuration) keeps the
-        documented scalar fallback with identical per-seed results."""
+        """Hardware-mode dqubo (the Fig. 9 overhead configuration) runs
+        trial by trial on every backend, with identical per-seed results."""
         params = {"num_iterations": 8, "use_hardware": True}
         serial = run_trials(small_qkp, "dqubo", num_trials=2, params=params,
                             backend="serial", master_seed=5)

@@ -103,10 +103,19 @@ class TestCoupledRouting:
             run_trials(problem, "greedy", num_trials=2,
                        dynamics=ParallelTempering())
 
-    def test_scalar_trial_function_rejects_coupled(self, problem):
-        with pytest.raises(ValueError, match="coupled dynamics"):
-            run_single_trial(problem, ("hycim", {
-                **PARAMS, "dynamics": ParallelTempering()}), seed=1)
+    def test_single_trial_runs_coupled_dynamics_as_one_replica_group(
+            self, problem):
+        # A single trial is the one-replica group of the batched engine, so
+        # a coupled bundle is honoured, not dropped.
+        dynamics = ParallelTempering(exchange_interval=5)
+        group = run_trials(problem, "hycim", num_trials=1, params=PARAMS,
+                           master_seed=17, dynamics=dynamics)
+        single = run_single_trial(problem, ("hycim", {
+            **PARAMS, "dynamics": dynamics}), seed=group.results[0].trial_seed)
+        assert deterministic_fields(group)[0] == (
+            single.trial_seed, single.best_energy, single.best_objective,
+            single.feasible, tuple(single.best_configuration))
+        assert single.metadata["ladder_rungs"] == 1
 
     def test_explicit_ladder_must_match_group_size(self, problem):
         dynamics = ParallelTempering(ladder=TemperatureLadder((1.0, 2.0)))

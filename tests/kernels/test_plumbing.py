@@ -1,12 +1,12 @@
 """Kernel-backend plumbing: params, run keys, fallbacks and failure modes.
 
 ``params["kernel"]`` travels from :func:`repro.runtime.run_trials` through
-the batched trial functions into the engines; these tests pin the runtime
+the annealers' trial functions into the engines; these tests pin the runtime
 contract around it: per-seed results are backend-invariant, the default
-backend canonicalises *out* of store run keys (old keys stay valid), scalar
-solvers refuse the param instead of ignoring it, and the ``"auto"`` /
-explicit backends fall back / fail the way :mod:`repro.kernels.base`
-documents.
+backend canonicalises *out* of store run keys (old keys stay valid), solvers
+without a lock-step engine refuse the param instead of ignoring it, and the
+``"auto"`` / explicit backends fall back / fail the way
+:mod:`repro.kernels.base` documents.
 """
 
 import numpy as np
@@ -82,8 +82,8 @@ class TestRunTrialsParity:
             assert a.num_accepted_moves == b.num_accepted_moves
 
     def test_kernel_param_routes_serial_backend_to_engine(self, problem):
-        # Requesting a kernel forces the lock-step engine even on the
-        # "serial" backend -- per-seed results still match the scalar path.
+        # A serial trial is a one-replica engine run, so it honours the
+        # kernel param -- per-seed results still match the reference kernel.
         serial = run_trials(problem, "hycim", num_trials=3, params=PARAMS,
                             backend="serial", master_seed=6)
         routed = run_trials(problem, "hycim", num_trials=3,
