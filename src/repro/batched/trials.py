@@ -5,7 +5,7 @@ drawing the starting configurations, running the lock-step engine -- lives
 here once, in a *replica runner* that runs any number of trials (one replica
 per trial seed) as one batch:
 
-    hycim_replicas(problem, params, seeds, initials) -> [SolveResult, ...]
+    _hycim_replicas(problem, params, seeds, initials) -> [SolveResult, ...]
 
 The registry's single-trial functions (:data:`repro.runtime.registry.
 TrialFunction`) run it for one seed inside a ``trial`` span; the *batched
@@ -124,7 +124,7 @@ def _stamp(results: List[SolveResult], seeds: Sequence[int],
     return results
 
 
-def hycim_replicas(
+def _hycim_replicas(
     problem: CombinatorialProblem,
     params: Mapping[str, object],
     seeds: Sequence[int],
@@ -180,7 +180,7 @@ def hycim_replicas(
         shared_rng=shared_rng, kernel=params.get("kernel"))
 
 
-def sa_replicas(
+def _sa_replicas(
     problem: CombinatorialProblem,
     params: Mapping[str, object],
     seeds: Sequence[int],
@@ -262,7 +262,7 @@ def _dqubo_solver(problem: CombinatorialProblem, params: Mapping[str, object],
     )
 
 
-def dqubo_replicas(
+def _dqubo_replicas(
     problem: CombinatorialProblem,
     params: Mapping[str, object],
     seeds: Sequence[int],
@@ -360,8 +360,8 @@ def hycim_batched_trials(problem: CombinatorialProblem,
                          params: Mapping[str, object], seeds: Sequence[int],
                          initials: Sequence[Optional[np.ndarray]]
                          ) -> List[SolveResult]:
-    """The ``"hycim"`` batched trial function (see :func:`hycim_replicas`)."""
-    return _trial_group("hycim", hycim_replicas, problem, params, seeds,
+    """The ``"hycim"`` batched trial function (see :func:`_hycim_replicas`)."""
+    return _trial_group("hycim", _hycim_replicas, problem, params, seeds,
                         initials)
 
 
@@ -369,16 +369,16 @@ def sa_batched_trials(problem: CombinatorialProblem,
                       params: Mapping[str, object], seeds: Sequence[int],
                       initials: Sequence[Optional[np.ndarray]]
                       ) -> List[SolveResult]:
-    """The ``"sa"`` batched trial function (see :func:`sa_replicas`)."""
-    return _trial_group("sa", sa_replicas, problem, params, seeds, initials)
+    """The ``"sa"`` batched trial function (see :func:`_sa_replicas`)."""
+    return _trial_group("sa", _sa_replicas, problem, params, seeds, initials)
 
 
 def dqubo_batched_trials(problem: CombinatorialProblem,
                          params: Mapping[str, object], seeds: Sequence[int],
                          initials: Sequence[Optional[np.ndarray]]
                          ) -> List[SolveResult]:
-    """The ``"dqubo"`` batched trial function (see :func:`dqubo_replicas`)."""
-    return _trial_group("dqubo", dqubo_replicas, problem, params, seeds,
+    """The ``"dqubo"`` batched trial function (see :func:`_dqubo_replicas`)."""
+    return _trial_group("dqubo", _dqubo_replicas, problem, params, seeds,
                         initials)
 
 

@@ -357,24 +357,24 @@ def _one_replica(solver: str, replicas: Callable[..., List[SolveResult]],
 
 def _hycim_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
                  seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    from repro.batched.trials import hycim_replicas
+    from repro.batched.trials import _hycim_replicas
 
-    return _one_replica("hycim", hycim_replicas, problem, params, seed,
+    return _one_replica("hycim", _hycim_replicas, problem, params, seed,
                         initial)
 
 
 def _sa_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
               seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    from repro.batched.trials import sa_replicas
+    from repro.batched.trials import _sa_replicas
 
-    return _one_replica("sa", sa_replicas, problem, params, seed, initial)
+    return _one_replica("sa", _sa_replicas, problem, params, seed, initial)
 
 
 def _dqubo_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
                  seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    from repro.batched.trials import dqubo_replicas
+    from repro.batched.trials import _dqubo_replicas
 
-    return _one_replica("dqubo", dqubo_replicas, problem, params, seed,
+    return _one_replica("dqubo", _dqubo_replicas, problem, params, seed,
                         initial)
 
 
