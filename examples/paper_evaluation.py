@@ -1,9 +1,9 @@
 """Reproduce the paper's evaluation section (Figs. 8, 9, 10 and Table 1).
 
 Runs the four experiment harnesses at a configurable scale and prints the
-rows/series each figure reports.  The default scale finishes in a couple of
-minutes on a laptop; pass ``--paper-scale`` for the full 40-instance / 100-item
-protocol (much slower, intended for an overnight run).
+rows/series each figure reports.  The default scale finishes in about five
+seconds on a 2-core VM; pass ``--paper-scale`` for the full 40-instance /
+100-item protocol (much slower, intended for an overnight run).
 
 Run with:  python examples/paper_evaluation.py [--paper-scale]
 """

@@ -206,6 +206,31 @@ def predict_dqubo_qmax(objective_qmax: float, max_weight: float, capacity: float
     return float(max(candidates))
 
 
+def _squares(values: np.ndarray) -> np.ndarray:
+    """``v ** 2`` per entry through scalar ``pow``.
+
+    NumPy's vectorised square is ``v * v``, which can differ from ``pow`` in
+    the last bit on non-integer values; scalar powers keep the penalty
+    coefficients bit-identical for every weight vector.
+    """
+    return np.array([value ** 2 for value in values.tolist()], dtype=float)
+
+
+def _add_square_terms(block: np.ndarray, diagonal: np.ndarray,
+                      left: np.ndarray, right: np.ndarray) -> None:
+    """Add ``diagonal[a]`` at ``(a, a)`` and ``left[a] * right[b]`` at ``(a, b)``, ``a < b``.
+
+    One row slice per ``a``: every entry receives exactly one addition of
+    the same product, so the block equals the per-entry sum bit for bit
+    without an ``(m, m)`` temporary.
+    """
+    size = block.shape[0]
+    index = np.arange(size)
+    block[index, index] += diagonal
+    for a in range(size - 1):
+        block[a, a + 1:] += left[a] * right[a + 1:]
+
+
 def to_dqubo(
     objective: QUBOModel,
     constraint: InequalityConstraint,
@@ -264,33 +289,24 @@ def to_dqubo(
         # alpha * (1 - sum_k y_k)^2
         #   = alpha * (1 - 2 sum_k y_k + sum_k y_k + 2 sum_{k<l} y_k y_l)
         offset += alpha
-        for k in range(m):
-            q[n + k, n + k] += alpha * (-2.0 + 1.0)
-            for l in range(k + 1, m):
-                q[n + k, n + l] += 2.0 * alpha
+        _add_square_terms(q[n:, n:], np.full(m, alpha * (-2.0 + 1.0)),
+                          np.full(m, 2.0 * alpha), np.ones(m))
         # beta * (sum_i w_i x_i - sum_k k y_k)^2
         # Expand with binary idempotence (z^2 == z on the diagonal terms).
         #   = beta * [ sum_i w_i^2 x_i + 2 sum_{i<j} w_i w_j x_i x_j
         #            + sum_k k^2 y_k + 2 sum_{k<l} k l y_k y_l
         #            - 2 sum_{i,k} w_i k x_i y_k ]
-        for i in range(n):
-            q[i, i] += beta * weights[i] ** 2
-            for j in range(i + 1, n):
-                q[i, j] += 2.0 * beta * weights[i] * weights[j]
-        for k in range(m):
-            q[n + k, n + k] += beta * slack_values[k] ** 2
-            for l in range(k + 1, m):
-                q[n + k, n + l] += 2.0 * beta * slack_values[k] * slack_values[l]
-        for i in range(n):
-            for k in range(m):
-                q[i, n + k] += -2.0 * beta * weights[i] * slack_values[k]
+        _add_square_terms(q[:n, :n], beta * _squares(weights),
+                          2.0 * beta * weights, weights)
+        _add_square_terms(q[n:, n:], beta * _squares(slack_values),
+                          2.0 * beta * slack_values, slack_values)
+        q[:n, n:] += np.outer(-2.0 * beta * weights, slack_values)
     else:
         # beta * (w.x + sum_j 2^j s_j - C)^2
         combined = np.concatenate([weights, slack_values])
-        for a in range(total):
-            q[a, a] += beta * (combined[a] ** 2 - 2.0 * capacity * combined[a])
-            for b in range(a + 1, total):
-                q[a, b] += 2.0 * beta * combined[a] * combined[b]
+        _add_square_terms(
+            q, beta * (_squares(combined) - 2.0 * capacity * combined),
+            2.0 * beta * combined, combined)
         offset += beta * capacity ** 2
 
     combined_qubo = QUBOModel(q, offset=offset)

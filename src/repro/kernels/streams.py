@@ -25,11 +25,15 @@ collapses to buffered reads.  On top of the raw outputs sit the exact
   bounded sampler over PCG64's *buffered* ``next32`` -- low half of a 64-bit
   draw first, high half parked per lane (``has_uint32`` / ``uinteger``).
 
-Each lane advances exactly as its ``Generator`` object would -- lanes
-consume at different rates (feasibility-dependent uniforms, Lemire
-rejections) and refill independently from their own jumped states -- so the
-draws are bit-identical to the reference engine's, and :meth:`write_back`
-leaves the ``Generator`` objects exactly where a reference run would have.
+Each lane advances exactly as its ``Generator`` object would, so the draws
+are bit-identical to the reference engine's, and :meth:`write_back` leaves
+the ``Generator`` objects exactly where a reference run would have.  Lanes
+consume at different rates (uniforms are drawn only for feasible
+candidates, Lemire rejections redraw), so refilling only the exhausted
+lanes would fire a refill on almost every draw once they drift out of step.
+Instead there is one refill per depletion event: when any lane's lookahead
+runs out, every lane is rebased on the state it has reached and all lanes
+refill in one vectorised pass.
 
 :func:`metropolis_decisions` vectorises the acceptance rule.  ``np.exp``
 and ``math.exp`` may disagree in the last ulp, so any draw landing within a
@@ -161,45 +165,45 @@ class ReplayStreams:
             self.i_lo[k] = inc & _MASK64
             self.has32[k] = int(state["has_uint32"])
             self.buffered[k] = int(state["uinteger"])
-        # Lookahead buffers: per lane, the raw outputs of the next
-        # BUFFER_OUTPUTS steps and the state each step lands on.
-        # ``s_hi``/``s_lo`` stay the state *before* slot 0 of the buffer;
-        # ``_pos[k]`` is the next unconsumed slot.
-        self._out = np.empty((count, BUFFER_OUTPUTS), dtype=np.uint64)
-        self._st_hi = np.empty((count, BUFFER_OUTPUTS), dtype=np.uint64)
-        self._st_lo = np.empty((count, BUFFER_OUTPUTS), dtype=np.uint64)
+        # Lookahead buffers (set by ``_refill``): per lane, the raw outputs
+        # of the next BUFFER_OUTPUTS steps (``_out``) and the state each
+        # step lands on (``_st_hi``/``_st_lo``).  ``s_hi``/``s_lo`` stay the
+        # state *before* slot 0 of the buffer; ``_pos[k]`` is the next
+        # unconsumed slot.
         self._pos = np.zeros(count, dtype=np.intp)
-        self._refill(self._all)
+        self._refill()
 
     # ------------------------------------------------------------------ #
     # Raw output stream (lane-subset aware, buffered lookahead)
     # ------------------------------------------------------------------ #
-    def _refill(self, lanes: np.ndarray) -> None:
-        """Jump the listed lanes' buffers forward from their base states."""
-        s_hi = self.s_hi[lanes, None]
-        s_lo = self.s_lo[lanes, None]
-        hi_a, lo_a = _mul128(_JUMP_MULT_HI, _JUMP_MULT_LO, s_hi, s_lo)
+    def _refill(self) -> None:
+        """Jump every lane's buffer forward from its base state."""
+        hi_a, lo_a = _mul128(_JUMP_MULT_HI, _JUMP_MULT_LO,
+                             self.s_hi[:, None], self.s_lo[:, None])
         hi_b, lo_b = _mul128(_JUMP_INCC_HI, _JUMP_INCC_LO,
-                             self.i_hi[lanes, None], self.i_lo[lanes, None])
+                             self.i_hi[:, None], self.i_lo[:, None])
         lo = lo_a + lo_b
         hi = hi_a + hi_b + (lo < lo_a)
-        self._st_hi[lanes] = hi
-        self._st_lo[lanes] = lo
+        self._st_hi = hi
+        self._st_lo = lo
         # XSL-RR output permutation of every jumped state.
         rot = hi >> _ROT_SHIFT
         word = hi ^ lo
-        self._out[lanes] = (word >> rot) | (word << ((_C64 - rot) & _C63))
+        self._out = (word >> rot) | (word << ((_C64 - rot) & _C63))
 
     def _next64(self, lanes: np.ndarray) -> np.ndarray:
         """The listed lanes' next raw 64-bit outputs (refilling as needed)."""
         positions = self._pos[lanes]
-        depleted = positions == BUFFER_OUTPUTS
-        if depleted.any():
-            exhausted = lanes[depleted]
-            self.s_hi[exhausted] = self._st_hi[exhausted, -1]
-            self.s_lo[exhausted] = self._st_lo[exhausted, -1]
-            self._refill(exhausted)
-            self._pos[exhausted] = 0
+        if (positions == BUFFER_OUTPUTS).any():
+            # Rebase every lane on the state it has reached -- the last
+            # consumed slot, or the old base if it drew nothing since the
+            # last refill -- and refill all lanes at once.
+            drawn = np.flatnonzero(self._pos)
+            reached = self._pos[drawn] - 1
+            self.s_hi[drawn] = self._st_hi[drawn, reached]
+            self.s_lo[drawn] = self._st_lo[drawn, reached]
+            self._refill()
+            self._pos[:] = 0
             positions = self._pos[lanes]
         self._pos[lanes] = positions + 1
         return self._out[lanes, positions]

@@ -25,6 +25,7 @@ from repro.core.constraints import InequalityConstraint
 from repro.core.qubo import QUBOModel
 from repro.core.transformation import InequalityQUBO
 from repro.problems.base import CombinatorialProblem
+from repro.problems.qkp import _selection_profit
 
 
 @dataclass
@@ -91,10 +92,12 @@ class MultiDimensionalKnapsackProblem(CombinatorialProblem):
         return self.weights.shape[0]
 
     def objective(self, x: Iterable[float]) -> float:
-        vec = self._validate(x)
-        linear = float(np.diag(self.profits) @ vec)
-        pairwise = float(vec @ np.triu(self.profits, k=1) @ vec)
-        return linear + pairwise
+        """Total profit of ``x``, pairwise profits counted once.
+
+        Uses ``sum_{i<j} p_ij x_i x_j = (x.(P x) - sum_i p_ii x_i^2) / 2``
+        for the symmetric ``P``; exact on integer profits.
+        """
+        return _selection_profit(self.profits, self._validate(x))
 
     def resource_usage(self, x: Iterable[float]) -> np.ndarray:
         """Per-dimension resource consumption ``W x``."""
@@ -136,12 +139,19 @@ class MultiDimensionalKnapsackProblem(CombinatorialProblem):
     # ------------------------------------------------------------------ #
     def random_feasible_configuration(self, rng: np.random.Generator,
                                       max_tries: int = 10_000) -> np.ndarray:
-        """Greedy random fill respecting every resource dimension."""
-        order = rng.permutation(self.num_items)
-        x = np.zeros(self.num_items)
+        """Greedy random fill respecting every resource dimension.
+
+        Every item, in a random order, draws one ``rng.random()`` coin and
+        is taken on heads if it fits; the coins come from one
+        ``rng.random(n)`` call, which consumes the same draws.
+        """
+        n = self.num_items
+        order = rng.permutation(n)
+        coins = rng.random(n)
+        x = np.zeros(n)
         usage = np.zeros(self.num_constraints)
-        for item in order:
-            if rng.random() < 0.5:
+        for item, coin in zip(order, coins):
+            if coin < 0.5:
                 continue
             candidate_usage = usage + self.weights[:, item]
             if np.all(candidate_usage <= self.capacities):

@@ -25,6 +25,20 @@ from repro.core.transformation import InequalityQUBO, to_inequality_qubo
 from repro.problems.base import CombinatorialProblem
 
 
+def _selection_profit(profits: np.ndarray, vec: np.ndarray) -> float:
+    """``sum_i p_ii x_i + sum_{i<j} p_ij x_i x_j`` for a symmetric ``profits``.
+
+    One matrix-vector product and no ``n x n`` copy of the strict upper
+    triangle.  On integer profits every partial sum is an integer, so the
+    value equals ``x @ triu(P, 1) @ x`` exactly; on float profits it may
+    differ from that form in the last bits.
+    """
+    diagonal = np.diag(profits)
+    linear = float(diagonal @ vec)
+    pairwise = float((vec @ (profits @ vec) - diagonal @ (vec * vec)) / 2.0)
+    return linear + pairwise
+
+
 @dataclass
 class QuadraticKnapsackProblem(CombinatorialProblem):
     """A QKP instance.
@@ -81,11 +95,12 @@ class QuadraticKnapsackProblem(CombinatorialProblem):
         return self.num_variables
 
     def objective(self, x: Iterable[float]) -> float:
-        """Total profit of the selection ``x`` (pairwise profits counted once)."""
-        vec = self._validate(x)
-        linear = float(np.diag(self.profits) @ vec)
-        pairwise = float(vec @ np.triu(self.profits, k=1) @ vec)
-        return linear + pairwise
+        """Total profit of the selection ``x`` (pairwise profits counted once).
+
+        Uses ``sum_{i<j} p_ij x_i x_j = (x.(P x) - sum_i p_ii x_i^2) / 2``
+        for the symmetric ``P``; exact on integer profits.
+        """
+        return _selection_profit(self.profits, self._validate(x))
 
     def total_weight(self, x: Iterable[float]) -> float:
         """Total selected weight ``w . x``."""
@@ -132,14 +147,31 @@ class QuadraticKnapsackProblem(CombinatorialProblem):
     # ------------------------------------------------------------------ #
     def random_feasible_configuration(self, rng: np.random.Generator,
                                       max_tries: int = 10_000) -> np.ndarray:
-        """Constructive feasible sample: greedily add random items while they fit."""
-        order = rng.permutation(self.num_items)
-        x = np.zeros(self.num_items)
+        """Constructive feasible sample: greedily add random items while they fit.
+
+        Items are visited in a random order, and each item that still fits
+        is taken on a fair coin flip (one ``rng.random()`` per fitting item;
+        items that do not fit draw nothing).  The coins come from one
+        ``rng.random(n)`` call; the generator is then rewound and advanced by
+        exactly the draws the fit test read, so both the sample and the
+        generator's final state equal those of one call per fitting item.
+        """
+        n = self.num_items
+        order = rng.permutation(n)
+        state = rng.bit_generator.state
+        coins = rng.random(n).tolist()
+        weights = self.weights.tolist()
+        x = np.zeros(n)
         remaining = self.capacity
-        for idx in order:
-            if self.weights[idx] <= remaining and rng.random() < 0.5:
-                x[idx] = 1.0
-                remaining -= self.weights[idx]
+        used = 0
+        for idx in order.tolist():
+            if weights[idx] <= remaining:
+                used += 1
+                if coins[used - 1] < 0.5:
+                    x[idx] = 1.0
+                    remaining -= weights[idx]
+        rng.bit_generator.state = state
+        rng.random(used)
         return x
 
     def random_infeasible_configuration(self, rng: np.random.Generator,

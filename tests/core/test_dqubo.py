@@ -175,3 +175,102 @@ class TestGrowthPredictions:
             predict_dqubo_dimension(10, -1)
         with pytest.raises(ValueError):
             predict_dqubo_qmax(1, 1, 0.3)
+
+
+def dqubo_loops(objective, constraint, alpha=2.0, beta=2.0,
+                encoding=SlackEncoding.ONE_HOT):
+    """The replaced construction, kept as the reference: one Python step per
+    matrix entry."""
+    capacity = int(round(constraint.bound))
+    weights = constraint.weight_vector
+    n = objective.num_variables
+    if encoding is SlackEncoding.ONE_HOT:
+        m = capacity
+        slack_values = np.arange(1, m + 1, dtype=float)
+    else:
+        m = int(np.ceil(np.log2(capacity + 1)))
+        slack_values = np.array([2.0 ** j for j in range(m)])
+    total = n + m
+    q = np.zeros((total, total))
+    offset = 0.0
+    q[:n, :n] += objective.matrix
+    offset += objective.offset
+    if encoding is SlackEncoding.ONE_HOT:
+        offset += alpha
+        for k in range(m):
+            q[n + k, n + k] += alpha * (-2.0 + 1.0)
+            for l in range(k + 1, m):
+                q[n + k, n + l] += 2.0 * alpha
+        for i in range(n):
+            q[i, i] += beta * weights[i] ** 2
+            for j in range(i + 1, n):
+                q[i, j] += 2.0 * beta * weights[i] * weights[j]
+        for k in range(m):
+            q[n + k, n + k] += beta * slack_values[k] ** 2
+            for l in range(k + 1, m):
+                q[n + k, n + l] += 2.0 * beta * slack_values[k] * slack_values[l]
+        for i in range(n):
+            for k in range(m):
+                q[i, n + k] += -2.0 * beta * weights[i] * slack_values[k]
+    else:
+        combined = np.concatenate([weights, slack_values])
+        for a in range(total):
+            q[a, a] += beta * (combined[a] ** 2 - 2.0 * capacity * combined[a])
+            for b in range(a + 1, total):
+                q[a, b] += 2.0 * beta * combined[a] * combined[b]
+        offset += beta * capacity ** 2
+    return QUBOModel(q, offset=offset)
+
+
+def pow_sensitive_weights(count, seed=0):
+    """Weights whose scalar square ``pow(v, 2)`` differs from ``v * v``
+    where the platform's ``pow`` allows it (else plain random weights)."""
+    values = np.random.default_rng(seed).uniform(0.5, 5.0, 20000).tolist()
+    differing = [v for v in values if v ** 2 != v * v]
+    return np.array((differing + values)[:count])
+
+
+PENALTIES = [(2.0, 2.0), (0.75, 3.5)]
+ENCODINGS = [SlackEncoding.ONE_HOT, SlackEncoding.BINARY]
+
+
+class TestMatchesLoopConstruction:
+    """The row-slice construction is byte-equal to the per-entry loops."""
+
+    @staticmethod
+    def _assert_byte_equal(objective, constraint, alpha, beta, encoding):
+        got = to_dqubo(objective, constraint, alpha=alpha, beta=beta,
+                       encoding=encoding).qubo
+        expected = dqubo_loops(objective, constraint, alpha=alpha, beta=beta,
+                               encoding=encoding)
+        assert got.matrix.tobytes() == expected.matrix.tobytes()
+        assert repr(got.offset) == repr(expected.offset)
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("alpha,beta", PENALTIES)
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    def test_small_capacities(self, tiny_objective, capacity, alpha, beta,
+                              encoding):
+        constraint = InequalityConstraint([1.0, 2.0, 1.0], capacity)
+        self._assert_byte_equal(tiny_objective, constraint, alpha, beta,
+                                encoding)
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("alpha,beta", PENALTIES)
+    def test_hundred_item_qkp(self, alpha, beta, encoding):
+        from repro.problems.generators import generate_qkp_instance
+        from repro.problems.qkp import QuadraticKnapsackProblem
+
+        base = generate_qkp_instance(num_items=100, density=0.5, seed=4)
+        problem = QuadraticKnapsackProblem(profits=base.profits,
+                                           weights=base.weights,
+                                           capacity=300.0)
+        self._assert_byte_equal(problem.to_qubo(), problem.constraint(),
+                                alpha, beta, encoding)
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_fractional_weights(self, encoding):
+        weights = pow_sensitive_weights(6)
+        objective = QUBOModel(-np.diag(np.arange(1.0, 7.0)))
+        constraint = InequalityConstraint(weights, 7)
+        self._assert_byte_equal(objective, constraint, 1.5, 2.5, encoding)

@@ -17,8 +17,13 @@ from repro.dynamics.dynamics import Dynamics
 from repro.dynamics.driver import LoopDriver
 from repro.kernels.base import KernelUnsupportedError
 from repro.kernels.streams import (
+    _JUMP_INCC_HI,
+    _JUMP_INCC_LO,
+    _JUMP_MULT_HI,
+    _JUMP_MULT_LO,
     BUFFER_OUTPUTS,
     ReplayStreams,
+    _mul128,
     metropolis_decisions,
     try_replay_streams,
 )
@@ -93,6 +98,110 @@ class TestDrawReplay:
                 np.testing.assert_array_equal(
                     streams.uniforms(lanes),
                     [g.random() for g in control])
+
+
+class LaneRefillStreams(ReplayStreams):
+    """The replaced refill policy, kept as a reference: each exhausted lane
+    of the requested subset refills on its own from ``_st[k, -1]``."""
+
+    def _refill_lanes(self, lanes):
+        s_hi = self.s_hi[lanes, None]
+        s_lo = self.s_lo[lanes, None]
+        hi_a, lo_a = _mul128(_JUMP_MULT_HI, _JUMP_MULT_LO, s_hi, s_lo)
+        hi_b, lo_b = _mul128(_JUMP_INCC_HI, _JUMP_INCC_LO,
+                             self.i_hi[lanes, None], self.i_lo[lanes, None])
+        lo = lo_a + lo_b
+        hi = hi_a + hi_b + (lo < lo_a)
+        self._st_hi[lanes] = hi
+        self._st_lo[lanes] = lo
+        rot = hi >> np.uint64(58)
+        word = hi ^ lo
+        self._out[lanes] = ((word >> rot)
+                            | (word << ((np.uint64(64) - rot) & np.uint64(63))))
+
+    def _next64(self, lanes):
+        positions = self._pos[lanes]
+        depleted = positions == BUFFER_OUTPUTS
+        if depleted.any():
+            exhausted = lanes[depleted]
+            self.s_hi[exhausted] = self._st_hi[exhausted, -1]
+            self.s_lo[exhausted] = self._st_lo[exhausted, -1]
+            self._refill_lanes(exhausted)
+            self._pos[exhausted] = 0
+            positions = self._pos[lanes]
+        self._pos[lanes] = positions + 1
+        return self._out[lanes, positions]
+
+
+class TestDepletionEvents:
+    """One refill per depletion event, with lanes drawing at different rates.
+
+    Lane 0 draws on every call, lane 1 never, lanes 2-3 on every second and
+    third call and lanes 4-5 at random, so at each event most lanes are
+    part-way through their buffers.
+    """
+
+    LANES = 6
+    CALLS = 5 * BUFFER_OUTPUTS + 11
+
+    def _schedule(self):
+        pattern = np.random.default_rng(3)
+        for call in range(self.CALLS):
+            wanted = [0]
+            wanted += [2] if call % 2 == 0 else []
+            wanted += [3] if call % 3 == 0 else []
+            wanted += [k for k in (4, 5) if pattern.random() < 0.4]
+            yield np.array(wanted)
+
+    def _count_refills(self, streams):
+        calls = []
+        refill = streams._refill
+
+        def counted():
+            calls.append(None)
+            refill()
+
+        streams._refill = counted
+        return calls
+
+    def test_draws_and_write_back_match_generators(self):
+        generators = make_generators(self.LANES)
+        control = make_generators(self.LANES)
+        reference_generators = make_generators(self.LANES)
+        streams = ReplayStreams(generators)
+        reference = LaneRefillStreams(reference_generators)
+        refills = self._count_refills(streams)
+        for lanes in self._schedule():
+            got = streams.uniforms(lanes)
+            np.testing.assert_array_equal(got,
+                                          [control[k].random() for k in lanes])
+            np.testing.assert_array_equal(got, reference.uniforms(lanes))
+        # Lane 0 draws on every call, so it alone sets off the events: one
+        # per BUFFER_OUTPUTS calls.
+        assert len(refills) == 5
+        streams.write_back()
+        reference.write_back()
+        for mine, theirs, old in zip(generators, control,
+                                     reference_generators):
+            assert mine.bit_generator.state == theirs.bit_generator.state
+            assert old.bit_generator.state == theirs.bit_generator.state
+
+    def test_integer_draws_across_events(self):
+        # integers() runs every lane through the 32-bit buffer; uniforms for
+        # a subset in between knock the lanes' 64-bit positions apart.
+        generators = make_generators(self.LANES)
+        control = make_generators(self.LANES)
+        streams = ReplayStreams(generators)
+        refills = self._count_refills(streams)
+        for lanes in self._schedule():
+            np.testing.assert_array_equal(
+                streams.integers(1000), [g.integers(0, 1000) for g in control])
+            np.testing.assert_array_equal(
+                streams.uniforms(lanes), [control[k].random() for k in lanes])
+        assert len(refills) >= 4
+        streams.write_back()
+        for mine, theirs in zip(generators, control):
+            assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 class TestWriteBack:
