@@ -26,9 +26,10 @@ kernel's and only the ΔE arithmetic (summation order) differs -- which on
 the integer-valued conformance families means trajectories are *exactly*
 equal, and on float data tolerance-equal.
 
-Without numba, ``kernel="auto"`` resolves to these kernels.  Configurations
-a fused kernel cannot express -- generic move generators, opaque
-feasibility callables, hardware-mode evaluation, noisy filters -- raise
+Without a C compiler (and numba), ``kernel="auto"`` resolves to these
+kernels; :mod:`repro.kernels.native` runs the same loop compiled.
+Configurations a fused kernel cannot express -- generic move generators,
+opaque feasibility callables, hardware-mode evaluation, noisy filters -- raise
 :class:`~repro.kernels.base.KernelUnsupportedError` at construction;
 ``kernel="auto"`` then falls back to the reference backend.
 """

@@ -70,8 +70,10 @@ class QuadraticKnapsackProblem(CombinatorialProblem):
         w = np.asarray(self.weights, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"profit matrix must be square, got {p.shape}")
-        if not np.allclose(p, p.T):
-            raise ValueError("profit matrix must be symmetric")
+        # Exactly: objective counts (p_ij + p_ji) / 2 per pair while the
+        # QUBOs read the upper triangle, so any asymmetry splits them.
+        if not np.array_equal(p, p.T):
+            raise ValueError("profit matrix must be exactly symmetric")
         if w.ndim != 1 or w.shape[0] != p.shape[0]:
             raise ValueError("weights length must match profit matrix dimension")
         if np.any(w <= 0):

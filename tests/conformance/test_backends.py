@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro.kernels.jit as jit_module
+import repro.kernels.native as native_module
 from repro.cim.crossbar import CrossbarConfig
 from repro.runtime import run_trials
 
@@ -126,12 +127,29 @@ class TestKernelBackends:
                            master_seed=MASTER_SEED)
         _assert_exact(reference, fused)
 
+    def test_native_kernel_is_exact(self, native_backend, family, instance):
+        # The compiled C sweep covers what fused covers -- inequality and
+        # equality loads alike (bin packing, coloring and TSP hold one-hot
+        # equalities) -- with the same per-seed results.
+        params = solver_params(family, instance)
+        params.pop("move_generator", None)
+        reference = run_trials(instance, ("hycim", params), num_trials=4,
+                               backend="vectorized", master_seed=MASTER_SEED)
+        compiled = run_trials(instance,
+                              ("hycim", dict(params, kernel="native")),
+                              num_trials=4, backend="vectorized",
+                              master_seed=MASTER_SEED)
+        _assert_exact(reference, compiled)
+        assert {r.metadata["kernel"] for r in compiled.results} == {"native"}
+
     def test_auto_kernel_with_jit_is_exact(self, family, instance,
                                            monkeypatch):
-        # numba heads auto's fall-through order.  With the JIT kernels
-        # allowed (interpreted where numba is missing), auto puts every
-        # family whose constraints the compiled loop expresses on numba and
-        # the rest on fused; per-seed results stay exact either way.
+        # Past native, numba comes next in auto's fall-through order.  With
+        # native unavailable and the JIT kernels allowed (interpreted where
+        # numba is missing), auto puts every family whose constraints the
+        # numba loop expresses on numba and the rest on fused; per-seed
+        # results stay exact either way.
+        monkeypatch.setattr(native_module, "_loaded", "native disabled")
         monkeypatch.setattr(jit_module, "_ALLOW_INTERPRETED", True)
         params = solver_params(family, instance)
         params.pop("move_generator", None)

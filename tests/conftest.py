@@ -5,12 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.kernels import KernelUnavailableError, native
 from repro.problems.generators import (
     generate_knapsack_instance,
     generate_maxcut_instance,
     generate_qkp_instance,
 )
 from repro.problems.qkp import QuadraticKnapsackProblem
+
+
+@pytest.fixture
+def native_backend() -> None:
+    """Skips the test where the native kernels cannot be built (no C
+    compiler); CI builds them before tier-1, so there it never skips."""
+    try:
+        native.library()
+    except KernelUnavailableError as error:
+        pytest.skip(f"native backend unavailable: {error}")
 
 
 @pytest.fixture

@@ -1,12 +1,15 @@
-"""Backend parity: fused, interpreted-JIT and "auto" kernels vs the reference.
+"""Backend parity: fused, interpreted-JIT, native and "auto" kernels vs the
+reference.
 
 The contract from :mod:`repro.kernels.base`: on integer-valued instances the
 fused backend consumes the same RNG draws and produces *exactly* equal
 trajectories -- best energies, configurations, proposal counters, recorded
 histories, and (crucially) the final per-replica generator states, so a
 kernel swap mid-campaign cannot desynchronise a seeded experiment.  The
-``"auto"`` arm holds whatever backend the environment resolves to (numba
-when installed, else fused) to the same contract.
+``"auto"`` arm holds whatever backend the environment resolves to (native
+when a C compiler is present) to the same contract.  On float data the
+native kernel equals the fused one bit for bit: both apply the same IEEE
+operations to each element in the same order.
 
 The JIT kernels are exercised here through their interpreted fallback
 (``_ALLOW_INTERPRETED``), so the compiled path's draw-replay logic is
@@ -21,6 +24,7 @@ import repro.kernels.jit as jit_module
 from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.sa import SimulatedAnnealer
 from repro.batched import BatchedHyCiMSolver, BatchedSimulatedAnnealer
+from repro.core.constraints import EqualityConstraint
 from repro.dynamics import (
     Dynamics,
     GeometricSchedule,
@@ -80,12 +84,22 @@ def assert_exact_parity(reference, other, generator_pairs=None):
             assert state_a["uinteger"] == state_b["uinteger"]
 
 
-@pytest.fixture(params=["fused", "numba", "auto"])
+@pytest.fixture(params=["fused", "numba", "native", "auto"])
 def backend(request, monkeypatch):
     if request.param == "numba":
         # Run the JIT kernels interpreted when numba is missing -- the
         # stream-replay and commit logic is identical either way.
         monkeypatch.setattr(jit_module, "_ALLOW_INTERPRETED", True)
+    if request.param == "native":
+        request.getfixturevalue("native_backend")
+    return request.param
+
+
+@pytest.fixture(params=["fused", "native"])
+def incremental(request):
+    """The backends with CSR and equality-constraint support."""
+    if request.param == "native":
+        request.getfixturevalue("native_backend")
     return request.param
 
 
@@ -151,6 +165,14 @@ class TestSAParity:
 
 class TestSparseParity:
     def test_sparse_fused_equals_dense_reference(self, qkp, qkp_initials):
+        self.check(qkp, qkp_initials, "fused")
+
+    def test_sparse_native_equals_dense_reference(self, native_backend, qkp,
+                                                  qkp_initials):
+        self.check(qkp, qkp_initials, "native")
+
+    @staticmethod
+    def check(qkp, qkp_initials, kernel):
         pytest.importorskip("scipy")
         annealer = SimulatedAnnealer(num_iterations=150)
         ref_gens, gens = make_generators(31), make_generators(31)
@@ -160,8 +182,102 @@ class TestSparseParity:
             qkp.to_sparse_qubo(), qkp_initials, gens,
             accept_filter_batch=qkp.is_feasible_batch,
             feasibility_constraints=qkp.linear_feasibility_constraints(),
-            kernel="fused")
+            kernel=kernel)
         assert_exact_parity(reference, sparse, (ref_gens, gens))
+
+
+class TestEqualityParity:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_equality_and_inequality_loads(self, incremental, sparse, qkp):
+        # Items 0-5 must hold exactly three picks; flips elsewhere keep the
+        # equality load, so both feasible moves and rejections occur.  The
+        # last two replicas start off the equality, where every flip is
+        # rejected.
+        if sparse:
+            pytest.importorskip("scipy")
+        n = qkp.num_variables
+        group = np.zeros(n)
+        group[:6] = 1.0
+        constraints = [*qkp.linear_feasibility_constraints(),
+                       EqualityConstraint(group, 3.0)]
+
+        def feasible(batch):
+            return np.array([all(c.is_satisfied(row) for c in constraints)
+                             for row in batch])
+
+        initials = np.zeros((NUM_REPLICAS, n))
+        initials[:3, :3] = 1.0
+        annealer = SimulatedAnnealer(num_iterations=150)
+        matrix = qkp.to_sparse_qubo() if sparse else qkp.to_qubo()
+        ref_gens, gens = make_generators(33), make_generators(33)
+        runs = [BatchedSimulatedAnnealer(annealer).anneal(
+            model, initials, generators, accept_filter_batch=feasible,
+            feasibility_constraints=constraints, kernel=backend)
+            for model, generators, backend in (
+                (qkp.to_qubo(), ref_gens, "reference"),
+                (matrix, gens, incremental))]
+        assert_exact_parity(*runs, (ref_gens, gens))
+        assert all(r.num_infeasible_skipped > 0 for r in runs[0])
+        assert all(r.num_accepted_moves > 0 for r in runs[0][:3])
+
+
+def make_float_qkp(seed, n=24):
+    """A QKP with fractional profits and weights (exactly symmetric)."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) * 40.0 * (rng.random((n, n)) < 0.5), 1)
+    profits = upper + upper.T
+    np.fill_diagonal(profits, rng.random(n) * 90.0 + 1.0)
+    weights = rng.random(n) * 29.0 + 1.0
+    return QuadraticKnapsackProblem(profits=profits, weights=weights,
+                                    capacity=float(weights.sum()) * 0.5,
+                                    name="float_qkp")
+
+
+@pytest.mark.usefixtures("native_backend")
+class TestFloatData:
+    """Native equals fused bit for bit on non-integer coefficients.
+
+    The schedule starts hot, at the scale of the profits, so flips both
+    ways are accepted and any reordered operation would move an energy.
+    """
+
+    HOT = GeometricSchedule(300.0, 1.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_hycim_native_equals_fused(self, seed):
+        problem = make_float_qkp(seed)
+        initials = np.stack([
+            problem.random_feasible_configuration(np.random.default_rng(seed))
+            for _ in range(NUM_REPLICAS)])
+        solver = HyCiMSolver(problem, use_hardware=False, num_iterations=300,
+                             schedule=self.HOT, record_history=True)
+        fused_gens, gens = make_generators(seed), make_generators(seed)
+        fused = BatchedHyCiMSolver(solver).solve_batch(
+            initials, fused_gens, kernel="fused")
+        native = BatchedHyCiMSolver(solver).solve_batch(
+            initials, gens, kernel="native")
+        assert_exact_parity(fused, native, (fused_gens, gens))
+        assert native[0].metadata["kernel"] == "native"
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_sa_ladder_native_equals_fused(self, seed):
+        problem = make_float_qkp(seed)
+        initials = np.zeros((NUM_REPLICAS, problem.num_variables))
+        annealer = SimulatedAnnealer(num_iterations=300, schedule=self.HOT,
+                                     record_history=True)
+        fused_gens, gens = make_generators(seed), make_generators(seed)
+
+        def anneal(generators, kernel):
+            return BatchedSimulatedAnnealer(annealer).anneal(
+                problem.to_qubo(), initials, generators,
+                accept_filter_batch=problem.is_feasible_batch,
+                feasibility_constraints=(
+                    problem.linear_feasibility_constraints()),
+                dynamics=ParallelTempering(exchange_interval=7),
+                exchange_rng=exchange_stream([7]), kernel=kernel)
+
+        assert_exact_parity(anneal(fused_gens, "fused"),
+                            anneal(gens, "native"), (fused_gens, gens))
 
 
 class TestHyCiMParity:

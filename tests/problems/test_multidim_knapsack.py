@@ -50,6 +50,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MultiDimensionalKnapsackProblem(np.eye(2), np.ones((1, 2)), np.array([0.0]))
 
+    def test_symmetry_is_exact(self):
+        # Symmetric to np.allclose's rtol, yet objective and the
+        # upper-triangle QUBO would disagree by half the asymmetry.
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            MultiDimensionalKnapsackProblem(
+                np.array([[1.0, 200000.0], [200001.0, 1.0]]),
+                np.ones((1, 2)), np.array([2.0]))
+
     def test_dimensions(self, small_mdqkp):
         assert small_mdqkp.num_items == 3
         assert small_mdqkp.num_constraints == 2

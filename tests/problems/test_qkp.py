@@ -12,6 +12,14 @@ class TestConstruction:
             QuadraticKnapsackProblem(np.array([[1.0, 2.0], [3.0, 1.0]]),
                                      np.array([1.0, 1.0]), 2.0)
 
+    def test_symmetry_is_exact(self):
+        # Symmetric to np.allclose's rtol, yet objective (200002.5 for
+        # x = (1, 1)) and the upper-triangle QUBO (-200002.0) would disagree.
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            QuadraticKnapsackProblem(
+                np.array([[1.0, 200000.0], [200001.0, 1.0]]),
+                np.array([1.0, 1.0]), 2.0)
+
     def test_positive_weights_required(self):
         with pytest.raises(ValueError):
             QuadraticKnapsackProblem(np.eye(2), np.array([1.0, 0.0]), 2.0)
