@@ -53,9 +53,8 @@ build a :class:`~repro.kernels.SweepKernel` and drive it block-wise, with
 :meth:`LoopDriver.block_length` placing block boundaries exactly where an
 exchange round or telemetry probe is due.  ``kernel="reference"`` (the
 default) is the engines' original loop body;
-``kernel="fused"`` / ``"native"`` / ``"numba"`` are the incremental
-local-field kernels (same RNG draws, different arithmetic -- exact on
-integer data); see
+``kernel="fused"`` / ``"numba"`` are the incremental local-field kernels
+(same RNG draws, different arithmetic -- exact on integer data); see
 :mod:`repro.kernels.base` for the backend matrix.
 """
 
@@ -200,9 +199,8 @@ class BatchedSimulatedAnnealer:
             :func:`repro.dynamics.exchange_stream` /
             :func:`repro.dynamics.shared_stream`).
         kernel:
-            Sweep-kernel backend (``"reference"``/``"fused"``/
-            ``"native"``/``"numba"``/``"auto"``; see
-            :mod:`repro.kernels.base`).  ``None`` means the
+            Sweep-kernel backend (``"reference"``/``"fused"``/``"numba"``/
+            ``"auto"``; see :mod:`repro.kernels.base`).  ``None`` means the
             reference backend, whose trajectories this docstring describes.
         feasibility_constraints:
             The linear-inequality form of ``accept_filter_batch``, when one

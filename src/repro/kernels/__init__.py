@@ -4,11 +4,11 @@ See :mod:`repro.kernels.base` for the interface and the backend matrix.
 The factories here are what the engines call: given a backend name (or
 ``"auto"``) and the engine's loop state, they construct the matching
 :class:`~repro.kernels.base.SweepKernel`, falling back along
-``native -> numba -> fused -> reference`` when ``"auto"`` meets an
-unsupported configuration or a missing C compiler / optional dependency.
-Importing this package imports :mod:`repro.kernels.native` but compiles
-nothing: the C library is built when the first native kernel is
-constructed.
+``numba -> fused -> reference`` when ``"auto"`` meets an unsupported
+configuration or a missing optional dependency.  Importing this package
+imports :mod:`repro.kernels.native` (through the fused kernels) but
+compiles nothing: the C block is built when the first fused kernel that
+can run it is constructed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.kernels.base import (
     resolve_kernel_backend,
 )
 from repro.kernels.fused import FusedHyCiMKernel, FusedSAKernel
-from repro.kernels.native import NativeHyCiMKernel, NativeSAKernel
 from repro.kernels.reference import ReferenceHyCiMKernel, ReferenceSAKernel
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "FusedSAKernel",
     "KernelUnavailableError",
     "KernelUnsupportedError",
-    "NativeHyCiMKernel",
-    "NativeSAKernel",
     "ReferenceHyCiMKernel",
     "ReferenceSAKernel",
     "SweepKernel",
@@ -49,7 +46,7 @@ __all__ = [
 #: ``"auto"`` tries backends in this order, falling through on
 #: KernelUnsupportedError / KernelUnavailableError; the reference backend
 #: supports everything, so "auto" never fails for support reasons.
-AUTO_ORDER = ("native", "numba", "fused", "reference")
+AUTO_ORDER = ("numba", "fused", "reference")
 
 
 def _jit_kernel(name: str) -> Callable[..., SweepKernel]:
@@ -65,9 +62,8 @@ def _jit_kernel(name: str) -> Callable[..., SweepKernel]:
 
 #: backend -> constructor per family.  Every non-reference backend of a
 #: family takes the same keywords; the reference kernels take their own.
-_SA_KERNELS = {"native": NativeSAKernel, "fused": FusedSAKernel,
-               "numba": _jit_kernel("JitSAKernel")}
-_HYCIM_KERNELS = {"native": NativeHyCiMKernel, "fused": FusedHyCiMKernel,
+_SA_KERNELS = {"fused": FusedSAKernel, "numba": _jit_kernel("JitSAKernel")}
+_HYCIM_KERNELS = {"fused": FusedHyCiMKernel,
                   "numba": _jit_kernel("JitHyCiMKernel")}
 
 

@@ -15,8 +15,8 @@ A kernel owns the travelling sweep state (configurations, energies,
 best-so-far, proposal counters) and advances it ``block`` iterations per
 :meth:`SweepKernel.run_block` call.  :class:`~repro.dynamics.driver.
 LoopDriver` stays the single authority on temperatures, RNG draws,
-acceptance and exchange -- kernels call back into it (or, for the compiled
-backends, replay its draw streams bit-exactly) -- and
+acceptance and exchange -- kernels call back into it (or, for the JIT
+backend, replay its draw streams bit-exactly) -- and
 :meth:`~repro.dynamics.driver.LoopDriver.block_length` guarantees blocks end
 exactly where an exchange round or telemetry probe is due.
 
@@ -33,13 +33,11 @@ Backends
     updates cost O(degree)).  Consumes the *same* RNG draws through the
     same ``LoopDriver`` calls, so trajectories are exactly equal whenever
     the arithmetic is (integer-valued coefficient data -- the conformance
-    families); float data agrees to summation-order tolerance.
-``"native"``
-    The fused loop in C (:mod:`repro.kernels.native`), compiled by the
-    system ``cc`` on first use and cached per user, replaying each
-    replica's PCG64 stream inside the compiled block.  Bit for bit equal to
-    ``"fused"`` on any data.  Without a working compiler it raises
-    :class:`KernelUnavailableError`.
+    families); float data agrees to summation-order tolerance.  Where each
+    replica replays its own PCG64 stream, a block is one call into the same
+    loop compiled from C (:mod:`repro.kernels.native`, built by the system
+    ``cc`` on first use); without a working compiler the NumPy loop runs.
+    The two agree bit for bit on any data.
 ``"numba"``
     The fused loop JIT-compiled (:mod:`repro.kernels.jit`), replaying each
     replica's PCG64 stream bit-exactly inside the compiled block.  Only
@@ -47,10 +45,10 @@ Backends
     raises :class:`KernelUnavailableError`.
 ``"auto"``
     The fastest backend that supports the requested configuration
-    (``native`` > ``numba`` > ``fused`` > ``reference``); never raises for
-    support reasons.  Note the resolved backend depends on the environment
-    (a C compiler or numba present or not), so persisted runs that must be
-    reproducible elsewhere should pin an explicit backend instead.
+    (``numba`` > ``fused`` > ``reference``); never raises for support
+    reasons.  Note the resolved backend depends on the environment (numba
+    present or not), so persisted runs that must be reproducible elsewhere
+    should pin an explicit backend instead.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ __all__ = [
 
 #: Explicit kernel backends, fastest last.  ``"auto"`` resolves to one of
 #: these at engine-construction time.
-KERNEL_BACKENDS = ("reference", "fused", "numba", "native")
+KERNEL_BACKENDS = ("reference", "fused", "numba")
 
 #: The backend engines use when none is requested (and the one the golden
 #: trajectory suite pins byte-for-byte).
@@ -85,8 +83,8 @@ class KernelUnsupportedError(ValueError):
 
 
 class KernelUnavailableError(RuntimeError):
-    """The selected backend's optional dependency (numba, a C compiler) is
-    missing or cannot build it."""
+    """The selected backend's optional dependency is not importable (or
+    the fused kernels' C block cannot be built)."""
 
 
 def resolve_kernel_backend(kernel: Optional[str]) -> str:
@@ -114,9 +112,9 @@ def canonical_kernel_param(kernel: Optional[str]) -> Optional[str]:
     runs that never mention ``kernel`` and runs that spell out
     ``kernel="reference"`` address the same persisted run -- and every run
     key minted before the kernel layer existed stays valid.  Non-default
-    backends stay in the params: ``"fused"``/``"native"``/``"numba"`` are
-    only *exactly* equal to the reference on integer-valued instances, so
-    conservatively they address their own runs.
+    backends stay in the params: ``"fused"``/``"numba"`` are only *exactly*
+    equal to the reference on integer-valued instances, so conservatively
+    they address their own runs.
     """
     name = resolve_kernel_backend(kernel)
     return None if name == DEFAULT_KERNEL else name

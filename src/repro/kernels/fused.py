@@ -26,10 +26,14 @@ kernel's and only the ΔE arithmetic (summation order) differs -- which on
 the integer-valued conformance families means trajectories are *exactly*
 equal, and on float data tolerance-equal.
 
-Without a C compiler (and numba), ``kernel="auto"`` resolves to these
-kernels; :mod:`repro.kernels.native` runs the same loop compiled.
-Configurations a fused kernel cannot express -- generic move generators,
-opaque feasibility callables, hardware-mode evaluation, noisy filters -- raise
+Where the streams are replayed, ``run_block`` is one call into the same
+loop compiled from C (:mod:`repro.kernels.native`), which agrees with the
+NumPy loop here bit for bit on any data; where the system ``cc`` cannot
+build it, or the draws go through the driver, the NumPy loop runs.
+
+Without numba, ``kernel="auto"`` resolves to these kernels.  Configurations
+a fused kernel cannot express -- generic move generators, opaque
+feasibility callables, hardware-mode evaluation, noisy filters -- raise
 :class:`~repro.kernels.base.KernelUnsupportedError` at construction;
 ``kernel="auto"`` then falls back to the reference backend.
 """
@@ -48,6 +52,7 @@ from repro.core.constraints import (
 from repro.core.sparse import is_sparse_matrix, symmetrized_matrix
 from repro.dynamics.driver import LoopDriver
 from repro.kernels.base import KernelUnsupportedError, SweepKernel
+from repro.kernels.native import compiled_block
 from repro.kernels.streams import metropolis_decisions, try_replay_streams
 
 __all__ = ["FusedHyCiMKernel", "FusedSAKernel"]
@@ -135,6 +140,12 @@ class _FusedCore(SweepKernel):
         if isinstance(temperatures, np.ndarray):
             temperatures = temperatures[replica_indices]
         return metropolis_decisions(step, temperatures, draws)
+
+    def run_block(self, start_iteration: int, num_iterations: int) -> None:
+        if self._compiled is not None:
+            self._compiled(start_iteration, num_iterations)
+        else:
+            self._numpy_block(start_iteration, num_iterations)
 
     def finalize(self) -> None:
         if self._streams is not None:
@@ -239,8 +250,9 @@ class FusedSAKernel(_FusedCore):
         self._init_model(matrix, current, effective)
         self._streams = try_replay_streams(driver, generators,
                                            self._num_variables)
+        self._compiled = compiled_block(self)
 
-    def run_block(self, start_iteration: int, num_iterations: int) -> None:
+    def _numpy_block(self, start_iteration: int, num_iterations: int) -> None:
         driver = self.driver
         for iteration in range(start_iteration,
                                start_iteration + num_iterations):
@@ -339,8 +351,9 @@ class FusedHyCiMKernel(_FusedCore):
         self._init_model(matrix, current, constraints)
         self._streams = try_replay_streams(driver, generators,
                                            self._num_variables)
+        self._compiled = compiled_block(self)
 
-    def run_block(self, start_iteration: int, num_iterations: int) -> None:
+    def _numpy_block(self, start_iteration: int, num_iterations: int) -> None:
         driver = self.driver
         for iteration in range(start_iteration,
                                start_iteration + num_iterations):

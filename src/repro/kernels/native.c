@@ -1,11 +1,11 @@
-/* Sweep blocks of the "native" kernel backend (loaded by native.py).
+/* The fused kernels' sweep blocks in C (loaded by native.py).
  *
- * A straight port of the fused kernels' per-replica loop.  Each replica
+ * A straight port of the fused kernels' per-replica NumPy loop.  Each replica
  * replays its own numpy PCG64 stream: the 128-bit LCG step with the XSL-RR
  * output, the bit generator's buffered next32 (low half first, high half
  * parked), numpy's 32-bit Lemire sampler for integers(0, n) and random().
- * Every energy, field and load update is the IEEE operation the NumPy fused
- * kernel applies to that element, in the same order, and acceptance calls
+ * Every energy, field and load update is the IEEE operation the NumPy loop
+ * applies to that element, in the same order, and acceptance calls
  * libm exp as math.exp does.  Build with -ffp-contract=off so the compiler
  * fuses no multiply-add.
  */
@@ -131,16 +131,10 @@ static int admits(const sweep_t *s, int64_t k, const move_t *m, double *candidat
     return passed;
 }
 
-/* field += sign * row.  Pairs of elements let GCC's -O2 cost model, which
- * adds no remainder loop of its own, vectorise the loop. */
+/* field += sign * row; a field row and a matrix row never overlap. */
 static void add_row(double *restrict field, const double *restrict row, double sign, int64_t n)
 {
-    int64_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-        field[j] += sign * row[j];
-        field[j + 1] += sign * row[j + 1];
-    }
-    for (; j < n; j++)
+    for (int64_t j = 0; j < n; j++)
         field[j] += sign * row[j];
 }
 
@@ -179,7 +173,7 @@ void run_block(const sweep_t *s, int64_t start, int64_t count)
                 if (!admits(s, k, &m, candidate)) {
                     s->num_skipped[k]++;
                     /* Infeasible HyCiM incumbents drift freely at energy 0
-                     * (paper Eq. (6)), exactly as the fused kernel. */
+                     * (paper Eq. (6)), exactly as the NumPy loop. */
                     if (hycim && !s->current_feasible[k]) {
                         s->current_energy[k] = 0.0;
                         s->raw_energy[k] = energy;

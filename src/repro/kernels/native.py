@@ -1,27 +1,32 @@
-"""The native backend: the fused sweep compiled by the system C compiler.
+"""The fused kernels' block compiled by the system C compiler.
 
 ``native.c`` ports the per-replica loop of the fused kernels to C -- the
 PCG64 draw pipeline of :mod:`repro.kernels.streams`, the local-field delta,
 the running inequality and equality loads, the HyCiM drift rule and best
-tracking.  The kernels here subclass the fused ones (same model arrays,
-``swap_arrays`` and :class:`~repro.kernels.streams.ReplayStreams` lanes,
-written back by ``finalize``) and run each block as one C call.  Per element
-the C code applies the IEEE operations fused applies, in the same order, and
-decides acceptance with libm ``exp`` as ``math.exp`` does, so native equals
-fused bit for bit on any data.
+tracking.  :func:`compiled_block` points one ``sweep_t`` at a fused kernel's
+arrays (model, state and :class:`~repro.kernels.streams.ReplayStreams`
+lanes, which fused's ``finalize`` writes back) and returns its
+``run_block`` as one C call.  Per element the C code applies the IEEE
+operations the NumPy loop applies, in the same order, and decides
+acceptance with libm ``exp`` as ``math.exp`` does, so the two loops agree
+bit for bit on any data.  It runs wherever the kernel replays one PCG64
+stream per replica (no shared RNG, plain :class:`MetropolisRule`,
+``n <= 2**32``); elsewhere, and without a library, the NumPy loop runs.
 
-The first kernel constructed in a process builds the library with ``cc``
+The first fused kernel that can use it builds the library with ``cc``
 (``FLAGS``; importing this module starts no process) into
 ``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``, created 0700, named by the
 sha256 of the source, the machine, ``cc --version`` and the flags.  Each
 build goes to a temporary file that is ``os.replace``-d into place, so
-concurrent workers never load a partial file.  A cache this user does not
-own, or that others can write to, is never loaded from; the build then goes
-to a private temporary directory, removed once the library is loaded.  No
-``cc`` or a failed build raises :class:`KernelUnavailableError`, and
-``"auto"`` falls through; shared-RNG mode, non-Metropolis acceptance,
-non-PCG64 generators and ``n > 2**32`` raise
-:class:`KernelUnsupportedError`.
+concurrent workers never load a partial file.  The cache is used only if
+no other user can change what it holds: the ``repro`` directory must be a
+real directory of this user that group and others cannot write, and no
+directory above it may let another user rename it (each owned by this user
+or root, and not writable by group or others unless sticky).  Otherwise
+the build goes to a private temporary directory, removed once the library
+is loaded.  No ``cc``, a failed build or a failed load leave the NumPy loop
+in place; :func:`library` raises :class:`KernelUnavailableError` naming
+the cause.
 """
 
 from __future__ import annotations
@@ -35,21 +40,13 @@ import stat
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.dynamics.acceptance import MetropolisRule
-from repro.dynamics.driver import LoopDriver
-from repro.kernels.base import (
-    KernelUnavailableError,
-    KernelUnsupportedError,
-    SweepKernel,
-)
-from repro.kernels.fused import FusedHyCiMKernel, FusedSAKernel
-from repro.kernels.streams import MAX_LEMIRE_BOUND
+from repro.kernels.base import KernelUnavailableError, SweepKernel
 
-__all__ = ["NativeHyCiMKernel", "NativeSAKernel", "library"]
+__all__ = ["compiled_block", "library"]
 
 SOURCE = Path(__file__).with_name("native.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
@@ -82,20 +79,29 @@ class _Sweep(ctypes.Structure):
 #: The loaded library, or why it could not be built; set on first use.
 _loaded: Union[ctypes.CDLL, str, None] = None
 
+_SHARED_WRITE = stat.S_IWGRP | stat.S_IWOTH
+
 
 def _private_cache() -> Optional[Path]:
-    """The per-user build cache, or ``None`` if it is not private."""
+    """The per-user build cache, or ``None`` if another user could change
+    what it holds."""
     root = (os.environ.get("XDG_CACHE_HOME")
             or os.path.join(os.path.expanduser("~"), ".cache"))
-    path = Path(root) / "repro"
+    path = Path(root).resolve() / "repro"
     try:
         path.mkdir(mode=0o700, parents=True, exist_ok=True)
-        info = path.stat()
+        own = os.lstat(path)
+        above = [os.lstat(parent) for parent in path.parents]
     except OSError:
         return None
-    if (info.st_uid != os.getuid()
-            or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)):
+    if (not stat.S_ISDIR(own.st_mode) or own.st_uid != os.getuid()
+            or own.st_mode & _SHARED_WRITE):
         return None
+    for info in above:
+        if info.st_uid not in (os.getuid(), 0) or (
+                info.st_mode & _SHARED_WRITE
+                and not info.st_mode & stat.S_ISVTX):
+            return None
     return path
 
 
@@ -121,7 +127,7 @@ def _build() -> ctypes.CDLL:
     compiler = shutil.which("cc")
     if compiler is None:
         raise KernelUnavailableError(
-            "the native backend needs a C compiler and found no `cc` on PATH")
+            "the compiled sweep needs a C compiler and found no `cc` on PATH")
     version = subprocess.run([compiler, "--version"], capture_output=True,
                              check=True).stdout
     key = hashlib.sha256(b"\0".join((
@@ -151,6 +157,9 @@ def library() -> ctypes.CDLL:
             loaded.run_block.argtypes = (ctypes.POINTER(_Sweep),
                                          ctypes.c_int64, ctypes.c_int64)
             loaded.run_block.restype = None
+            loaded.draw_stream.argtypes = (ctypes.c_void_p, ctypes.c_int64,
+                                           ctypes.c_void_p, ctypes.c_void_p)
+            loaded.draw_stream.restype = None
             _loaded = loaded
         except (KernelUnavailableError, OSError,
                 subprocess.CalledProcessError) as error:
@@ -160,61 +169,44 @@ def library() -> ctypes.CDLL:
     return _loaded
 
 
-class _NativeCore(SweepKernel):
-    """Both native kernels: listed before a fused kernel in the bases, it
-    checks support, builds the library, points a ``sweep_t`` at the fused
-    kernel's arrays and replaces its ``run_block``."""
+def compiled_block(kernel: SweepKernel
+                   ) -> Optional[Callable[[int, int], None]]:
+    """``kernel.run_block`` as one C call, or ``None`` where the NumPy loop
+    must run: draws not replayed per replica, or no library.
 
-    backend = "native"
+    ``kernel`` is a fused kernel whose model and state arrays are set up;
+    state arrays that are not contiguous or not of the C dtype are replaced
+    by converted copies, which the NumPy loop works on just as well.
+    """
+    streams = kernel._streams
+    if streams is None:
+        return None
+    try:
+        run_block = library().run_block
+    except KernelUnavailableError:
+        return None
+    for name, dtype in _STATE.items():
+        if getattr(kernel, name, None) is not None:
+            setattr(kernel, name,
+                    np.ascontiguousarray(getattr(kernel, name), dtype))
+    arrays = {name: getattr(kernel, name, None) for name in _STATE}
+    driver = kernel.driver
+    schedule = {"base": driver._base, "factors": driver._factors}
+    for name, dtype in _MODEL.items():
+        array = schedule.get(name, getattr(kernel, "_" + name, None))
+        arrays[name] = (None if array is None
+                        else np.ascontiguousarray(array, dtype))
+    arrays.update({lane: getattr(streams, lane) for lane in _LANES})
+    sweep = ctypes.pointer(_Sweep(
+        replicas=kernel.current.shape[0], n=kernel._num_variables,
+        constraints=kernel._num_constraints,
+        moves=kernel.moves_per_iteration, sparse=int(kernel._sparse),
+        **{name: None if array is None else array.ctypes.data
+           for name, array in arrays.items()}))
 
-    def __init__(self, *, matrix, driver: LoopDriver, **kwargs) -> None:
-        if driver._shared_rng is not None:
-            raise KernelUnsupportedError(
-                "shared-RNG mode draws in a different order than the "
-                "compiled per-replica loop; it runs on the fused/reference "
-                "backends")
-        if type(driver.dynamics.acceptance) is not MetropolisRule:
-            raise KernelUnsupportedError(
-                f"acceptance rule {type(driver.dynamics.acceptance).__name__}"
-                " has no compiled equivalent; the native backend implements "
-                "MetropolisRule exactly")
-        if matrix.shape[0] > MAX_LEMIRE_BOUND:
-            raise KernelUnsupportedError(
-                "the compiled Lemire sampler covers bounds up to 2**32")
-        self._library = library()
-        super().__init__(matrix=matrix, driver=driver, **kwargs)
-        if self._streams is None:
-            raise KernelUnsupportedError(
-                "the native backend replays one PCG64 generator per "
-                "replica; these replicas have none")
-        for name, dtype in _STATE.items():
-            if hasattr(self, name):
-                setattr(self, name,
-                        np.ascontiguousarray(getattr(self, name), dtype))
-        arrays = {name: getattr(self, name, None) for name in _STATE}
-        schedule = {"base": driver._base, "factors": driver._factors}
-        for name, dtype in _MODEL.items():
-            array = schedule.get(name, getattr(self, "_" + name, None))
-            arrays[name] = (None if array is None
-                            else np.ascontiguousarray(array, dtype))
-        arrays.update({lane: getattr(self._streams, lane)
-                       for lane in _LANES})
-        # The sweep_t holds raw pointers: keep every array it names alive.
-        self._arrays = arrays
-        self._sweep = ctypes.pointer(_Sweep(
-            replicas=self.current.shape[0], n=self._num_variables,
-            constraints=self._num_constraints,
-            moves=self.moves_per_iteration, sparse=int(self._sparse),
-            **{name: None if array is None else array.ctypes.data
-               for name, array in arrays.items()}))
+    def block(start_iteration: int, num_iterations: int) -> None:
+        run_block(sweep, start_iteration, num_iterations)
 
-    def run_block(self, start_iteration: int, num_iterations: int) -> None:
-        self._library.run_block(self._sweep, start_iteration, num_iterations)
-
-
-class NativeSAKernel(_NativeCore, FusedSAKernel):
-    """Compiled counterpart of :class:`~repro.kernels.fused.FusedSAKernel`."""
-
-
-class NativeHyCiMKernel(_NativeCore, FusedHyCiMKernel):
-    """Compiled counterpart of :class:`~repro.kernels.fused.FusedHyCiMKernel`."""
+    # The sweep_t holds raw pointers: keep every array it names alive.
+    block.arrays = arrays
+    return block

@@ -118,6 +118,7 @@ class TestKernelBackends:
         # family then exercises the fused path on its conformance instance
         # (with its registered moves the family falls under the "auto" test,
         # where unsupported configurations drop to the reference backend).
+        # Wherever the system cc builds it, the fused blocks run in C.
         params = solver_params(family, instance)
         params.pop("move_generator", None)
         reference = run_trials(instance, ("hycim", params), num_trials=4,
@@ -127,29 +128,19 @@ class TestKernelBackends:
                            master_seed=MASTER_SEED)
         _assert_exact(reference, fused)
 
-    def test_native_kernel_is_exact(self, native_backend, family, instance):
-        # The compiled C sweep covers what fused covers -- inequality and
-        # equality loads alike (bin packing, coloring and TSP hold one-hot
-        # equalities) -- with the same per-seed results.
-        params = solver_params(family, instance)
-        params.pop("move_generator", None)
-        reference = run_trials(instance, ("hycim", params), num_trials=4,
-                               backend="vectorized", master_seed=MASTER_SEED)
-        compiled = run_trials(instance,
-                              ("hycim", dict(params, kernel="native")),
-                              num_trials=4, backend="vectorized",
-                              master_seed=MASTER_SEED)
-        _assert_exact(reference, compiled)
-        assert {r.metadata["kernel"] for r in compiled.results} == {"native"}
+    def test_fused_numpy_loop_is_exact(self, family, instance, monkeypatch):
+        # The NumPy loop, which runs where no C block builds, holds to the
+        # same per-seed results -- inequality and equality loads alike (bin
+        # packing, coloring and TSP hold one-hot equalities).
+        monkeypatch.setattr(native_module, "_loaded", "C block disabled")
+        self.test_fused_kernel_is_exact(family, instance)
 
     def test_auto_kernel_with_jit_is_exact(self, family, instance,
                                            monkeypatch):
-        # Past native, numba comes next in auto's fall-through order.  With
-        # native unavailable and the JIT kernels allowed (interpreted where
-        # numba is missing), auto puts every family whose constraints the
-        # numba loop expresses on numba and the rest on fused; per-seed
-        # results stay exact either way.
-        monkeypatch.setattr(native_module, "_loaded", "native disabled")
+        # numba heads auto's fall-through order.  With the JIT kernels
+        # allowed (interpreted where numba is missing), auto puts every
+        # family whose constraints the compiled loop expresses on numba and
+        # the rest on fused; per-seed results stay exact either way.
         monkeypatch.setattr(jit_module, "_ALLOW_INTERPRETED", True)
         params = solver_params(family, instance)
         params.pop("move_generator", None)

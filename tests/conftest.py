@@ -16,12 +16,12 @@ from repro.problems.qkp import QuadraticKnapsackProblem
 
 @pytest.fixture
 def native_backend() -> None:
-    """Skips the test where the native kernels cannot be built (no C
-    compiler); CI builds them before tier-1, so there it never skips."""
+    """Skips the test where the fused kernels' C block cannot be built (no
+    C compiler); CI builds it before tier-1, so there it never skips."""
     try:
         native.library()
     except KernelUnavailableError as error:
-        pytest.skip(f"native backend unavailable: {error}")
+        pytest.skip(f"C block unavailable: {error}")
 
 
 @pytest.fixture

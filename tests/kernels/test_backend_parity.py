@@ -1,15 +1,15 @@
-"""Backend parity: fused, interpreted-JIT, native and "auto" kernels vs the
-reference.
+"""Backend parity: fused, interpreted-JIT and "auto" kernels vs the reference.
 
 The contract from :mod:`repro.kernels.base`: on integer-valued instances the
 fused backend consumes the same RNG draws and produces *exactly* equal
 trajectories -- best energies, configurations, proposal counters, recorded
 histories, and (crucially) the final per-replica generator states, so a
 kernel swap mid-campaign cannot desynchronise a seeded experiment.  The
-``"auto"`` arm holds whatever backend the environment resolves to (native
-when a C compiler is present) to the same contract.  On float data the
-native kernel equals the fused one bit for bit: both apply the same IEEE
-operations to each element in the same order.
+``"auto"`` arm holds whatever backend the environment resolves to (numba
+when installed, else fused) to the same contract.  The ``"fused"`` arm runs
+the C block wherever the system ``cc`` builds it, the ``"fused-numpy"`` arm
+the NumPy loop; on float data the two loops agree bit for bit, as both
+apply the same IEEE operations to each element in the same order.
 
 The JIT kernels are exercised here through their interpreted fallback
 (``_ALLOW_INTERPRETED``), so the compiled path's draw-replay logic is
@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import repro.kernels.jit as jit_module
+import repro.kernels.native as native
 from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.sa import SimulatedAnnealer
 from repro.batched import BatchedHyCiMSolver, BatchedSimulatedAnnealer
@@ -84,23 +85,29 @@ def assert_exact_parity(reference, other, generator_pairs=None):
             assert state_a["uinteger"] == state_b["uinteger"]
 
 
-@pytest.fixture(params=["fused", "numba", "native", "auto"])
+def disable_c_block(monkeypatch):
+    """Fused kernels built from here on run their NumPy loop."""
+    monkeypatch.setattr(native, "_loaded", "C block disabled")
+
+
+@pytest.fixture(params=["fused", "fused-numpy", "numba", "auto"])
 def backend(request, monkeypatch):
     if request.param == "numba":
         # Run the JIT kernels interpreted when numba is missing -- the
         # stream-replay and commit logic is identical either way.
         monkeypatch.setattr(jit_module, "_ALLOW_INTERPRETED", True)
-    if request.param == "native":
-        request.getfixturevalue("native_backend")
+    if request.param == "fused-numpy":
+        disable_c_block(monkeypatch)
+        return "fused"
     return request.param
 
 
-@pytest.fixture(params=["fused", "native"])
-def incremental(request):
-    """The backends with CSR and equality-constraint support."""
-    if request.param == "native":
-        request.getfixturevalue("native_backend")
-    return request.param
+@pytest.fixture(params=["fused", "fused-numpy"])
+def incremental(request, monkeypatch):
+    """The fused kernels' two loops: both support CSR and equalities."""
+    if request.param == "fused-numpy":
+        disable_c_block(monkeypatch)
+    return "fused"
 
 
 @pytest.fixture
@@ -165,14 +172,16 @@ class TestSAParity:
 
 class TestSparseParity:
     def test_sparse_fused_equals_dense_reference(self, qkp, qkp_initials):
-        self.check(qkp, qkp_initials, "fused")
+        self.check(qkp, qkp_initials)
 
-    def test_sparse_native_equals_dense_reference(self, native_backend, qkp,
-                                                  qkp_initials):
-        self.check(qkp, qkp_initials, "native")
+    def test_sparse_numpy_loop_equals_dense_reference(self, qkp,
+                                                      qkp_initials,
+                                                      monkeypatch):
+        disable_c_block(monkeypatch)
+        self.check(qkp, qkp_initials)
 
     @staticmethod
-    def check(qkp, qkp_initials, kernel):
+    def check(qkp, qkp_initials):
         pytest.importorskip("scipy")
         annealer = SimulatedAnnealer(num_iterations=150)
         ref_gens, gens = make_generators(31), make_generators(31)
@@ -182,7 +191,7 @@ class TestSparseParity:
             qkp.to_sparse_qubo(), qkp_initials, gens,
             accept_filter_batch=qkp.is_feasible_batch,
             feasibility_constraints=qkp.linear_feasibility_constraints(),
-            kernel=kernel)
+            kernel="fused")
         assert_exact_parity(reference, sparse, (ref_gens, gens))
 
 
@@ -235,7 +244,8 @@ def make_float_qkp(seed, n=24):
 
 @pytest.mark.usefixtures("native_backend")
 class TestFloatData:
-    """Native equals fused bit for bit on non-integer coefficients.
+    """The C block equals the NumPy loop bit for bit on non-integer
+    coefficients.
 
     The schedule starts hot, at the scale of the profits, so flips both
     ways are accepted and any reordered operation would move an energy.
@@ -243,41 +253,42 @@ class TestFloatData:
 
     HOT = GeometricSchedule(300.0, 1.0)
 
+    @staticmethod
+    def both_loops(run, seed, monkeypatch):
+        """``run(generators)`` on the NumPy loop, then on the C block."""
+        numpy_gens, gens = make_generators(seed), make_generators(seed)
+        with monkeypatch.context() as patch:
+            disable_c_block(patch)
+            numpy_loop = run(numpy_gens)
+        assert_exact_parity(numpy_loop, run(gens), (numpy_gens, gens))
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_hycim_native_equals_fused(self, seed):
+    def test_hycim(self, seed, monkeypatch):
         problem = make_float_qkp(seed)
         initials = np.stack([
             problem.random_feasible_configuration(np.random.default_rng(seed))
             for _ in range(NUM_REPLICAS)])
         solver = HyCiMSolver(problem, use_hardware=False, num_iterations=300,
                              schedule=self.HOT, record_history=True)
-        fused_gens, gens = make_generators(seed), make_generators(seed)
-        fused = BatchedHyCiMSolver(solver).solve_batch(
-            initials, fused_gens, kernel="fused")
-        native = BatchedHyCiMSolver(solver).solve_batch(
-            initials, gens, kernel="native")
-        assert_exact_parity(fused, native, (fused_gens, gens))
-        assert native[0].metadata["kernel"] == "native"
+        self.both_loops(
+            lambda generators: BatchedHyCiMSolver(solver).solve_batch(
+                initials, generators, kernel="fused"), seed, monkeypatch)
 
     @pytest.mark.parametrize("seed", [4, 5])
-    def test_sa_ladder_native_equals_fused(self, seed):
+    def test_sa_ladder(self, seed, monkeypatch):
         problem = make_float_qkp(seed)
         initials = np.zeros((NUM_REPLICAS, problem.num_variables))
         annealer = SimulatedAnnealer(num_iterations=300, schedule=self.HOT,
                                      record_history=True)
-        fused_gens, gens = make_generators(seed), make_generators(seed)
-
-        def anneal(generators, kernel):
-            return BatchedSimulatedAnnealer(annealer).anneal(
+        self.both_loops(
+            lambda generators: BatchedSimulatedAnnealer(annealer).anneal(
                 problem.to_qubo(), initials, generators,
                 accept_filter_batch=problem.is_feasible_batch,
                 feasibility_constraints=(
                     problem.linear_feasibility_constraints()),
                 dynamics=ParallelTempering(exchange_interval=7),
-                exchange_rng=exchange_stream([7]), kernel=kernel)
-
-        assert_exact_parity(anneal(fused_gens, "fused"),
-                            anneal(gens, "native"), (fused_gens, gens))
+                exchange_rng=exchange_stream([7]), kernel="fused"),
+            seed, monkeypatch)
 
 
 class TestHyCiMParity:

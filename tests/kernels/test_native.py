@@ -1,12 +1,13 @@
-"""The native backend: its compiled draws against numpy, its build cache,
-and how it is refused or falls through.
+"""The fused kernels' C block: its compiled draws against numpy, its build
+cache, and where the NumPy loop runs instead.
 
-The sweep parity itself lives in ``test_backend_parity.py`` (the ``native``
-arm of the backend fixture) and the conformance suite; here the C file's own
-PCG64 / ``integers`` / ``random`` functions are driven through the
-``draw_stream`` test entry point and compared with ``numpy.random.Generator``
-draw for draw, and the build is run cold, without a compiler, from a broken
-source and against a cache directory others can write to.
+The sweep parity itself lives in ``test_backend_parity.py`` (the ``fused``
+arm runs the C block, ``fused-numpy`` the NumPy loop, and ``TestFloatData``
+compares the two) and the conformance suite; here the C file's own PCG64 /
+``integers`` / ``random`` functions are driven through the ``draw_stream``
+test entry point and compared with ``numpy.random.Generator`` draw for
+draw, and the build is run cold, without a compiler, from a broken source
+and against cache directories other users could change.
 """
 
 import ctypes
@@ -24,11 +25,7 @@ from repro.dynamics.acceptance import MetropolisRule
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.moves import SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule
-from repro.kernels import (
-    KernelUnavailableError,
-    KernelUnsupportedError,
-    make_sa_kernel,
-)
+from repro.kernels import KernelUnavailableError, make_sa_kernel
 from repro.problems.generators import generate_qkp_instance
 
 MASK64 = (1 << 64) - 1
@@ -117,27 +114,38 @@ def run_kernel(kernel):
     return kernel.best_energy.copy(), kernel.num_accepted.copy()
 
 
+def run_numpy_loop(problem, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(native, "_loaded", "C block disabled")
+        kernel = make_sa_kernel("fused", **kernel_args(problem))
+    assert kernel._compiled is None
+    return run_kernel(kernel)
+
+
 @pytest.mark.usefixtures("native_backend")
-class TestRefusals:
+class TestWhichLoopRuns:
     class Greedy(MetropolisRule):
         """A subclass still counts as a custom rule: it may override."""
 
+    def test_per_replica_pcg64_streams_run_in_c(self, problem, monkeypatch):
+        kernel = make_sa_kernel("fused", **kernel_args(problem))
+        assert kernel.backend == "fused" and kernel._compiled is not None
+        np.testing.assert_array_equal(run_kernel(kernel),
+                                      run_numpy_loop(problem, monkeypatch))
+
     @pytest.mark.parametrize("case", ["shared-rng", "custom-rule", "mt19937"])
-    def test_refused_at_construction_and_auto_takes_fused(self, problem,
+    def test_draws_through_the_driver_keep_the_numpy_loop(self, problem,
                                                           case):
-        dynamics, generators, match = {
-            "shared-rng": (Dynamics(rng_mode="shared"), None, "shared-RNG"),
-            "custom-rule": (Dynamics(acceptance=self.Greedy()), None,
-                            "Greedy"),
+        dynamics, generators = {
+            "shared-rng": (Dynamics(rng_mode="shared"), None),
+            "custom-rule": (Dynamics(acceptance=self.Greedy()), None),
             "mt19937": (None, [np.random.Generator(np.random.MT19937(k))
-                               for k in range(3)], "PCG64"),
+                               for k in range(3)]),
         }[case]
-        with pytest.raises(KernelUnsupportedError, match=match):
-            make_sa_kernel("native", **kernel_args(problem, dynamics,
-                                                   generators))
-        kernel = make_sa_kernel("auto", **kernel_args(problem, dynamics,
-                                                      generators))
-        assert kernel.backend == "fused"  # numba refuses all three too
+        kernel = make_sa_kernel("fused", **kernel_args(problem, dynamics,
+                                                       generators))
+        assert kernel._streams is None and kernel._compiled is None
+        run_kernel(kernel)
 
 
 @pytest.fixture
@@ -151,16 +159,18 @@ def fresh_build(monkeypatch, tmp_path):
 
 @pytest.mark.usefixtures("native_backend")
 class TestBuild:
-    def test_cold_build_fills_an_empty_cache(self, fresh_build, problem):
+    def test_cold_build_fills_an_empty_cache(self, fresh_build, problem,
+                                             monkeypatch):
         library = native.library()
         cache = fresh_build / "cache" / "repro"
         built = sorted(cache.iterdir())
         assert len(built) == 1 and built[0].name.startswith("native-")
         assert Path(library._name) == built[0]
         assert stat.S_IMODE(cache.stat().st_mode) == 0o700
-        kernel = make_sa_kernel("native", **kernel_args(problem))
-        fused = make_sa_kernel("fused", **kernel_args(problem))
-        np.testing.assert_array_equal(run_kernel(kernel), run_kernel(fused))
+        kernel = make_sa_kernel("fused", **kernel_args(problem))
+        assert kernel._compiled is not None
+        np.testing.assert_array_equal(run_kernel(kernel),
+                                      run_numpy_loop(problem, monkeypatch))
 
     def test_cache_defaults_to_home(self, fresh_build, monkeypatch):
         monkeypatch.delenv("XDG_CACHE_HOME")
@@ -174,7 +184,8 @@ class TestBuild:
         monkeypatch.setattr(native, "_compile", None)  # must not be called
         assert Path(native.library()._name) == first
 
-    def test_failed_compile_names_the_cause(self, fresh_build, monkeypatch):
+    def test_failed_compile_names_the_cause(self, fresh_build, monkeypatch,
+                                            problem):
         broken = fresh_build / "broken.c"
         broken.write_text("this is not C\n")
         monkeypatch.setattr(native, "SOURCE", broken)
@@ -184,18 +195,42 @@ class TestBuild:
         with pytest.raises(KernelUnavailableError, match="failed"):
             native.library()
         assert list((fresh_build / "cache" / "repro").iterdir()) == []
+        assert make_sa_kernel("fused", **kernel_args(problem))._compiled is None
 
     def test_unusable_cache_builds_in_a_private_temporary_directory(
-            self, fresh_build, problem):
+            self, fresh_build, problem, monkeypatch):
         cache = fresh_build / "cache" / "repro"
         cache.mkdir(parents=True)
         cache.chmod(0o777)  # others could swap the library
         library = native.library()
         assert cache not in Path(library._name).parents
         assert list(cache.iterdir()) == []
-        kernel = make_sa_kernel("native", **kernel_args(problem))
-        fused = make_sa_kernel("fused", **kernel_args(problem))
-        np.testing.assert_array_equal(run_kernel(kernel), run_kernel(fused))
+        kernel = make_sa_kernel("fused", **kernel_args(problem))
+        assert kernel._compiled is not None
+        np.testing.assert_array_equal(run_kernel(kernel),
+                                      run_numpy_loop(problem, monkeypatch))
+
+    def test_symlinked_cache_is_not_used(self, fresh_build):
+        # Another user who can write the parent could point ``repro`` at any
+        # directory this user owns, or repoint it before the load.
+        elsewhere = fresh_build / "elsewhere"
+        elsewhere.mkdir(mode=0o700)
+        (fresh_build / "cache").mkdir()
+        (fresh_build / "cache" / "repro").symlink_to(elsewhere)
+        library = native.library()
+        assert elsewhere not in Path(library._name).parents
+        assert list(elsewhere.iterdir()) == []
+
+    @pytest.mark.parametrize("mode, used", [(0o777, False), (0o770, False),
+                                            (0o1777, True), (0o755, True)])
+    def test_parent_others_can_write(self, fresh_build, mode, used):
+        # Without the sticky bit, whoever can write the parent can rename
+        # ``repro`` and put their own directory in its place.
+        parent = fresh_build / "cache"
+        parent.mkdir()
+        parent.chmod(mode)
+        library = native.library()
+        assert (Path(library._name).parent == parent / "repro") is used
 
 
 class TestUnavailable:
@@ -203,6 +238,9 @@ class TestUnavailable:
         monkeypatch.setenv("PATH", str(fresh_build / "no-compilers-here"))
         monkeypatch.setattr(jit_module, "HAVE_NUMBA", False)
         with pytest.raises(KernelUnavailableError, match="no `cc` on PATH"):
-            make_sa_kernel("native", **kernel_args(problem))
-        kernel = make_sa_kernel("auto", **kernel_args(problem))
-        assert kernel.backend == "fused"
+            native.library()
+        kernel = make_sa_kernel("fused", **kernel_args(problem))
+        assert kernel._compiled is None
+        run_kernel(kernel)
+        assert make_sa_kernel("auto", **kernel_args(problem)).backend == \
+            "fused"

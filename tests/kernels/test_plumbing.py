@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import repro.kernels.jit as jit_module
-import repro.kernels.native as native_module
 from repro.batched.kernels import batched_energies
 from repro.core.constraints import EqualityConstraint
 from repro.dynamics.driver import LoopDriver
@@ -187,7 +186,7 @@ class TestConstructionFallbacks:
         # integer QKP on the fastest one available, configurations fused
         # cannot express on the reference kernel.
         kernel = make_sa_kernel("auto", **_kernel_args(problem))
-        assert kernel.backend in ("native", "fused", "numba")
+        assert kernel.backend in ("fused", "numba")
         for unsupported in (dict(generic_filter=True),
                             dict(single_flip=False)):
             kernel = make_sa_kernel("auto",
@@ -197,19 +196,18 @@ class TestConstructionFallbacks:
     def test_auto_falls_back_to_fused_on_float_matrices(self, problem):
         # Non-integer coefficients only cost the fused path its exactness
         # guarantee (tolerance-equal instead), not its support: auto still
-        # lands on native -- or numba or fused, without a C compiler.
+        # lands on fused -- or numba, when installed.
         args = _kernel_args(problem)
         args["matrix"] = args["matrix"] + 0.25
         kernel = make_sa_kernel("auto", **args)
-        assert kernel.backend in ("native", "fused", "numba")
+        assert kernel.backend in ("fused", "numba")
 
     def test_auto_steps_from_numba_to_fused_on_equality_constraints(
             self, problem, monkeypatch):
-        # The numba loop has no equality compare.  With native unavailable
-        # and the JIT kernels allowed (interpreted where numba is missing),
-        # explicit numba refuses an equality constraint and auto takes the
-        # next backend in line -- fused, not the reference.
-        monkeypatch.setattr(native_module, "_loaded", "native disabled")
+        # The compiled loop has no equality compare.  With the JIT kernels
+        # allowed (interpreted where numba is missing), explicit numba
+        # refuses an equality constraint and auto takes the next backend in
+        # line -- fused, not the reference.
         monkeypatch.setattr(jit_module, "_ALLOW_INTERPRETED", True)
         args = _kernel_args(problem)
         args["feasibility_constraints"] = [
@@ -224,42 +222,12 @@ class TestConstructionFallbacks:
         with pytest.raises(ValueError, match="unknown kernel backend") as info:
             make_sa_kernel("packed", **_kernel_args(problem))
         assert str(info.value).endswith(
-            "('reference', 'fused', 'numba', 'native', 'auto')")
-
-
-@pytest.mark.usefixtures("native_backend")
-class TestAutoResolvesToNative:
-    """With a C compiler, "auto" lands on the native backend wherever the
-    fused kernels run, and the run records it."""
-
-    def test_both_engine_families_on_integer_and_float_matrices(self,
-                                                                problem):
-        for shift in (0.0, 0.25):
-            args = _kernel_args(problem)
-            args["matrix"] = args["matrix"] + shift
-            assert make_sa_kernel("auto", **args).backend == "native"
-            hycim = make_hycim_kernel("auto",
-                                      **_hycim_kernel_args(problem, shift))
-            assert hycim.backend == "native"
-
-    def test_run_stamps_the_resolved_backend(self, problem, tmp_path):
-        store = CampaignStore(tmp_path / "store")
-        batch = run_trials(problem, "hycim", num_trials=2,
-                           params=dict(PARAMS, kernel="auto"),
-                           backend="vectorized", master_seed=6, store=store)
-        assert [r.metadata["kernel"] for r in batch.results] == ["native"] * 2
-        provenance = store.get_manifest(batch.run_key).provenance
-        assert provenance["kernel_resolved"] == "native"
+            "('reference', 'fused', 'numba', 'auto')")
 
 
 @pytest.mark.skipif(_has_numba(), reason="numba is installed")
 class TestAutoResolvesToFused:
-    """Without a C compiler or numba, "auto" lands on the fused backend
-    wherever fused runs."""
-
-    @pytest.fixture(autouse=True)
-    def no_native(self, monkeypatch):
-        monkeypatch.setattr(native_module, "_loaded", "native disabled")
+    """Without numba, "auto" lands on the fused backend wherever fused runs."""
 
     def test_both_engine_families_on_integer_and_float_matrices(self,
                                                                 problem):
