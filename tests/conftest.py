@@ -15,7 +15,7 @@ from repro.problems.qkp import QuadraticKnapsackProblem
 
 
 @pytest.fixture
-def native_backend() -> None:
+def c_block() -> None:
     """Skips the test where the fused kernels' C block cannot be built (no
     C compiler); CI builds it before tier-1, so there it never skips."""
     try:

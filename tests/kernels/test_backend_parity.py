@@ -242,7 +242,7 @@ def make_float_qkp(seed, n=24):
                                     name="float_qkp")
 
 
-@pytest.mark.usefixtures("native_backend")
+@pytest.mark.usefixtures("c_block")
 class TestFloatData:
     """The C block equals the NumPy loop bit for bit on non-integer
     coefficients.

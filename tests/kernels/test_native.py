@@ -50,7 +50,7 @@ def native_draws(generator, bounds):
     return draws, lane
 
 
-@pytest.mark.usefixtures("native_backend")
+@pytest.mark.usefixtures("c_block")
 class TestDraws:
     @pytest.mark.parametrize("parked", [False, True],
                              ids=["fresh", "parked-half"])
@@ -122,7 +122,7 @@ def run_numpy_loop(problem, monkeypatch):
     return run_kernel(kernel)
 
 
-@pytest.mark.usefixtures("native_backend")
+@pytest.mark.usefixtures("c_block")
 class TestWhichLoopRuns:
     class Greedy(MetropolisRule):
         """A subclass still counts as a custom rule: it may override."""
@@ -157,7 +157,7 @@ def fresh_build(monkeypatch, tmp_path):
     return tmp_path
 
 
-@pytest.mark.usefixtures("native_backend")
+@pytest.mark.usefixtures("c_block")
 class TestBuild:
     def test_cold_build_fills_an_empty_cache(self, fresh_build, problem,
                                              monkeypatch):
