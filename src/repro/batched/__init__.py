@@ -1,14 +1,15 @@
 """Vectorised multi-replica annealing: M replicas per instance in lock-step.
 
 The scalar solvers advance one configuration at a time; this package advances
-a whole replica batch per NumPy operation -- batched single-flip deltas and
-full-energy evaluation on the QUBO matrices (:mod:`repro.batched.kernels`),
-lock-step replica engines that preserve per-replica ``Generator`` streams for
-exact scalar parity (:mod:`repro.batched.engine`), a batch-of-chips mode
-that runs per-trial device ``variability`` as one slice of the hardware
-stack's device axis per trial (see ARCHITECTURE.md), and drop-in batched
-trial functions for the runtime's ``"hycim"``, ``"sa"`` and ``"dqubo"``
-solvers (:mod:`repro.batched.trials`).
+a whole replica batch per NumPy operation -- lock-step replica engines that
+preserve per-replica ``Generator`` streams for exact scalar parity
+(:mod:`repro.batched.engine`, whose batched energy, delta and verdict
+primitives live with the reference sweep in :mod:`repro.kernels.reference`),
+a batch-of-chips mode that runs per-trial device ``variability`` as one
+slice of the hardware stack's device axis per trial (see ARCHITECTURE.md),
+and the trial functions of the runtime's ``"hycim"``, ``"sa"`` and
+``"dqubo"`` solvers, single and batched, with their setup from parameter
+dicts (:mod:`repro.batched.trials`).
 
 The front door is :func:`repro.runtime.run_trials` with
 ``backend="vectorized"`` (whole batch in-process) or ``replicas_per_task`` on
@@ -16,7 +17,7 @@ the process backend (vectorised groups inside each worker task); both produce
 per-seed results identical to the serial backend in software mode on
 integer-valued objective data (the paper's QKP benchmarks -- float
 coefficients agree to floating-point tolerance, see
-:mod:`repro.batched.kernels`).
+:mod:`repro.kernels.reference`).
 
 The engines' control loops (temperature tables, acceptance, replica
 exchange, RNG topology) are owned by :mod:`repro.dynamics`;
@@ -26,12 +27,6 @@ already share.
 """
 
 from repro.batched.engine import BatchedHyCiMSolver, BatchedSimulatedAnnealer
-from repro.batched.kernels import (
-    as_replica_matrix,
-    batched_energies,
-    batched_energy_delta,
-    batched_inequality_verdicts,
-)
 from repro.batched.trials import (
     dqubo_batched_trials,
     hycim_batched_trials,
@@ -41,10 +36,6 @@ from repro.batched.trials import (
 __all__ = [
     "BatchedHyCiMSolver",
     "BatchedSimulatedAnnealer",
-    "as_replica_matrix",
-    "batched_energies",
-    "batched_energy_delta",
-    "batched_inequality_verdicts",
     "dqubo_batched_trials",
     "hycim_batched_trials",
     "sa_batched_trials",

@@ -48,8 +48,10 @@ one chip-faithful shared RNG stream; the default dynamics keep every
 replica on its own stream.
 
 **Kernels.**  The inner sweep itself -- propose, delta, filter, accept,
-state update, best tracking -- lives in :mod:`repro.kernels`; the engines
-build a :class:`~repro.kernels.SweepKernel` and drive it block-wise, with
+state update, best tracking -- lives in :mod:`repro.kernels`, and so do the
+batched energy and verdict primitives the engines call
+(:mod:`repro.kernels.reference`); the engines build a
+:class:`~repro.kernels.SweepKernel` and drive it block-wise, with
 :meth:`LoopDriver.block_length` placing block boundaries exactly where an
 exchange round or telemetry probe is due.  ``kernel="reference"`` (the
 default) is the engines' original loop body;
@@ -68,11 +70,6 @@ import numpy as np
 from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.result import SolveResult
 from repro.annealing.sa import SimulatedAnnealer
-from repro.batched.kernels import (
-    as_replica_matrix,
-    batched_energies,
-    batched_inequality_verdicts,
-)
 from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
 from repro.cim.inequality_filter import InequalityFilter
 from repro.core.constraints import InequalityConstraint
@@ -81,9 +78,12 @@ from repro.dynamics.driver import LoopDriver
 from repro.dynamics.dynamics import Dynamics
 from repro.dynamics.moves import SingleFlipMove
 from repro.fefet.variability import VariabilityModel
-# NOTE: repro.kernels is imported lazily inside anneal()/solve_batch():
-# its reference backend imports repro.batched.kernels, so a module-scope
-# import here would make the package import order significant.
+from repro.kernels import make_hycim_kernel, make_sa_kernel
+from repro.kernels.reference import (
+    as_replica_matrix,
+    batched_energies,
+    batched_inequality_verdicts,
+)
 
 __all__ = ["BatchedHyCiMSolver", "BatchedSimulatedAnnealer"]
 
@@ -217,8 +217,6 @@ class BatchedSimulatedAnnealer:
 
         current_energy = batched_energies(matrix, current, qubo.offset)
         single_flip = isinstance(cfg.move_generator, SingleFlipMove)
-        from repro.kernels import make_sa_kernel
-
         histories: List[List[float]] = [[] for _ in range(num_replicas)]
         with LoopDriver(cfg.schedule, cfg.num_iterations, generators,
                         dynamics=dynamics, exchange_rng=exchange_rng,
@@ -461,8 +459,6 @@ class BatchedHyCiMSolver:
                       if use_delta else None)
         use_hardware_filters = (self._device_filters is not None
                                 or bool(solver.inequality_filters))
-        from repro.kernels import make_hycim_kernel
-
         histories: List[List[float]] = [[] for _ in range(num_replicas)]
         with LoopDriver(solver.schedule, solver.num_iterations, generators,
                         dynamics=dynamics, exchange_rng=exchange_rng,

@@ -7,10 +7,11 @@ per trial seed) as one batch:
 
     _hycim_replicas(problem, params, seeds, initials) -> [SolveResult, ...]
 
-The registry's single-trial functions (:data:`repro.runtime.registry.
-TrialFunction`) run it for one seed inside a ``trial`` span; the *batched
-trial functions* below run it for a whole replica group inside a
-``trial_group`` span:
+One wrapper, :func:`_traced`, runs a runner in a telemetry span and stamps
+each result's trial seed and wall time: the single-trial functions the
+registry maps ``"hycim"``, ``"sa"`` and ``"dqubo"`` to call it on one seed
+(a ``trial`` span), the *batched trial functions* on a replica group (a
+``trial_group`` span):
 
     batched_fn(problem, params, seeds, initials) -> [SolveResult, ...]
 
@@ -21,20 +22,23 @@ is what lets :func:`repro.runtime.run_trials` treat ``backend="vectorized"``
 (and ``replicas_per_task`` groups on the process backend) as a pure
 throughput knob.
 
+Parameter dicts may carry plain values (``{"move_generator": "knapsack"}``)
+or constructed schedule / move / dynamics objects; both forms pickle, and
+:func:`build_dynamics` (re-exported by ``repro.runtime``) canonicalises both.
+
 Per-trial device ``variability`` -- a freshly programmed chip per trial --
 runs through the hardware stack's *device axis* (ARCHITECTURE.md): each
-trial's chip is sampled from one
-:func:`~repro.runtime.registry._build_variability` model per trial seed and
-occupies one slice of the device-axis filters/crossbar, so the Monte-Carlo
-over chips advances in lock-step instead of trial by trial.  Only the
-``dqubo`` hardware mode (a per-trial crossbar over the combined penalty
-QUBO, an overhead study rather than a throughput path) runs trial by trial,
-so every registry parameter dict stays valid.
+trial's chip is sampled from one :func:`_build_variability` model per trial
+seed and occupies one slice of the device-axis filters/crossbar, so the
+Monte-Carlo over chips advances in lock-step instead of trial by trial.
+Only the ``dqubo`` hardware mode (a per-trial crossbar over the combined
+penalty QUBO, an overhead study rather than a throughput path) runs trial
+by trial, so every registry parameter dict stays valid.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -44,23 +48,220 @@ from repro.annealing.result import SolveResult
 from repro.annealing.sa import SimulatedAnnealer
 from repro.batched.engine import BatchedHyCiMSolver, BatchedSimulatedAnnealer
 from repro.core.dqubo import SlackEncoding
-from repro.dynamics.dynamics import exchange_stream, shared_stream
+from repro.dynamics.dynamics import (
+    Dynamics,
+    ParallelTempering,
+    exchange_stream,
+    shared_stream,
+)
+from repro.dynamics.exchange import EvenOddExchange, ExchangePolicy, NoExchange
+from repro.dynamics.moves import (
+    BinPackingMove,
+    KnapsackNeighborhoodMove,
+    MoveGenerator,
+    MultiFlipMove,
+    OneHotGroupMove,
+    PermutationSwapMove,
+    SingleFlipMove,
+)
+from repro.dynamics.schedule import (
+    ConstantSchedule,
+    ExponentialSchedule,
+    GeometricSchedule,
+    LinearSchedule,
+    TemperatureLadder,
+    TemperatureSchedule,
+)
+from repro.fefet.variability import VariabilityModel
 from repro.kernels.base import canonical_kernel_param
 from repro.problems.base import CombinatorialProblem
-from repro.runtime.registry import (
-    _build_move,
-    _build_variability,
-    _dqubo_trial,
-    _hycim_trial,
-    _initial_configuration,
-    _register_builtin_batched,
-    _resolve_schedule,
-    _sa_trial,
-    build_dynamics,
-)
 from repro.telemetry.recorder import current_recorder, worker_attrs
 
 __all__ = ["dqubo_batched_trials", "hycim_batched_trials", "sa_batched_trials"]
+
+_SCHEDULES = {
+    "geometric": GeometricSchedule,
+    "linear": LinearSchedule,
+    "exponential": ExponentialSchedule,
+    "constant": ConstantSchedule,
+}
+
+_MOVES = {
+    "single_flip": SingleFlipMove,
+    "multi_flip": MultiFlipMove,
+    "knapsack": KnapsackNeighborhoodMove,
+    "one_hot": OneHotGroupMove,
+    "permutation_swap": PermutationSwapMove,
+    "bin_packing": BinPackingMove,
+}
+
+_EXCHANGES = {
+    "none": NoExchange,
+    "even_odd": EvenOddExchange,
+}
+
+_DYNAMICS_KINDS = {
+    "dynamics": Dynamics,
+    "parallel_tempering": ParallelTempering,
+}
+
+
+# --------------------------------------------------------------------- #
+# Param coercion helpers
+# --------------------------------------------------------------------- #
+def _build_schedule(value: Any) -> TemperatureSchedule:
+    if isinstance(value, TemperatureSchedule):
+        return value
+    if isinstance(value, Mapping):
+        payload = dict(value)
+        kind = payload.pop("kind", "geometric")
+        try:
+            return _SCHEDULES[kind](**payload)
+        except KeyError as error:
+            raise ValueError(f"unknown schedule kind {kind!r}") from error
+    raise TypeError("schedule must be a TemperatureSchedule or a config dict")
+
+
+def _build_move(value: Any) -> MoveGenerator:
+    if isinstance(value, MoveGenerator):
+        return value
+    if isinstance(value, str):
+        value = {"kind": value}
+    if isinstance(value, Mapping):
+        payload = dict(value)
+        kind = payload.pop("kind", None)
+        if kind is None:
+            raise ValueError("move generator config dicts need a 'kind' key")
+        try:
+            return _MOVES[kind](**payload)
+        except KeyError as error:
+            raise ValueError(f"unknown move generator kind {kind!r}") from error
+    raise TypeError("move_generator must be a MoveGenerator, a name, or a config dict")
+
+
+def _build_exchange(value: Any) -> ExchangePolicy:
+    if isinstance(value, ExchangePolicy):
+        return value
+    if isinstance(value, str):
+        value = {"kind": value}
+    if isinstance(value, Mapping):
+        payload = dict(value)
+        kind = payload.pop("kind", "even_odd")
+        try:
+            return _EXCHANGES[kind](**payload)
+        except KeyError as error:
+            raise ValueError(f"unknown exchange kind {kind!r}") from error
+    raise TypeError("exchange must be an ExchangePolicy, a name, or a config dict")
+
+
+def build_dynamics(value: Any) -> Optional[Dynamics]:
+    """Coerce a dynamics bundle / config dict / ``None`` into a
+    :class:`~repro.dynamics.Dynamics`.
+
+    ``run_trials`` canonicalises its ``dynamics`` parameter through this
+    function *before* the store run key is computed, so a config dict and
+    the equivalent constructed bundle address the same persisted run.  Dict
+    form: ``{"kind": "parallel_tempering", "hottest": 8.0,
+    "exchange_interval": 10}`` or ``{"kind": "dynamics", "ladder":
+    [1.0, 2.0, 4.0], "exchange": {"kind": "even_odd"}, "rng_mode":
+    "shared", "schedule": {"kind": "geometric", ...}}``.
+    """
+    if value is None:
+        return None
+    if isinstance(value, Dynamics):
+        return value
+    if isinstance(value, Mapping):
+        payload = dict(value)
+        kind = payload.pop("kind", "dynamics")
+        if payload.get("schedule") is not None:
+            payload["schedule"] = _build_schedule(payload["schedule"])
+        ladder = payload.get("ladder")
+        if ladder is not None and not isinstance(ladder, TemperatureLadder):
+            payload["ladder"] = TemperatureLadder(tuple(ladder))
+        if payload.get("exchange") is not None:
+            payload["exchange"] = _build_exchange(payload["exchange"])
+        try:
+            factory = _DYNAMICS_KINDS[kind]
+        except KeyError as error:
+            raise ValueError(f"unknown dynamics kind {kind!r}") from error
+        return factory(**payload)
+    raise TypeError("dynamics must be a Dynamics bundle, a config dict or None")
+
+
+def _resolve_schedule(problem: CombinatorialProblem, params: Mapping[str, Any],
+                      dynamics: Optional[Dynamics]) -> TemperatureSchedule:
+    """Schedule precedence: dynamics override > explicit param > auto."""
+    if dynamics is not None and dynamics.schedule is not None:
+        return dynamics.schedule
+    schedule = params.get("schedule")
+    if schedule is not None:
+        return _build_schedule(schedule)
+    return _auto_schedule(problem)
+
+
+def _build_variability(value: Any, seed: int):
+    """Per-trial variability model derived from a template and the trial seed.
+
+    The caller's model (or config dict) only fixes the sigmas; every trial
+    re-samples its own device deviations from a seed spawned off the trial
+    seed -- each trial simulates a freshly programmed chip, identically on
+    every backend.
+    """
+    if value is None:
+        return None
+    if isinstance(value, VariabilityModel):
+        payload = {"threshold_sigma": value.threshold_sigma,
+                   "on_current_sigma": value.on_current_sigma}
+    elif isinstance(value, Mapping):
+        payload = {key: val for key, val in value.items() if key != "seed"}
+    else:
+        raise TypeError("variability must be a VariabilityModel or a config dict")
+    device_seed = int(np.random.SeedSequence([seed, 0xFEFE]).generate_state(1)[0])
+    return VariabilityModel(seed=device_seed, **payload)
+
+
+def _auto_schedule(problem: CombinatorialProblem) -> TemperatureSchedule:
+    """Instance-scaled geometric schedule (the protocol used throughout
+    ``analysis``): start at 20x the largest objective coefficient so uphill
+    moves remain possible early in the anneal.
+
+    The scale is read from the problem's profit/coefficient data directly
+    when available -- building the full O(n^2) QUBO matrix per trial just to
+    read its largest entry would dominate short trials at paper scale.
+    """
+    profits = getattr(problem, "profits", None)
+    if profits is not None and np.size(profits):
+        scale = float(np.max(np.abs(profits)))
+    else:
+        try:
+            scale = float(problem.to_qubo().max_abs_coefficient)
+        except Exception:
+            scale = 1.0
+    scale = scale or 1.0
+    return GeometricSchedule(start_temperature=20.0 * scale,
+                             end_temperature=max(0.02 * scale, 1e-3))
+
+
+def _initial_configuration(problem: CombinatorialProblem, params: Mapping[str, Any],
+                           rng: np.random.Generator,
+                           initial: Optional[np.ndarray]) -> np.ndarray:
+    """Resolve the trial's starting configuration.
+
+    ``params["initial"]`` selects the sampling policy when no explicit initial
+    state was handed to the executor: ``"feasible"`` (default) draws a random
+    feasible configuration, ``"random"`` a uniform binary vector, ``"zeros"``
+    the empty selection (the erased-chip state of Fig. 7(f)).
+    """
+    if initial is not None:
+        return np.asarray(initial, dtype=float)
+    policy = params.get("initial", "feasible")
+    if policy == "feasible":
+        return problem.random_feasible_configuration(rng)
+    if policy == "random":
+        return rng.integers(0, 2, size=problem.num_variables).astype(float)
+    if policy == "zeros":
+        return np.zeros(problem.num_variables)
+    raise ValueError(f"unknown initial-state policy {policy!r}")
 
 
 def _dynamics_setup(params: Mapping[str, object], seeds: Sequence[int]):
@@ -97,11 +298,8 @@ def _group_generators(seeds: Sequence[int],
 def _replica_starts(problem: CombinatorialProblem, params: Mapping[str, object],
                     rngs: Sequence[np.random.Generator],
                     initials: Sequence[Optional[np.ndarray]]) -> np.ndarray:
-    """Per-replica starting configurations, drawn from each replica's stream.
-
-    Uses the registry's own policy resolution so the draw order (and thus the
-    remaining stream) is identical to the single-trial functions.
-    """
+    """Per-replica starting configurations, drawn from each replica's stream
+    in the order :func:`_initial_configuration` draws a single trial's."""
     return np.stack([
         _initial_configuration(problem, params, rng, initial)
         for rng, initial in zip(rngs, initials)
@@ -137,9 +335,9 @@ def _hycim_replicas(
     (one programmed crossbar, one filter per constraint); with a
     ``variability`` template each trial becomes a freshly sampled chip on the
     engine's device axis -- chip ``k`` is built from the model
-    :func:`~repro.runtime.registry._build_variability` derives from
-    ``seeds[k]``, and its crossbar/ADC streams restart from the same
-    per-trial seed, so a trial's result does not depend on its group.
+    :func:`_build_variability` derives from ``seeds[k]``, and its
+    crossbar/ADC streams restart from the same per-trial seed, so a trial's
+    result does not depend on its group.
     """
     dynamics, exchange_rng, shared_rng = _dynamics_setup(params, seeds)
     use_hardware = bool(params.get("use_hardware", True))
@@ -340,14 +538,16 @@ def _dqubo_replicas(
     ]
 
 
-def _trial_group(solver: str, replicas: Callable[..., List[SolveResult]],
-                 problem: CombinatorialProblem, params: Mapping[str, object],
-                 seeds: Sequence[int],
-                 initials: Sequence[Optional[np.ndarray]]) -> List[SolveResult]:
-    with current_recorder().span("trial_group", solver=solver,
-                                 replicas=len(seeds),
+def _traced(span_name: str, solver: str,
+            runner: Callable[..., List[SolveResult]],
+            problem: CombinatorialProblem, params: Mapping[str, object],
+            seeds: Sequence[int], initials: Sequence[Optional[np.ndarray]],
+            **attrs: int) -> List[SolveResult]:
+    """Run a replica runner on ``seeds`` inside one ``span_name`` span
+    (carrying ``attrs``) and stamp the results with seeds and wall time."""
+    with current_recorder().span(span_name, solver=solver, **attrs,
                                  **worker_attrs()) as span:
-        results = replicas(problem, params, seeds, initials)
+        results = runner(problem, params, seeds, initials)
         # What "auto" actually picked, read back from the engine's stamp
         # (absent stamp == reference backend).
         span.annotate(kernel_resolved=(
@@ -356,13 +556,31 @@ def _trial_group(solver: str, replicas: Callable[..., List[SolveResult]],
     return _stamp(results, seeds, span.elapsed)
 
 
+def _hycim_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
+                 seed: int, initial: Optional[np.ndarray]) -> SolveResult:
+    return _traced("trial", "hycim", _hycim_replicas, problem, params,
+                   [int(seed)], [initial], seed=int(seed))[0]
+
+
+def _sa_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
+              seed: int, initial: Optional[np.ndarray]) -> SolveResult:
+    return _traced("trial", "sa", _sa_replicas, problem, params,
+                   [int(seed)], [initial], seed=int(seed))[0]
+
+
+def _dqubo_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
+                 seed: int, initial: Optional[np.ndarray]) -> SolveResult:
+    return _traced("trial", "dqubo", _dqubo_replicas, problem, params,
+                   [int(seed)], [initial], seed=int(seed))[0]
+
+
 def hycim_batched_trials(problem: CombinatorialProblem,
                          params: Mapping[str, object], seeds: Sequence[int],
                          initials: Sequence[Optional[np.ndarray]]
                          ) -> List[SolveResult]:
     """The ``"hycim"`` batched trial function (see :func:`_hycim_replicas`)."""
-    return _trial_group("hycim", _hycim_replicas, problem, params, seeds,
-                        initials)
+    return _traced("trial_group", "hycim", _hycim_replicas, problem, params,
+                   seeds, initials, replicas=len(seeds))
 
 
 def sa_batched_trials(problem: CombinatorialProblem,
@@ -370,7 +588,8 @@ def sa_batched_trials(problem: CombinatorialProblem,
                       initials: Sequence[Optional[np.ndarray]]
                       ) -> List[SolveResult]:
     """The ``"sa"`` batched trial function (see :func:`_sa_replicas`)."""
-    return _trial_group("sa", _sa_replicas, problem, params, seeds, initials)
+    return _traced("trial_group", "sa", _sa_replicas, problem, params,
+                   seeds, initials, replicas=len(seeds))
 
 
 def dqubo_batched_trials(problem: CombinatorialProblem,
@@ -378,12 +597,5 @@ def dqubo_batched_trials(problem: CombinatorialProblem,
                          initials: Sequence[Optional[np.ndarray]]
                          ) -> List[SolveResult]:
     """The ``"dqubo"`` batched trial function (see :func:`_dqubo_replicas`)."""
-    return _trial_group("dqubo", _dqubo_replicas, problem, params, seeds,
-                        initials)
-
-
-# Guarded pairing: registration is skipped if the user already replaced the
-# single-trial solver (or claimed the batched slot) before this module loaded.
-_register_builtin_batched("hycim", hycim_batched_trials, _hycim_trial)
-_register_builtin_batched("sa", sa_batched_trials, _sa_trial)
-_register_builtin_batched("dqubo", dqubo_batched_trials, _dqubo_trial)
+    return _traced("trial_group", "dqubo", _dqubo_replicas, problem, params,
+                   seeds, initials, replicas=len(seeds))

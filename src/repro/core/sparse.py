@@ -5,11 +5,10 @@ surface the annealing stack actually touches -- ``matrix`` / ``offset`` /
 ``num_variables`` plus ``energy``/``energies`` -- with the coefficient
 matrix held as a SciPy CSR array in the same upper-triangular convention
 (diagonal = linear terms, strict upper triangle = pairwise couplings).
-The batched kernels (:mod:`repro.batched.kernels`) and the sweep kernels
-(:mod:`repro.kernels`) detect the CSR payload by duck-typing, so a sparse
-model flows through the engines unchanged: energies via scipy's
-dense-times-CSR product, single-flip deltas via CSR row gathers at
-O(degree) per flip.
+The sweep kernels and their batched primitives (:mod:`repro.kernels`)
+detect the CSR payload by duck-typing, so a sparse model flows through the
+engines unchanged: energies via scipy's dense-times-CSR product,
+single-flip deltas via CSR row gathers at O(degree) per flip.
 
 SciPy is an *optional* dependency (the ``sparse`` extra): importing this
 module without it raises a clear error at first use, and nothing else in

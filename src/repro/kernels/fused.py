@@ -10,7 +10,7 @@ gather per proposal.  The kernels here maintain, per replica:
 * **running constraint loads** ``load[k,c] = w_c · x_k`` so linear
   feasibility is an O(M·C) compare instead of a batched matvec per
   constraint (inequality verdicts use the same ``bound + 1e-9`` tolerance
-  as :func:`repro.batched.kernels.batched_inequality_verdicts`; equality
+  as :func:`repro.kernels.reference.batched_inequality_verdicts`; equality
   verdicts the ``|lhs - bound| <= 1e-9`` of
   :meth:`EqualityConstraint.is_satisfied`).
 

@@ -9,8 +9,9 @@ door for running them at scale:
   :meth:`numpy.random.SeedSequence.spawn` from one master seed, in the parent
   process, so the trial outcomes are *bitwise identical* regardless of the
   backend, worker count or chunk size.  The spawned seed is exposed on every
-  :class:`~repro.annealing.result.SolveResult` (``trial_seed``), so any
-  individual trial can be replayed with :func:`repro.runtime.registry.run_single_trial`.
+  :class:`~repro.annealing.result.SolveResult` (``trial_seed`` and
+  ``metadata["seed"]``), so any individual trial of independent replicas can
+  be replayed with :func:`repro.runtime.registry.run_single_trial`.
 * **Backends** -- ``"process"`` fans chunks of trials out over a
   ``multiprocessing`` pool; ``"serial"`` runs them in-process (the fallback
   for debugging, profiling, and environments without fork/spawn support);
@@ -25,7 +26,10 @@ door for running them at scale:
   as vectorised replica groups of that size.
 * **Chunked dispatch** -- trials are grouped into chunks of ``chunk_size``
   before being pickled to workers, amortising the per-task cost of shipping
-  the problem instance.  Chunks are also the early-stopping granularity:
+  the problem instance.  Every backend runs one loop over the chunks, each
+  completed inside its own ``chunk`` span (also when the store supplies all
+  of its trials); the backends differ only in where a chunk's pending trials
+  execute.  Chunks are also the early-stopping granularity:
   after each completed chunk the executor checks the target condition and
   stops dispatching further work once it is met.  A chunk that is already
   executing always runs to completion -- on the serial and vectorized
@@ -41,8 +45,9 @@ from __future__ import annotations
 import copy
 import multiprocessing
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -208,7 +213,8 @@ def _worker_recorder(spec: Optional[RecorderSpec]):
 
 
 def _execute_chunk(payload: _ChunkPayload) -> List[Tuple[int, SolveResult]]:
-    """Worker entry point: run every trial of one chunk in-process.
+    """Run every trial of one chunk: what each backend dispatches, in-process
+    or to a pool worker.
 
     The trial functions are resolved in the parent and shipped inside the
     payload (module-level functions pickle by reference), so solvers added
@@ -261,27 +267,37 @@ def _run_chunk_trials(problem: CombinatorialProblem, spec: SolverSpec,
                       batched_fn: Optional[BatchedTrialFunction],
                       replicas_per_task: int,
                       trials: List[_Trial]) -> List[Tuple[int, SolveResult]]:
+    size = replicas_per_task if batched_fn is not None else 1
     out: List[Tuple[int, SolveResult]] = []
-    if batched_fn is not None:
-        for start in range(0, len(trials), replicas_per_task):
-            group = trials[start:start + replicas_per_task]
-            group_spec = copy.deepcopy(spec)
-            results = batched_fn(
-                problem,
-                group_spec.params,
-                [int(seed) for _, seed, _ in group],
-                [initial for _, _, initial in group],
-            )
-            for (index, _, _), result in zip(group, results):
-                result.metadata.setdefault("trial_index", index)
-                out.append((index, result))
-        return out
-    for index, seed, initial in trials:
-        trial_spec = copy.deepcopy(spec)
-        result = trial_fn(problem, trial_spec.params, int(seed), initial)
-        result.metadata.setdefault("trial_index", index)
-        out.append((index, result))
+    for start in range(0, len(trials), size):
+        group = trials[start:start + size]
+        params = copy.deepcopy(spec).params
+        if batched_fn is None:
+            (_, seed, initial), = group
+            results = [trial_fn(problem, params, int(seed), initial)]
+        else:
+            results = batched_fn(problem, params,
+                                 [int(seed) for _, seed, _ in group],
+                                 [initial for _, _, initial in group])
+        for (index, _, _), result in zip(group, results):
+            result.metadata.setdefault("trial_index", index)
+            out.append((index, result))
     return out
+
+
+@contextmanager
+def _dispatch(payloads: List[_ChunkPayload], workers: Optional[int]
+              ) -> Iterator[Iterator[List[Tuple[int, SolveResult]]]]:
+    """Yield each payload's chunk results in chunk order: lazily in-process
+    (``workers`` None, so a chunk runs inside its ``chunk`` span), or from a
+    pool of up to ``workers`` processes, torn down on exit.  A run with
+    nothing pending starts no pool."""
+    if workers is None or not payloads:
+        yield map(_execute_chunk, payloads)
+        return
+    with multiprocessing.get_context().Pool(
+            processes=min(workers, len(payloads))) as pool:
+        yield pool.imap(_execute_chunk, payloads)
 
 
 def _target_reached(results: Sequence[SolveResult],
@@ -504,14 +520,13 @@ def run_trials(
     chunks = [trials[start:start + chunk_size]
               for start in range(0, num_trials, chunk_size)]
     trial_fn = get_trial_function(spec.solver)
-    batched_fn = (get_batched_trial_function(spec.solver)
-                  if replicas_per_task > 1 or coupled else None)
+    batched_fn = get_batched_trial_function(spec.solver)
     if coupled and batched_fn is None:
         raise ValueError(
             f"solver {spec.solver!r} has no batched trial function, so it "
             "cannot run coupled dynamics (replica exchange / shared RNG)")
     if ((kernel_param is not None or spec.params.get("sparse"))
-            and get_batched_trial_function(spec.solver) is None):
+            and batched_fn is None):
         raise ValueError(
             f"solver {spec.solver!r} has no batched trial function, so it "
             "cannot honour params['kernel'] / params['sparse'] (the sweep-"
@@ -619,6 +634,15 @@ def run_trials(
         return False
 
     problem_name = getattr(problem, "name", problem.__class__.__name__)
+    # One chunk loop for every backend; only the dispatch differs.  Pool
+    # workers rebuild a single-writer shard recorder from a picklable spec
+    # (None unless the parent records to a JSONL sidecar).
+    in_worker = backend == "process"
+    worker_spec = recorder.worker_spec() if in_worker else None
+    group_fn = batched_fn if replicas_per_task > 1 or coupled else None
+    payloads = [(problem, spec, trial_fn, group_fn, replicas_per_task,
+                 pending, number, worker_spec, in_worker)
+                for number, pending in enumerate(pending_per_chunk) if pending]
     # The run span is the batch's single timing source; its elapsed time is
     # read back even when the run dies mid-chunk (the span exits with the
     # exception), so the store's accumulated wall time includes interrupted
@@ -626,49 +650,17 @@ def run_trials(
     run_span = recorder.span("run", solver=spec.solver, problem=problem_name,
                              backend=backend, trials=num_trials)
     try:
-        with use_recorder(recorder), run_span:
-            if backend in ("serial", "vectorized"):
-                for number, (chunk, pending) in enumerate(
-                        zip(chunks, pending_per_chunk)):
-                    with recorder.span("chunk", index=number,
-                                       trials=len(chunk), fresh=len(pending)):
-                        fresh = _execute_chunk(
-                            (problem, spec, trial_fn, batched_fn,
-                             replicas_per_task, pending,
-                             number, None, False)) if pending else []
-                        stop = _complete_chunk(chunk, fresh)
-                    if stop:
-                        break
-            else:
-                workers = _resolve_workers(num_workers)
-                context = multiprocessing.get_context()
-                # Workers rebuild their own single-writer shard recorder from
-                # this picklable spec (None unless the parent records to a
-                # JSONL sidecar); live recorder handles never cross the
-                # process boundary.
-                worker_spec = recorder.worker_spec()
-                payloads = [(problem, spec, trial_fn, batched_fn,
-                             replicas_per_task, pending,
-                             number, worker_spec, True)
-                            for number, pending in enumerate(pending_per_chunk)
-                            if pending]
-                if not payloads:
-                    for chunk in chunks:
-                        if _complete_chunk(chunk, []):
-                            break
-                else:
-                    with context.Pool(
-                            processes=min(workers, len(payloads))) as pool:
-                        fresh_iter = pool.imap(_execute_chunk, payloads)
-                        for number, (chunk, pending) in enumerate(
-                                zip(chunks, pending_per_chunk)):
-                            with recorder.span("chunk", index=number,
-                                               trials=len(chunk),
-                                               fresh=len(pending)):
-                                fresh = next(fresh_iter) if pending else []
-                                stop = _complete_chunk(chunk, fresh)
-                            if stop:
-                                break
+        with use_recorder(recorder), run_span, _dispatch(
+                payloads, _resolve_workers(num_workers) if in_worker
+                else None) as fresh_chunks:
+            for number, (chunk, pending) in enumerate(
+                    zip(chunks, pending_per_chunk)):
+                with recorder.span("chunk", index=number, trials=len(chunk),
+                                   fresh=len(pending)):
+                    stop = _complete_chunk(
+                        chunk, next(fresh_chunks) if pending else [])
+                if stop:
+                    break
     finally:
         if (store is not None and run_key is not None
                 and run_span.elapsed is not None):
@@ -678,8 +670,7 @@ def run_trials(
 
     collected.sort(key=lambda pair: pair[0])
     results = [result for _, result in collected]
-    if store is not None and results and \
-            get_batched_trial_function(spec.solver) is not None:
+    if store is not None and results and batched_fn is not None:
         # Stamp the *resolved* sweep-kernel backend (what "auto" actually
         # picked) into the run's provenance snapshot.  Results carry the
         # engine's stamp whether fresh or loaded; an engine result without a
@@ -719,12 +710,21 @@ def replay_trial(problem: CombinatorialProblem, batch: TrialBatch,
     single failing run out of a thousand -- individually debuggable.  Batches
     run with explicit ``initial_states`` must re-supply the trial's initial
     state via ``initial``; otherwise the trial re-draws it from its seed.
+    A trial of coupled dynamics (replica exchange or a shared RNG) depended
+    on its whole replica group, which the batch does not record, so it
+    cannot be replayed alone: ``ValueError``.
     """
     if not 0 <= trial_index < len(batch.results):
         raise IndexError(f"trial index {trial_index} out of range")
     original = batch.results[trial_index]
     if original.trial_seed is None:
         raise ValueError("batch results carry no trial seeds")
+    dynamics = build_dynamics(batch.spec.params.get("dynamics"))
+    if dynamics is not None and dynamics.coupled:
+        raise ValueError(
+            "a trial of coupled dynamics depends on its whole replica group; "
+            "re-run the group with run_trials and the batch's master_seed, "
+            "num_trials, chunk_size and replicas_per_task instead")
     return run_single_trial(problem, batch.spec, original.trial_seed, initial)
 
 

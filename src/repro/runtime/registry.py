@@ -11,22 +11,18 @@ to module-level trial functions with the uniform signature
 
     trial_fn(problem, params, seed, initial) -> SolveResult
 
+and the annealers among them to batched trial functions as well.
 Annealing solvers are rebuilt from scratch inside every trial (so device
 variability and crossbar programming are re-sampled per trial exactly as a
 real chip would be reprogrammed), seeded deterministically from the trial
-seed.  Their setup lives once, in the replica runners of
-:mod:`repro.batched.trials`: a single trial here is the runner on one seed
-(a one-replica run of the lock-step engine), and the batched trial
-functions there run it on whole replica groups -- per-trial variability
+seed.  Their trial functions, single and batched, and the setup they share
+live in :mod:`repro.batched.trials`: a single trial is the solver's replica
+runner on one seed (a one-replica run of the lock-step engine), a batched
+trial the same runner on a whole replica group -- per-trial variability
 becomes one freshly sampled chip per device-axis slice (ARCHITECTURE.md) --
 so grouped and single trials are interchangeable per seed.  Exact /
-heuristic reference solvers are wrapped so they return the same
+heuristic reference solvers are wrapped here so they return the same
 :class:`~repro.annealing.result.SolveResult` shape as the annealers.
-
-Parameter dicts may either carry plain values (``{"schedule": {"kind":
-"geometric", "start_temperature": 100.0}}``, ``{"move_generator":
-"knapsack"}``) or already-constructed schedule / move-generator objects; both
-forms pickle cleanly.
 """
 
 from __future__ import annotations
@@ -37,24 +33,14 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.annealing.result import SolveResult
-from repro.dynamics.dynamics import Dynamics, ParallelTempering
-from repro.dynamics.exchange import EvenOddExchange, ExchangePolicy, NoExchange
-from repro.dynamics.moves import (
-    BinPackingMove,
-    KnapsackNeighborhoodMove,
-    MoveGenerator,
-    MultiFlipMove,
-    OneHotGroupMove,
-    PermutationSwapMove,
-    SingleFlipMove,
-)
-from repro.dynamics.schedule import (
-    ConstantSchedule,
-    ExponentialSchedule,
-    GeometricSchedule,
-    LinearSchedule,
-    TemperatureLadder,
-    TemperatureSchedule,
+from repro.batched.trials import (
+    _dqubo_trial,
+    _hycim_trial,
+    _sa_trial,
+    build_dynamics,
+    dqubo_batched_trials,
+    hycim_batched_trials,
+    sa_batched_trials,
 )
 from repro.exact.brute_force import solve_brute_force
 from repro.exact.dp_knapsack import solve_knapsack_dp
@@ -75,32 +61,6 @@ BatchedTrialFunction = Callable[
     [CombinatorialProblem, Mapping[str, Any], Sequence[int],
      Sequence[Optional[np.ndarray]]], List[SolveResult]
 ]
-
-_SCHEDULES = {
-    "geometric": GeometricSchedule,
-    "linear": LinearSchedule,
-    "exponential": ExponentialSchedule,
-    "constant": ConstantSchedule,
-}
-
-_MOVES = {
-    "single_flip": SingleFlipMove,
-    "multi_flip": MultiFlipMove,
-    "knapsack": KnapsackNeighborhoodMove,
-    "one_hot": OneHotGroupMove,
-    "permutation_swap": PermutationSwapMove,
-    "bin_packing": BinPackingMove,
-}
-
-_EXCHANGES = {
-    "none": NoExchange,
-    "even_odd": EvenOddExchange,
-}
-
-_DYNAMICS_KINDS = {
-    "dynamics": Dynamics,
-    "parallel_tempering": ParallelTempering,
-}
 
 
 # --------------------------------------------------------------------- #
@@ -169,165 +129,8 @@ def as_solver_spec(spec: SpecLike) -> SolverSpec:
 
 
 # --------------------------------------------------------------------- #
-# Param coercion helpers
+# Exact / reference trial functions
 # --------------------------------------------------------------------- #
-def _build_schedule(value: Any) -> TemperatureSchedule:
-    if isinstance(value, TemperatureSchedule):
-        return value
-    if isinstance(value, Mapping):
-        payload = dict(value)
-        kind = payload.pop("kind", "geometric")
-        try:
-            return _SCHEDULES[kind](**payload)
-        except KeyError as error:
-            raise ValueError(f"unknown schedule kind {kind!r}") from error
-    raise TypeError("schedule must be a TemperatureSchedule or a config dict")
-
-
-def _build_move(value: Any) -> MoveGenerator:
-    if isinstance(value, MoveGenerator):
-        return value
-    if isinstance(value, str):
-        value = {"kind": value}
-    if isinstance(value, Mapping):
-        payload = dict(value)
-        kind = payload.pop("kind", None)
-        if kind is None:
-            raise ValueError("move generator config dicts need a 'kind' key")
-        try:
-            return _MOVES[kind](**payload)
-        except KeyError as error:
-            raise ValueError(f"unknown move generator kind {kind!r}") from error
-    raise TypeError("move_generator must be a MoveGenerator, a name, or a config dict")
-
-
-def _build_exchange(value: Any) -> ExchangePolicy:
-    if isinstance(value, ExchangePolicy):
-        return value
-    if isinstance(value, str):
-        value = {"kind": value}
-    if isinstance(value, Mapping):
-        payload = dict(value)
-        kind = payload.pop("kind", "even_odd")
-        try:
-            return _EXCHANGES[kind](**payload)
-        except KeyError as error:
-            raise ValueError(f"unknown exchange kind {kind!r}") from error
-    raise TypeError("exchange must be an ExchangePolicy, a name, or a config dict")
-
-
-def build_dynamics(value: Any) -> Optional[Dynamics]:
-    """Coerce a dynamics bundle / config dict / ``None`` into a
-    :class:`~repro.dynamics.Dynamics`.
-
-    ``run_trials`` canonicalises its ``dynamics`` parameter through this
-    function *before* the store run key is computed, so a config dict and
-    the equivalent constructed bundle address the same persisted run.  Dict
-    form: ``{"kind": "parallel_tempering", "hottest": 8.0,
-    "exchange_interval": 10}`` or ``{"kind": "dynamics", "ladder":
-    [1.0, 2.0, 4.0], "exchange": {"kind": "even_odd"}, "rng_mode":
-    "shared", "schedule": {"kind": "geometric", ...}}``.
-    """
-    if value is None:
-        return None
-    if isinstance(value, Dynamics):
-        return value
-    if isinstance(value, Mapping):
-        payload = dict(value)
-        kind = payload.pop("kind", "dynamics")
-        if payload.get("schedule") is not None:
-            payload["schedule"] = _build_schedule(payload["schedule"])
-        ladder = payload.get("ladder")
-        if ladder is not None and not isinstance(ladder, TemperatureLadder):
-            payload["ladder"] = TemperatureLadder(tuple(ladder))
-        if payload.get("exchange") is not None:
-            payload["exchange"] = _build_exchange(payload["exchange"])
-        try:
-            factory = _DYNAMICS_KINDS[kind]
-        except KeyError as error:
-            raise ValueError(f"unknown dynamics kind {kind!r}") from error
-        return factory(**payload)
-    raise TypeError("dynamics must be a Dynamics bundle, a config dict or None")
-
-
-def _resolve_schedule(problem: CombinatorialProblem, params: Mapping[str, Any],
-                      dynamics: Optional[Dynamics]) -> TemperatureSchedule:
-    """Schedule precedence: dynamics override > explicit param > auto."""
-    if dynamics is not None and dynamics.schedule is not None:
-        return dynamics.schedule
-    schedule = params.get("schedule")
-    if schedule is not None:
-        return _build_schedule(schedule)
-    return _auto_schedule(problem)
-
-
-def _build_variability(value: Any, seed: int):
-    """Per-trial variability model derived from a template and the trial seed.
-
-    The caller's model (or config dict) only fixes the sigmas; every trial
-    re-samples its own device deviations from a seed spawned off the trial
-    seed -- each trial simulates a freshly programmed chip, identically on
-    every backend.
-    """
-    from repro.fefet.variability import VariabilityModel
-
-    if value is None:
-        return None
-    if isinstance(value, VariabilityModel):
-        payload = {"threshold_sigma": value.threshold_sigma,
-                   "on_current_sigma": value.on_current_sigma}
-    elif isinstance(value, Mapping):
-        payload = {key: val for key, val in value.items() if key != "seed"}
-    else:
-        raise TypeError("variability must be a VariabilityModel or a config dict")
-    device_seed = int(np.random.SeedSequence([seed, 0xFEFE]).generate_state(1)[0])
-    return VariabilityModel(seed=device_seed, **payload)
-
-
-def _auto_schedule(problem: CombinatorialProblem) -> TemperatureSchedule:
-    """Instance-scaled geometric schedule (the protocol used throughout
-    ``analysis``): start at 20x the largest objective coefficient so uphill
-    moves remain possible early in the anneal.
-
-    The scale is read from the problem's profit/coefficient data directly
-    when available -- building the full O(n^2) QUBO matrix per trial just to
-    read its largest entry would dominate short trials at paper scale.
-    """
-    profits = getattr(problem, "profits", None)
-    if profits is not None and np.size(profits):
-        scale = float(np.max(np.abs(profits)))
-    else:
-        try:
-            scale = float(problem.to_qubo().max_abs_coefficient)
-        except Exception:
-            scale = 1.0
-    scale = scale or 1.0
-    return GeometricSchedule(start_temperature=20.0 * scale,
-                             end_temperature=max(0.02 * scale, 1e-3))
-
-
-def _initial_configuration(problem: CombinatorialProblem, params: Mapping[str, Any],
-                           rng: np.random.Generator,
-                           initial: Optional[np.ndarray]) -> np.ndarray:
-    """Resolve the trial's starting configuration.
-
-    ``params["initial"]`` selects the sampling policy when no explicit initial
-    state was handed to the executor: ``"feasible"`` (default) draws a random
-    feasible configuration, ``"random"`` a uniform binary vector, ``"zeros"``
-    the empty selection (the erased-chip state of Fig. 7(f)).
-    """
-    if initial is not None:
-        return np.asarray(initial, dtype=float)
-    policy = params.get("initial", "feasible")
-    if policy == "feasible":
-        return problem.random_feasible_configuration(rng)
-    if policy == "random":
-        return rng.integers(0, 2, size=problem.num_variables).astype(float)
-    if policy == "zeros":
-        return np.zeros(problem.num_variables)
-    raise ValueError(f"unknown initial-state policy {policy!r}")
-
-
 def _finalize(result: SolveResult, seed: int, elapsed: float) -> SolveResult:
     """Stamp seed and wall time; ``elapsed`` is the trial span's seconds."""
     result.trial_seed = int(seed)
@@ -335,52 +138,6 @@ def _finalize(result: SolveResult, seed: int, elapsed: float) -> SolveResult:
     return result
 
 
-# --------------------------------------------------------------------- #
-# Annealing trial functions
-# --------------------------------------------------------------------- #
-def _one_replica(solver: str, replicas: Callable[..., List[SolveResult]],
-                 problem: CombinatorialProblem, params: Mapping[str, Any],
-                 seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    """One annealer trial: the solver's replica runner on a single seed.
-
-    The runners (:mod:`repro.batched.trials`, imported lazily because that
-    module imports this one) are the same setup the batched trial functions
-    run for whole replica groups.
-    """
-    with current_recorder().span("trial", solver=solver, seed=int(seed),
-                                 **worker_attrs()) as span:
-        result = replicas(problem, params, [int(seed)], [initial])[0]
-        span.annotate(
-            kernel_resolved=result.metadata.get("kernel", "reference"))
-    return _finalize(result, seed, span.elapsed)
-
-
-def _hycim_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
-                 seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    from repro.batched.trials import _hycim_replicas
-
-    return _one_replica("hycim", _hycim_replicas, problem, params, seed,
-                        initial)
-
-
-def _sa_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
-              seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    from repro.batched.trials import _sa_replicas
-
-    return _one_replica("sa", _sa_replicas, problem, params, seed, initial)
-
-
-def _dqubo_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
-                 seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    from repro.batched.trials import _dqubo_replicas
-
-    return _one_replica("dqubo", _dqubo_replicas, problem, params, seed,
-                        initial)
-
-
-# --------------------------------------------------------------------- #
-# Exact / reference trial functions
-# --------------------------------------------------------------------- #
 def _reference_energy(problem: CombinatorialProblem, x: np.ndarray) -> float:
     """QUBO energy of ``x`` under the HyCiM inequality-QUBO form, so exact
     solvers report energies on the same scale as the annealers."""
@@ -478,34 +235,11 @@ _REGISTRY: Dict[str, TrialFunction] = {
 DETERMINISTIC_SOLVERS = frozenset({"greedy", "dp", "brute_force"})
 
 #: Vectorised (lock-step replica) trial functions, keyed like ``_REGISTRY``.
-#: Populated lazily from :mod:`repro.batched.trials` so importing the
-#: registry never pulls the batched engine in (and vice versa).
-_BATCHED_REGISTRY: Dict[str, BatchedTrialFunction] = {}
-_batched_builtins_loaded = False
-
-
-def _load_batched_builtins() -> None:
-    global _batched_builtins_loaded
-    if not _batched_builtins_loaded:
-        _batched_builtins_loaded = True
-        # Importing the module registers the built-in batched solvers.
-        import repro.batched.trials  # noqa: F401
-
-
-def _register_builtin_batched(name: str, batched_fn: BatchedTrialFunction,
-                              trial_fn: TrialFunction) -> None:
-    """Pair a built-in batched engine with its built-in single-trial function.
-
-    Because the built-ins load lazily (on the first vectorized run), the user
-    may already have replaced the single-trial solver or registered their
-    own batched function under ``name``.  A batched engine is only a valid
-    stand-in for the *specific* trial function it mirrors, so registration
-    is skipped unless ``name`` still maps to ``trial_fn`` and no user
-    batched function claimed the slot -- the executor then simply falls back
-    to the (possibly user-supplied) single-trial path.
-    """
-    if _REGISTRY.get(name) is trial_fn and name not in _BATCHED_REGISTRY:
-        _BATCHED_REGISTRY[name] = batched_fn
+_BATCHED_REGISTRY: Dict[str, BatchedTrialFunction] = {
+    "hycim": hycim_batched_trials,
+    "sa": sa_batched_trials,
+    "dqubo": dqubo_batched_trials,
+}
 
 
 def available_solvers() -> Tuple[str, ...]:
@@ -564,7 +298,6 @@ def get_batched_trial_function(name: str) -> Optional[BatchedTrialFunction]:
     no vectorised implementation (the executor then falls back to running the
     group's trials through the single-trial function, one by one, which
     yields identical results)."""
-    _load_batched_builtins()
     return _BATCHED_REGISTRY.get(name)
 
 

@@ -5,17 +5,16 @@ import pytest
 
 from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.sa import SimulatedAnnealer
-from repro.batched import (
-    BatchedHyCiMSolver,
-    BatchedSimulatedAnnealer,
+from repro.batched import BatchedHyCiMSolver, BatchedSimulatedAnnealer
+from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
+from repro.cim.inequality_filter import InequalityFilter
+from repro.core.qubo import QUBOModel
+from repro.kernels.reference import (
     as_replica_matrix,
     batched_energies,
     batched_energy_delta,
     batched_inequality_verdicts,
 )
-from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
-from repro.cim.inequality_filter import InequalityFilter
-from repro.core.qubo import QUBOModel
 from repro.runtime import run_trials
 
 

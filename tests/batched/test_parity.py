@@ -329,9 +329,8 @@ class TestBackendParity:
         its own filters and crossbar from the same variability model and
         seed, draw for draw."""
         from repro.cim.crossbar import CrossbarConfig
-        from repro.runtime.registry import (_auto_schedule,
-                                            _build_variability,
-                                            run_single_trial)
+        from repro.batched.trials import _auto_schedule, _build_variability
+        from repro.runtime.registry import run_single_trial
         template = {"threshold_sigma": 0.02, "on_current_sigma": 0.05}
         config = (CrossbarConfig(**extra["crossbar_config"])
                   if "crossbar_config" in extra else None)

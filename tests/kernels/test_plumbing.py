@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import repro.kernels.jit as jit_module
-from repro.batched.kernels import batched_energies
 from repro.core.constraints import EqualityConstraint
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.moves import SingleFlipMove
@@ -26,7 +25,7 @@ from repro.kernels import (
     make_sa_kernel,
     resolve_kernel_backend,
 )
-from repro.kernels.reference import ReferenceSAKernel
+from repro.kernels.reference import ReferenceSAKernel, batched_energies
 from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_trials
 from repro.store import CampaignStore

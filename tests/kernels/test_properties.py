@@ -22,12 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batched.kernels import batched_energies, batched_energy_delta
 from repro.core.constraints import InequalityConstraint
 from repro.core.sparse import symmetrized_matrix
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.schedule import GeometricSchedule
 from repro.kernels.fused import FusedHyCiMKernel, FusedSAKernel
+from repro.kernels.reference import batched_energies, batched_energy_delta
 
 scipy_sparse = pytest.importorskip("scipy.sparse")
 

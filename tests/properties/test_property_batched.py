@@ -12,14 +12,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batched.kernels import (
+from repro.cim.inequality_filter import InequalityFilter
+from repro.core.constraints import InequalityConstraint
+from repro.core.qubo import QUBOModel
+from repro.kernels.reference import (
     batched_energies,
     batched_energy_delta,
     batched_inequality_verdicts,
 )
-from repro.cim.inequality_filter import InequalityFilter
-from repro.core.constraints import InequalityConstraint
-from repro.core.qubo import QUBOModel
 
 
 @st.composite

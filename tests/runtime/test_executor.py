@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.annealing.result import SolveResult
+from repro.problems.generators import generate_qkp_instance
 from repro.runtime import (
     derive_trial_seeds,
     register_solver,
@@ -258,3 +259,28 @@ class TestReplay:
                            master_seed=13)
         with pytest.raises(IndexError):
             replay_trial(small_qkp, batch, 5)
+
+    def test_replay_refuses_coupled_dynamics(self):
+        """A tempered trial depended on its whole ladder, so a one-trial
+        replay would silently return a different trial."""
+        problem = generate_qkp_instance(num_items=20, density=0.5, seed=1)
+        batch = run_trials(
+            problem, ("hycim", {"num_iterations": 50, "use_hardware": False}),
+            num_trials=4, backend="vectorized", master_seed=3,
+            dynamics={"kind": "parallel_tempering", "hottest": 8.0,
+                      "exchange_interval": 5})
+        with pytest.raises(ValueError, match="replica group"):
+            replay_trial(problem, batch, 0)
+
+
+class TestSeedMetadata:
+    @pytest.mark.parametrize("backend", ["serial", "process", "vectorized"])
+    @pytest.mark.parametrize("solver", ["hycim", "sa", "dqubo"])
+    def test_every_backend_stamps_the_trial_seed(self, small_qkp, solver,
+                                                 backend):
+        params = {"num_iterations": 20, "use_hardware": False}
+        batch = run_trials(small_qkp, (solver, params), num_trials=3,
+                           backend=backend, master_seed=5, num_workers=2)
+        seeds = derive_trial_seeds(5, 3)
+        assert [r.trial_seed for r in batch.results] == seeds
+        assert [r.metadata["seed"] for r in batch.results] == seeds

@@ -124,7 +124,7 @@ class TestTrialFunctions:
 
     def test_variability_template_resampled_per_trial_seed(self):
         from repro.fefet.variability import VariabilityModel
-        from repro.runtime.registry import _build_variability
+        from repro.batched.trials import _build_variability
 
         template = VariabilityModel(threshold_sigma=0.05, on_current_sigma=0.3,
                                     seed=0)
@@ -204,10 +204,9 @@ def _constant_batched(problem, params, seeds, initials):
 class TestBatchedRegistration:
     """The batched registry must never shadow user scalar registrations.
 
-    Built-in batched engines load lazily (first vectorized run), so they may
-    arrive *after* the user has replaced a scalar solver or claimed the
-    batched slot; a batched engine is only valid for the exact scalar
-    function it mirrors.
+    A batched engine is only valid for the exact scalar function it
+    mirrors, so replacing a scalar solver drops its built-in batched engine,
+    and a user's batched registration is never overwritten.
     """
 
     def test_replaced_scalar_solver_disables_builtin_batched(self, tiny_qkp):
@@ -230,8 +229,9 @@ class TestBatchedRegistration:
             # explicitly so later tests see the pristine registry.
             register_solver("hycim", original, overwrite=True)
             from repro.batched.trials import hycim_batched_trials
-            from repro.runtime.registry import _register_builtin_batched
-            _register_builtin_batched("hycim", hycim_batched_trials, original)
+            from repro.runtime.registry import register_batched_solver
+            register_batched_solver("hycim", hycim_batched_trials,
+                                    overwrite=True)
 
     def test_user_batched_registration_survives_builtin_load(self, tiny_qkp):
         from repro.runtime.registry import (
@@ -241,7 +241,7 @@ class TestBatchedRegistration:
         register_solver("constant", _constant_trial)
         try:
             register_batched_solver("constant", _constant_batched)
-            # Forcing the lazy built-in load must neither raise nor clobber.
+            # Looking the built-ins up must neither raise nor clobber.
             assert get_batched_trial_function("constant") is _constant_batched
             with pytest.raises(KeyError, match="already registered"):
                 register_batched_solver("constant", _constant_batched)

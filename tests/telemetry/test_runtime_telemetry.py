@@ -52,6 +52,21 @@ class TestSpans:
         assert "trial_group" in names
         assert "sweep_block" in names
 
+    @pytest.mark.parametrize("backend", ["serial", "vectorized", "process"])
+    def test_resumed_run_emits_one_chunk_span_per_chunk(self, problem,
+                                                        tmp_path, backend):
+        store = CampaignStore(tmp_path / "store")
+        args = dict(num_trials=4, chunk_size=2, backend=backend,
+                    master_seed=1, num_workers=2, store=store)
+        run_trials(problem, ("hycim", HYCIM_FAST), **args)
+        recorder = InMemoryRecorder()
+        batch = run_trials(problem, ("hycim", HYCIM_FAST), telemetry=recorder,
+                           **args)
+        starts = recorder.events_of_kind("span_start")
+        assert [e["name"] for e in starts] == ["run", "chunk", "chunk"]
+        assert [e["fresh"] for e in starts[1:]] == [0, 0]
+        assert batch.num_loaded_from_store == 4
+
     def test_ambient_recorder_is_picked_up(self, problem):
         recorder = InMemoryRecorder(probe_interval=20)
         with use_recorder(recorder):
