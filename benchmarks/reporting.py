@@ -15,18 +15,25 @@ regression gate.  Reports land in ``benchmarks/reports/`` by default;
 set ``REPRO_BENCH_DIR`` to redirect them (CI points it at a workspace
 artifact directory).
 
-Each emission also appends a provenance-stamped line to
-``BENCH_history.jsonl`` in the same directory (see ``history.py``), the
-trajectory ``python -m repro.telemetry bench-compare`` diffs with
-tolerance bands.
+Each emission also appends the same payload, stamped with a UTC
+``recorded_at`` and the run's software/hardware provenance
+(:func:`repro.store.schema.run_provenance`), as one line of
+``BENCH_history.jsonl`` in the same directory (:mod:`repro.jsonl`'s
+append-only format): the trajectory ``python -m repro.telemetry
+bench-compare`` diffs with tolerance bands.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
+
+from repro import jsonl
+from repro.store.schema import run_provenance
+from repro.telemetry.bench import HISTORY_FILENAME
 
 #: Environment variable overriding the report output directory.
 REPORT_DIR_ENV = "REPRO_BENCH_DIR"
@@ -84,49 +91,16 @@ def emit(name: str, metric: str, value: float, units: str, *,
     if floor is not None:
         payload["floor"] = float(floor)
     if details:
-        payload["details"] = _jsonable(details)
+        payload["details"] = jsonl.jsonable(details)
     directory = report_dir()
     path = directory / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     # The snapshot is overwritten by the next run; the trajectory line is
     # forever -- BENCH_history.jsonl is what bench-compare regresses against.
-    _history_module().append_entry(payload, directory)
+    jsonl.append(directory / HISTORY_FILENAME, {
+        **payload,
+        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "provenance": run_provenance(),
+    })
     return path
-
-
-def _history_module():
-    """The sibling ``history`` module, wherever this file was loaded from.
-
-    ``benchmarks/`` is not a package: under pytest a plain ``import
-    history`` resolves (the rootdir conftest puts this directory on the
-    path), but ``reporting`` can also be loaded by path from other tooling,
-    so fall back to loading ``history.py`` from next to this file.
-    """
-    try:
-        import history
-        return history
-    except ImportError:
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "history", Path(__file__).with_name("history.py"))
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-
-def _jsonable(value: Any) -> Any:
-    """Best-effort coercion of numpy scalars / tuple keys to plain JSON."""
-    if isinstance(value, Mapping):
-        return {str(key): _jsonable(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if hasattr(value, "item") and callable(value.item):  # numpy scalar
-        try:
-            return value.item()
-        except Exception:  # pragma: no cover - exotic array payloads
-            return str(value)
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)

@@ -176,22 +176,3 @@ class HyCiMSolver:
         start = _start_state(initial, self._model.num_variables, generator)
         return BatchedHyCiMSolver(self).solve_batch(start[None, :],
                                                     [generator])[0]
-
-    def solve_many(self, initial_configurations: np.ndarray,
-                   base_seed: int = 0) -> list[SolveResult]:
-        """Run one SA descent per initial configuration (Fig. 10 protocol).
-
-        .. deprecated::
-            Legacy sequential-seeding helper (``base_seed + i``).  New code
-            should use :func:`repro.runtime.run_trials` with
-            ``initial_states`` instead: it derives independent per-trial
-            seeds via ``SeedSequence.spawn`` and can run trials in parallel.
-        """
-        batch = np.asarray(initial_configurations, dtype=float)
-        if batch.ndim == 1:
-            batch = batch[None, :]
-        results = []
-        for index, row in enumerate(batch):
-            run_rng = np.random.default_rng(base_seed + index)
-            results.append(self.solve(initial=row, rng=run_rng))
-        return results

@@ -50,16 +50,9 @@ RowFilter = Callable[[np.ndarray], bool]
 BatchFilter = Callable[[np.ndarray], np.ndarray]
 
 
-def as_replica_matrix(configurations: np.ndarray, num_variables: int,
-                      validate: bool = True) -> np.ndarray:
-    """Validate and coerce a replica batch into a float ``(M, n)`` matrix.
-
-    ``validate=False`` skips the binary-entries scan (the shape check is
-    kept -- it is O(1) and shape bugs are the dangerous ones): internal call
-    sites that already own a validated batch, such as the engines re-entering
-    with their own travelling state, use it to avoid an O(M*n) pass per call.
-    Public entry points must leave validation on.
-    """
+def as_replica_matrix(configurations: np.ndarray,
+                      num_variables: int) -> np.ndarray:
+    """Validate and coerce a replica batch into a float ``(M, n)`` matrix."""
     batch = np.asarray(configurations, dtype=float)
     if batch.ndim == 1:
         batch = batch[None, :]
@@ -67,7 +60,7 @@ def as_replica_matrix(configurations: np.ndarray, num_variables: int,
         raise ValueError(
             f"expected an (M, {num_variables}) replica matrix, got shape {batch.shape}"
         )
-    if validate and not np.all((batch == 0) | (batch == 1)):
+    if not np.all((batch == 0) | (batch == 1)):
         raise ValueError("replica configurations must be binary (0/1)")
     return batch
 

@@ -172,14 +172,6 @@ class TrialBatch:
         return min(self.results, key=lambda r: (not r.feasible, r.best_energy))
 
 
-def _resolve_workers(num_workers: Optional[int]) -> int:
-    if num_workers is not None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be positive")
-        return num_workers
-    return max(1, os.cpu_count() or 1)
-
-
 #: Chunk payload: problem, spec, single-trial fn, batched trial fn (or None),
 #: replica-group size for the batched path, the chunk's trials, the chunk
 #: index, the recorder spec a pool worker mirrors (None = record nothing),
@@ -453,6 +445,11 @@ def run_trials(
         raise ValueError("num_trials must be positive")
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
+    if backend == "process":
+        if num_workers is None:
+            num_workers = max(1, os.cpu_count() or 1)
+        elif num_workers < 1:
+            raise ValueError("num_workers must be positive")
     if telemetry is True and store is None:
         raise ValueError(
             "telemetry=True persists a JSONL sidecar under a store run key "
@@ -492,7 +489,7 @@ def run_trials(
             # every backend; override chunk_size for several smaller groups.
             chunk_size = num_trials
         elif backend == "process":
-            chunk_size = max(1, -(-num_trials // (4 * _resolve_workers(num_workers))))
+            chunk_size = max(1, -(-num_trials // (4 * num_workers)))
         elif backend == "vectorized":
             chunk_size = num_trials
         else:
@@ -651,8 +648,7 @@ def run_trials(
                              backend=backend, trials=num_trials)
     try:
         with use_recorder(recorder), run_span, _dispatch(
-                payloads, _resolve_workers(num_workers) if in_worker
-                else None) as fresh_chunks:
+                payloads, num_workers if in_worker else None) as fresh_chunks:
             for number, (chunk, pending) in enumerate(
                     zip(chunks, pending_per_chunk)):
                 with recorder.span("chunk", index=number, trials=len(chunk),

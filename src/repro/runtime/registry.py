@@ -37,6 +37,7 @@ from repro.batched.trials import (
     _dqubo_trial,
     _hycim_trial,
     _sa_trial,
+    _stamp,
     build_dynamics,
     dqubo_batched_trials,
     hycim_batched_trials,
@@ -131,13 +132,6 @@ def as_solver_spec(spec: SpecLike) -> SolverSpec:
 # --------------------------------------------------------------------- #
 # Exact / reference trial functions
 # --------------------------------------------------------------------- #
-def _finalize(result: SolveResult, seed: int, elapsed: float) -> SolveResult:
-    """Stamp seed and wall time; ``elapsed`` is the trial span's seconds."""
-    result.trial_seed = int(seed)
-    result.wall_time = float(elapsed)
-    return result
-
-
 def _reference_energy(problem: CombinatorialProblem, x: np.ndarray) -> float:
     """QUBO energy of ``x`` under the HyCiM inequality-QUBO form, so exact
     solvers report energies on the same scale as the annealers."""
@@ -159,20 +153,29 @@ def _exact_result(problem: CombinatorialProblem, x: np.ndarray, value: float,
     )
 
 
+def _exact_trial(solver: str, seed: int,
+                 solve: Callable[[], SolveResult]) -> SolveResult:
+    """Run ``solve`` inside the trial's span, then stamp the seed (as
+    ``trial_seed`` and ``metadata["seed"]``) and the span's wall time, as the
+    annealers' trials are stamped."""
+    with current_recorder().span("trial", solver=solver, seed=int(seed),
+                                 **worker_attrs()) as span:
+        result = solve()
+    return _stamp([result], [seed], span.elapsed)[0]
+
+
 def _greedy_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
                   seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    with current_recorder().span("trial", solver="greedy", seed=int(seed),
-                                 **worker_attrs()) as span:
+    def solve() -> SolveResult:
         outcome = solve_qkp_greedy(problem)
-        result = _exact_result(problem, outcome.configuration, outcome.value,
-                               "Greedy")
-    return _finalize(result, seed, span.elapsed)
+        return _exact_result(problem, outcome.configuration, outcome.value,
+                             "Greedy")
+    return _exact_trial("greedy", seed, solve)
 
 
 def _dp_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
               seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    with current_recorder().span("trial", solver="dp", seed=int(seed),
-                                 **worker_attrs()) as span:
+    def solve() -> SolveResult:
         profits = getattr(problem, "profits", None)
         if profits is None or np.ndim(profits) != 1:
             raise TypeError(
@@ -181,27 +184,25 @@ def _dp_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
                 "'hycim' for quadratic objectives"
             )
         outcome = solve_knapsack_dp(problem)
-        result = _exact_result(problem, outcome.best_configuration,
-                               outcome.best_value, "DP")
-    return _finalize(result, seed, span.elapsed)
+        return _exact_result(problem, outcome.best_configuration,
+                             outcome.best_value, "DP")
+    return _exact_trial("dp", seed, solve)
 
 
 def _brute_force_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
                        seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    with current_recorder().span("trial", solver="brute_force", seed=int(seed),
-                                 **worker_attrs()) as span:
+    def solve() -> SolveResult:
         outcome = solve_brute_force(
             problem, max_variables=int(params.get("max_variables", 22)))
-        result = _exact_result(problem, outcome.best_configuration,
-                               outcome.best_value, "BruteForce",
-                               num_evaluated=outcome.num_evaluated)
-    return _finalize(result, seed, span.elapsed)
+        return _exact_result(problem, outcome.best_configuration,
+                             outcome.best_value, "BruteForce",
+                             num_evaluated=outcome.num_evaluated)
+    return _exact_trial("brute_force", seed, solve)
 
 
 def _local_search_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
                         seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    with current_recorder().span("trial", solver="local_search", seed=int(seed),
-                                 **worker_attrs()) as span:
+    def solve() -> SolveResult:
         rng = np.random.default_rng(seed)
         if initial is None:
             if params.get("greedy_start", False):
@@ -212,9 +213,9 @@ def _local_search_trial(problem: CombinatorialProblem, params: Mapping[str, Any]
             start = np.asarray(initial, dtype=float)
         outcome = improve_qkp_local_search(
             problem, start, max_passes=int(params.get("max_passes", 50)))
-        result = _exact_result(problem, outcome.configuration, outcome.value,
-                               "LocalSearch", num_evaluated=outcome.iterations)
-    return _finalize(result, seed, span.elapsed)
+        return _exact_result(problem, outcome.configuration, outcome.value,
+                             "LocalSearch", num_evaluated=outcome.iterations)
+    return _exact_trial("local_search", seed, solve)
 
 
 # --------------------------------------------------------------------- #

@@ -408,9 +408,3 @@ def manifest_for_run(spec: Any, problem: Any, instance_hash: str,
         num_trials_requested=int(num_trials),
         provenance=run_provenance(),
     )
-
-
-def dumps_line(payload: Mapping[str, Any]) -> str:
-    """One JSONL line (newline included) with deterministic key order."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      allow_nan=True) + "\n"

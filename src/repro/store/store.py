@@ -16,14 +16,16 @@ Layout of a store directory::
 
 Durability model
 ----------------
-Every write is an *append of one complete line followed by a flush*, and
+Every file here is append-only JSONL under the commit rule of
+:mod:`repro.jsonl`: each write appends one complete line and flushes, and
 shard files rotate by simply opening the next numbered file once the active
 one reaches ``shard_size`` lines -- full shards are never reopened for
 writing, so a crash can damage at most the final line of the final shard of
-the run being written.  :meth:`CampaignStore.load_results` therefore treats a
-torn trailing line as "this trial never completed" and drops it (the resume
-path simply re-runs that trial); a malformed line anywhere *else* is real
-corruption and raises :class:`~repro.store.schema.StoreError`.  Bulk
+the run being written.  That line is torn when it lacks its newline or does
+not parse; :meth:`CampaignStore.load_results` treats it as "this trial never
+completed" and drops it (the resume path simply re-runs that trial), and
+the next append truncates it first.  A malformed line anywhere *else* is
+real corruption and raises :class:`~repro.store.schema.StoreError`.  Bulk
 rewrites (:meth:`merge` targets, future compactions) go through a temp file
 plus :func:`os.replace`, so readers never observe a half-written shard.
 
@@ -42,22 +44,28 @@ not coordinated (no file locking) and may interleave shard lines.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro import jsonl
 from repro.annealing.result import SolveResult
 from repro.store.schema import (
     RunManifest,
     StoreError,
     deserialize_campaign_record,
     deserialize_solve_result,
-    dumps_line,
     serialize_campaign_record,
     serialize_solve_result,
 )
+from repro.telemetry.recorder import (
+    DEFAULT_PROBE_INTERVAL,
+    JsonlRecorder,
+    load_events,
+    worker_shard_paths,
+)
+from repro.telemetry.shards import load_run_events
 
 _MANIFEST = "manifest.jsonl"
 _CAMPAIGNS = "campaigns.jsonl"
@@ -128,8 +136,7 @@ class CampaignStore:
     def _load_manifest(self) -> None:
         # Append-only log semantics: a run re-registered with a larger trial
         # request appends an updated line, so the latest line wins.
-        for payload in _read_jsonl(self.root / _MANIFEST,
-                                   tolerate_torn_tail=True):
+        for payload in jsonl.read(self.root / _MANIFEST, StoreError):
             manifest = RunManifest.from_dict(payload)
             self._runs[manifest.run_key] = manifest
 
@@ -144,10 +151,10 @@ class CampaignStore:
         if existing is not None:
             if manifest.num_trials_requested > existing.num_trials_requested:
                 self._runs[manifest.run_key] = manifest
-                self._append_line(self.root / _MANIFEST, manifest.to_dict())
+                jsonl.append(self.root / _MANIFEST, manifest.to_dict())
             return self._runs[manifest.run_key]
         self._runs[manifest.run_key] = manifest
-        self._append_line(self.root / _MANIFEST, manifest.to_dict())
+        jsonl.append(self.root / _MANIFEST, manifest.to_dict())
         return manifest
 
     def annotate_provenance(self, run_key: str, **entries: str) -> RunManifest:
@@ -168,7 +175,7 @@ class CampaignStore:
             return manifest
         updated = replace(manifest, provenance=merged)
         self._runs[run_key] = updated
-        self._append_line(self.root / _MANIFEST, updated.to_dict())
+        jsonl.append(self.root / _MANIFEST, updated.to_dict())
         return updated
 
     def runs(self) -> List[RunManifest]:
@@ -213,21 +220,13 @@ class CampaignStore:
         if not shards:
             state = (0, 0, 0)
         else:
+            # Only the active (last) shard can end in a torn line; it is cut
+            # before anything is appended behind it.  Full shards stay
+            # immutable.
             last = shards[-1]
-            index = int(last.name.rsplit(".", 2)[-2])
-            raw = last.read_bytes()
-            if raw and not raw.endswith(b"\n"):
-                # Torn tail from a crash mid-append.  Discard the partial
-                # record *before* writing anything after it -- appending
-                # behind it would weld two records into one corrupt mid-file
-                # line that no later read could recover from.  (Only the
-                # non-full active shard is ever repaired this way; full
-                # shards stay immutable.)
-                keep = raw.rfind(b"\n") + 1
-                with last.open("rb+") as handle:
-                    handle.truncate(keep)
-                raw = raw[:keep]
-            state = (index, raw.count(b"\n"), len(raw))
+            raw = jsonl.repair(last)
+            state = (int(last.name.rsplit(".", 2)[-2]), raw.count(b"\n"),
+                     len(raw))
         self._active_shard[run_key] = state
         return state
 
@@ -249,20 +248,16 @@ class CampaignStore:
         index, lines, size = self._locate_active_shard(run_key)
         if lines >= self.shard_size:
             index, lines, size = index + 1, 0, 0
-        line = dumps_line(payload)
-        path = self._shard_path(run_key, index)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-        self._active_shard[run_key] = (index, lines + 1,
-                                       size + len(line.encode("utf-8")))
+        written = jsonl.append(self._shard_path(run_key, index), payload)
+        self._active_shard[run_key] = (index, lines + 1, size + written)
 
     def _iter_trial_payloads(self, run_key: str):
         """Raw ``(trial_index, line payload)`` pairs, in append order."""
         shards = self._shard_paths(run_key)
         for position, shard in enumerate(shards):
             tail_ok = position == len(shards) - 1
-            for payload in _read_jsonl(shard, tolerate_torn_tail=tail_ok):
+            for payload in jsonl.read(shard, StoreError,
+                                      tolerate_torn_tail=tail_ok):
                 try:
                     index = int(payload["trial_index"])
                 except (KeyError, TypeError, ValueError) as error:
@@ -301,7 +296,7 @@ class CampaignStore:
             raise KeyError(f"run {run_key!r} is not registered")
         payload = serialize_campaign_record(record, run_key=run_key,
                                             include_results=False)
-        self._append_line(self.root / _CAMPAIGNS, payload)
+        jsonl.append(self.root / _CAMPAIGNS, payload)
 
     def load_campaign_records(self) -> List[Any]:
         """All logged campaign cells with their trial results re-joined.
@@ -310,8 +305,7 @@ class CampaignStore:
         resumed campaign, say) dedupe to the latest line.
         """
         latest: Dict[str, Mapping[str, Any]] = {}
-        for payload in _read_jsonl(self.root / _CAMPAIGNS,
-                                   tolerate_torn_tail=True):
+        for payload in jsonl.read(self.root / _CAMPAIGNS, StoreError):
             key = payload.get("run_key")
             if key is None:
                 raise StoreError("campaign record without a run_key")
@@ -332,8 +326,6 @@ class CampaignStore:
 
     def telemetry_shard_paths(self, run_key: str) -> List[Path]:
         """Existing per-worker telemetry shards of a run (may be empty)."""
-        from repro.telemetry.recorder import worker_shard_paths
-
         return worker_shard_paths(self.telemetry_path(run_key))
 
     def telemetry_recorder(self, run_key: str,
@@ -351,12 +343,8 @@ class CampaignStore:
         if run_key not in self._runs:
             raise KeyError(f"run {run_key!r} is not registered; call "
                            "register_run before recording telemetry")
-        from repro.telemetry.recorder import (DEFAULT_PROBE_INTERVAL,
-                                              JsonlRecorder,
-                                              _repair_torn_tail)
-
         for shard in self.telemetry_shard_paths(run_key):
-            _repair_torn_tail(shard)
+            jsonl.repair(shard)
         return JsonlRecorder(
             self.telemetry_path(run_key),
             probe_interval=(DEFAULT_PROBE_INTERVAL if probe_interval is None
@@ -372,8 +360,6 @@ class CampaignStore:
         spliced under the parent's chunk spans
         (:mod:`repro.telemetry.shards`); a single-sidecar run loads exactly
         as before."""
-        from repro.telemetry.shards import load_run_events
-
         manifest = self.get_manifest(run_key)
         return load_run_events(self.telemetry_path(manifest.run_key))
 
@@ -386,14 +372,13 @@ class CampaignStore:
         """
         if run_key not in self._runs:
             raise KeyError(f"run {run_key!r} is not registered")
-        self._append_line(self.root / _WALL_TIMES,
-                          {"run_key": run_key, "seconds": float(seconds)})
+        jsonl.append(self.root / _WALL_TIMES,
+                     {"run_key": run_key, "seconds": float(seconds)})
 
     def accumulated_wall_time(self, run_key: str) -> float:
         """Total recorded seconds across every invocation of a run."""
         total = 0.0
-        for payload in _read_jsonl(self.root / _WALL_TIMES,
-                                   tolerate_torn_tail=True):
+        for payload in jsonl.read(self.root / _WALL_TIMES, StoreError):
             if payload.get("run_key") == run_key:
                 total += float(payload.get("seconds", 0.0))
         return total
@@ -440,41 +425,33 @@ class CampaignStore:
                 their_sidecar = other.telemetry_path(manifest.run_key)
                 theirs = ([their_sidecar] if their_sidecar.exists() else []) \
                     + other.telemetry_shard_paths(manifest.run_key)
-                from repro.telemetry.recorder import load_events
-
                 for source in theirs:
                     dest = my_sidecar.with_name(source.name)
                     dest.parent.mkdir(parents=True, exist_ok=True)
                     tmp = dest.with_name(dest.name + ".tmp")
                     with tmp.open("w", encoding="utf-8") as handle:
                         for event in load_events(source):
-                            handle.write(json.dumps(
-                                event, sort_keys=True, separators=(",", ":"),
-                                allow_nan=True) + "\n")
+                            handle.write(jsonl.dumps(event))
                     os.replace(tmp, dest)
         their_wall_times: Dict[str, List[Mapping[str, Any]]] = {}
-        for payload in _read_jsonl(other.root / _WALL_TIMES,
-                                   tolerate_torn_tail=True):
+        for payload in jsonl.read(other.root / _WALL_TIMES, StoreError):
             their_wall_times.setdefault(payload.get("run_key"),
                                         []).append(payload)
         mine_with_time = {
             payload.get("run_key")
-            for payload in _read_jsonl(self.root / _WALL_TIMES,
-                                       tolerate_torn_tail=True)
+            for payload in jsonl.read(self.root / _WALL_TIMES, StoreError)
         }
         for key in sorted(k for k in their_wall_times if k is not None):
             if key not in mine_with_time and key in self._runs:
                 for payload in their_wall_times[key]:
-                    self._append_line(self.root / _WALL_TIMES, payload)
+                    jsonl.append(self.root / _WALL_TIMES, payload)
         seen_campaign_keys = {
             payload.get("run_key")
-            for payload in _read_jsonl(self.root / _CAMPAIGNS,
-                                       tolerate_torn_tail=True)
+            for payload in jsonl.read(self.root / _CAMPAIGNS, StoreError)
         }
-        for payload in _read_jsonl(other.root / _CAMPAIGNS,
-                                   tolerate_torn_tail=True):
+        for payload in jsonl.read(other.root / _CAMPAIGNS, StoreError):
             if payload.get("run_key") not in seen_campaign_keys:
-                self._append_line(self.root / _CAMPAIGNS, payload)
+                jsonl.append(self.root / _CAMPAIGNS, payload)
         return {"runs": added_runs, "trials": added_trials}
 
     def export_csv(self, path: Union[str, Path]) -> int:
@@ -511,46 +488,3 @@ class CampaignStore:
                     rows += 1
         os.replace(tmp, path)
         return rows
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _append_line(self, path: Path, payload: Mapping[str, Any]) -> None:
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(dumps_line(payload))
-            handle.flush()
-
-
-def _read_jsonl(path: Path, tolerate_torn_tail: bool = False) -> Iterator[Mapping[str, Any]]:
-    """Parse a JSONL file, optionally forgiving a torn final line.
-
-    A record only counts as committed once its terminating newline is on
-    disk, so an *unterminated* final line is a torn write even when its
-    prefix happens to parse -- the same rule the append path's
-    crash-repair uses, keeping readers and writers in agreement.  A line
-    that fails to parse anywhere else is corruption and raises
-    :class:`StoreError`.
-    """
-    if not path.exists():
-        return
-    with path.open("r", encoding="utf-8") as handle:
-        content = handle.read()
-    lines = content.splitlines()
-    unterminated = bool(content) and not content.endswith("\n")
-    for number, line in enumerate(lines):
-        last = number == len(lines) - 1
-        if not line.strip():
-            continue
-        if last and unterminated:
-            if tolerate_torn_tail:
-                return
-            raise StoreError(f"{path}:{number + 1}: torn (unterminated) line")
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as error:
-            if tolerate_torn_tail and last:
-                return
-            raise StoreError(f"{path}:{number + 1}: corrupt line") from error
-        if not isinstance(payload, Mapping):
-            raise StoreError(f"{path}:{number + 1}: expected a JSON object")
-        yield payload

@@ -3,13 +3,13 @@
 The benchmark suite's :func:`reporting.emit` (``benchmarks/reporting.py``)
 writes one ``BENCH_<name>.json`` snapshot per metric *and* appends the same
 payload -- stamped with provenance
-(:func:`repro.store.schema.run_provenance`) and a timestamp -- to an
-append-only ``BENCH_history.jsonl`` in the report directory
-(``benchmarks/history.py``).  This module is the read side: it loads that
-trajectory and turns ``python -m repro.telemetry bench-compare`` into a
-regression gate -- the latest entry of every metric is diffed against a
-baseline entry with a tolerance band, honouring each report's declared
-``higher_is_better`` direction and pinned ``floor``.
+(:func:`repro.store.schema.run_provenance`) and a UTC ``recorded_at``
+timestamp -- as one line of an append-only ``BENCH_history.jsonl`` in the
+report directory (:func:`repro.jsonl.append`).  This module is the read
+side: it loads that trajectory and turns ``python -m repro.telemetry
+bench-compare`` into a regression gate -- the latest entry of every metric
+is diffed against a baseline entry with a tolerance band, honouring each
+report's declared ``higher_is_better`` direction and pinned ``floor``.
 
 It lives under :mod:`repro.telemetry` (not ``benchmarks/``) so operator
 tooling can compare trajectories without the benchmark suite on the path.
@@ -17,9 +17,10 @@ tooling can compare trajectories without the benchmark suite on the path.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+
+from repro import jsonl
 
 #: File the benchmark reporter appends every emission to, next to the
 #: per-metric ``BENCH_<name>.json`` snapshots.
@@ -34,30 +35,16 @@ __all__ = ["HISTORY_FILENAME", "load_history", "history_by_name",
 
 
 def load_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Parse a ``BENCH_history.jsonl`` (torn final line tolerated).
+    """Parse a ``BENCH_history.jsonl`` (torn final line dropped).
 
     Accepts either the history file itself or the report directory holding
-    it; a missing file is an empty trajectory, never an error.
+    it; a missing file is an empty trajectory, never an error.  A malformed
+    line before the final one raises ``ValueError``.
     """
     path = Path(path)
     if path.is_dir():
         path = path / HISTORY_FILENAME
-    if not path.exists():
-        return []
-    content = path.read_text(encoding="utf-8")
-    lines = content.splitlines()
-    unterminated = bool(content) and not content.endswith("\n")
-    entries: List[Dict[str, Any]] = []
-    for number, line in enumerate(lines):
-        if not line.strip():
-            continue
-        if number == len(lines) - 1 and unterminated:
-            break
-        payload = json.loads(line)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}:{number + 1}: expected a JSON object")
-        entries.append(payload)
-    return entries
+    return list(jsonl.read(path, ValueError))
 
 
 def history_by_name(entries: Sequence[Mapping[str, Any]]

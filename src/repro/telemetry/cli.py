@@ -14,8 +14,8 @@ selects which run's sidecar to read.  Runs with per-worker shards (process
 backend) are transparently loaded as one causally merged timeline
 (:mod:`repro.telemetry.shards`); ``watch`` tails the same shard set live
 (torn-tail tolerant, follow mode unless ``--once``).  ``bench-compare``
-reads the benchmark trajectory (``BENCH_history.jsonl``, see
-``benchmarks/history.py``) instead of a sidecar and exits nonzero when any
+reads the benchmark trajectory (``BENCH_history.jsonl``, appended by
+``benchmarks/reporting.py``) instead of a sidecar and exits nonzero when any
 metric regressed beyond its tolerance band or broke its pinned floor.
 """
 

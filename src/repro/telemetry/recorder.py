@@ -69,7 +69,6 @@ trial).
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import platform
 import time
@@ -77,6 +76,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
+
+from repro import jsonl
 
 #: Iterations between sweep probes when the caller does not override it.
 DEFAULT_PROBE_INTERVAL = 100
@@ -189,23 +190,6 @@ class RecorderSpec:
         return recorder
 
 
-def _jsonable(value: Any) -> Any:
-    """Coerce numpy scalars/arrays (and nested containers) to JSON types."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, Mapping):
-        return {str(key): _jsonable(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    tolist = getattr(value, "tolist", None)
-    if tolist is not None:  # numpy arrays and scalars
-        return _jsonable(tolist())
-    item = getattr(value, "item", None)
-    if item is not None:
-        return item()
-    return repr(value)
-
-
 class Span:
     """A hierarchical timer: always times, emits only when recording.
 
@@ -253,7 +237,7 @@ class Span:
             stack.append(self.span_id)
             recorder.emit({"kind": "span_start", "name": self.name,
                            "span": self.span_id, "parent": self.parent_id,
-                           **_jsonable(dict(self.attrs))})
+                           **jsonl.jsonable(dict(self.attrs))})
         self._started = time.perf_counter()
         return self
 
@@ -268,7 +252,7 @@ class Span:
                      "span": self.span_id, "parent": self.parent_id,
                      "elapsed": self.elapsed}
             if self._late_attrs:
-                event.update(_jsonable(self._late_attrs))
+                event.update(jsonl.jsonable(self._late_attrs))
             recorder.emit(event)
         return False
 
@@ -327,8 +311,9 @@ class NullRecorder:
         total = self._totals.get(name, 0) + value
         self._totals[name] = total
         self.emit({"kind": "counter", "name": name,
-                   "value": _jsonable(value), "total": _jsonable(total),
-                   **_jsonable(dict(attrs))})
+                   "value": jsonl.jsonable(value),
+                   "total": jsonl.jsonable(total),
+                   **jsonl.jsonable(dict(attrs))})
 
     def probe(self, name: str, iteration: Optional[int] = None,
               values: Optional[Mapping[str, Any]] = None,
@@ -338,8 +323,8 @@ class NullRecorder:
             return
         self.emit({"kind": "probe", "name": name,
                    "iteration": None if iteration is None else int(iteration),
-                   "values": _jsonable(dict(values or {})),
-                   **_jsonable(dict(attrs))})
+                   "values": jsonl.jsonable(dict(values or {})),
+                   **jsonl.jsonable(dict(attrs))})
 
     @property
     def totals(self) -> Dict[str, Union[int, float]]:
@@ -399,12 +384,12 @@ class InMemoryRecorder(NullRecorder):
 class JsonlRecorder(NullRecorder):
     """Appends one JSON line per event: the store-sidecar format.
 
-    Follows the same durability discipline as the campaign store's shards
-    (append one complete line, flush; see :mod:`repro.store.store`): a crash
-    can tear at most the final line, which :func:`load_events` drops and
-    which opening the file for appending truncates away *before* the first
-    new write -- so events from a killed run and its resumed successor
-    coexist in one well-formed file.
+    Follows the commit rule of every store file (:mod:`repro.jsonl`: one
+    complete line per event, flushed): a crash can tear at most the final
+    line -- cut short, or garbled so it no longer parses -- which
+    :func:`load_events` drops and which opening the file for appending
+    truncates away *before* the first new write, so events from a killed
+    run and its resumed successor coexist in one well-formed file.
 
     Each recorder instance stamps its events with a ``session`` id (start
     time + pid + per-process counter), so a resumed run's events are
@@ -424,7 +409,7 @@ class JsonlRecorder(NullRecorder):
         super().__init__(probe_interval)
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        _repair_torn_tail(self.path)
+        jsonl.repair(self.path)
         self.session = (f"{int(time.time() * 1000):x}-{os.getpid()}"
                         f"-{next(self._session_counter)}")
         #: Worker id stamped on every event (None outside pool workers).
@@ -435,9 +420,7 @@ class JsonlRecorder(NullRecorder):
         event["session"] = self.session
         if self.worker is not None:
             event["worker"] = self.worker
-        self._handle.write(json.dumps(event, sort_keys=True,
-                                      separators=(",", ":"),
-                                      allow_nan=True) + "\n")
+        self._handle.write(jsonl.dumps(event))
         self._handle.flush()
 
     def worker_spec(self) -> Optional[RecorderSpec]:
@@ -463,51 +446,14 @@ class JsonlRecorder(NullRecorder):
         return load_events(self.path)
 
 
-def _repair_torn_tail(path: Path) -> None:
-    """Truncate an unterminated final line before appending behind it.
-
-    Mirrors the store's active-shard repair: writing after a torn tail
-    would weld two records into one corrupt mid-file line that no later
-    read could recover from.
-    """
-    if not path.exists():
-        return
-    raw = path.read_bytes()
-    if raw and not raw.endswith(b"\n"):
-        keep = raw.rfind(b"\n") + 1
-        with path.open("rb+") as handle:
-            handle.truncate(keep)
-
-
 def load_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Parse a telemetry JSONL sidecar, forgiving a torn final line.
+    """Parse a telemetry JSONL sidecar, dropping a torn final line.
 
-    A record only counts as committed once its terminating newline is on
-    disk (the store's rule), so an unterminated final line is dropped even
-    when its prefix parses; a malformed line anywhere else is real
-    corruption and raises :class:`TelemetryError`.
+    The commit rule is :mod:`repro.jsonl`'s: a final line without its
+    newline, or one that does not parse, never committed; a malformed line
+    anywhere else is real corruption and raises :class:`TelemetryError`.
     """
-    path = Path(path)
-    if not path.exists():
-        return []
-    content = path.read_text(encoding="utf-8")
-    lines = content.splitlines()
-    unterminated = bool(content) and not content.endswith("\n")
-    events: List[Dict[str, Any]] = []
-    for number, line in enumerate(lines):
-        last = number == len(lines) - 1
-        if not line.strip():
-            continue
-        if last and unterminated:
-            break
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise TelemetryError(f"{path}:{number + 1}: corrupt line") from error
-        if not isinstance(payload, dict):
-            raise TelemetryError(f"{path}:{number + 1}: expected a JSON object")
-        events.append(payload)
-    return events
+    return list(jsonl.read(path, TelemetryError))
 
 
 #: The process-wide default: telemetry off.

@@ -90,12 +90,6 @@ class TestSolving:
         )
         assert best.best_objective >= 0.8 * 25.0
 
-    def test_solve_many(self, tiny_qkp):
-        annealer = DQUBOAnnealer(tiny_qkp, num_iterations=50, seed=4)
-        initials = np.zeros((3, 3))
-        results = annealer.solve_many(initials)
-        assert len(results) == 3
-
     def test_hardware_mode_solves(self, tiny_qkp):
         annealer = DQUBOAnnealer(tiny_qkp, num_iterations=100, use_hardware=True, seed=5)
         result = annealer.solve()

@@ -97,13 +97,6 @@ class TestSolving:
         assert all(a >= b for a, b in zip(result.energy_history,
                                           result.energy_history[1:]))
 
-    def test_solve_many_runs_one_descent_per_initial(self, tiny_qkp):
-        solver = HyCiMSolver(tiny_qkp, use_hardware=False, num_iterations=100, seed=6)
-        initials = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1]], dtype=float)
-        results = solver.solve_many(initials)
-        assert len(results) == 3
-        assert all(r.feasible for r in results)
-
 
 class TestUnconstrainedProblems:
     def test_plain_qubo_model_is_supported(self, rng):

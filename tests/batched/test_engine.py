@@ -82,22 +82,6 @@ class TestKernels:
         with pytest.raises(ValueError, match="binary"):
             as_replica_matrix(np.full((2, 4), 0.5), 4)
 
-    def test_as_replica_matrix_validate_false_fast_path(self):
-        # The fast path skips only the O(M*n) binary scan: non-binary
-        # entries pass through untouched ...
-        loose = np.full((2, 4), 0.5)
-        np.testing.assert_array_equal(
-            as_replica_matrix(loose, 4, validate=False), loose)
-        # ... while the O(1) shape check stays armed,
-        with pytest.raises(ValueError, match="replica matrix"):
-            as_replica_matrix(np.ones((2, 3)), 4, validate=False)
-        # 1-D promotion still happens,
-        assert as_replica_matrix(np.ones(4), 4, validate=False).shape == (1, 4)
-        # and a float batch of the right shape is passed through without a
-        # copy (the whole point of the fast path for engine-internal calls).
-        batch = np.zeros((3, 4))
-        assert as_replica_matrix(batch, 4, validate=False) is batch
-
 
 class TestEngineValidation:
     def test_generator_count_mismatch(self, tiny_qkp):

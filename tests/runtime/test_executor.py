@@ -18,6 +18,7 @@ from repro.runtime import (
     run_trials,
     unregister_solver,
 )
+from repro.store import CampaignStore
 
 HYCIM_FAST = {
     "num_iterations": 20,
@@ -124,6 +125,15 @@ class TestTrialBatch:
         with pytest.raises(ValueError, match="num_workers"):
             run_trials(tiny_qkp, "hycim", num_trials=1, backend="process",
                        num_workers=0)
+
+    def test_bad_worker_count_leaves_the_store_untouched(self, tiny_qkp,
+                                                         tmp_path):
+        store = CampaignStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="num_workers"):
+            run_trials(tiny_qkp, "hycim", num_trials=4, backend="process",
+                       chunk_size=2, num_workers=0, store=store)
+        assert store.runs() == []
+        assert not (store.root / "wall_times.jsonl").exists()
 
 
 class TestEarlyStopping:
@@ -275,11 +285,14 @@ class TestReplay:
 
 class TestSeedMetadata:
     @pytest.mark.parametrize("backend", ["serial", "process", "vectorized"])
-    @pytest.mark.parametrize("solver", ["hycim", "sa", "dqubo"])
-    def test_every_backend_stamps_the_trial_seed(self, small_qkp, solver,
+    @pytest.mark.parametrize("solver", ["hycim", "sa", "dqubo", "greedy", "dp",
+                                        "brute_force", "local_search"])
+    def test_every_backend_stamps_the_trial_seed(self, small_qkp,
+                                                 small_knapsack, solver,
                                                  backend):
+        problem = small_knapsack if solver == "dp" else small_qkp
         params = {"num_iterations": 20, "use_hardware": False}
-        batch = run_trials(small_qkp, (solver, params), num_trials=3,
+        batch = run_trials(problem, (solver, params), num_trials=3,
                            backend=backend, master_seed=5, num_workers=2)
         seeds = derive_trial_seeds(5, 3)
         assert [r.trial_seed for r in batch.results] == seeds

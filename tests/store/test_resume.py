@@ -151,6 +151,28 @@ class TestRunTrialsResume:
         np.testing.assert_array_equal(full.best_energies,
                                       resumed.best_energies)
 
+    def test_garbled_final_line_is_rerun(self, tmp_path, problem):
+        """A lost page after a power failure leaves a final line of NULs
+        that keeps its newline: it is torn too, so the resume re-runs the
+        trial and cuts the line before appending, and later loads see
+        every trial."""
+        store = CampaignStore(tmp_path / "store")
+        full = run_trials(problem, ("hycim", HYCIM_FAST), num_trials=3,
+                          master_seed=5, store=store)
+        shard = sorted((store.root / "shards").glob(f"{full.run_key}.*"))[-1]
+        lines = shard.read_bytes().splitlines(keepends=True)
+        shard.write_bytes(b"".join(lines[:-1])
+                          + b"\0" * (len(lines[-1]) - 1) + b"\n")
+        assert sorted(CampaignStore(store.root).load_results(full.run_key)) \
+            == [0, 1]
+        resumed = run_trials(problem, ("hycim", HYCIM_FAST), num_trials=3,
+                             master_seed=5, store=CampaignStore(store.root))
+        assert resumed.num_loaded_from_store == 2
+        assert sorted(CampaignStore(store.root).load_results(full.run_key)) \
+            == [0, 1, 2]
+        np.testing.assert_array_equal(full.best_energies,
+                                      resumed.best_energies)
+
 
 # ------------------------------------------------------------------ #
 # Kill-mid-campaign: a real process dies without cleanup, then resumes.

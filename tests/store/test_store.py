@@ -104,6 +104,17 @@ class TestDurability:
         with pytest.raises(StoreError, match="corrupt"):
             CampaignStore(store.root, shard_size=2).load_results(manifest.run_key)
 
+    def test_torn_line_in_a_full_shard_raises(self, registered):
+        """Full shards are never appended to again, so only the final shard
+        may end in a torn line; anywhere else it is corruption."""
+        store, manifest = registered
+        for index in range(3):
+            store.append_result(manifest.run_key, index, make_result(index))
+        first_shard = sorted((store.root / "shards").glob("*.jsonl"))[0]
+        first_shard.write_bytes(first_shard.read_bytes()[:-1])
+        with pytest.raises(StoreError, match="torn"):
+            CampaignStore(store.root, shard_size=2).load_results(manifest.run_key)
+
     def test_append_after_torn_tail_repairs_the_shard(self, registered):
         """Resuming after a crash must not weld new records onto the torn
         partial line -- the store stays loadable through arbitrarily many

@@ -65,6 +65,13 @@ class TestHistoryAppend:
             handle.write('{"name": "torn_demo", "value"')
         assert [e["value"] for e in load_history(history)] == [1.0]
 
+    def test_history_drops_a_garbled_final_line(self, reporting, tmp_path):
+        reporting.emit("garbled_demo", "m", 1.0, "x")
+        history = tmp_path / "reports" / HISTORY_FILENAME
+        with history.open("ab") as handle:
+            handle.write(b"\0" * 40 + b"\n")
+        assert [e["value"] for e in load_history(history)] == [1.0]
+
     def test_missing_history_is_empty(self, tmp_path):
         assert load_history(tmp_path) == []
 

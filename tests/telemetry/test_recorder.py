@@ -197,6 +197,19 @@ class TestJsonlRecorder:
         assert [e["name"] for e in events] == ["a", "c"]
         assert events[0]["session"] != events[1]["session"]
 
+    def test_garbled_final_line_is_torn(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with JsonlRecorder(path) as recorder:
+            recorder.counter("a")
+            recorder.counter("b")
+        first, last = path.read_bytes().splitlines(keepends=True)
+        # A lost page keeps the newline but not the record.
+        path.write_bytes(first + b"\0" * (len(last) - 1) + b"\n")
+        assert [e["name"] for e in load_events(path)] == ["a"]
+        with JsonlRecorder(path) as resumed:
+            resumed.counter("c")
+        assert [e["name"] for e in load_events(path)] == ["a", "c"]
+
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text('{"kind":"counter","name":"a"}\nnot json\n'
