@@ -98,7 +98,10 @@ def emit(name: str, metric: str, value: float, units: str, *,
                     encoding="utf-8")
     # The snapshot is overwritten by the next run; the trajectory line is
     # forever -- BENCH_history.jsonl is what bench-compare regresses against.
-    jsonl.append(directory / HISTORY_FILENAME, {
+    # A torn final line (a run killed mid-append) is truncated first.
+    history = directory / HISTORY_FILENAME
+    jsonl.repair(history)
+    jsonl.append(history, {
         **payload,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "provenance": run_provenance(),

@@ -197,33 +197,34 @@ class DQUBOAnnealer:
             ).anneal(self._transformation.qubo, initial=start, rng=generator)
         else:
             inner = self._hardware.solve(initial=start, rng=generator)
-        return self.assemble_result(
-            inner.best_configuration, inner.best_energy, inner.energy_history,
-            inner.num_feasible_evaluations, inner.num_accepted_moves)
+        return self.assemble_result(inner)
 
-    def assemble_result(self, best_full: np.ndarray, best_energy: float,
-                        history: list, num_feasible: int, num_accepted: int,
-                        extra_metadata: Optional[dict] = None) -> SolveResult:
-        """Decode a full-dimension anneal outcome into the D-QUBO result shape.
+    def assemble_result(self, raw: SolveResult) -> SolveResult:
+        """Decode a full-dimension engine result into the D-QUBO result shape.
 
-        The single assembly point shared by :meth:`solve` and the batched
-        trial function (:func:`repro.batched.trials.dqubo_batched_trials`),
-        so slack decoding, the infeasible-objective convention and the
-        metadata schema are the same for one replica and for a batch.
+        The single assembly point shared by :meth:`solve` and the runtime's
+        trial function (:func:`repro.batched.trials.dqubo_trials`), so slack
+        decoding, the infeasible-objective convention and the metadata schema
+        are the same for one replica and for a batch, in software and
+        hardware mode.  The engine's provenance stamps (``vectorized``,
+        ``num_replicas`` and, off the reference backend, ``kernel``) carry
+        over, so D-QUBO results name their sweep kernel as HyCiM and SA
+        results do.
         """
+        best_full = raw.best_configuration
         decoded = self._transformation.decode(best_full)
         feasible = self._transformation.is_feasible(best_full)
         objective = self.problem.objective(decoded) if feasible else 0.0
         return SolveResult(
             best_configuration=decoded,
-            best_energy=float(best_energy),
+            best_energy=float(raw.best_energy),
             best_objective=float(objective),
             feasible=feasible,
-            energy_history=history,
+            energy_history=raw.energy_history,
             num_iterations=self.num_iterations * self.moves_per_iteration,
-            num_feasible_evaluations=num_feasible,
+            num_feasible_evaluations=raw.num_feasible_evaluations,
             num_infeasible_skipped=0,
-            num_accepted_moves=num_accepted,
+            num_accepted_moves=raw.num_accepted_moves,
             solver_name="D-QUBO",
             metadata={
                 "encoding": self.encoding.value,
@@ -232,6 +233,8 @@ class DQUBOAnnealer:
                 "qubo_dimension": self._transformation.num_variables,
                 "use_hardware": self.use_hardware,
                 "penalty_satisfied": self._transformation.is_penalty_satisfied(best_full),
-                **(extra_metadata or {}),
+                **{key: raw.metadata[key]
+                   for key in ("vectorized", "num_replicas", "kernel")
+                   if key in raw.metadata},
             },
         )

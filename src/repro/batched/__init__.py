@@ -8,8 +8,8 @@ primitives live with the reference sweep in :mod:`repro.kernels.reference`),
 a batch-of-chips mode that runs per-trial device ``variability`` as one
 slice of the hardware stack's device axis per trial (see ARCHITECTURE.md),
 and the trial functions of the runtime's ``"hycim"``, ``"sa"`` and
-``"dqubo"`` solvers, single and batched, with their setup from parameter
-dicts (:mod:`repro.batched.trials`).
+``"dqubo"`` solvers -- one per solver, any group of trial seeds -- with
+their setup from parameter dicts (:mod:`repro.batched.trials`).
 
 The front door is :func:`repro.runtime.run_trials` with
 ``backend="vectorized"`` (whole batch in-process) or ``replicas_per_task`` on
@@ -27,16 +27,12 @@ already share.
 """
 
 from repro.batched.engine import BatchedHyCiMSolver, BatchedSimulatedAnnealer
-from repro.batched.trials import (
-    dqubo_batched_trials,
-    hycim_batched_trials,
-    sa_batched_trials,
-)
+from repro.batched.trials import dqubo_trials, hycim_trials, sa_trials
 
 __all__ = [
     "BatchedHyCiMSolver",
     "BatchedSimulatedAnnealer",
-    "dqubo_batched_trials",
-    "hycim_batched_trials",
-    "sa_batched_trials",
+    "dqubo_trials",
+    "hycim_trials",
+    "sa_trials",
 ]

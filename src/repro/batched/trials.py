@@ -2,25 +2,21 @@
 
 Each annealer's trial setup -- building the solver from its parameter dict,
 drawing the starting configurations, running the lock-step engine -- lives
-here once, in a *replica runner* that runs any number of trials (one replica
-per trial seed) as one batch:
+here once, in the trial function the registry maps ``"hycim"``, ``"sa"`` or
+``"dqubo"`` to.  It runs any number of trials (one replica per trial seed)
+as one batch:
 
-    _hycim_replicas(problem, params, seeds, initials) -> [SolveResult, ...]
+    hycim_trials(problem, params, seeds, initials) -> [SolveResult, ...]
 
-One wrapper, :func:`_traced`, runs a runner in a telemetry span and stamps
-each result's trial seed and wall time: the single-trial functions the
-registry maps ``"hycim"``, ``"sa"`` and ``"dqubo"`` to call it on one seed
-(a ``trial`` span), the *batched trial functions* on a replica group (a
-``trial_group`` span):
-
-    batched_fn(problem, params, seeds, initials) -> [SolveResult, ...]
-
-Replica ``k`` consumes ``np.random.default_rng(seeds[k])`` in the same order
-whatever the group size (initial-configuration draw first, then the solver's
-own draws), so the results are identical per seed to the serial path.  This
-is what lets :func:`repro.runtime.run_trials` treat ``backend="vectorized"``
-(and ``replicas_per_task`` groups on the process backend) as a pure
-throughput knob.
+A ``backend="serial"`` trial is the one-seed group, a vectorized chunk a
+larger one; the runtime opens the telemetry span around the call and stamps
+each result's trial seed and wall time
+(:func:`repro.runtime.registry.run_trial_group`).  Replica ``k`` consumes
+``np.random.default_rng(seeds[k])`` in the same order whatever the group
+size (initial-configuration draw first, then the solver's own draws), so
+the results are identical per seed to the serial path.  This is what lets :func:`repro.runtime.run_trials`
+treat ``backend="vectorized"`` (and ``replicas_per_task`` groups on the
+process backend) as a pure throughput knob.
 
 Parameter dicts may carry plain values (``{"move_generator": "knapsack"}``)
 or constructed schedule / move / dynamics objects; both forms pickle, and
@@ -38,7 +34,7 @@ by trial, so every registry parameter dict stays valid.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -75,9 +71,8 @@ from repro.dynamics.schedule import (
 from repro.fefet.variability import VariabilityModel
 from repro.kernels.base import canonical_kernel_param
 from repro.problems.base import CombinatorialProblem
-from repro.telemetry.recorder import current_recorder, worker_attrs
 
-__all__ = ["dqubo_batched_trials", "hycim_batched_trials", "sa_batched_trials"]
+__all__ = ["dqubo_trials", "hycim_trials", "sa_trials"]
 
 _SCHEDULES = {
     "geometric": GeometricSchedule,
@@ -306,23 +301,7 @@ def _replica_starts(problem: CombinatorialProblem, params: Mapping[str, object],
     ])
 
 
-def _stamp(results: List[SolveResult], seeds: Sequence[int],
-           elapsed: float) -> List[SolveResult]:
-    """Attach per-trial seeds and amortised wall time to a replica batch.
-
-    Lock-step replicas share one wall clock; each result reports the batch
-    time divided by the replica count (the per-replica *throughput* cost),
-    which is what the runtime benchmarks compare across backends.
-    """
-    per_replica = elapsed / max(len(results), 1)
-    for result, seed in zip(results, seeds):
-        result.trial_seed = int(seed)
-        result.wall_time = per_replica
-        result.metadata["seed"] = int(seed)
-    return results
-
-
-def _hycim_replicas(
+def hycim_trials(
     problem: CombinatorialProblem,
     params: Mapping[str, object],
     seeds: Sequence[int],
@@ -378,7 +357,7 @@ def _hycim_replicas(
         shared_rng=shared_rng, kernel=params.get("kernel"))
 
 
-def _sa_replicas(
+def sa_trials(
     problem: CombinatorialProblem,
     params: Mapping[str, object],
     seeds: Sequence[int],
@@ -460,7 +439,7 @@ def _dqubo_solver(problem: CombinatorialProblem, params: Mapping[str, object],
     )
 
 
-def _dqubo_replicas(
+def dqubo_trials(
     problem: CombinatorialProblem,
     params: Mapping[str, object],
     seeds: Sequence[int],
@@ -524,78 +503,4 @@ def _dqubo_replicas(
         # The penalty QUBO is annealed unconstrained, so the fused/JIT
         # backends apply without a linear-feasibility form.
         kernel=params.get("kernel"))
-    return [
-        solver.assemble_result(
-            raw.best_configuration, raw.best_energy, raw.energy_history,
-            raw.num_feasible_evaluations, raw.num_accepted_moves,
-            # Propagate the inner engine's kernel stamp so dqubo results
-            # carry the same backend provenance as hycim/sa ones.
-            extra_metadata={"vectorized": True,
-                            "num_replicas": len(inner),
-                            **({"kernel": raw.metadata["kernel"]}
-                               if "kernel" in raw.metadata else {})})
-        for raw in inner
-    ]
-
-
-def _traced(span_name: str, solver: str,
-            runner: Callable[..., List[SolveResult]],
-            problem: CombinatorialProblem, params: Mapping[str, object],
-            seeds: Sequence[int], initials: Sequence[Optional[np.ndarray]],
-            **attrs: int) -> List[SolveResult]:
-    """Run a replica runner on ``seeds`` inside one ``span_name`` span
-    (carrying ``attrs``) and stamp the results with seeds and wall time."""
-    with current_recorder().span(span_name, solver=solver, **attrs,
-                                 **worker_attrs()) as span:
-        results = runner(problem, params, seeds, initials)
-        # What "auto" actually picked, read back from the engine's stamp
-        # (absent stamp == reference backend).
-        span.annotate(kernel_resolved=(
-            results[0].metadata.get("kernel", "reference")
-            if results else "reference"))
-    return _stamp(results, seeds, span.elapsed)
-
-
-def _hycim_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
-                 seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    return _traced("trial", "hycim", _hycim_replicas, problem, params,
-                   [int(seed)], [initial], seed=int(seed))[0]
-
-
-def _sa_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
-              seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    return _traced("trial", "sa", _sa_replicas, problem, params,
-                   [int(seed)], [initial], seed=int(seed))[0]
-
-
-def _dqubo_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
-                 seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    return _traced("trial", "dqubo", _dqubo_replicas, problem, params,
-                   [int(seed)], [initial], seed=int(seed))[0]
-
-
-def hycim_batched_trials(problem: CombinatorialProblem,
-                         params: Mapping[str, object], seeds: Sequence[int],
-                         initials: Sequence[Optional[np.ndarray]]
-                         ) -> List[SolveResult]:
-    """The ``"hycim"`` batched trial function (see :func:`_hycim_replicas`)."""
-    return _traced("trial_group", "hycim", _hycim_replicas, problem, params,
-                   seeds, initials, replicas=len(seeds))
-
-
-def sa_batched_trials(problem: CombinatorialProblem,
-                      params: Mapping[str, object], seeds: Sequence[int],
-                      initials: Sequence[Optional[np.ndarray]]
-                      ) -> List[SolveResult]:
-    """The ``"sa"`` batched trial function (see :func:`_sa_replicas`)."""
-    return _traced("trial_group", "sa", _sa_replicas, problem, params,
-                   seeds, initials, replicas=len(seeds))
-
-
-def dqubo_batched_trials(problem: CombinatorialProblem,
-                         params: Mapping[str, object], seeds: Sequence[int],
-                         initials: Sequence[Optional[np.ndarray]]
-                         ) -> List[SolveResult]:
-    """The ``"dqubo"`` batched trial function (see :func:`_dqubo_replicas`)."""
-    return _traced("trial_group", "dqubo", _dqubo_replicas, problem, params,
-                   seeds, initials, replicas=len(seeds))
+    return [solver.assemble_result(raw) for raw in inner]

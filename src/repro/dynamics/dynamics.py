@@ -123,16 +123,17 @@ class Dynamics:
 
     @property
     def coupled(self) -> bool:
-        """Whether this bundle must run through the batched engine.
+        """Whether this bundle makes a replica group one unit of execution.
 
-        True for every component the scalar per-trial path cannot honour:
+        True for every component that ties a replica's result to its group:
         an active exchange policy and the shared RNG topology (the replicas
         genuinely interact), a temperature ladder (a replica's rung -- and
         so its result -- depends on its position in the group), and any
-        non-default acceptance rule (the scalar solvers decide through the
-        stock Metropolis rule).  The executor routes coupled replica groups
-        to the batched engine on every backend rather than silently dropping
-        a component on the scalar path.
+        non-default acceptance rule (it decides for the whole replica batch
+        at once, so it may couple the replicas).  The executor runs each
+        coupled replica group as one trial-function call -- one engine batch
+        for the annealers -- on every backend, opens a ``trial_group`` span
+        for it, and re-runs a partially persisted group whole on resume.
         """
         return (self.exchange.is_active
                 or self.rng_mode == "shared"

@@ -7,7 +7,8 @@ instance, score the success rate"; this package owns that loop:
 * :mod:`repro.runtime.registry` -- solver names -> picklable trial functions
   (``"hycim"``, ``"sa"``, ``"dqubo"``, ``"greedy"``, ``"dp"``,
   ``"brute_force"``, ``"local_search"``), constructible from plain config
-  dicts.
+  dicts; every one runs a group of trial seeds per call, one result per
+  seed.
 * :mod:`repro.runtime.executor` -- :func:`run_trials`: N replica seeds per
   instance, fanned out over a ``multiprocessing`` pool (``backend=
   "process"``), run in-process (``backend="serial"``) or advanced in
@@ -35,9 +36,7 @@ from repro.runtime.registry import (
     as_solver_spec,
     available_solvers,
     build_dynamics,
-    get_batched_trial_function,
     get_trial_function,
-    register_batched_solver,
     register_solver,
     run_single_trial,
     unregister_solver,
@@ -89,12 +88,10 @@ __all__ = [
     "concatenate_batches",
     "derive_trial_seeds",
     "expand_param_grid",
-    "get_batched_trial_function",
     "get_trial_function",
     "mean_success_over_batches",
     "meets_success_bar",
     "race_key",
-    "register_batched_solver",
     "register_solver",
     "replay_trial",
     "run_campaign",

@@ -55,15 +55,15 @@ from repro.annealing.result import SolveResult
 from repro.kernels.base import canonical_kernel_param
 from repro.problems.base import CombinatorialProblem
 from repro.runtime.registry import (
-    BatchedTrialFunction,
     SolverSpec,
     SpecLike,
     TrialFunction,
     as_solver_spec,
     build_dynamics,
-    get_batched_trial_function,
     get_trial_function,
+    kernel_resolved,
     run_single_trial,
+    run_trial_group,
 )
 from repro.telemetry.recorder import (
     NULL_RECORDER,
@@ -172,13 +172,13 @@ class TrialBatch:
         return min(self.results, key=lambda r: (not r.feasible, r.best_energy))
 
 
-#: Chunk payload: problem, spec, single-trial fn, batched trial fn (or None),
-#: replica-group size for the batched path, the chunk's trials, the chunk
-#: index, the recorder spec a pool worker mirrors (None = record nothing),
-#: and whether the chunk executes inside a pool worker.
-_ChunkPayload = Tuple[CombinatorialProblem, SolverSpec, TrialFunction,
-                      Optional[BatchedTrialFunction], int, List[_Trial],
-                      int, Optional[RecorderSpec], bool]
+#: Chunk payload: problem, spec, trial fn, replica-group size, whether the
+#: trials run as replica groups (``trial_group`` spans) rather than lone
+#: trials, the chunk's trials, the chunk index, the recorder spec a pool
+#: worker mirrors (None = record nothing), and whether the chunk executes
+#: inside a pool worker.
+_ChunkPayload = Tuple[CombinatorialProblem, SolverSpec, TrialFunction, int,
+                      bool, List[_Trial], int, Optional[RecorderSpec], bool]
 
 #: Worker-side recorder cache: one shard recorder per sidecar path per
 #: process, so a pool worker keeps appending to its own shard across chunks
@@ -208,19 +208,20 @@ def _execute_chunk(payload: _ChunkPayload) -> List[Tuple[int, SolveResult]]:
     """Run every trial of one chunk: what each backend dispatches, in-process
     or to a pool worker.
 
-    The trial functions are resolved in the parent and shipped inside the
+    The trial function is resolved in the parent and shipped inside the
     payload (module-level functions pickle by reference), so solvers added
     with :func:`repro.runtime.registry.register_solver` work on the process
     backend even under spawn/forkserver start methods, where workers
     re-import the registry without the parent's registrations.
 
-    When a batched trial function is available and ``replicas_per_task > 1``,
-    the chunk's trials advance in lock-step replica groups of that size;
-    otherwise they run through the single-trial function one by one.  Both
-    paths produce identical per-seed results (the batched-function contract),
-    so grouping is purely a throughput knob.
+    The chunk's trials run in groups of ``replicas_per_task`` (lock-step
+    replica batches for the annealers), each through
+    :func:`~repro.runtime.registry.run_trial_group`: one ``trial_group`` span
+    per group when ``grouped``, else one ``trial`` span per trial.  A trial
+    function returns identical per-seed results for any group (the registry
+    contract), so grouping is purely a throughput knob.
 
-    Each trial (or replica group) gets a deep copy of the solver spec, so
+    Each trial group gets a deep copy of the solver spec, so
     stateful parameter objects (e.g. a ``VariabilityModel`` with an internal
     RNG) cannot leak state between trials -- the per-trial behaviour is then
     identical across backends, worker counts and chunk sizes.
@@ -233,12 +234,12 @@ def _execute_chunk(payload: _ChunkPayload) -> List[Tuple[int, SolveResult]]:
     Telemetry never feeds solver state, so results stay bitwise identical
     with recording on or off.
     """
-    (problem, spec, trial_fn, batched_fn, replicas_per_task, trials,
+    (problem, spec, trial_fn, replicas_per_task, grouped, trials,
      chunk_index, recorder_spec, in_worker) = payload
     if not in_worker:
         with task_scope(chunk_index):
-            return _run_chunk_trials(problem, spec, trial_fn, batched_fn,
-                                     replicas_per_task, trials)
+            return _run_chunk_trials(problem, spec, trial_fn,
+                                     replicas_per_task, grouped, trials)
     recorder = _worker_recorder(recorder_spec)
     worker = getattr(recorder, "worker", None) or f"w{os.getpid()}"
     with use_recorder(recorder), task_scope(chunk_index, worker=worker):
@@ -250,27 +251,21 @@ def _execute_chunk(payload: _ChunkPayload) -> List[Tuple[int, SolveResult]]:
         if recorder_spec is not None and recorder_spec.parent_session:
             attrs["parent_session"] = recorder_spec.parent_session
         with recorder.span("worker_chunk", **attrs):
-            return _run_chunk_trials(problem, spec, trial_fn, batched_fn,
-                                     replicas_per_task, trials)
+            return _run_chunk_trials(problem, spec, trial_fn,
+                                     replicas_per_task, grouped, trials)
 
 
 def _run_chunk_trials(problem: CombinatorialProblem, spec: SolverSpec,
-                      trial_fn: TrialFunction,
-                      batched_fn: Optional[BatchedTrialFunction],
-                      replicas_per_task: int,
+                      trial_fn: TrialFunction, replicas_per_task: int,
+                      grouped: bool,
                       trials: List[_Trial]) -> List[Tuple[int, SolveResult]]:
-    size = replicas_per_task if batched_fn is not None else 1
     out: List[Tuple[int, SolveResult]] = []
-    for start in range(0, len(trials), size):
-        group = trials[start:start + size]
-        params = copy.deepcopy(spec).params
-        if batched_fn is None:
-            (_, seed, initial), = group
-            results = [trial_fn(problem, params, int(seed), initial)]
-        else:
-            results = batched_fn(problem, params,
-                                 [int(seed) for _, seed, _ in group],
-                                 [initial for _, _, initial in group])
+    for start in range(0, len(trials), replicas_per_task):
+        group = trials[start:start + replicas_per_task]
+        results = run_trial_group(
+            trial_fn, problem, spec.solver, copy.deepcopy(spec).params,
+            [seed for _, seed, _ in group],
+            [initial for _, _, initial in group], grouped)
         for (index, _, _), result in zip(group, results):
             result.metadata.setdefault("trial_index", index)
             out.append((index, result))
@@ -351,9 +346,8 @@ def run_trials(
         family; every intermediate is an exactly representable float64
         integer); float-valued coefficients agree to floating-point
         tolerance, where a borderline Metropolis draw could in principle
-        diverge (see :mod:`repro.batched`).  Solvers without a batched
-        implementation run their vectorized chunks trial by trial, so any
-        registry solver is valid on any backend.
+        diverge (see :mod:`repro.batched`).  Every registry solver runs a
+        group of trials per call, so any solver is valid on any backend.
     master_seed:
         Seed of the :class:`numpy.random.SeedSequence` the per-trial seeds
         are spawned from.
@@ -395,10 +389,10 @@ def run_trials(
         an active exchange policy (e.g.
         :class:`repro.dynamics.ParallelTempering`) or the chip-faithful
         ``rng_mode="shared"`` -- make the replicas of each lock-step group
-        interact, so the executor routes every replica group (default: the
+        interact, so the executor runs every replica group (default: the
         whole batch as one group, override with ``chunk_size`` /
-        ``replicas_per_task``) through the solver's batched engine on *all*
-        backends; solvers without a batched engine reject coupled dynamics.
+        ``replicas_per_task``) through one trial-function call on *all*
+        backends; reference solvers, which run no anneal, ignore the bundle.
         Trial ``i``'s result then depends on its group composition -- still
         deterministic per ``(master_seed, grouping)``, and resumable: the
         store keys coupled runs by their grouping (``num_trials`` /
@@ -517,17 +511,6 @@ def run_trials(
     chunks = [trials[start:start + chunk_size]
               for start in range(0, num_trials, chunk_size)]
     trial_fn = get_trial_function(spec.solver)
-    batched_fn = get_batched_trial_function(spec.solver)
-    if coupled and batched_fn is None:
-        raise ValueError(
-            f"solver {spec.solver!r} has no batched trial function, so it "
-            "cannot run coupled dynamics (replica exchange / shared RNG)")
-    if ((kernel_param is not None or spec.params.get("sparse"))
-            and batched_fn is None):
-        raise ValueError(
-            f"solver {spec.solver!r} has no batched trial function, so it "
-            "cannot honour params['kernel'] / params['sparse'] (the sweep-"
-            "kernel backends live in the lock-step engines)")
     maximize = getattr(problem, "is_maximization", True)
 
     # Store wiring (lazy import: repro.store's schema imports runtime types).
@@ -636,8 +619,8 @@ def run_trials(
     # (None unless the parent records to a JSONL sidecar).
     in_worker = backend == "process"
     worker_spec = recorder.worker_spec() if in_worker else None
-    group_fn = batched_fn if replicas_per_task > 1 or coupled else None
-    payloads = [(problem, spec, trial_fn, group_fn, replicas_per_task,
+    grouped = replicas_per_task > 1 or coupled
+    payloads = [(problem, spec, trial_fn, replicas_per_task, grouped,
                  pending, number, worker_spec, in_worker)
                 for number, pending in enumerate(pending_per_chunk) if pending]
     # The run span is the batch's single timing source; its elapsed time is
@@ -666,22 +649,13 @@ def run_trials(
 
     collected.sort(key=lambda pair: pair[0])
     results = [result for _, result in collected]
-    if store is not None and results and batched_fn is not None:
+    if store is not None and results:
         # Stamp the *resolved* sweep-kernel backend (what "auto" actually
-        # picked) into the run's provenance snapshot.  Results carry the
-        # engine's stamp whether fresh or loaded; an engine result without a
-        # stamp ran on the reference backend, and a result without the
-        # engine's "vectorized" marker was persisted by the scalar loops
-        # that single trials ran on before they became one-replica engine
-        # runs.
-        metadata = results[0].metadata or {}
-        if "kernel" in metadata:
-            resolved = str(metadata["kernel"])
-        elif metadata.get("vectorized"):
-            resolved = "reference"
-        else:
-            resolved = "scalar"
-        store.annotate_provenance(run_key, kernel_resolved=resolved)
+        # picked) into the run's provenance snapshot; results carry the
+        # engine's stamp whether fresh or loaded.
+        resolved = kernel_resolved(results[0])
+        if resolved is not None:
+            store.annotate_provenance(run_key, kernel_resolved=resolved)
     return TrialBatch(
         results=results,
         spec=spec,

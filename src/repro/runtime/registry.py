@@ -7,22 +7,25 @@ plain parameter dict.  This module maps the canonical solver names
 
     "hycim", "sa", "dqubo", "greedy", "dp", "brute_force", "local_search"
 
-to module-level trial functions with the uniform signature
+to module-level trial functions with the one signature
 
-    trial_fn(problem, params, seed, initial) -> SolveResult
+    trial_fn(problem, params, seeds, initials) -> [SolveResult, ...]
 
-and the annealers among them to batched trial functions as well.
-Annealing solvers are rebuilt from scratch inside every trial (so device
-variability and crossbar programming are re-sampled per trial exactly as a
-real chip would be reprogrammed), seeded deterministically from the trial
-seed.  Their trial functions, single and batched, and the setup they share
-live in :mod:`repro.batched.trials`: a single trial is the solver's replica
-runner on one seed (a one-replica run of the lock-step engine), a batched
-trial the same runner on a whole replica group -- per-trial variability
-becomes one freshly sampled chip per device-axis slice (ARCHITECTURE.md) --
-so grouped and single trials are interchangeable per seed.  Exact /
-heuristic reference solvers are wrapped here so they return the same
-:class:`~repro.annealing.result.SolveResult` shape as the annealers.
+A trial function runs a group of trials, one per seed, and returns one
+result per seed in order.  Trial ``k`` must consume
+``np.random.default_rng(seeds[k])`` exactly as it would alone, so the
+results are identical per seed however the executor groups the trials.  The
+annealers' trial functions live in :mod:`repro.batched.trials`: a group is
+one lock-step replica batch, and the solver is built afresh for every
+group (per-trial device variability becomes one freshly sampled chip per
+device-axis slice, ARCHITECTURE.md), seeded deterministically from the
+trial seeds.  Exact / heuristic reference solvers are wrapped here so they
+return the same :class:`~repro.annealing.result.SolveResult` shape as the
+annealers.  A solver reads only the params it understands.
+
+:func:`run_trial_group` runs a trial function inside the group's telemetry
+span and stamps each result's trial seed and wall time; the executor's
+chunk loop and :func:`run_single_trial` both go through it.
 """
 
 from __future__ import annotations
@@ -34,14 +37,10 @@ import numpy as np
 
 from repro.annealing.result import SolveResult
 from repro.batched.trials import (
-    _dqubo_trial,
-    _hycim_trial,
-    _sa_trial,
-    _stamp,
     build_dynamics,
-    dqubo_batched_trials,
-    hycim_batched_trials,
-    sa_batched_trials,
+    dqubo_trials,
+    hycim_trials,
+    sa_trials,
 )
 from repro.exact.brute_force import solve_brute_force
 from repro.exact.dp_knapsack import solve_knapsack_dp
@@ -50,15 +49,9 @@ from repro.exact.local_search import improve_qkp_local_search
 from repro.problems.base import CombinatorialProblem
 from repro.telemetry.recorder import current_recorder, worker_attrs
 
+#: A trial function runs one group of trials: one per seed, returning one
+#: SolveResult per seed in order (see the module docstring).
 TrialFunction = Callable[
-    [CombinatorialProblem, Mapping[str, Any], int, Optional[np.ndarray]], SolveResult
-]
-
-#: A batched trial function runs one lock-step replica group: one trial per
-#: spawned seed, returning one SolveResult per seed in order.  Replica ``k``
-#: must consume ``np.random.default_rng(seeds[k])`` exactly as the single
-#: trial function would, so both paths yield identical per-seed results.
-BatchedTrialFunction = Callable[
     [CombinatorialProblem, Mapping[str, Any], Sequence[int],
      Sequence[Optional[np.ndarray]]], List[SolveResult]
 ]
@@ -140,7 +133,7 @@ def _reference_energy(problem: CombinatorialProblem, x: np.ndarray) -> float:
 
 def _exact_result(problem: CombinatorialProblem, x: np.ndarray, value: float,
                   name: str, num_evaluated: int = 0) -> SolveResult:
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
     return SolveResult(
         best_configuration=x,
         best_energy=_reference_energy(problem, x),
@@ -153,94 +146,78 @@ def _exact_result(problem: CombinatorialProblem, x: np.ndarray, value: float,
     )
 
 
-def _exact_trial(solver: str, seed: int,
-                 solve: Callable[[], SolveResult]) -> SolveResult:
-    """Run ``solve`` inside the trial's span, then stamp the seed (as
-    ``trial_seed`` and ``metadata["seed"]``) and the span's wall time, as the
-    annealers' trials are stamped."""
-    with current_recorder().span("trial", solver=solver, seed=int(seed),
-                                 **worker_attrs()) as span:
-        result = solve()
-    return _stamp([result], [seed], span.elapsed)[0]
+def _greedy_trials(problem: CombinatorialProblem, params: Mapping[str, Any],
+                   seeds: Sequence[int],
+                   initials: Sequence[Optional[np.ndarray]]) -> List[SolveResult]:
+    outcome = solve_qkp_greedy(problem)
+    return [_exact_result(problem, outcome.configuration, outcome.value,
+                          "Greedy") for _ in seeds]
 
 
-def _greedy_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
-                  seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    def solve() -> SolveResult:
-        outcome = solve_qkp_greedy(problem)
-        return _exact_result(problem, outcome.configuration, outcome.value,
-                             "Greedy")
-    return _exact_trial("greedy", seed, solve)
+def _dp_trials(problem: CombinatorialProblem, params: Mapping[str, Any],
+               seeds: Sequence[int],
+               initials: Sequence[Optional[np.ndarray]]) -> List[SolveResult]:
+    profits = getattr(problem, "profits", None)
+    if profits is None or np.ndim(profits) != 1:
+        raise TypeError(
+            "solver 'dp' needs a linear knapsack problem (1-D profits); "
+            f"got {type(problem).__name__} -- use 'brute_force' or "
+            "'hycim' for quadratic objectives"
+        )
+    outcome = solve_knapsack_dp(problem)
+    return [_exact_result(problem, outcome.best_configuration,
+                          outcome.best_value, "DP") for _ in seeds]
 
 
-def _dp_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
-              seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    def solve() -> SolveResult:
-        profits = getattr(problem, "profits", None)
-        if profits is None or np.ndim(profits) != 1:
-            raise TypeError(
-                "solver 'dp' needs a linear knapsack problem (1-D profits); "
-                f"got {type(problem).__name__} -- use 'brute_force' or "
-                "'hycim' for quadratic objectives"
-            )
-        outcome = solve_knapsack_dp(problem)
-        return _exact_result(problem, outcome.best_configuration,
-                             outcome.best_value, "DP")
-    return _exact_trial("dp", seed, solve)
+def _brute_force_trials(problem: CombinatorialProblem,
+                        params: Mapping[str, Any], seeds: Sequence[int],
+                        initials: Sequence[Optional[np.ndarray]]
+                        ) -> List[SolveResult]:
+    outcome = solve_brute_force(
+        problem, max_variables=int(params.get("max_variables", 22)))
+    return [_exact_result(problem, outcome.best_configuration,
+                          outcome.best_value, "BruteForce",
+                          num_evaluated=outcome.num_evaluated)
+            for _ in seeds]
 
 
-def _brute_force_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
-                       seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    def solve() -> SolveResult:
-        outcome = solve_brute_force(
-            problem, max_variables=int(params.get("max_variables", 22)))
-        return _exact_result(problem, outcome.best_configuration,
-                             outcome.best_value, "BruteForce",
-                             num_evaluated=outcome.num_evaluated)
-    return _exact_trial("brute_force", seed, solve)
-
-
-def _local_search_trial(problem: CombinatorialProblem, params: Mapping[str, Any],
-                        seed: int, initial: Optional[np.ndarray]) -> SolveResult:
-    def solve() -> SolveResult:
-        rng = np.random.default_rng(seed)
-        if initial is None:
-            if params.get("greedy_start", False):
-                start = solve_qkp_greedy(problem).configuration
-            else:
-                start = problem.random_feasible_configuration(rng)
-        else:
+def _local_search_trials(problem: CombinatorialProblem,
+                         params: Mapping[str, Any], seeds: Sequence[int],
+                         initials: Sequence[Optional[np.ndarray]]
+                         ) -> List[SolveResult]:
+    results = []
+    for seed, initial in zip(seeds, initials):
+        if initial is not None:
             start = np.asarray(initial, dtype=float)
+        elif params.get("greedy_start", False):
+            start = solve_qkp_greedy(problem).configuration
+        else:
+            start = problem.random_feasible_configuration(
+                np.random.default_rng(seed))
         outcome = improve_qkp_local_search(
             problem, start, max_passes=int(params.get("max_passes", 50)))
-        return _exact_result(problem, outcome.configuration, outcome.value,
-                             "LocalSearch", num_evaluated=outcome.iterations)
-    return _exact_trial("local_search", seed, solve)
+        results.append(_exact_result(problem, outcome.configuration,
+                                     outcome.value, "LocalSearch",
+                                     num_evaluated=outcome.iterations))
+    return results
 
 
 # --------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------- #
 _REGISTRY: Dict[str, TrialFunction] = {
-    "hycim": _hycim_trial,
-    "sa": _sa_trial,
-    "dqubo": _dqubo_trial,
-    "greedy": _greedy_trial,
-    "dp": _dp_trial,
-    "brute_force": _brute_force_trial,
-    "local_search": _local_search_trial,
+    "hycim": hycim_trials,
+    "sa": sa_trials,
+    "dqubo": dqubo_trials,
+    "greedy": _greedy_trials,
+    "dp": _dp_trials,
+    "brute_force": _brute_force_trials,
+    "local_search": _local_search_trials,
 }
 
 #: Solvers that produce the same result on every trial; campaigns and
 #: portfolios run these once instead of ``num_trials`` times.
 DETERMINISTIC_SOLVERS = frozenset({"greedy", "dp", "brute_force"})
-
-#: Vectorised (lock-step replica) trial functions, keyed like ``_REGISTRY``.
-_BATCHED_REGISTRY: Dict[str, BatchedTrialFunction] = {
-    "hycim": hycim_batched_trials,
-    "sa": sa_batched_trials,
-    "dqubo": dqubo_batched_trials,
-}
 
 
 def available_solvers() -> Tuple[str, ...]:
@@ -252,9 +229,12 @@ def register_solver(name: str, trial_fn: TrialFunction, *,
                     overwrite: bool = False) -> None:
     """Register a custom trial function under ``name``.
 
-    ``trial_fn`` must be picklable (a module-level function) when the process
-    backend is used, and must honour the ``(problem, params, seed, initial)``
-    signature.
+    ``trial_fn`` must honour the ``(problem, params, seeds, initials) ->
+    [SolveResult, ...]`` signature: one result per seed, in order, trial
+    ``k`` consuming ``default_rng(seeds[k])`` as it would alone (the
+    executor relies on this to keep every backend identical per seed).  It
+    must be picklable (a module-level function) when the process backend is
+    used.
     """
     if not name or not isinstance(name, str):
         raise ValueError("solver name must be a non-empty string")
@@ -262,50 +242,12 @@ def register_solver(name: str, trial_fn: TrialFunction, *,
         raise KeyError(f"solver {name!r} is already registered (pass overwrite=True)")
     if not callable(trial_fn):
         raise TypeError("trial_fn must be callable")
-    if _REGISTRY.get(name) is not trial_fn:
-        # A previously paired batched engine mirrors the *old* trial
-        # function; dropping it makes every backend fall back to the new
-        # single-trial path instead of silently running stale batched code.
-        _BATCHED_REGISTRY.pop(name, None)
     _REGISTRY[name] = trial_fn
-
-
-def register_batched_solver(name: str, batched_fn: BatchedTrialFunction, *,
-                            overwrite: bool = False) -> None:
-    """Register a vectorised (lock-step replica group) trial function.
-
-    ``batched_fn`` must honour the ``(problem, params, seeds, initials) ->
-    [SolveResult, ...]`` signature, return one result per seed in order, and
-    consume ``default_rng(seeds[k])`` for replica ``k`` exactly as the
-    single-trial function registered under the same name would -- the
-    executor relies on this to keep ``backend="vectorized"`` results
-    identical per seed to the serial backend.  Like single-trial functions it
-    must be a picklable module-level function to work with the process
-    backend's ``replicas_per_task`` grouping.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError("solver name must be a non-empty string")
-    if name in _BATCHED_REGISTRY and not overwrite:
-        raise KeyError(
-            f"batched solver {name!r} is already registered (pass overwrite=True)"
-        )
-    if not callable(batched_fn):
-        raise TypeError("batched_fn must be callable")
-    _BATCHED_REGISTRY[name] = batched_fn
-
-
-def get_batched_trial_function(name: str) -> Optional[BatchedTrialFunction]:
-    """The batched trial function for ``name``, or ``None`` if the solver has
-    no vectorised implementation (the executor then falls back to running the
-    group's trials through the single-trial function, one by one, which
-    yields identical results)."""
-    return _BATCHED_REGISTRY.get(name)
 
 
 def unregister_solver(name: str) -> None:
     """Remove a previously registered custom solver (built-ins included)."""
     _REGISTRY.pop(name, None)
-    _BATCHED_REGISTRY.pop(name, None)
 
 
 def get_trial_function(name: str) -> TrialFunction:
@@ -318,9 +260,63 @@ def get_trial_function(name: str) -> TrialFunction:
         ) from error
 
 
+def kernel_resolved(result: SolveResult) -> Optional[str]:
+    """The sweep-kernel backend ``result`` ran on, as spans and manifests
+    record it.
+
+    The engine's stamp (what ``kernel="auto"`` actually picked) when present;
+    ``"reference"`` for an engine result without one; ``"scalar"`` for a
+    result without the engine's ``vectorized`` marker, such as one persisted
+    by the scalar loops that single trials ran on before they became
+    one-replica engine runs.  Exact solvers run no sweep kernel: ``None``.
+    """
+    metadata = result.metadata
+    if metadata.get("deterministic"):
+        return None
+    if "kernel" in metadata:
+        return str(metadata["kernel"])
+    return "reference" if metadata.get("vectorized") else "scalar"
+
+
+def run_trial_group(trial_fn: TrialFunction, problem: CombinatorialProblem,
+                    solver: str, params: Mapping[str, Any],
+                    seeds: Sequence[int],
+                    initials: Sequence[Optional[np.ndarray]],
+                    grouped: bool = False) -> List[SolveResult]:
+    """Run ``trial_fn`` on ``seeds`` inside one telemetry span, then stamp
+    each result's seed (``trial_seed`` and ``metadata["seed"]``) and wall
+    time.
+
+    The span is ``trial_group`` (with ``replicas``) when the executor groups
+    trials -- ``replicas_per_task > 1`` or coupled dynamics -- and ``trial``
+    (with ``seed``) for a lone trial; either way it carries the solver name,
+    the emitting process (:func:`~repro.telemetry.recorder.worker_attrs`)
+    and, on its end, :func:`kernel_resolved`.  The trials of a group share
+    one wall clock, so each result reports the span's time divided by the
+    group size: the per-trial *throughput* cost the runtime benchmarks
+    compare across backends.
+    """
+    seeds = [int(seed) for seed in seeds]
+    attrs = {"replicas": len(seeds)} if grouped else {"seed": seeds[0]}
+    with current_recorder().span("trial_group" if grouped else "trial",
+                                 solver=solver, **attrs,
+                                 **worker_attrs()) as span:
+        results = trial_fn(problem, params, seeds, initials)
+        resolved = kernel_resolved(results[0]) if results else None
+        if resolved is not None:
+            span.annotate(kernel_resolved=resolved)
+    per_trial = span.elapsed / max(len(results), 1)
+    for result, seed in zip(results, seeds):
+        result.trial_seed = seed
+        result.wall_time = per_trial
+        result.metadata["seed"] = seed
+    return results
+
+
 def run_single_trial(problem: CombinatorialProblem, spec: SpecLike, seed: int,
                      initial: Optional[np.ndarray] = None) -> SolveResult:
-    """Execute one trial in-process (the unit of work the executor dispatches)."""
+    """Execute one trial in-process, as the executor runs a lone trial."""
     resolved = as_solver_spec(spec)
-    trial_fn = get_trial_function(resolved.solver)
-    return trial_fn(problem, resolved.params, int(seed), initial)
+    return run_trial_group(get_trial_function(resolved.solver), problem,
+                           resolved.solver, resolved.params, [seed],
+                           [initial])[0]

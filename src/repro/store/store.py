@@ -24,7 +24,9 @@ writing, so a crash can damage at most the final line of the final shard of
 the run being written.  That line is torn when it lacks its newline or does
 not parse; :meth:`CampaignStore.load_results` treats it as "this trial never
 completed" and drops it (the resume path simply re-runs that trial), and
-the next append truncates it first.  A malformed line anywhere *else* is
+the next append truncates it first.  The manifest, campaign and wall-time
+logs follow the same rule: a write handle truncates their torn final lines
+when it opens, before anything appends.  A malformed line anywhere *else* is
 real corruption and raises :class:`~repro.store.schema.StoreError`.  Bulk
 rewrites (:meth:`merge` targets, future compactions) go through a temp file
 plus :func:`os.replace`, so readers never observe a half-written shard.
@@ -121,6 +123,10 @@ class CampaignStore:
         self.shard_size = int(shard_size)
         if create:
             (self.root / _SHARD_DIR).mkdir(parents=True, exist_ok=True)
+            # A write handle may append to every log: truncate a torn final
+            # line first, or the next record would be welded onto it.
+            for name in (_MANIFEST, _CAMPAIGNS, _WALL_TIMES):
+                jsonl.repair(self.root / name)
         elif not self.root.is_dir():
             raise FileNotFoundError(f"no store directory at {self.root}")
         self._runs: Dict[str, RunManifest] = {}

@@ -193,10 +193,11 @@ class RecorderSpec:
 class Span:
     """A hierarchical timer: always times, emits only when recording.
 
-    Spans are the runtime's *single* timing code path -- ``run_trials``, the
-    batched trial functions and the single-trial functions all read their
-    wall time from ``span.elapsed`` after the ``with`` block exits -- so the
-    two ``perf_counter`` calls happen for every recorder, null included.
+    Spans are the runtime's *single* timing code path -- ``run_trials`` and
+    the trial span of every trial or replica group
+    (:func:`repro.runtime.registry.run_trial_group`) read their wall time
+    from ``span.elapsed`` after the ``with`` block exits -- so the two
+    ``perf_counter`` calls happen for every recorder, null included.
     Event emission (``span_start`` / ``span_end`` with parent links) is
     skipped entirely on a disabled recorder.
     """

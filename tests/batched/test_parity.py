@@ -411,14 +411,15 @@ class TestBackendParity:
         vectorized = run_trials(small_qkp, "dqubo", num_trials=2,
                                 params=params, backend="vectorized",
                                 master_seed=5)
-        assert not any(r.metadata.get("vectorized")
-                       for r in vectorized.results)
+        assert all(r.metadata["num_replicas"] == 1
+                   for r in vectorized.results)
         np.testing.assert_array_equal(serial.best_energies,
                                       vectorized.best_energies)
 
     def test_unbatched_solver_falls_back(self, small_qkp):
-        """Solvers without a batched implementation still run on the
-        vectorized backend, through the scalar path, with identical results."""
+        """Reference solvers run no lock-step engine, but their trial
+        functions take a group of seeds like every solver's, so they run on
+        the vectorized backend (one group per chunk) with identical results."""
         serial = run_trials(small_qkp, "greedy", num_trials=2,
                             backend="serial", master_seed=0)
         vectorized = run_trials(small_qkp, "greedy", num_trials=2,

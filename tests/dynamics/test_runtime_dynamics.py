@@ -98,10 +98,22 @@ class TestCoupledRouting:
                            dynamics=ParallelTempering(exchange_interval=4))
         assert batch.num_trials == 4
 
-    def test_solver_without_batched_engine_rejects_coupled(self, problem):
-        with pytest.raises(ValueError, match="batched trial function"):
-            run_trials(problem, "greedy", num_trials=2,
-                       dynamics=ParallelTempering())
+    def test_campaign_with_a_reference_solver_runs_coupled_dynamics(self):
+        """``dynamics`` applies to every campaign cell: the annealer runs
+        one tempered ladder, and greedy, which runs no anneal, ignores it."""
+        instance = generate_qkp_instance(num_items=12, seed=1)
+        result = run_campaign(
+            [instance],
+            ["greedy", ("hycim", {"num_iterations": 20,
+                                  "use_hardware": False})],
+            num_trials=4, dynamics=ParallelTempering())
+        batches = {record.batch.spec.solver: record.batch
+                   for record in result.records}
+        assert batches["greedy"].num_trials == 1
+        assert batches["greedy"].results[0].feasible
+        assert batches["hycim"].num_trials == 4
+        assert all(r.metadata["ladder_rungs"] == 4
+                   for r in batches["hycim"].results)
 
     def test_single_trial_runs_coupled_dynamics_as_one_replica_group(
             self, problem):

@@ -3,8 +3,8 @@
 ``params["kernel"]`` travels from :func:`repro.runtime.run_trials` through
 the annealers' trial functions into the engines; these tests pin the runtime
 contract around it: per-seed results are backend-invariant, the default
-backend canonicalises *out* of store run keys (old keys stay valid), solvers
-without a lock-step engine refuse the param instead of ignoring it, and the
+backend canonicalises *out* of store run keys (old keys stay valid), every
+solver validates the name (and those without a sweep ignore it), and the
 ``"auto"`` / explicit backends fall back / fail the way
 :mod:`repro.kernels.base` documents.
 """
@@ -91,10 +91,13 @@ class TestRunTrialsParity:
         np.testing.assert_array_equal(serial.best_energies,
                                       routed.best_energies)
 
-    def test_scalar_only_solver_refuses_kernel_param(self, problem):
-        with pytest.raises(ValueError, match="cannot honour"):
+    def test_reference_solver_still_validates_the_kernel_name(self, problem):
+        # A solver reads only the params it understands, so a valid kernel
+        # is ignored by greedy; a misspelt one still fails up front.
+        run_trials(problem, "greedy", num_trials=1, params={"kernel": "fused"})
+        with pytest.raises(ValueError, match="fsued"):
             run_trials(problem, "greedy", num_trials=1,
-                       params={"kernel": "fused"})
+                       params={"kernel": "fsued"})
 
 
 class TestRunKeyStability:

@@ -6,6 +6,9 @@ backend for the same master seed, because every per-trial seed is spawned
 with ``numpy.random.SeedSequence`` in the parent.
 """
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -170,15 +173,18 @@ class TestEarlyStopping:
 _EXECUTED_TRIALS = []
 
 
-def _counting_trial(problem, params, seed, initial):
-    index = int(initial[0])
-    _EXECUTED_TRIALS.append(index)
-    return SolveResult(
-        best_configuration=np.zeros(problem.num_variables),
-        best_energy=-float(index),
-        feasible=True,
-        solver_name="counting",
-    )
+def _counting_trials(problem, params, seeds, initials):
+    results = []
+    for initial in initials:
+        index = int(initial[0])
+        _EXECUTED_TRIALS.append(index)
+        results.append(SolveResult(
+            best_configuration=np.zeros(problem.num_variables),
+            best_energy=-float(index),
+            feasible=True,
+            solver_name="counting",
+        ))
+    return results
 
 
 class TestEarlyStoppingChunkBehaviour:
@@ -195,7 +201,7 @@ class TestEarlyStoppingChunkBehaviour:
     @pytest.fixture
     def counting_solver(self):
         _EXECUTED_TRIALS.clear()
-        register_solver("counting_stub", _counting_trial, overwrite=True)
+        register_solver("counting_stub", _counting_trials, overwrite=True)
         yield "counting_stub"
         unregister_solver("counting_stub")
 
@@ -251,6 +257,37 @@ class TestEarlyStoppingChunkBehaviour:
                              master_seed=1, target_objective=20.0)
         assert chunked.stopped_early
         assert chunked.num_trials < 8
+
+
+def _seed_echo_trials(problem, params, seeds, initials):
+    """A custom solver whose results name the seed and process they ran in."""
+    return [SolveResult(best_configuration=np.zeros(problem.num_variables),
+                        best_energy=-float(seed % 1000),
+                        solver_name="seed_echo",
+                        metadata={"pid": os.getpid()})
+            for seed in seeds]
+
+
+class TestCustomSolverInWorkers:
+    def test_parent_registration_runs_in_spawned_workers(self, tiny_qkp,
+                                                          monkeypatch):
+        """The chunk payload ships the trial function itself, so a solver
+        registered only in the parent runs in spawn-started workers, whose
+        freshly imported registry does not know its name."""
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: spawn)
+        register_solver("seed_echo", _seed_echo_trials)
+        try:
+            batch = run_trials(tiny_qkp, "seed_echo", num_trials=4,
+                               backend="process", num_workers=2,
+                               chunk_size=1, master_seed=2)
+        finally:
+            unregister_solver("seed_echo")
+        assert [r.solver_name for r in batch.results] == ["seed_echo"] * 4
+        assert [r.best_energy for r in batch.results] == [
+            -float(seed % 1000) for seed in derive_trial_seeds(2, 4)]
+        assert all(r.metadata["pid"] != os.getpid() for r in batch.results)
 
 
 class TestReplay:

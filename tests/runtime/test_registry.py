@@ -167,19 +167,21 @@ class TestTrialFunctions:
             run_single_trial(tiny_qkp, ("hycim", {"initial": "warm"}), seed=0)
 
 
-def _constant_trial(problem, params, seed, initial):
-    return SolveResult(best_configuration=np.zeros(problem.num_variables),
-                       best_energy=float(params.get("energy", 0.0)),
-                       solver_name="constant")
+def _constant_trials(problem, params, seeds, initials):
+    return [SolveResult(best_configuration=np.zeros(problem.num_variables),
+                        best_energy=float(params.get("energy", 0.0)),
+                        solver_name="constant")
+            for _ in seeds]
 
 
 class TestCustomRegistration:
     def test_register_and_run_custom_solver(self, tiny_qkp):
-        register_solver("constant", _constant_trial)
+        register_solver("constant", _constant_trials)
         try:
             result = run_single_trial(tiny_qkp, ("constant", {"energy": -3.0}),
                                       seed=0)
             assert result.best_energy == -3.0
+            assert result.trial_seed == 0
         finally:
             unregister_solver("constant")
         with pytest.raises(KeyError):
@@ -187,64 +189,29 @@ class TestCustomRegistration:
 
     def test_register_refuses_silent_overwrite(self):
         with pytest.raises(KeyError, match="already registered"):
-            register_solver("hycim", _constant_trial)
+            register_solver("hycim", _constant_trials)
 
     def test_register_validates_inputs(self):
         with pytest.raises(ValueError):
-            register_solver("", _constant_trial)
+            register_solver("", _constant_trials)
         with pytest.raises(TypeError):
             register_solver("not_callable", 42)
 
-
-def _constant_batched(problem, params, seeds, initials):
-    return [_constant_trial(problem, params, seed, initial)
-            for seed, initial in zip(seeds, initials)]
-
-
-class TestBatchedRegistration:
-    """The batched registry must never shadow user scalar registrations.
-
-    A batched engine is only valid for the exact scalar function it
-    mirrors, so replacing a scalar solver drops its built-in batched engine,
-    and a user's batched registration is never overwritten.
-    """
-
-    def test_replaced_scalar_solver_disables_builtin_batched(self, tiny_qkp):
-        from repro.runtime.registry import get_batched_trial_function
+    def test_overwritten_builtin_runs_on_every_backend(self, tiny_qkp):
+        """A built-in replaced with ``overwrite=True`` is the one function
+        every backend calls: nothing of the built-in engine survives."""
+        from repro.runtime import run_trials
         original = get_trial_function("hycim")
+        register_solver("hycim", _constant_trials, overwrite=True)
         try:
-            register_solver("hycim", _constant_trial, overwrite=True)
-            # The vectorized backend must run the *custom* scalar function,
-            # not the built-in lock-step HyCiM engine.
-            assert get_batched_trial_function("hycim") is None
-            from repro.runtime import run_trials
-            batch = run_trials(tiny_qkp, "hycim", num_trials=2,
-                               params={"energy": -7.0}, backend="vectorized",
-                               master_seed=0)
-            assert [r.best_energy for r in batch.results] == [-7.0, -7.0]
-            assert all(r.solver_name == "constant" for r in batch.results)
+            batches = [run_trials(tiny_qkp, "hycim", num_trials=3,
+                                  params={"energy": -7.0}, backend=backend,
+                                  master_seed=0)
+                       for backend in ("serial", "vectorized")]
         finally:
-            # Restoring the built-in scalar function does not resurrect the
-            # batched pairing automatically (the safe direction); re-pair
-            # explicitly so later tests see the pristine registry.
             register_solver("hycim", original, overwrite=True)
-            from repro.batched.trials import hycim_batched_trials
-            from repro.runtime.registry import register_batched_solver
-            register_batched_solver("hycim", hycim_batched_trials,
-                                    overwrite=True)
-
-    def test_user_batched_registration_survives_builtin_load(self, tiny_qkp):
-        from repro.runtime.registry import (
-            get_batched_trial_function,
-            register_batched_solver,
-        )
-        register_solver("constant", _constant_trial)
-        try:
-            register_batched_solver("constant", _constant_batched)
-            # Looking the built-ins up must neither raise nor clobber.
-            assert get_batched_trial_function("constant") is _constant_batched
-            with pytest.raises(KeyError, match="already registered"):
-                register_batched_solver("constant", _constant_batched)
-        finally:
-            unregister_solver("constant")
-        assert get_batched_trial_function("constant") is None
+        for batch in batches:
+            assert [r.best_energy for r in batch.results] == [-7.0] * 3
+            assert all(r.solver_name == "constant" for r in batch.results)
+            assert [r.metadata["trial_index"]
+                    for r in batch.results] == [0, 1, 2]

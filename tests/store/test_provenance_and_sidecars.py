@@ -9,6 +9,7 @@ from repro.runtime import run_trials
 from repro.store import CampaignStore
 from repro.store.cli import main
 from repro.store.schema import RunManifest, run_provenance
+from repro.telemetry import InMemoryRecorder
 
 HYCIM_FAST = {"num_iterations": 15, "move_generator": "knapsack",
               "use_hardware": False}
@@ -60,6 +61,25 @@ class TestProvenance:
         assert resumed.num_loaded_from_store == 2
         provenance = reread.get_manifest(batch.run_key).provenance
         assert provenance["kernel_resolved"] == "scalar"
+
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_hardware_dqubo_stamps_the_engine_backend(self, tmp_path,
+                                                      backend):
+        """Hardware D-QUBO descends on the HyCiM engine's reference kernel;
+        its manifest says so, as its trial spans do."""
+        problem = generate_qkp_instance(num_items=8, seed=3)
+        store = CampaignStore(tmp_path / "store")
+        recorder = InMemoryRecorder()
+        batch = run_trials(problem, ("dqubo", {"num_iterations": 10,
+                                               "use_hardware": True}),
+                           num_trials=2, master_seed=1, backend=backend,
+                           store=store, telemetry=recorder)
+        provenance = store.get_manifest(batch.run_key).provenance
+        assert provenance["kernel_resolved"] == "reference"
+        spans = [event["kernel_resolved"]
+                 for event in recorder.events_of_kind("span_end")
+                 if event["name"] in ("trial", "trial_group")]
+        assert spans and set(spans) == {"reference"}
 
     def test_old_manifests_tolerated(self):
         # A manifest line written before provenance existed parses fine.

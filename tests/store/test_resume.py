@@ -173,6 +173,31 @@ class TestRunTrialsResume:
         np.testing.assert_array_equal(full.best_energies,
                                       resumed.best_energies)
 
+    @pytest.mark.parametrize("log, cut", [("wall_times.jsonl", 7),
+                                          ("manifest.jsonl", 5)])
+    def test_runs_after_a_torn_log_tail_all_load(self, tmp_path, log, cut):
+        """A kill inside a log append (``record_wall_time`` runs in
+        ``run_trials``' ``finally``) leaves a torn final line; the next
+        write handle must cut it, not weld its first record onto it."""
+        problem = generate_qkp_instance(num_items=12, seed=1)
+        root = tmp_path / "store"
+
+        def run(master_seed):
+            return run_trials(problem, ("hycim", {"num_iterations": 20,
+                                                  "use_hardware": False}),
+                              num_trials=2, master_seed=master_seed,
+                              store=CampaignStore(root))
+
+        run(0)
+        path = root / log
+        path.write_bytes(path.read_bytes()[:-cut])
+        keys = [run(master_seed).run_key for master_seed in (1, 2, 3)]
+        store = CampaignStore(root, create=False)
+        assert {m.master_seed for m in store.runs()} == {0, 1, 2, 3}
+        for key in keys:
+            assert sorted(store.load_results(key)) == [0, 1]
+            assert store.accumulated_wall_time(key) > 0
+
 
 # ------------------------------------------------------------------ #
 # Kill-mid-campaign: a real process dies without cleanup, then resumes.

@@ -65,6 +65,17 @@ class TestHistoryAppend:
             handle.write('{"name": "torn_demo", "value"')
         assert [e["value"] for e in load_history(history)] == [1.0]
 
+    def test_emit_after_a_torn_tail_keeps_every_later_line(self, reporting,
+                                                           tmp_path):
+        """A run killed mid-append leaves a torn final line; the next emit
+        cuts it instead of welding its own line onto it."""
+        reporting.emit("weld_demo", "m", 1.0, "x")
+        history = tmp_path / "reports" / HISTORY_FILENAME
+        history.write_bytes(history.read_bytes()[:-5])
+        reporting.emit("weld_demo", "m", 2.0, "x")
+        reporting.emit("weld_demo", "m", 3.0, "x")
+        assert [e["value"] for e in load_history(history)] == [2.0, 3.0]
+
     def test_history_drops_a_garbled_final_line(self, reporting, tmp_path):
         reporting.emit("garbled_demo", "m", 1.0, "x")
         history = tmp_path / "reports" / HISTORY_FILENAME

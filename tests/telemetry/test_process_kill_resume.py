@@ -78,7 +78,7 @@ seeds = derive_trial_seeds(29, 4)
 with parent.span("run", solver="hycim", backend="process", trials=4):
     with parent.span("chunk", index=0, trials=1, fresh=1):
         executor._execute_chunk((problem, spec, get_trial_function("hycim"),
-                                 None, 1, [(0, seeds[0], None)],
+                                 1, False, [(0, seeds[0], None)],
                                  0, parent.worker_spec(), True))
 os._exit(9)   # the SIGKILL never fired: fail loudly
 """.format(src=str(SRC), hycim=HYCIM_FAST)
