@@ -481,20 +481,22 @@ class BatchedHyCiMSolver:
         best_energy = sweep.best_energy
         best_feasible = sweep.best_feasible
         native = solver._native_problem
+        objectives: List[Optional[float]] = [None] * num_replicas
+        if native is not None:
+            # Infeasible best states score 0 (paper Eq. (6)); the feasible
+            # ones are scored in one call.
+            scored = np.zeros(num_replicas)
+            scored[best_feasible] = native.objective_batch(best[best_feasible])
+            objectives = scored.tolist()
         dynamics_meta = driver.metadata()
         kernel_meta = ({} if sweep.backend == "reference"
                        else {"kernel": sweep.backend})
         results: List[SolveResult] = []
         for k in range(num_replicas):
-            if best_feasible[k]:
-                objective = (None if native is None
-                             else native.objective(best[k]))
-            else:
-                objective = 0.0 if native is not None else None
             results.append(SolveResult(
                 best_configuration=best[k].copy(),
                 best_energy=float(best_energy[k]),
-                best_objective=objective,
+                best_objective=objectives[k],
                 feasible=bool(best_feasible[k]),
                 energy_history=histories[k],
                 num_iterations=solver.num_iterations * solver.moves_per_iteration,

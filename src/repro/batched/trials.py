@@ -294,10 +294,23 @@ def _replica_starts(problem: CombinatorialProblem, params: Mapping[str, object],
                     rngs: Sequence[np.random.Generator],
                     initials: Sequence[Optional[np.ndarray]]) -> np.ndarray:
     """Per-replica starting configurations, drawn from each replica's stream
-    in the order :func:`_initial_configuration` draws a single trial's."""
+    in the order :func:`_initial_configuration` draws a single trial's.
+
+    Under the ``"feasible"`` policy the replicas without an explicit initial
+    state draw theirs in one
+    :meth:`~repro.problems.base.CombinatorialProblem.random_feasible_configurations`
+    call, in replica order; the others draw nothing.
+    """
+    starts = list(initials)
+    if params.get("initial", "feasible") == "feasible":
+        missing = [k for k, initial in enumerate(initials) if initial is None]
+        drawn = problem.random_feasible_configurations(
+            [rngs[k] for k in missing])
+        for k, row in zip(missing, drawn):
+            starts[k] = row
     return np.stack([
-        _initial_configuration(problem, params, rng, initial)
-        for rng, initial in zip(rngs, initials)
+        _initial_configuration(problem, params, rng, start)
+        for rng, start in zip(rngs, starts)
     ])
 
 
@@ -409,11 +422,12 @@ def sa_trials(
         feasibility_constraints=(problem.linear_feasibility_constraints()
                                  if respect_constraints else None),
     )
-    for result in results:
-        best = result.best_configuration
-        result.feasible = problem.is_feasible(best)
-        result.best_objective = (problem.objective(best)
-                                 if result.feasible else None)
+    best = np.stack([result.best_configuration for result in results])
+    feasible = problem.is_feasible_batch(best)
+    objectives = iter(problem.objective_batch(best[feasible]).tolist())
+    for result, verdict in zip(results, feasible.tolist()):
+        result.feasible = verdict
+        result.best_objective = next(objectives) if verdict else None
     return results
 
 

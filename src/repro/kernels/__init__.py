@@ -75,13 +75,16 @@ def _build(backend: Optional[str], kernels: dict,
     name = resolve_kernel_backend(backend)
     if name != "auto":
         return construct(name)
-    last_error: Optional[Exception] = None
-    for candidate in AUTO_ORDER:
+    for candidate in AUTO_ORDER[:-1]:
+        # Unbound on purpose: a caught exception kept in a local holds its
+        # traceback, whose frames hold the local -- a cycle that keeps the
+        # whole call (solver, matrices, generators) alive until the cyclic
+        # collector runs.
         try:
             return construct(candidate)
-        except (KernelUnsupportedError, KernelUnavailableError) as error:
-            last_error = error
-    raise last_error  # pragma: no cover - reference never raises
+        except (KernelUnsupportedError, KernelUnavailableError):
+            pass
+    return construct(AUTO_ORDER[-1])
 
 
 def make_sa_kernel(kernel: Optional[str], *, matrix, offset, driver,

@@ -15,7 +15,7 @@ TSP) document their own variable layout in the class docstring.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +74,21 @@ class CombinatorialProblem(ABC):
         batch = self._validate_batch(configurations)
         return np.fromiter((self.is_feasible(row) for row in batch),
                            dtype=bool, count=batch.shape[0])
+
+    def objective_batch(self, configurations: np.ndarray) -> np.ndarray:
+        """Objective values of an ``(M, n)`` batch, one per row.
+
+        The engines call this once per replica group, on the best
+        configurations that are feasible.  The default delegates to
+        :meth:`objective` row by row; problems with an exact vectorised form
+        override it.  Contract (asserted for every registered family by the
+        ``tests/conformance`` suite): value ``k`` equals
+        ``objective(batch[k])`` exactly, and the shapes follow
+        :meth:`is_feasible_batch`'s.
+        """
+        batch = self._validate_batch(configurations)
+        return np.fromiter((self.objective(row) for row in batch),
+                           dtype=float, count=batch.shape[0])
 
     def linear_feasibility_constraints(
             self) -> Optional[Tuple[InequalityConstraint, ...]]:
@@ -156,6 +171,22 @@ class CombinatorialProblem(ABC):
             if self.is_feasible(x):
                 return x
         raise RuntimeError("failed to sample a feasible configuration")
+
+    def random_feasible_configurations(
+            self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """One :meth:`random_feasible_configuration` per generator, as an
+        ``(M, n)`` matrix.
+
+        Row ``k`` and generator ``k``'s final state equal those of calling
+        the scalar sampler on each generator in turn, so a list that repeats
+        one generator draws its samples one after another.  The default
+        does exactly that; problems may override it with a lock-step
+        sampler that keeps this contract.
+        """
+        rows = [self.random_feasible_configuration(rng) for rng in rngs]
+        if not rows:
+            return np.zeros((0, self.num_variables))
+        return np.stack(rows)
 
     def brute_force_best(self) -> tuple[np.ndarray, float]:
         """Exhaustive search over feasible configurations (``n <= 22``)."""

@@ -25,7 +25,7 @@ from repro.core.constraints import InequalityConstraint
 from repro.core.qubo import QUBOModel
 from repro.core.transformation import InequalityQUBO
 from repro.problems.base import CombinatorialProblem
-from repro.problems.qkp import _selection_profit
+from repro.problems.qkp import _selection_profit, _selection_profits
 
 
 @dataclass
@@ -100,6 +100,11 @@ class MultiDimensionalKnapsackProblem(CombinatorialProblem):
         for the symmetric ``P``; exact on integer profits.
         """
         return _selection_profit(self.profits, self._validate(x))
+
+    def objective_batch(self, configurations: np.ndarray) -> np.ndarray:
+        """Row-wise :meth:`objective`: one product on integer profits."""
+        return _selection_profits(self.profits,
+                                  self._validate_batch(configurations))
 
     def resource_usage(self, x: Iterable[float]) -> np.ndarray:
         """Per-dimension resource consumption ``W x``."""

@@ -14,14 +14,14 @@ uniform in ``[50, sum_i w_i]``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.constraints import InequalityConstraint
 from repro.core.qubo import QUBOModel
-from repro.core.transformation import InequalityQUBO, to_inequality_qubo
+from repro.core.transformation import InequalityQUBO
 from repro.problems.base import CombinatorialProblem
 
 
@@ -37,6 +37,32 @@ def _selection_profit(profits: np.ndarray, vec: np.ndarray) -> float:
     linear = float(diagonal @ vec)
     pairwise = float((vec @ (profits @ vec) - diagonal @ (vec * vec)) / 2.0)
     return linear + pairwise
+
+
+def _selection_profits(profits: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """:func:`_selection_profit` of every row of a binary ``(M, n)`` batch.
+
+    On integer profits with ``sum |p_ij| < 2**53`` every partial sum of
+    every product below is an exact integer, so one batched product equals
+    the per-row values exactly whatever order BLAS sums in.  Otherwise the
+    rows keep the per-row form, the only one that is exact on float
+    profits.
+    """
+    magnitude = float(np.abs(profits).sum())
+    if not (magnitude < 2.0 ** 53
+            and np.array_equal(profits, np.rint(profits))):
+        return np.fromiter((_selection_profit(profits, row) for row in batch),
+                           dtype=float, count=batch.shape[0])
+    diagonal = np.diag(profits)
+    quadratic = np.einsum("ij,ij->i", batch, batch @ profits)
+    return batch @ diagonal + (quadratic - (batch * batch) @ diagonal) / 2.0
+
+
+#: Groups of at least this many distinct generators draw their start states
+#: with :meth:`QuadraticKnapsackProblem.random_feasible_configurations`'
+#: lock-step loop, which costs ``n`` NumPy steps whatever the group size;
+#: below it the per-generator loop is faster.
+LOCKSTEP_MIN_GROUP = 64
 
 
 @dataclass
@@ -104,6 +130,11 @@ class QuadraticKnapsackProblem(CombinatorialProblem):
         """
         return _selection_profit(self.profits, self._validate(x))
 
+    def objective_batch(self, configurations: np.ndarray) -> np.ndarray:
+        """Row-wise :meth:`objective`: one product on integer profits."""
+        return _selection_profits(self.profits,
+                                  self._validate_batch(configurations))
+
     def total_weight(self, x: Iterable[float]) -> float:
         """Total selected weight ``w . x``."""
         vec = self._validate(x)
@@ -137,12 +168,8 @@ class QuadraticKnapsackProblem(CombinatorialProblem):
         return QUBOModel(-p_upper)
 
     def to_inequality_qubo(self) -> InequalityQUBO:
-        """Paper Eq. (6): ``E(x) = [w.x <= C] * x^T Q x`` with ``Q = -P``."""
-        p_upper = np.diag(np.diag(self.profits)) + np.triu(self.profits, k=1)
-        symmetric = (p_upper + p_upper.T) / 2.0
-        # to_inequality_qubo folds the symmetric matrix back into the upper
-        # triangle, so pairwise profits are still counted once.
-        return to_inequality_qubo(symmetric, self.constraint(), maximize=True)
+        """Paper Eq. (6): ``E(x) = [w.x <= C] * x^T Q x`` with ``Q = -P_upper``."""
+        return InequalityQUBO(qubo=self.to_qubo(), constraints=(self.constraint(),))
 
     # ------------------------------------------------------------------ #
     # Sampling helpers used by the Monte-Carlo experiments (Fig. 8, Fig. 10)
@@ -174,6 +201,57 @@ class QuadraticKnapsackProblem(CombinatorialProblem):
                     remaining -= weights[idx]
         rng.bit_generator.state = state
         rng.random(used)
+        return x
+
+    def random_feasible_configurations(
+            self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """:meth:`random_feasible_configuration` for every generator at once.
+
+        A group of :data:`LOCKSTEP_MIN_GROUP` or more distinct generators
+        runs every replica's fit test in one loop over the visit positions.
+        Each generator first draws its permutation and its ``n`` coins,
+        exactly as the scalar sampler does; then position ``t`` tests every
+        replica's ``t``-th item against its remaining capacity, reads the
+        coin of its ``used``-th fitting item, and subtracts the weights
+        taken -- the scalar sampler's float operations, elementwise.  Each
+        generator is rewound and advanced by the coins it read, so samples
+        and final states equal the scalar sampler's.  Smaller groups, and
+        groups in which generators share a bit generator (whose draws must
+        follow one another), take the scalar loop.
+        """
+        generators = list(rngs)
+        distinct = len({id(rng.bit_generator) for rng in generators})
+        if (len(generators) < LOCKSTEP_MIN_GROUP
+                or distinct < len(generators)):
+            return super().random_feasible_configurations(generators)
+        n = self.num_items
+        num = len(generators)
+        orders = np.empty((num, n), dtype=np.intp)
+        heads = np.empty((num, n), dtype=bool)
+        states = []
+        for k, rng in enumerate(generators):
+            orders[k] = rng.permutation(n)
+            states.append(rng.bit_generator.state)
+            heads[k] = rng.random(n) < 0.5
+        # Row t holds every replica's t-th visited weight; replica k's j-th
+        # coin (j = 1, 2, ...) sits at flat index coin_index[k] + j.
+        visit_weights = self.weights[orders.T]
+        heads = heads.ravel()
+        coin_index = np.arange(num) * n - 1
+        remaining = np.full(num, self.capacity)
+        used = np.zeros(num, dtype=np.intp)
+        taken = np.empty((n, num), dtype=bool)
+        for t in range(n):
+            weight = visit_weights[t]
+            fits = weight <= remaining
+            used += fits
+            np.logical_and(fits, heads[coin_index + used], out=taken[t])
+            np.subtract(remaining, weight, out=remaining, where=taken[t])
+        for rng, state, count in zip(generators, states, used.tolist()):
+            rng.bit_generator.state = state
+            rng.random(count)
+        x = np.zeros((num, n))
+        x[np.arange(num)[:, None], orders] = taken.T
         return x
 
     def random_infeasible_configuration(self, rng: np.random.Generator,

@@ -42,6 +42,7 @@ from repro.batched.trials import (
     hycim_trials,
     sa_trials,
 )
+from repro.core.transformation import InequalityQUBO
 from repro.exact.brute_force import solve_brute_force
 from repro.exact.dp_knapsack import solve_knapsack_dp
 from repro.exact.greedy import solve_qkp_greedy
@@ -125,18 +126,16 @@ def as_solver_spec(spec: SpecLike) -> SolverSpec:
 # --------------------------------------------------------------------- #
 # Exact / reference trial functions
 # --------------------------------------------------------------------- #
-def _reference_energy(problem: CombinatorialProblem, x: np.ndarray) -> float:
-    """QUBO energy of ``x`` under the HyCiM inequality-QUBO form, so exact
-    solvers report energies on the same scale as the annealers."""
-    return float(problem.to_inequality_qubo().energy(x))
-
-
-def _exact_result(problem: CombinatorialProblem, x: np.ndarray, value: float,
-                  name: str, num_evaluated: int = 0) -> SolveResult:
+def _exact_result(problem: CombinatorialProblem, model: InequalityQUBO,
+                  x: np.ndarray, value: float, name: str,
+                  num_evaluated: int = 0) -> SolveResult:
+    """A reference solver's result; ``model`` is the problem's HyCiM
+    inequality-QUBO form, built once per group, so exact solvers report
+    energies on the same scale as the annealers."""
     x = np.array(x, dtype=float)
     return SolveResult(
         best_configuration=x,
-        best_energy=_reference_energy(problem, x),
+        best_energy=float(model.energy(x)),
         best_objective=float(value),
         feasible=problem.is_feasible(x),
         num_iterations=num_evaluated,
@@ -150,8 +149,9 @@ def _greedy_trials(problem: CombinatorialProblem, params: Mapping[str, Any],
                    seeds: Sequence[int],
                    initials: Sequence[Optional[np.ndarray]]) -> List[SolveResult]:
     outcome = solve_qkp_greedy(problem)
-    return [_exact_result(problem, outcome.configuration, outcome.value,
-                          "Greedy") for _ in seeds]
+    model = problem.to_inequality_qubo()
+    return [_exact_result(problem, model, outcome.configuration,
+                          outcome.value, "Greedy") for _ in seeds]
 
 
 def _dp_trials(problem: CombinatorialProblem, params: Mapping[str, Any],
@@ -165,7 +165,8 @@ def _dp_trials(problem: CombinatorialProblem, params: Mapping[str, Any],
             "'hycim' for quadratic objectives"
         )
     outcome = solve_knapsack_dp(problem)
-    return [_exact_result(problem, outcome.best_configuration,
+    model = problem.to_inequality_qubo()
+    return [_exact_result(problem, model, outcome.best_configuration,
                           outcome.best_value, "DP") for _ in seeds]
 
 
@@ -175,7 +176,8 @@ def _brute_force_trials(problem: CombinatorialProblem,
                         ) -> List[SolveResult]:
     outcome = solve_brute_force(
         problem, max_variables=int(params.get("max_variables", 22)))
-    return [_exact_result(problem, outcome.best_configuration,
+    model = problem.to_inequality_qubo()
+    return [_exact_result(problem, model, outcome.best_configuration,
                           outcome.best_value, "BruteForce",
                           num_evaluated=outcome.num_evaluated)
             for _ in seeds]
@@ -185,6 +187,7 @@ def _local_search_trials(problem: CombinatorialProblem,
                          params: Mapping[str, Any], seeds: Sequence[int],
                          initials: Sequence[Optional[np.ndarray]]
                          ) -> List[SolveResult]:
+    model = problem.to_inequality_qubo()
     results = []
     for seed, initial in zip(seeds, initials):
         if initial is not None:
@@ -196,7 +199,7 @@ def _local_search_trials(problem: CombinatorialProblem,
                 np.random.default_rng(seed))
         outcome = improve_qkp_local_search(
             problem, start, max_passes=int(params.get("max_passes", 50)))
-        results.append(_exact_result(problem, outcome.configuration,
+        results.append(_exact_result(problem, model, outcome.configuration,
                                      outcome.value, "LocalSearch",
                                      num_evaluated=outcome.iterations))
     return results

@@ -229,6 +229,25 @@ class TestBackendParity:
                                       vectorized.best_energies)
         assert_results_match(serial.results, vectorized.results, exact=True)
 
+    @pytest.mark.parametrize("solver,params", [
+        ("hycim", {"num_iterations": 20, "use_hardware": False}),
+        ("sa", {"num_iterations": 20}),
+    ], ids=["hycim", "sa"])
+    def test_lockstep_start_draws_identical(self, small_qkp, solver, params):
+        # 70 replicas reach the QKP group sampler's lock-step loop, which
+        # the one-trial serial groups never do.
+        from repro.problems.qkp import LOCKSTEP_MIN_GROUP
+
+        assert 70 >= LOCKSTEP_MIN_GROUP
+        serial = run_trials(small_qkp, solver, num_trials=70, params=params,
+                            backend="serial", master_seed=37)
+        vectorized = run_trials(small_qkp, solver, num_trials=70,
+                                params=params, backend="vectorized",
+                                master_seed=37)
+        assert_results_match(serial.results, vectorized.results, exact=True)
+        assert [r.best_objective for r in serial.results] == \
+            [r.best_objective for r in vectorized.results]
+
     def test_infeasible_starts_drift_identically(self, medium_qkp):
         """Replicas whose incumbent is infeasible drift freely at energy 0
         (paper Eq. (6)); the batched drift bookkeeping must track the scalar

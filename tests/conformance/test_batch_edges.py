@@ -3,6 +3,7 @@
 The batched API is the (D, M, n) contract's M axis; these tests pin the
 corner cases the vectorized backend relies on: the M=1 view, the empty
 batch, all-infeasible batches, dtype stability and loud validation.
+``objective_batch`` shares the M=1 view and the empty batch.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ class TestSingleRowView:
         verdicts = instance.is_feasible_batch(x)
         assert verdicts.shape == (1,)
         assert verdicts[0] == instance.is_feasible(x)
+        assert instance.objective_batch(x).tolist() == [instance.objective(x)]
 
     def test_single_row_matrix_matches_scalar(self, instance, rng):
         x = rng.integers(0, 2, size=instance.num_variables).astype(float)
@@ -31,6 +33,12 @@ class TestEmptyBatch:
             np.empty((0, instance.num_variables)))
         assert verdicts.shape == (0,)
         assert verdicts.dtype == np.bool_
+
+    def test_empty_batch_returns_empty_float_objectives(self, instance):
+        values = instance.objective_batch(
+            np.empty((0, instance.num_variables)))
+        assert values.shape == (0,)
+        assert values.dtype == np.float64
 
 
 class TestAllInfeasibleBatch:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cim.inequality_filter import InequalityFilter
 from repro.core.constraints import InequalityConstraint
+from repro.problems.qkp import QuadraticKnapsackProblem
 
 from harness import feasible_states
 
@@ -30,6 +31,28 @@ class TestFeasibilityParity:
         states = feasible_states(instance, rng)
         assert all(instance.is_feasible(row) for row in states)
         assert instance.is_feasible_batch(states).all()
+
+
+class TestObjectiveParity:
+    def test_batched_objectives_match_scalar(self, instance, rng):
+        """Clause 1b: ``objective_batch(B)[k] == objective(B[k])`` exactly
+        on feasible states, the rows the engines score."""
+        states = feasible_states(instance, rng)
+        values = instance.objective_batch(states)
+        assert values.dtype == np.float64
+        assert values.tolist() == [instance.objective(row) for row in states]
+
+    def test_float_profit_qkp_matches_scalar(self, rng):
+        """Float profits keep the per-row form, the only exact one."""
+        n = 40
+        upper = np.triu(rng.uniform(0.5, 100.0, size=(n, n)))
+        problem = QuadraticKnapsackProblem(
+            profits=upper + np.triu(upper, k=1).T,
+            weights=rng.uniform(1.0, 20.0, size=n), capacity=150.0)
+        states = np.vstack([feasible_states(problem, rng),
+                            rng.integers(0, 2, size=(16, n)).astype(float)])
+        values = problem.objective_batch(states)
+        assert values.tolist() == [problem.objective(row) for row in states]
 
 
 class TestQuboEnergyIdentity:

@@ -9,6 +9,8 @@ solver validates the name (and those without a sweep ignore it), and the
 :mod:`repro.kernels.base` documents.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,28 @@ class TestConstructionFallbacks:
         assert make_sa_kernel("auto", **args).backend == "fused"
         del args["feasibility_constraints"]
         assert make_sa_kernel("auto", **args).backend == "numba"
+
+    @pytest.mark.parametrize("use_hardware", [False, True],
+                             ids=["software", "hardware"])
+    def test_auto_call_leaves_no_cyclic_garbage(self, problem, use_hardware):
+        # A backend refusal caught into a local would hold its traceback,
+        # whose frames hold the local: a cycle that keeps the whole call
+        # (solver, model, kernel arrays, generators, results) alive until
+        # the cyclic collector runs.
+        params = dict(PARAMS, use_hardware=use_hardware, kernel="auto")
+
+        def call():
+            run_trials(problem, "hycim", num_trials=4, params=params,
+                       backend="vectorized", master_seed=6)
+
+        call()  # one-time imports and the C block's build
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_packed_is_not_a_backend(self, problem):
         with pytest.raises(ValueError, match="unknown kernel backend") as info:

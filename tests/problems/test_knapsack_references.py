@@ -1,21 +1,27 @@
-"""QKP and MD-QKP objectives and start-state samplers against loop references.
+"""QKP and MD-QKP objectives, start-state samplers and the QKP inequality
+QUBO against the code they replaced.
 
 ``objective`` evaluates the pairwise profit as ``(x.(P x) - sum p_ii x_i^2)
-/ 2`` and the samplers draw their coins in one ``rng.random(n)`` call.  The
-per-item code they replaced is kept below as the reference: the samples and
-the generators' final states must match it exactly, and the objective must
-match the ``x @ triu(P, 1) @ x`` form exactly on integer profits.
+/ 2``, ``objective_batch`` does so for a whole batch in one product, the
+samplers draw their coins in one ``rng.random(n)`` call (the QKP group
+sampler runs every replica's fit test in lock-step), and the QKP inequality
+QUBO is built from ``to_qubo()``.  The code they replaced is kept below as
+the reference: the samples and the generators' final states must match it
+exactly, the objective must match the ``x @ triu(P, 1) @ x`` form exactly on
+integer profits, and the QUBO matrix must match byte for byte.
 """
 
 import numpy as np
 import pytest
 
+from repro.batched.trials import _replica_starts
+from repro.core.transformation import to_inequality_qubo
 from repro.problems.generators import generate_qkp_instance
 from repro.problems.multidim_knapsack import (
     MultiDimensionalKnapsackProblem,
     generate_mdqkp_instance,
 )
-from repro.problems.qkp import QuadraticKnapsackProblem
+from repro.problems.qkp import LOCKSTEP_MIN_GROUP, QuadraticKnapsackProblem
 
 #: Fixed before measuring: the identity reorders float sums, so float profits
 #: may differ from the triangle form in the last bits only.
@@ -42,6 +48,14 @@ def qkp_sample_loop(problem, rng):
             x[idx] = 1.0
             remaining -= problem.weights[idx]
     return x
+
+
+def qkp_inequality_qubo_halves(problem):
+    """The replaced QKP inequality QUBO: the upper triangle halved into a
+    symmetric matrix, negated by the core transformation and folded back."""
+    p_upper = np.diag(np.diag(problem.profits)) + np.triu(problem.profits, k=1)
+    symmetric = (p_upper + p_upper.T) / 2.0
+    return to_inequality_qubo(symmetric, problem.constraint(), maximize=True)
 
 
 def mdqkp_sample_loop(problem, rng):
@@ -77,6 +91,10 @@ def make_generator(kind, seed):
 
 
 CAPACITIES = ["below_every_weight", "half_total", "above_total"]
+
+#: Group sizes on both sides of the lock-step threshold.
+GROUP_SIZES = (1, 5, 64, 70)
+assert 5 < LOCKSTEP_MIN_GROUP <= 64
 
 
 def qkp_with_capacity(kind, num_items=40, seed=3):
@@ -123,6 +141,71 @@ class TestQKPSampler:
                 qkp_sample_loop(problem, theirs))
             assert state_of(mine) == state_of(theirs)
         assert mine.random() == theirs.random()
+
+    @pytest.mark.parametrize("kind", ["pcg64", "mt19937"])
+    @pytest.mark.parametrize("capacity", CAPACITIES)
+    @pytest.mark.parametrize("size", GROUP_SIZES)
+    def test_group_matches_loop_sampler_and_final_states(self, kind,
+                                                         capacity, size):
+        problem = qkp_with_capacity(capacity)
+        mine = [make_generator(kind, seed) for seed in range(size)]
+        theirs = [make_generator(kind, seed) for seed in range(size)]
+        samples = problem.random_feasible_configurations(mine)
+        assert samples.shape == (size, problem.num_items)
+        for k in range(size):
+            np.testing.assert_array_equal(samples[k],
+                                          qkp_sample_loop(problem, theirs[k]))
+            assert state_of(mine[k]) == state_of(theirs[k])
+
+    @pytest.mark.parametrize("kind", ["pcg64", "mt19937"])
+    def test_aliased_group_draws_one_sample_after_another(self, kind):
+        # A shared-RNG group lists one generator M times: replica k's draws
+        # must follow replica k-1's, so no lock-step loop may run.
+        problem = qkp_with_capacity("half_total")
+        shared = make_generator(kind, 5)
+        theirs = make_generator(kind, 5)
+        samples = problem.random_feasible_configurations([shared] * 70)
+        for row in samples:
+            np.testing.assert_array_equal(row, qkp_sample_loop(problem, theirs))
+        assert state_of(shared) == state_of(theirs)
+
+    def test_group_with_explicit_initial_states_mixed_in(self):
+        # 10 of 80 replicas bring their own start and draw nothing; the
+        # other 70 are one lock-step group.
+        problem = qkp_with_capacity("half_total")
+        size = 80
+        explicit = {k: (np.arange(problem.num_items) % 2).astype(float)
+                    for k in range(0, size, 8)}
+        initials = [explicit.get(k) for k in range(size)]
+        mine = [make_generator("pcg64", seed) for seed in range(size)]
+        theirs = [make_generator("pcg64", seed) for seed in range(size)]
+        starts = _replica_starts(problem, {}, mine, initials)
+        for k in range(size):
+            expected = (explicit[k] if k in explicit
+                        else qkp_sample_loop(problem, theirs[k]))
+            np.testing.assert_array_equal(starts[k], expected)
+            assert state_of(mine[k]) == state_of(theirs[k])
+
+
+class TestQKPInequalityQubo:
+    @pytest.mark.parametrize("profits", ["integer", "float_with_zeros"])
+    def test_matrix_bytes_match_the_halved_form(self, profits):
+        if profits == "integer":
+            problem = integer_families()["qkp"]
+        else:
+            values = float_profits(60, 17)
+            rng = np.random.default_rng(18)
+            zeros = np.triu(rng.random((60, 60)) < 0.3)
+            values[zeros | zeros.T] = 0.0
+            # Negative zeros too, on the diagonal and off it.
+            values[[0, 3, 9, 5], [0, 9, 3, 5]] = -0.0
+            problem = QuadraticKnapsackProblem(
+                profits=values, weights=np.arange(1.0, 61.0), capacity=400.0)
+        new = problem.to_inequality_qubo()
+        old = qkp_inequality_qubo_halves(problem)
+        assert new.qubo.matrix.tobytes() == old.qubo.matrix.tobytes()
+        assert new.qubo.offset == old.qubo.offset
+        assert new.constraints == old.constraints
 
 
 class TestMDQKPSampler:
@@ -188,6 +271,18 @@ class TestObjective:
         assert problem.objective(np.zeros(n)) == 0.0
         total = float(np.triu(problem.profits).sum())
         assert problem.objective(np.ones(n)) == total
+
+    @pytest.mark.parametrize("profits", ["integer", "float"])
+    @pytest.mark.parametrize("family", ["qkp", "mdqkp"])
+    def test_batch_equals_rows(self, family, profits):
+        # One product on integer profits, the per-row form on float ones:
+        # both must return objective(row) exactly.
+        problem = {"integer": integer_families,
+                   "float": float_families}[profits]()[family]
+        batch = np.stack(objective_cases(problem, seed=4))
+        values = problem.objective_batch(batch)
+        assert values.dtype == np.float64
+        assert values.tolist() == [problem.objective(row) for row in batch]
 
     @pytest.mark.parametrize("family", ["qkp", "mdqkp"])
     def test_float_profits_within_relative_tolerance(self, family):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.annealing.result import SolveResult
+from repro.runtime import run_trials
 from repro.runtime.registry import (
     DETERMINISTIC_SOLVERS,
     SolverSpec,
@@ -94,6 +95,24 @@ class TestTrialFunctions:
         assert greedy.feasible
         local = run_single_trial(tiny_qkp, "local_search", seed=0)
         assert local.best_objective <= brute.best_objective + 1e-9
+
+    @pytest.mark.parametrize("solver", ["greedy", "local_search"])
+    def test_exact_group_builds_one_inequality_qubo(self, tiny_qkp, solver,
+                                                    monkeypatch):
+        # The energies of a group's results share one inequality-QUBO form.
+        cls = type(tiny_qkp)
+        build = cls.to_inequality_qubo
+        calls = []
+
+        def counting(problem):
+            calls.append(problem)
+            return build(problem)
+
+        monkeypatch.setattr(cls, "to_inequality_qubo", counting)
+        batch = run_trials(tiny_qkp, solver, num_trials=5,
+                           backend="vectorized", master_seed=4)
+        assert len(batch.results) == 5
+        assert len(calls) == 1
 
     def test_exact_energy_matches_inequality_qubo_scale(self, tiny_qkp):
         brute = run_single_trial(tiny_qkp, "brute_force", seed=0)
@@ -200,7 +219,6 @@ class TestCustomRegistration:
     def test_overwritten_builtin_runs_on_every_backend(self, tiny_qkp):
         """A built-in replaced with ``overwrite=True`` is the one function
         every backend calls: nothing of the built-in engine survives."""
-        from repro.runtime import run_trials
         original = get_trial_function("hycim")
         register_solver("hycim", _constant_trials, overwrite=True)
         try:
