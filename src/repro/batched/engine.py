@@ -57,7 +57,14 @@ exchange round or telemetry probe is due.  ``kernel="reference"`` (the
 default) is the engines' original loop body;
 ``kernel="fused"`` / ``"numba"`` are the incremental local-field kernels
 (same RNG draws, different arithmetic -- exact on integer data); see
-:mod:`repro.kernels.base` for the backend matrix.
+:mod:`repro.kernels.base` for the backend matrix.  Every kernel draws
+through the driver, and each engine tells the driver whether the replica
+generators are its alone during the sweep: true unless a generic move
+generator or a noisy matchline draws from them too (the engines' filter
+hooks must not).  Only then does the driver replay the streams -- one C
+call per flip draw and per Metropolis round wherever the library of
+:mod:`repro.kernels.native` loads, for the reference kernel too -- with
+bit-identical draws, results and final generator states.
 """
 
 from __future__ import annotations
@@ -138,7 +145,6 @@ def _drive_kernel(driver: LoopDriver, kernel, total_iterations: int,
         if record_history:
             for k in range(num_replicas):
                 histories[k].append(float(kernel.best_energy[k]))
-    kernel.finalize()
 
 
 class BatchedSimulatedAnnealer:
@@ -218,17 +224,19 @@ class BatchedSimulatedAnnealer:
         current_energy = batched_energies(matrix, current, qubo.offset)
         single_flip = isinstance(cfg.move_generator, SingleFlipMove)
         histories: List[List[float]] = [[] for _ in range(num_replicas)]
+        # Single flips are the driver's own draws; a generic move generator
+        # draws from the replica generators too.
         with LoopDriver(cfg.schedule, cfg.num_iterations, generators,
                         dynamics=dynamics, exchange_rng=exchange_rng,
-                        shared_rng=shared_rng) as driver:
+                        shared_rng=shared_rng,
+                        exclusive=single_flip) as driver:
             sweep = make_sa_kernel(
                 kernel, matrix=matrix, offset=qubo.offset, driver=driver,
                 move_generator=cfg.move_generator, single_flip=single_flip,
                 moves_per_iteration=cfg.moves_per_iteration, current=current,
                 current_energy=current_energy, accept_filter=accept_filter,
                 accept_filter_batch=accept_filter_batch,
-                feasibility_constraints=feasibility_constraints,
-                generators=generators)
+                feasibility_constraints=feasibility_constraints)
             _drive_kernel(driver, sweep, cfg.num_iterations,
                           cfg.record_history, histories, "SimulatedAnnealer")
 
@@ -317,6 +325,16 @@ class BatchedHyCiMSolver:
     # ------------------------------------------------------------------ #
     # Batched evaluation primitives
     # ------------------------------------------------------------------ #
+    def _filters(self) -> Dict[int, InequalityFilter]:
+        """The CiM filter of each inequality constraint, by its index."""
+        if self._device_filters is not None:
+            return self._device_filters
+        return self.solver.inequality_filters
+
+    def _noisy_filters(self) -> bool:
+        """Whether a filter's matchline draws from the replica generators."""
+        return any(f.config.noise_sigma > 0 for f in self._filters().values())
+
     def _feasibility(self, generators: Sequence[np.random.Generator]
                      ) -> BatchFilter:
         """The run's feasibility test over an ``(M, n)`` batch, chosen once.
@@ -331,9 +349,8 @@ class BatchedHyCiMSolver:
         """
         constraints = self.solver.model.constraints
         device_mode = self._device_filters is not None
-        filters = (self._device_filters if device_mode
-                   else self.solver.inequality_filters)
-        if any(f.config.noise_sigma > 0 for f in filters.values()):
+        filters = self._filters()
+        if self._noisy_filters():
             checks = [(filters.get(index), constraint)
                       for index, constraint in enumerate(constraints)]
 
@@ -460,9 +477,12 @@ class BatchedHyCiMSolver:
         use_hardware_filters = (self._device_filters is not None
                                 or bool(solver.inequality_filters))
         histories: List[List[float]] = [[] for _ in range(num_replicas)]
+        # Noisy matchlines draw from the replica generators per candidate.
         with LoopDriver(solver.schedule, solver.num_iterations, generators,
                         dynamics=dynamics, exchange_rng=exchange_rng,
-                        shared_rng=shared_rng) as driver:
+                        shared_rng=shared_rng,
+                        exclusive=single_flip and not self._noisy_filters()
+                        ) as driver:
             sweep = make_hycim_kernel(
                 kernel, num_variables=n, driver=driver,
                 move_generator=solver.move_generator, single_flip=single_flip,
@@ -473,7 +493,7 @@ class BatchedHyCiMSolver:
                 matrix=qubo.matrix, raw_energy=raw_energy,
                 constraints=solver.model.constraints,
                 use_hardware_filters=use_hardware_filters,
-                use_crossbar=use_crossbar, generators=generators)
+                use_crossbar=use_crossbar)
             _drive_kernel(driver, sweep, solver.num_iterations,
                           solver.record_history, histories, "HyCiM")
 

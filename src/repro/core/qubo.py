@@ -64,12 +64,30 @@ class QUBOModel:
             raise ValueError(f"QUBO matrix must be square, got shape {q.shape}")
         # Fold to upper triangular: for binary x, x^T Q x only depends on
         # Q[i,j] + Q[j,i] for i != j and on Q[i,i].
-        upper = np.triu(q) + np.triu(q.T, k=1)
-        self.matrix = upper
+        self.matrix = np.triu(q) + np.triu(q.T, k=1)
+        self._name_variables()
+
+    def _name_variables(self) -> None:
+        n = self.matrix.shape[0]
         if not self.variable_names:
-            self.variable_names = tuple(f"x{i}" for i in range(q.shape[0]))
-        elif len(self.variable_names) != q.shape[0]:
+            self.variable_names = tuple(f"x{i}" for i in range(n))
+        elif len(self.variable_names) != n:
             raise ValueError("variable_names length must match matrix dimension")
+
+    @classmethod
+    def _stored(cls, upper: np.ndarray) -> "QUBOModel":
+        """A model over a square float matrix already in stored form.
+
+        The caller vouches that folding ``upper`` would return it byte for
+        byte -- lower triangle ``+0.0``, no ``-0.0`` on the diagonal -- so the
+        fold's ``n x n`` temporaries are skipped.
+        """
+        model = cls.__new__(cls)
+        model.matrix = upper
+        model.offset = 0.0
+        model.variable_names = ()
+        model._name_variables()
+        return model
 
     # ------------------------------------------------------------------ #
     # Constructors

@@ -17,6 +17,20 @@ trajectory depends on its own stream alone, whatever the batch size.
 Temperatures come from :meth:`TemperatureSchedule.temperatures`, whose
 entries are bit-identical to per-iteration ``temperature()`` calls.
 
+**Replayed streams.**  The driver is the one owner of the replicas'
+streams during a run.  Where its rule allows (:meth:`replay`: per-replica
+streams on pairwise-distinct PCG64 bit generators, plain
+:class:`~repro.dynamics.acceptance.MetropolisRule`, and an engine stating
+that nothing else draws from the generators during the sweep), it copies
+every generator's state into uint64 lanes (:mod:`repro.kernels.streams`)
+and draws from those instead: one C call per :meth:`flip_indices` and per
+:meth:`metropolis` wherever the library of :mod:`repro.kernels.native`
+loads, for every kernel; without it, NumPy lookahead replay for the fused
+kernels that ask for it, and ``Generator`` calls for the reference kernel.
+The draws, verdicts and final states are bit-identical to the ``Generator``
+calls in every case: the driver writes the lanes back into the
+``Generator`` objects when it exits, also on an exception.
+
 With coupled dynamics the driver adds behaviour on top without touching the
 replica streams: exchange decisions draw from a dedicated per-run stream, so
 a ``NoExchange`` run cannot observe whether exchange code exists; shared-RNG
@@ -29,6 +43,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.dynamics.acceptance import MetropolisRule
 from repro.dynamics.dynamics import Dynamics
 from repro.dynamics.moves import MoveGenerator
 from repro.dynamics.schedule import TemperatureSchedule
@@ -58,6 +73,12 @@ class LoopDriver:
     shared_rng:
         The single chip-faithful stream; required when
         ``dynamics.rng_mode == "shared"``.
+    exclusive:
+        The engine's statement that nothing but this driver's
+        :meth:`flip_indices` and :meth:`metropolis` draws from the replica
+        generators while the driver is open (single-flip moves, so
+        :meth:`propose` is never called, and no filter drawing per
+        candidate).  Only then may the driver replay the streams.
 
     With a live recorder the driver opens a ``sweep_block`` span at
     construction and re-opens one after every probe; use it as a context
@@ -69,7 +90,8 @@ class LoopDriver:
                  generators: Sequence[np.random.Generator],
                  dynamics: Optional[Dynamics] = None,
                  exchange_rng: Optional[np.random.Generator] = None,
-                 shared_rng: Optional[np.random.Generator] = None) -> None:
+                 shared_rng: Optional[np.random.Generator] = None,
+                 exclusive: bool = False) -> None:
         self.dynamics = dynamics if dynamics is not None else Dynamics()
         self.num_replicas = len(generators)
         self.num_iterations = int(num_iterations)
@@ -92,6 +114,17 @@ class LoopDriver:
         # replica per proposal, so shaving the attribute lookup matters.
         self._int_draws = [g.integers for g in self._generators]
         self._uniform_draws = [g.random for g in self._generators]
+        self._replayable = exclusive and self._may_replay()
+        self._lanes = None
+        if self._replayable:
+            # Imported here: importing repro.kernels imports this module.
+            from repro.kernels.base import KernelUnavailableError
+            from repro.kernels.native import NativeLanes
+
+            try:
+                self._lanes = NativeLanes(self._generators, self._factors)
+            except KernelUnavailableError:
+                pass
         self._exchange_round = 0
         self.exchange_attempts = 0
         self.exchange_accepted = 0
@@ -125,10 +158,58 @@ class LoopDriver:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self.probing and self._block is not None:
-            self._block.__exit__(exc_type, exc, tb)
-            self._block = None
+        try:
+            self._hand_back()
+        finally:
+            if self.probing and self._block is not None:
+                self._block.__exit__(exc_type, exc, tb)
+                self._block = None
         return False
+
+    # ------------------------------------------------------------------ #
+    # Replayed streams
+    # ------------------------------------------------------------------ #
+    def _may_replay(self) -> bool:
+        """The draw rule, short of the engine's exclusivity statement."""
+        if self._shared_rng is not None:
+            return False
+        if type(self.dynamics.acceptance) is not MetropolisRule:
+            # A subclass may override the decision: honour it.
+            return False
+        bit_generators = [g.bit_generator for g in self._generators]
+        if not all(type(b) is np.random.PCG64 for b in bit_generators):
+            return False
+        # Aliased generators draw one after another from one stream; a lane
+        # per replica would hand each a copy of it instead.
+        owned = {id(b) for b in bit_generators}
+        if len(owned) < len(bit_generators):
+            return False
+        return (self._exchange_rng is None
+                or id(self._exchange_rng.bit_generator) not in owned)
+
+    def replay(self):
+        """The lanes the replica streams are replayed in, or ``None`` where
+        the draws go through the ``Generator`` objects.
+
+        Wherever the C library loads, a driver whose rule holds replays
+        from construction (:class:`~repro.kernels.native.NativeLanes`).
+        Without it, the first call on such a driver switches its draws to
+        NumPy lookahead replay (:class:`~repro.kernels.streams.
+        ReplayStreams`); the fused kernels call this, the reference kernel
+        does not, so it keeps its ``Generator`` calls.
+        """
+        if self._lanes is None and self._replayable:
+            from repro.kernels.streams import ReplayStreams
+
+            self._lanes = ReplayStreams(self._generators, self._factors)
+        return self._lanes
+
+    def _hand_back(self) -> None:
+        """Write replayed lanes back into the generators and stop replaying."""
+        lanes, self._lanes = self._lanes, None
+        self._replayable = False
+        if lanes is not None:
+            lanes.write_back()
 
     # ------------------------------------------------------------------ #
     # Temperatures
@@ -184,6 +265,13 @@ class LoopDriver:
         replica's own stream (the scalar ``SingleFlipMove.propose`` order);
         shared mode takes one vectorised draw from the shared stream.
         """
+        lanes = self._lanes
+        if lanes is not None:
+            if 1 <= num_variables <= 2 ** 32:
+                return lanes.integers(num_variables)
+            # Past the 32-bit Lemire sampler (or an empty range): let the
+            # generators draw, and raise, exactly as they would.
+            self._hand_back()
         if self._shared_rng is not None:
             return self._shared_rng.integers(
                 0, num_variables, size=self.num_replicas).astype(np.intp)
@@ -209,6 +297,9 @@ class LoopDriver:
     def metropolis(self, delta: np.ndarray, replica_indices: np.ndarray,
                    iteration: int) -> np.ndarray:
         """Accept/reject verdicts for the listed replicas at ``iteration``."""
+        if self._lanes is not None:
+            return self._lanes.metropolis(delta, replica_indices,
+                                          self._base[iteration])
         temperatures = self.temperature(iteration)
         if self._shared_rng is not None:
             draws = self._shared_rng.random(replica_indices.shape[0])

@@ -7,8 +7,8 @@ The factories here are what the engines call: given a backend name (or
 ``numba -> fused -> reference`` when ``"auto"`` meets an unsupported
 configuration or a missing optional dependency.  Importing this package
 imports :mod:`repro.kernels.native` (through the fused kernels) but
-compiles nothing: the C block is built when the first fused kernel that
-can run it is constructed.
+compiles nothing: the C library is built when the first loop driver that
+replays its streams is constructed.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def _build(backend: Optional[str], kernels: dict,
 def make_sa_kernel(kernel: Optional[str], *, matrix, offset, driver,
                    move_generator, single_flip, moves_per_iteration,
                    current, current_energy, accept_filter=None,
-                   accept_filter_batch=None, feasibility_constraints=None,
-                   generators=None) -> SweepKernel:
+                   accept_filter_batch=None, feasibility_constraints=None
+                   ) -> SweepKernel:
     """Construct the SA sweep kernel for the requested backend."""
     shared = dict(matrix=matrix, offset=offset, driver=driver,
                   single_flip=single_flip,
@@ -101,15 +101,15 @@ def make_sa_kernel(kernel: Optional[str], *, matrix, offset, driver,
     return _build(
         kernel, _SA_KERNELS,
         lambda: ReferenceSAKernel(move_generator=move_generator, **shared),
-        constraints=feasibility_constraints, generators=generators, **shared)
+        constraints=feasibility_constraints, **shared)
 
 
 def make_hycim_kernel(kernel: Optional[str], *, num_variables, driver,
                       move_generator, single_flip, moves_per_iteration,
                       feasible_batch, energies, current, current_energy,
                       current_feasible, use_delta, matrix, raw_energy,
-                      constraints, use_hardware_filters, use_crossbar,
-                      generators=None) -> SweepKernel:
+                      constraints, use_hardware_filters, use_crossbar
+                      ) -> SweepKernel:
     """Construct the HyCiM sweep kernel for the requested backend."""
     shared = dict(matrix=matrix, driver=driver, single_flip=single_flip,
                   moves_per_iteration=moves_per_iteration, current=current,
@@ -126,4 +126,4 @@ def make_hycim_kernel(kernel: Optional[str], *, num_variables, driver,
         kernel, _HYCIM_KERNELS, reference, constraints=constraints,
         raw_energy=raw_energy if use_delta else None,
         use_hardware_filters=use_hardware_filters, use_crossbar=use_crossbar,
-        generators=generators, **shared)
+        **shared)

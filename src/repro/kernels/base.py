@@ -15,8 +15,9 @@ A kernel owns the travelling sweep state (configurations, energies,
 best-so-far, proposal counters) and advances it ``block`` iterations per
 :meth:`SweepKernel.run_block` call.  :class:`~repro.dynamics.driver.
 LoopDriver` stays the single authority on temperatures, RNG draws,
-acceptance and exchange -- kernels call back into it (or, for the JIT
-backend, replay its draw streams bit-exactly) -- and
+acceptance and exchange, and the one owner of the replicas' streams --
+kernels draw through it, or, for the compiled blocks, advance the lanes it
+replays the streams in -- and
 :meth:`~repro.dynamics.driver.LoopDriver.block_length` guarantees blocks end
 exactly where an exchange round or telemetry probe is due.
 
@@ -33,11 +34,11 @@ Backends
     updates cost O(degree)).  Consumes the *same* RNG draws through the
     same ``LoopDriver`` calls, so trajectories are exactly equal whenever
     the arithmetic is (integer-valued coefficient data -- the conformance
-    families); float data agrees to summation-order tolerance.  Where each
-    replica replays its own PCG64 stream, a block is one call into the same
-    loop compiled from C (:mod:`repro.kernels.native`, built by the system
-    ``cc`` on first use); without a working compiler the NumPy loop runs.
-    The two agree bit for bit on any data.
+    families); float data agrees to summation-order tolerance.  Where the
+    driver replays the replicas' streams in C lanes, a block is one call
+    into the same loop compiled from C (:mod:`repro.kernels.native`, built
+    by the system ``cc`` on first use); without a working compiler the
+    NumPy loop runs.  The two agree bit for bit on any data.
 ``"numba"``
     The fused loop JIT-compiled (:mod:`repro.kernels.jit`), replaying each
     replica's PCG64 stream bit-exactly inside the compiled block.  Only
@@ -155,7 +156,3 @@ class SweepKernel:
         cache from the configuration it summarises.
         """
         raise NotImplementedError
-
-    def finalize(self) -> None:
-        """Hook run once after the last block (JIT kernels write RNG state
-        back to the replicas' generators here).  Default: nothing."""

@@ -15,21 +15,22 @@ gather per proposal.  The kernels here maintain, per replica:
   :meth:`EqualityConstraint.is_satisfied`).
 
 ``run_block`` fuses K iterations per Python call without materialising a
-candidate batch at all.  RNG parity is preserved draw for draw: in the
-common per-replica configuration (PCG64 generators, plain Metropolis
-acceptance) the kernel replays every replica's stream vectorised across the
-batch (:mod:`repro.kernels.streams`), consuming bit-identical draws without
-the per-replica Python loops of :meth:`LoopDriver.flip_indices` /
-:meth:`LoopDriver.metropolis`; any other configuration falls back to those
-driver calls.  Either way the streams advance exactly as the reference
-kernel's and only the ΔE arithmetic (summation order) differs -- which on
-the integer-valued conformance families means trajectories are *exactly*
-equal, and on float data tolerance-equal.
+candidate batch at all.  RNG parity is preserved draw for draw: the NumPy
+loop draws through :meth:`LoopDriver.flip_indices` /
+:meth:`LoopDriver.metropolis` like the reference kernel, and where the
+driver replays the streams (:meth:`LoopDriver.replay`: per-replica PCG64
+generators, plain Metropolis acceptance) those are vectorised across the
+batch -- one C call each, or without the C library NumPy lookahead replay
+(:mod:`repro.kernels.streams`).  Either way the streams advance exactly as
+the reference kernel's and only the ΔE arithmetic (summation order)
+differs -- which on the integer-valued conformance families means
+trajectories are *exactly* equal, and on float data tolerance-equal.
 
-Where the streams are replayed, ``run_block`` is one call into the same
-loop compiled from C (:mod:`repro.kernels.native`), which agrees with the
-NumPy loop here bit for bit on any data; where the system ``cc`` cannot
-build it, or the draws go through the driver, the NumPy loop runs.
+Where the driver replays the streams in C lanes, ``run_block`` is one call
+into the same loop compiled from C (:mod:`repro.kernels.native`), which
+advances those lanes and agrees with the NumPy loop here bit for bit on any
+data; where the system ``cc`` cannot build it, or the draws go through the
+``Generator`` objects, the NumPy loop runs.
 
 Without numba, ``kernel="auto"`` resolves to these kernels.  Configurations
 a fused kernel cannot express -- generic move generators, opaque
@@ -40,7 +41,7 @@ feasibility callables, hardware-mode evaluation, noisy filters -- raise
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +54,6 @@ from repro.core.sparse import is_sparse_matrix, symmetrized_matrix
 from repro.dynamics.driver import LoopDriver
 from repro.kernels.base import KernelUnsupportedError, SweepKernel
 from repro.kernels.native import compiled_block
-from repro.kernels.streams import metropolis_decisions, try_replay_streams
 
 __all__ = ["FusedHyCiMKernel", "FusedSAKernel"]
 
@@ -116,13 +116,15 @@ class _FusedCore(SweepKernel):
             dtype=bool)
         self._has_equality = bool(self._equality.any())
 
+    def _init_draws(self) -> None:
+        """Vectorised draws where the driver replays the streams (NumPy
+        lookahead without the C library), and the C block where it can run."""
+        self._compiled = compiled_block(self, self.driver.replay())
+
     def _propose(self, driver: LoopDriver
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One flip per replica: indices, old bits, flip signs, energy deltas."""
-        if self._streams is not None:
-            flips = self._streams.integers(self._num_variables)
-        else:
-            flips = driver.flip_indices(self._num_variables)
+        flips = driver.flip_indices(self._num_variables)
         bits = self.current[self._rows, flips]
         signs = 1.0 - 2.0 * bits
         diag = self._diag[flips]
@@ -130,26 +132,11 @@ class _FusedCore(SweepKernel):
                          - 2.0 * diag * bits)
         return flips, bits, signs, delta
 
-    def _accept(self, driver: LoopDriver, step: np.ndarray,
-                replica_indices: np.ndarray, iteration: int) -> np.ndarray:
-        """Metropolis verdicts for the listed replicas, replayed or drawn."""
-        if self._streams is None:
-            return driver.metropolis(step, replica_indices, iteration)
-        draws = self._streams.uniforms(replica_indices)
-        temperatures = driver.temperature(iteration)
-        if isinstance(temperatures, np.ndarray):
-            temperatures = temperatures[replica_indices]
-        return metropolis_decisions(step, temperatures, draws)
-
     def run_block(self, start_iteration: int, num_iterations: int) -> None:
         if self._compiled is not None:
             self._compiled(start_iteration, num_iterations)
         else:
             self._numpy_block(start_iteration, num_iterations)
-
-    def finalize(self) -> None:
-        if self._streams is not None:
-            self._streams.write_back()
 
     def _candidate_loads(self, flips: np.ndarray,
                          signs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -210,8 +197,7 @@ class FusedSAKernel(_FusedCore):
                  single_flip: bool, moves_per_iteration: int,
                  current: np.ndarray, current_energy: np.ndarray,
                  accept_filter=None, accept_filter_batch=None,
-                 constraints: Optional[Sequence[LinearConstraint]] = None,
-                 generators: Optional[Sequence[np.random.Generator]] = None
+                 constraints: Optional[Sequence[LinearConstraint]] = None
                  ) -> None:
         if not single_flip:
             raise KernelUnsupportedError(
@@ -248,9 +234,7 @@ class FusedSAKernel(_FusedCore):
         self.num_skipped = np.zeros(num_replicas, dtype=int)
         self.num_accepted = np.zeros(num_replicas, dtype=int)
         self._init_model(matrix, current, effective)
-        self._streams = try_replay_streams(driver, generators,
-                                           self._num_variables)
-        self._compiled = compiled_block(self)
+        self._init_draws()
 
     def _numpy_block(self, start_iteration: int, num_iterations: int) -> None:
         driver = self.driver
@@ -273,7 +257,7 @@ class FusedSAKernel(_FusedCore):
                     self.num_feasible += 1
                     step = delta
 
-                accepted = self._accept(driver, step, feasible_idx, iteration)
+                accepted = driver.metropolis(step, feasible_idx, iteration)
                 accepted_idx = feasible_idx[accepted]
                 if accepted_idx.size:
                     # current_energy[f] + delta then assign, as the reference
@@ -313,9 +297,7 @@ class FusedHyCiMKernel(_FusedCore):
                  current: np.ndarray, current_energy: np.ndarray,
                  current_feasible: np.ndarray, raw_energy: Optional[np.ndarray],
                  use_hardware_filters: bool = False,
-                 use_crossbar: bool = False,
-                 generators: Optional[Sequence[np.random.Generator]] = None
-                 ) -> None:
+                 use_crossbar: bool = False) -> None:
         if not single_flip:
             raise KernelUnsupportedError(
                 "fused kernels require single-flip moves")
@@ -349,9 +331,7 @@ class FusedHyCiMKernel(_FusedCore):
         self.num_skipped = np.zeros(num_replicas, dtype=int)
         self.num_accepted = np.zeros(num_replicas, dtype=int)
         self._init_model(matrix, current, constraints)
-        self._streams = try_replay_streams(driver, generators,
-                                           self._num_variables)
-        self._compiled = compiled_block(self)
+        self._init_draws()
 
     def _numpy_block(self, start_iteration: int, num_iterations: int) -> None:
         driver = self.driver
@@ -387,7 +367,7 @@ class FusedHyCiMKernel(_FusedCore):
 
                 candidate_energy = candidate_raw[feasible_idx]
                 step = candidate_energy - self.current_energy[feasible_idx]
-                accepted = self._accept(driver, step, feasible_idx, iteration)
+                accepted = driver.metropolis(step, feasible_idx, iteration)
                 accepted_idx = feasible_idx[accepted]
                 if accepted_idx.size:
                     self.current_energy[accepted_idx] = \

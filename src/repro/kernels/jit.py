@@ -9,8 +9,9 @@ native code, including the random streams themselves.
 
 **RNG replay.**  numba cannot call ``numpy.random.Generator`` methods, so
 the compiled loop re-implements the exact draw pipeline of PCG64 +
-``Generator`` and is handed each replica's generator state as plain uint64
-arrays:
+``Generator`` and advances the uint64 lanes the
+:class:`~repro.dynamics.driver.LoopDriver` replays each replica's stream in
+(:meth:`LoopDriver.replay`):
 
 * the 128-bit LCG advance ``state = state * PCG_MULT + inc`` on two 64-bit
   limbs, with the XSL-RR output permutation;
@@ -21,14 +22,15 @@ arrays:
   ``has_uint32``/``uinteger`` fields.
 
 Every primitive is validated bit-for-bit against numpy by the test suite
-(which runs the same functions interpreted when numba is absent), and
-:meth:`~repro.kernels.base.SweepKernel.finalize` writes the advanced states
-back into the ``Generator`` objects, so anything consuming the streams
-afterwards continues exactly where a reference run would.
+(which runs the same functions interpreted when numba is absent), and the
+driver writes the advanced lanes back into the ``Generator`` objects when it
+exits, so anything consuming the streams afterwards continues exactly where
+a reference run would.
 
 **Support matrix.**  Everything the fused kernels support *except*
 shared-RNG mode (its draws are batched, not per-replica), non-Metropolis
-acceptance rules and non-PCG64 bit generators -- those raise
+acceptance rules and any other run whose streams the driver does not
+replay (non-PCG64 or aliased bit generators) -- those raise
 :class:`~repro.kernels.base.KernelUnsupportedError` so ``kernel="auto"``
 falls back to the fused backend.  A missing numba installation raises
 :class:`~repro.kernels.base.KernelUnavailableError` instead; tests may set
@@ -48,7 +50,6 @@ from repro.dynamics.acceptance import MetropolisRule
 from repro.dynamics.driver import LoopDriver
 from repro.kernels.base import KernelUnavailableError, KernelUnsupportedError
 from repro.kernels.fused import LOAD_TOLERANCE, FusedHyCiMKernel, FusedSAKernel
-from repro.kernels.streams import ReplayStreams
 
 __all__ = ["HAVE_NUMBA", "JitHyCiMKernel", "JitSAKernel"]
 
@@ -342,20 +343,24 @@ def _reject_equality(constraints) -> None:
 
 
 class _JitMixin:
-    """Shared setup: ladder factors, dummy model arrays, stream marshalling."""
+    """Shared setup: ladder factors, dummy model arrays, the driver's lanes."""
 
     backend = "numba"
 
-    def _init_jit(self, driver: LoopDriver,
-                  generators: Optional[Sequence[np.random.Generator]]) -> None:
+    def _init_draws(self) -> None:
+        """The compiled blocks' inputs, in place of the fused kernels' draws."""
+        driver = self.driver
         if self._num_variables > 2 ** 32:
             raise KernelUnsupportedError(
                 "the compiled Lemire sampler covers bounds up to 2**32")
-        # The same limb marshalling the fused replay uses (state layout,
-        # buffered next32 fields, write-back); the compiled blocks mutate
-        # its arrays in place.
-        streams = generators if generators is not None else driver._generators
-        self._streams = ReplayStreams(streams)
+        # The driver's lanes (state layout, buffered next32 fields, the
+        # write-back when it exits); the compiled blocks mutate them in
+        # place.
+        self._lanes = driver.replay()
+        if self._lanes is None:
+            raise KernelUnsupportedError(
+                "the driver does not replay these replica streams (bit "
+                "generators that are not PCG64 or shared between replicas)")
         self._jit_base = np.ascontiguousarray(driver._base, dtype=np.float64)
         factors = driver._factors
         self._jit_factors = (np.ones(self.current.shape[0])
@@ -381,8 +386,7 @@ class JitSAKernel(_JitMixin, FusedSAKernel):
                  single_flip: bool, moves_per_iteration: int,
                  current: np.ndarray, current_energy: np.ndarray,
                  accept_filter=None, accept_filter_batch=None,
-                 constraints: Optional[Sequence[InequalityConstraint]] = None,
-                 generators: Optional[Sequence[np.random.Generator]] = None
+                 constraints: Optional[Sequence[InequalityConstraint]] = None
                  ) -> None:
         _require_jit(driver)
         _reject_equality(constraints)
@@ -393,10 +397,9 @@ class JitSAKernel(_JitMixin, FusedSAKernel):
                          accept_filter=accept_filter,
                          accept_filter_batch=accept_filter_batch,
                          constraints=constraints)
-        self._init_jit(driver, generators)
 
     def run_block(self, start_iteration: int, num_iterations: int) -> None:
-        streams = self._streams
+        streams = self._lanes
         # Interpreted mode wraps uint64 in numpy scalars, which warns on
         # every (intentional) overflow; compiled mode never raises it.
         with np.errstate(over="ignore"):
@@ -424,9 +427,7 @@ class JitHyCiMKernel(_JitMixin, FusedHyCiMKernel):
                  current_feasible: np.ndarray,
                  raw_energy: Optional[np.ndarray],
                  use_hardware_filters: bool = False,
-                 use_crossbar: bool = False,
-                 generators: Optional[Sequence[np.random.Generator]] = None
-                 ) -> None:
+                 use_crossbar: bool = False) -> None:
         _require_jit(driver)
         _reject_equality(constraints)
         super().__init__(matrix=matrix, driver=driver,
@@ -438,10 +439,9 @@ class JitHyCiMKernel(_JitMixin, FusedHyCiMKernel):
                          raw_energy=raw_energy,
                          use_hardware_filters=use_hardware_filters,
                          use_crossbar=use_crossbar)
-        self._init_jit(driver, generators)
 
     def run_block(self, start_iteration: int, num_iterations: int) -> None:
-        streams = self._streams
+        streams = self._lanes
         with np.errstate(over="ignore"):
             _hycim_block(start_iteration, num_iterations,
                          self.moves_per_iteration, self._jit_base,

@@ -1,13 +1,15 @@
-/* The fused kernels' sweep blocks in C (loaded by native.py).
+/* The compiled sweep blocks and replica draws (loaded by native.py).
  *
- * A straight port of the fused kernels' per-replica NumPy loop.  Each replica
- * replays its own numpy PCG64 stream: the 128-bit LCG step with the XSL-RR
- * output, the bit generator's buffered next32 (low half first, high half
- * parked), numpy's 32-bit Lemire sampler for integers(0, n) and random().
- * Every energy, field and load update is the IEEE operation the NumPy loop
- * applies to that element, in the same order, and acceptance calls
- * libm exp as math.exp does.  Build with -ffp-contract=off so the compiler
- * fuses no multiply-add.
+ * run_block is a straight port of the fused kernels' per-replica NumPy
+ * loop; draw_flips and metropolis are LoopDriver's single-flip draws and
+ * Metropolis verdicts, for any kernel.  All of them advance the replicas'
+ * numpy PCG64 streams in the driver's lanes: the 128-bit LCG step with the
+ * XSL-RR output, the bit generator's buffered next32 (low half first, high
+ * half parked), numpy's 32-bit Lemire sampler for integers(0, n) and
+ * random().  Every energy, field and load update is the IEEE operation the
+ * NumPy loop applies to that element, in the same order, and acceptance
+ * calls libm exp as math.exp does.  Build with -ffp-contract=off so the
+ * compiler fuses no multiply-add.
  */
 #include <math.h>
 #include <stdint.h>
@@ -36,9 +38,23 @@ typedef struct {
     const int64_t *sym_indptr, *sym_indices;
     const double *sym_data, *weights_t, *bounds;
     const uint8_t *equality;
-    /* one PCG64 stream per replica: state, increment, parked next32 half */
-    uint64_t *s_hi, *s_lo, *i_hi, *i_lo, *has32, *buffered;
+    /* the driver's lanes: one PCG64 stream per replica */
+    uint64_t *lanes;
 } sweep_t;
+
+/* LoopDriver's draw buffers (native.py's _Draws): the lanes, the ladder
+ * factors (NULL: one temperature for every replica), the flip indices
+ * draw_flips writes, and the steps, replica indices and verdicts of one
+ * metropolis call. */
+typedef struct {
+    int64_t replicas;
+    uint64_t *lanes;
+    const double *factors;
+    int64_t *flips;
+    const double *delta;
+    const int64_t *indices;
+    uint8_t *verdicts;
+} draws_t;
 
 typedef struct {
     u128 state, inc;
@@ -49,6 +65,24 @@ typedef struct {
     int64_t flip;
     double bit, sign, delta;
 } move_t;
+
+/* Replica k's stream in row-major (6, m) lanes: state high and low limbs,
+ * increment high and low, the parked-half flag and the parked half. */
+static inline stream_t load_stream(const uint64_t *lanes, int64_t m, int64_t k)
+{
+    stream_t r = {((u128)lanes[k] << 64) | lanes[m + k],
+                  ((u128)lanes[2 * m + k] << 64) | lanes[3 * m + k],
+                  lanes[4 * m + k], lanes[5 * m + k]};
+    return r;
+}
+
+static inline void store_stream(uint64_t *lanes, int64_t m, int64_t k, const stream_t *r)
+{
+    lanes[k] = (uint64_t)(r->state >> 64);
+    lanes[m + k] = (uint64_t)r->state;
+    lanes[4 * m + k] = r->has32;
+    lanes[5 * m + k] = r->buffered;
+}
 
 static inline uint64_t next64(stream_t *r)
 {
@@ -161,8 +195,7 @@ void run_block(const sweep_t *s, int64_t start, int64_t count)
     const int hycim = s->raw_energy != NULL;
     double candidate[s->constraints + 1];
     for (int64_t k = 0; k < s->replicas; k++) {
-        stream_t r = {((u128)s->s_hi[k] << 64) | s->s_lo[k],
-                      ((u128)s->i_hi[k] << 64) | s->i_lo[k], s->has32[k], s->buffered[k]};
+        stream_t r = load_stream(s->lanes, s->replicas, k);
         for (int64_t it = start; it < start + count; it++) {
             double t = s->factors ? s->base[it] * s->factors[k] : s->base[it];
             for (int64_t move = 0; move < s->moves; move++) {
@@ -200,24 +233,49 @@ void run_block(const sweep_t *s, int64_t start, int64_t count)
                 }
             }
         }
-        s->s_hi[k] = (uint64_t)(r.state >> 64);
-        s->s_lo[k] = (uint64_t)r.state;
-        s->has32[k] = r.has32;
-        s->buffered[k] = r.buffered;
+        store_stream(s->lanes, s->replicas, k, &r);
     }
 }
 
+/* LoopDriver.flip_indices: flips[k] = integers(0, bound) from replica k's
+ * stream, bound <= 2**32. */
+void draw_flips(const draws_t *d, uint64_t bound)
+{
+    for (int64_t k = 0; k < d->replicas; k++) {
+        stream_t r = load_stream(d->lanes, d->replicas, k);
+        d->flips[k] = (int64_t)integers(&r, bound);
+        store_stream(d->lanes, d->replicas, k, &r);
+    }
+}
+
+/* LoopDriver.metropolis: one random() per listed replica, in list order,
+ * judged by accept() at base or base * factors[k].  A negative index counts
+ * from the end, as Python's do; returns the position of the first index out
+ * of range (entries before it are drawn and judged), or -1. */
+int64_t metropolis(const draws_t *d, int64_t count, double base)
+{
+    for (int64_t i = 0; i < count; i++) {
+        int64_t k = d->indices[i];
+        if (k < 0)
+            k += d->replicas;
+        if (k < 0 || k >= d->replicas)
+            return i;
+        stream_t r = load_stream(d->lanes, d->replicas, k);
+        double t = d->factors ? base * d->factors[k] : base;
+        d->verdicts[i] = (uint8_t)accept(d->delta[i], t, uniform(&r));
+        store_stream(d->lanes, d->replicas, k, &r);
+    }
+    return -1;
+}
+
 /* For tests: draws[i] = integers(0, bounds[i]), or random() where
- * bounds[i] is 0, from one stream laid out as (state hi, state lo, inc hi,
- * inc lo, has_uint32, uinteger); the advanced stream is written back. */
+ * bounds[i] is 0, from one stream laid out as one lane (state hi, state lo,
+ * inc hi, inc lo, has_uint32, uinteger); the advanced stream is written
+ * back. */
 void draw_stream(uint64_t *lane, int64_t count, const uint64_t *bounds, double *draws)
 {
-    stream_t r = {((u128)lane[0] << 64) | lane[1], ((u128)lane[2] << 64) | lane[3],
-                  lane[4], lane[5]};
+    stream_t r = load_stream(lane, 1, 0);
     for (int64_t i = 0; i < count; i++)
         draws[i] = bounds[i] ? (double)integers(&r, bounds[i]) : uniform(&r);
-    lane[0] = (uint64_t)(r.state >> 64);
-    lane[1] = (uint64_t)r.state;
-    lane[4] = r.has32;
-    lane[5] = r.buffered;
+    store_stream(lane, 1, 0, &r);
 }

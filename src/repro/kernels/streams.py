@@ -1,16 +1,24 @@
-"""Vectorised PCG64 stream replay across the replica batch.
+"""Per-replica PCG64 lanes, and their vectorised replay in NumPy.
 
-Profiling the fused kernels shows the sweep floor is not the ΔE arithmetic
-but the per-replica Python draw loops behind it: ``LoopDriver.flip_indices``
-calls each replica's ``Generator.integers`` one at a time, and
-``MetropolisRule.accept`` loops replicas for the uniform draws.  At
-``M = 32`` those two loops cost more than the whole incremental sweep.
+:class:`Lanes` holds every replica's PCG64 state as uint64 lanes, the rows
+of one ``(6, M)`` array: state high and low limbs, increment high and low,
+and the bit generator's parked 32-bit half (``has_uint32`` / ``uinteger``).
+:class:`~repro.dynamics.driver.LoopDriver` owns the lanes of a run and
+writes them back into the ``Generator`` objects when it exits; the C draws
+(:mod:`repro.kernels.native`) and the numba blocks advance them in place.
 
-:class:`ReplayStreams` removes them by replaying every replica's PCG64
-stream in numpy uint64 lanes -- the same limb arithmetic the numba backend
-compiles (see :mod:`repro.kernels.jit`), applied batch-wide.  Advancing the
-128-bit LCG one draw at a time would still cost a dozen numpy calls per
-proposal, so the replay exploits that the LCG is affine:
+:class:`ReplayStreams` is the replay for the fused kernels' NumPy loop where
+the C library cannot be built.  Profiling that loop showed its floor was not
+the ΔE arithmetic but the per-replica Python draw loops behind it:
+``Generator.integers`` called once per replica, and ``MetropolisRule.accept``
+looping replicas for the uniform draws.  At ``M = 32`` those two loops cost
+more than the whole incremental sweep.
+
+:class:`ReplayStreams` removes them by replaying every lane in numpy uint64
+arithmetic -- the same limb arithmetic the numba backend compiles (see
+:mod:`repro.kernels.jit`), applied batch-wide.  Advancing the 128-bit LCG
+one draw at a time would still cost a dozen numpy calls per proposal, so
+the replay exploits that the LCG is affine:
 
     state_j = MULT**j * state_0  +  (MULT**j - 1) / (MULT - 1) * inc
 
@@ -26,9 +34,9 @@ collapses to buffered reads.  On top of the raw outputs sit the exact
   draw first, high half parked per lane (``has_uint32`` / ``uinteger``).
 
 Each lane advances exactly as its ``Generator`` object would, so the draws
-are bit-identical to the reference engine's, and :meth:`write_back` leaves
-the ``Generator`` objects exactly where a reference run would have.  Lanes
-consume at different rates (uniforms are drawn only for feasible
+are bit-identical to the reference engine's, and :meth:`Lanes.write_back`
+leaves the ``Generator`` objects exactly where a reference run would have.
+Lanes consume at different rates (uniforms are drawn only for feasible
 candidates, Lemire rejections redraw), so refilling only the exhausted
 lanes would fire a refill on almost every draw once they drift out of step.
 Instead there is one refill per depletion event: when any lane's lookahead
@@ -42,10 +50,10 @@ few ulps of the vectorised probability is re-judged through the scalar
 bit-identical to :class:`~repro.dynamics.acceptance.MetropolisRule` while
 the re-judge triggers with probability ~1e-15 per draw.
 
-Eligibility (:func:`try_replay_streams`): per-replica mode only (shared-RNG
-draws are already vectorised), plain :class:`MetropolisRule` acceptance,
-PCG64 bit generators, ``n <= 2**32``.  Anything else returns ``None`` and
-the fused kernels keep drawing through the :class:`LoopDriver`.
+Which runs replay at all is the driver's rule
+(:meth:`~repro.dynamics.driver.LoopDriver.replay`): per-replica streams on
+distinct PCG64 bit generators, plain :class:`MetropolisRule` acceptance, and
+an engine that lets nothing else draw from them during the sweep.
 """
 
 from __future__ import annotations
@@ -54,11 +62,10 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.dynamics.acceptance import MetropolisRule, acceptance_probability
-from repro.dynamics.driver import LoopDriver
+from repro.dynamics.acceptance import acceptance_probability
 from repro.kernels.base import KernelUnsupportedError
 
-__all__ = ["ReplayStreams", "metropolis_decisions", "try_replay_streams"]
+__all__ = ["Lanes", "ReplayStreams", "metropolis_decisions"]
 
 #: PCG64's 128-bit LCG multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -133,23 +140,22 @@ def _jump_tables() -> Tuple[np.ndarray, ...]:
 _JUMP_MULT_HI, _JUMP_MULT_LO, _JUMP_INCC_HI, _JUMP_INCC_LO = _jump_tables()
 
 
-class ReplayStreams:
-    """Per-replica PCG64 states as uint64 lanes, advanced in lock step.
+class Lanes:
+    """Per-replica PCG64 states as uint64 lanes: the rows of :attr:`array`.
 
-    Raises :class:`~repro.kernels.base.KernelUnsupportedError` if any
-    generator is not PCG64-backed.
+    ``factors`` are the driver's ladder factors (``None`` for a flat
+    batch), which the Metropolis draws of subclasses read.  Raises
+    :class:`~repro.kernels.base.KernelUnsupportedError` if any generator is
+    not PCG64-backed.
     """
 
-    def __init__(self, generators: Sequence[np.random.Generator]) -> None:
+    def __init__(self, generators: Sequence[np.random.Generator],
+                 factors: Optional[np.ndarray] = None) -> None:
         self.generators = list(generators)
-        count = len(self.generators)
-        self.s_hi = np.empty(count, dtype=np.uint64)
-        self.s_lo = np.empty(count, dtype=np.uint64)
-        self.i_hi = np.empty(count, dtype=np.uint64)
-        self.i_lo = np.empty(count, dtype=np.uint64)
-        self.has32 = np.empty(count, dtype=np.uint64)
-        self.buffered = np.empty(count, dtype=np.uint64)
-        self._all = np.arange(count)
+        self.factors = factors
+        self.array = np.empty((6, len(self.generators)), dtype=np.uint64)
+        (self.s_hi, self.s_lo, self.i_hi, self.i_lo, self.has32,
+         self.buffered) = self.array
         for k, generator in enumerate(self.generators):
             state = generator.bit_generator.state
             if state.get("bit_generator") != "PCG64":
@@ -165,12 +171,35 @@ class ReplayStreams:
             self.i_lo[k] = inc & _MASK64
             self.has32[k] = int(state["has_uint32"])
             self.buffered[k] = int(state["uinteger"])
+
+    def _state(self, k: int) -> Tuple[int, int]:
+        """Lane ``k``'s current LCG state as (hi, lo) limbs."""
+        return int(self.s_hi[k]), int(self.s_lo[k])
+
+    def write_back(self) -> None:
+        """Restore the advanced states into the ``Generator`` objects."""
+        for k, generator in enumerate(self.generators):
+            hi, lo = self._state(k)
+            state = generator.bit_generator.state
+            state["state"]["state"] = (hi << 64) | lo
+            state["has_uint32"] = int(self.has32[k])
+            state["uinteger"] = int(self.buffered[k])
+            generator.bit_generator.state = state
+
+
+class ReplayStreams(Lanes):
+    """:class:`Lanes` drawn in lock step by vectorised NumPy lookahead."""
+
+    def __init__(self, generators: Sequence[np.random.Generator],
+                 factors: Optional[np.ndarray] = None) -> None:
+        super().__init__(generators, factors)
+        self._all = np.arange(self.array.shape[1])
         # Lookahead buffers (set by ``_refill``): per lane, the raw outputs
         # of the next BUFFER_OUTPUTS steps (``_out``) and the state each
         # step lands on (``_st_hi``/``_st_lo``).  ``s_hi``/``s_lo`` stay the
         # state *before* slot 0 of the buffer; ``_pos[k]`` is the next
         # unconsumed slot.
-        self._pos = np.zeros(count, dtype=np.intp)
+        self._pos = np.zeros(self.array.shape[1], dtype=np.intp)
         self._refill()
 
     # ------------------------------------------------------------------ #
@@ -262,20 +291,21 @@ class ReplayStreams:
         """``Generator.random()`` for the listed lanes."""
         return (self._next64(lanes) >> _SHIFT11) * _INV53
 
-    def write_back(self) -> None:
-        """Restore the advanced states into the ``Generator`` objects."""
-        for k, generator in enumerate(self.generators):
-            position = self._pos[k]
-            if position == 0:
-                hi, lo = int(self.s_hi[k]), int(self.s_lo[k])
-            else:
-                hi = int(self._st_hi[k, position - 1])
-                lo = int(self._st_lo[k, position - 1])
-            state = generator.bit_generator.state
-            state["state"]["state"] = (hi << 64) | lo
-            state["has_uint32"] = int(self.has32[k])
-            state["uinteger"] = int(self.buffered[k])
-            generator.bit_generator.state = state
+    def metropolis(self, delta: np.ndarray, replica_indices: np.ndarray,
+                   base: float) -> np.ndarray:
+        """Metropolis verdicts for the listed lanes at temperature ``base``
+        (times each lane's ladder factor), one uniform draw per entry."""
+        draws = self.uniforms(replica_indices)
+        temperatures = (float(base) if self.factors is None
+                        else (base * self.factors)[replica_indices])
+        return metropolis_decisions(delta, temperatures, draws)
+
+    def _state(self, k: int) -> Tuple[int, int]:
+        position = self._pos[k]
+        if position == 0:
+            return int(self.s_hi[k]), int(self.s_lo[k])
+        return (int(self._st_hi[k, position - 1]),
+                int(self._st_lo[k, position - 1]))
 
 
 def metropolis_decisions(step: np.ndarray,
@@ -314,24 +344,3 @@ def metropolis_decisions(step: np.ndarray,
                 float(step[index]), temperature)
     return decisions
 
-
-def try_replay_streams(driver: LoopDriver,
-                       generators: Optional[Sequence[np.random.Generator]],
-                       num_variables: int) -> Optional[ReplayStreams]:
-    """A :class:`ReplayStreams` when the configuration is replayable.
-
-    ``None`` means the kernel should keep drawing through the driver: shared
-    RNG (already vectorised there), a custom acceptance rule (subclassing
-    :class:`MetropolisRule` counts -- its override must be honoured), a
-    non-PCG64 bit generator, or a flip bound past the 32-bit Lemire sampler.
-    """
-    if generators is None or driver._shared_rng is not None:
-        return None
-    if type(driver.dynamics.acceptance) is not MetropolisRule:
-        return None
-    if num_variables > MAX_LEMIRE_BOUND:
-        return None
-    try:
-        return ReplayStreams(generators)
-    except KernelUnsupportedError:
-        return None

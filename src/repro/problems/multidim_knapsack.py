@@ -25,7 +25,12 @@ from repro.core.constraints import InequalityConstraint
 from repro.core.qubo import QUBOModel
 from repro.core.transformation import InequalityQUBO
 from repro.problems.base import CombinatorialProblem
-from repro.problems.qkp import _selection_profit, _selection_profits
+from repro.problems.qkp import (
+    _integer_profits,
+    _objective_qubo,
+    _selection_profit,
+    _selection_profits,
+)
 
 
 @dataclass
@@ -36,7 +41,9 @@ class MultiDimensionalKnapsackProblem(CombinatorialProblem):
     ----------
     profits:
         Symmetric ``n x n`` profit matrix (diagonal = individual profits,
-        off-diagonal = pairwise profits counted once).
+        off-diagonal = pairwise profits counted once).  As for the QKP,
+        whether :meth:`objective_batch` may use one product is decided at
+        construction; in-place edits of ``profits`` are not re-checked.
     weights:
         ``m x n`` non-negative weight matrix; row ``k`` is the resource-``k``
         consumption of each item.
@@ -75,6 +82,7 @@ class MultiDimensionalKnapsackProblem(CombinatorialProblem):
         self.profits = p
         self.weights = w
         self.capacities = c
+        self._integer = _integer_profits(p)
 
     # ------------------------------------------------------------------ #
     # CombinatorialProblem interface
@@ -104,7 +112,8 @@ class MultiDimensionalKnapsackProblem(CombinatorialProblem):
     def objective_batch(self, configurations: np.ndarray) -> np.ndarray:
         """Row-wise :meth:`objective`: one product on integer profits."""
         return _selection_profits(self.profits,
-                                  self._validate_batch(configurations))
+                                  self._validate_batch(configurations),
+                                  self._integer)
 
     def resource_usage(self, x: Iterable[float]) -> np.ndarray:
         """Per-dimension resource consumption ``W x``."""
@@ -134,8 +143,7 @@ class MultiDimensionalKnapsackProblem(CombinatorialProblem):
 
     def to_qubo(self) -> QUBOModel:
         """Objective-only QUBO (``Q = -P_upper``); constraints not embedded."""
-        p_upper = np.diag(np.diag(self.profits)) + np.triu(self.profits, k=1)
-        return QUBOModel(-p_upper)
+        return _objective_qubo(self.profits)
 
     def to_inequality_qubo(self) -> InequalityQUBO:
         """HyCiM form: one inequality filter per resource dimension."""

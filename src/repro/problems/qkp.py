@@ -39,23 +39,43 @@ def _selection_profit(profits: np.ndarray, vec: np.ndarray) -> float:
     return linear + pairwise
 
 
-def _selection_profits(profits: np.ndarray, batch: np.ndarray) -> np.ndarray:
+def _integer_profits(profits: np.ndarray) -> bool:
+    """Integer profits with ``sum |p_ij| < 2**53``: there every partial sum
+    of every product :func:`_selection_profits` forms is an exact integer,
+    so one batched product equals the per-row values exactly whatever order
+    BLAS sums in."""
+    return bool(float(np.abs(profits).sum()) < 2.0 ** 53
+                and np.array_equal(profits, np.rint(profits)))
+
+
+def _selection_profits(profits: np.ndarray, batch: np.ndarray,
+                       integer: bool) -> np.ndarray:
     """:func:`_selection_profit` of every row of a binary ``(M, n)`` batch.
 
-    On integer profits with ``sum |p_ij| < 2**53`` every partial sum of
-    every product below is an exact integer, so one batched product equals
-    the per-row values exactly whatever order BLAS sums in.  Otherwise the
-    rows keep the per-row form, the only one that is exact on float
-    profits.
+    One batched product where ``integer`` (:func:`_integer_profits` of
+    ``profits``); otherwise the rows keep the per-row form, the only one
+    that is exact on float profits.
     """
-    magnitude = float(np.abs(profits).sum())
-    if not (magnitude < 2.0 ** 53
-            and np.array_equal(profits, np.rint(profits))):
+    if not integer:
         return np.fromiter((_selection_profit(profits, row) for row in batch),
                            dtype=float, count=batch.shape[0])
     diagonal = np.diag(profits)
     quadratic = np.einsum("ij,ij->i", batch, batch @ profits)
     return batch @ diagonal + (quadratic - (batch * batch) @ diagonal) / 2.0
+
+
+def _objective_qubo(profits: np.ndarray) -> QUBOModel:
+    """``Q = -P_upper`` of a symmetric ``profits``, built in stored form.
+
+    Byte for byte what folding ``-(diag(diag(P)) + triu(P, 1))`` gives --
+    strict upper ``-(p_ij + 0.0)``, diagonal ``-p_ii + 0.0``, lower
+    ``+0.0`` -- without the fold's temporaries.
+    """
+    upper = profits + 0.0
+    np.negative(upper, out=upper)
+    stored = np.triu(upper, 1)
+    np.fill_diagonal(stored, -np.diag(profits) + 0.0)
+    return QUBOModel._stored(stored)
 
 
 #: Groups of at least this many distinct generators draw their start states
@@ -74,7 +94,10 @@ class QuadraticKnapsackProblem(CombinatorialProblem):
     profits:
         Symmetric ``n x n`` profit matrix.  ``profits[i, i]`` is the linear
         profit of item ``i``; ``profits[i, j]`` (``i != j``) the pairwise
-        profit counted *once* in the objective.
+        profit counted *once* in the objective.  Whether
+        :meth:`objective_batch` may score a batch in one product is decided
+        here, once; in-place edits of ``profits`` after construction are
+        not re-checked.
     weights:
         Item weights ``w_i`` (positive).
     capacity:
@@ -109,6 +132,7 @@ class QuadraticKnapsackProblem(CombinatorialProblem):
         self.profits = p
         self.weights = w
         self.capacity = float(self.capacity)
+        self._integer = _integer_profits(p)
 
     # ------------------------------------------------------------------ #
     # CombinatorialProblem interface
@@ -133,7 +157,8 @@ class QuadraticKnapsackProblem(CombinatorialProblem):
     def objective_batch(self, configurations: np.ndarray) -> np.ndarray:
         """Row-wise :meth:`objective`: one product on integer profits."""
         return _selection_profits(self.profits,
-                                  self._validate_batch(configurations))
+                                  self._validate_batch(configurations),
+                                  self._integer)
 
     def total_weight(self, x: Iterable[float]) -> float:
         """Total selected weight ``w . x``."""
@@ -164,8 +189,7 @@ class QuadraticKnapsackProblem(CombinatorialProblem):
         :func:`repro.core.dqubo.to_dqubo` (baseline) to make it solvable by an
         unconstrained annealer.
         """
-        p_upper = np.diag(np.diag(self.profits)) + np.triu(self.profits, k=1)
-        return QUBOModel(-p_upper)
+        return _objective_qubo(self.profits)
 
     def to_inequality_qubo(self) -> InequalityQUBO:
         """Paper Eq. (6): ``E(x) = [w.x <= C] * x^T Q x`` with ``Q = -P_upper``."""

@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
+import repro.batched.engine as engine_module
 from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.sa import SimulatedAnnealer
 from repro.batched import BatchedHyCiMSolver, BatchedSimulatedAnnealer
 from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
 from repro.cim.inequality_filter import InequalityFilter
 from repro.core.qubo import QUBOModel
+from repro.dynamics import LoopDriver
 from repro.kernels.reference import (
     as_replica_matrix,
     batched_energies,
     batched_energy_delta,
     batched_inequality_verdicts,
 )
+from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_trials
 
 
@@ -265,3 +268,33 @@ class TestDeviceAxisEngine:
             assert a.best_energy == b.best_energy
             np.testing.assert_array_equal(a.best_configuration,
                                           b.best_configuration)
+
+
+class TestDriverExclusivity:
+    """The engines tell the driver whether the replica generators are its
+    alone: only then may it replay them in lanes."""
+
+    @pytest.mark.parametrize("solver, params, exclusive", [
+        ("hycim", {"use_hardware": False}, True),
+        ("hycim", {"use_hardware": True}, True),
+        ("hycim", {"move_generator": "knapsack"}, False),
+        ("hycim", {"use_hardware": True, "matchline_noise_sigma": 0.01},
+         False),
+        ("sa", {}, True),
+        ("sa", {"move_generator": "multi_flip"}, False),
+    ], ids=["software", "hardware", "knapsack-move", "noisy-matchline",
+            "sa", "sa-multi-flip"])
+    def test_engine_states_exclusivity(self, monkeypatch, solver, params,
+                                       exclusive):
+        stated = []
+
+        class Recording(LoopDriver):
+            def __init__(self, *args, **kwargs):
+                stated.append(kwargs["exclusive"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "LoopDriver", Recording)
+        problem = generate_qkp_instance(num_items=12, seed=8)
+        run_trials(problem, solver, num_trials=2, backend="vectorized",
+                   params=dict(params, num_iterations=5), master_seed=3)
+        assert stated == [exclusive]

@@ -176,6 +176,13 @@ class TestGoldenTrajectories:
                         expected["best_objective"], rel=1e-12), where
                 _assert_exact_fields(expected, actual, where)
 
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_fixture_regenerates_byte_for_byte(self, golden, backend,
+                                               draw_path):
+        """With the C library loaded the loop driver draws in C, without it
+        through the generators: both regenerate the fixture unchanged."""
+        assert _compute_records(backend) == golden
+
     def test_vectorized_backend_reproduces_snapshot(self, golden):
         """The vectorized backend must hit the same frozen per-seed outcomes
         (exactly for software mode, within tolerance for ideal hardware)."""

@@ -24,6 +24,21 @@ def c_block() -> None:
         pytest.skip(f"C block unavailable: {error}")
 
 
+@pytest.fixture(params=["c", "python"])
+def draw_path(request, monkeypatch) -> str:
+    """Runs the test once with the C library loaded (``"c"``; skipped
+    without a C compiler) and once with it unavailable (``"python"``), where
+    the loop driver draws through the generators or NumPy replay."""
+    if request.param == "c":
+        try:
+            native.library()
+        except KernelUnavailableError as error:
+            pytest.skip(f"C library unavailable: {error}")
+    else:
+        monkeypatch.setattr(native, "_loaded", "C library disabled")
+    return request.param
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic RNG shared by randomised tests."""

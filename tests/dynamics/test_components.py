@@ -17,7 +17,39 @@ from repro.dynamics import (
     exchange_stream,
     shared_stream,
 )
-from repro.dynamics.schedule import ConstantSchedule, GeometricSchedule
+from repro.dynamics.schedule import (
+    ConstantSchedule,
+    GeometricSchedule,
+    TemperatureSchedule,
+)
+from repro.kernels import KernelUnavailableError, native
+from repro.kernels.streams import ReplayStreams
+
+
+class _Table(TemperatureSchedule):
+    """Per-iteration temperatures read from a table, zero and negative
+    ones included (the validated schedules refuse them)."""
+
+    def __init__(self, table):
+        self.table = list(table)
+
+    def _value(self, iteration, num_iterations):
+        return self.table[iteration]
+
+
+@pytest.fixture(params=["c", "generators", "numpy-replay"])
+def draws(request, monkeypatch):
+    """How an exclusive driver draws: C lanes (skipped without a C
+    compiler); without the C library, ``Generator`` calls (the reference
+    kernel) or NumPy lookahead replay (the fused NumPy loop)."""
+    if request.param == "c":
+        try:
+            native.library()
+        except KernelUnavailableError as error:
+            pytest.skip(f"C library unavailable: {error}")
+    else:
+        monkeypatch.setattr(native, "_loaded", "C library disabled")
+    return request.param
 
 
 class TestMetropolisRule:
@@ -180,12 +212,41 @@ class TestLoopDriver:
         return LoopDriver(ConstantSchedule(1.0), 10, generators,
                           dynamics=dynamics, **kwargs), generators
 
-    def test_flip_indices_replay_per_replica_streams(self):
-        driver, _ = self._driver()
-        mirrors = [np.random.default_rng(s) for s in (1, 2, 3, 4)]
-        flips = driver.flip_indices(17)
-        expected = [int(m.integers(0, 17)) for m in mirrors]
-        assert flips.tolist() == expected
+    @staticmethod
+    def _exclusive(draws, seeds, schedule=None, dynamics=None,
+                   num_iterations=10):
+        """An exclusive driver drawing the ``draws`` way, and its
+        generators."""
+        generators = [np.random.default_rng(s) for s in seeds]
+        driver = LoopDriver(schedule or ConstantSchedule(1.0),
+                            num_iterations, generators, dynamics=dynamics,
+                            exclusive=True)
+        if draws == "numpy-replay":
+            assert isinstance(driver.replay(), ReplayStreams)
+        elif draws == "c":
+            assert isinstance(driver.replay(), native.NativeLanes)
+        else:
+            assert driver._lanes is None
+        return driver, generators
+
+    @staticmethod
+    def _assert_same_states(generators, mirrors):
+        for mine, theirs in zip(generators, mirrors):
+            assert mine.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("num_replicas", [1, 3, 4, 32])
+    def test_flip_indices_replay_per_replica_streams(self, draws,
+                                                     num_replicas):
+        seeds = range(1, num_replicas + 1)
+        driver, generators = self._exclusive(draws, seeds)
+        mirrors = [np.random.default_rng(s) for s in seeds]
+        with driver:
+            for bound in (17, 1, 2**31 + 1, 2**32, 5):
+                flips = driver.flip_indices(bound)
+                expected = [int(m.integers(0, bound)) for m in mirrors]
+                assert flips.dtype == np.intp
+                assert flips.tolist() == expected
+        self._assert_same_states(generators, mirrors)
 
     def test_propose_matches_scalar_move_generator(self):
         driver, _ = self._driver()
@@ -280,8 +341,8 @@ class TestLoopDriver:
         assert meta["ladder_rungs"] == 4
         assert meta["exchange_interval"] == 10
 
-    def test_default_driver_metropolis_matches_scalar_rule(self):
-        driver, _ = self._driver(seeds=(9, 10, 11, 12))
+    def test_default_driver_metropolis_matches_scalar_rule(self, draws):
+        driver, _ = self._exclusive(draws, (9, 10, 11, 12))
         mirrors = [np.random.default_rng(s) for s in (9, 10, 11, 12)]
         delta = np.array([0.3, -2.0, 5.0])
         replica_ids = np.array([0, 2, 3])
@@ -289,4 +350,81 @@ class TestLoopDriver:
         rule = MetropolisRule()
         expected = [rule.accept_scalar(float(d), 1.0, mirrors[r])
                     for d, r in zip(delta, replica_ids)]
+        assert verdicts.dtype == bool
         assert verdicts.tolist() == expected
+
+    #: Iteration temperatures: hot, zero, negative, tiny (every uphill
+    #: exponent below -700), then cold.
+    TABLE = (40.0, 0.0, -3.0, 1e-300, 0.5, 2.0)
+
+    @pytest.mark.parametrize("num_replicas", [1, 3, 32])
+    @pytest.mark.parametrize("ladder", [False, True], ids=["flat", "ladder"])
+    def test_a_run_of_draws_matches_the_scalar_rule(self, draws,
+                                                    num_replicas, ladder):
+        seeds = [[7, k] for k in range(num_replicas)]
+        dynamics = (Dynamics(ladder=TemperatureLadder(
+            tuple(np.geomspace(1.0, 8.0, num_replicas))))
+            if ladder else None)
+        driver, generators = self._exclusive(
+            draws, seeds, schedule=_Table(self.TABLE), dynamics=dynamics,
+            num_iterations=len(self.TABLE))
+        mirrors = [np.random.default_rng(s) for s in seeds]
+        rule = MetropolisRule()
+        pattern = np.random.default_rng(num_replicas)
+        with driver:
+            for iteration in range(len(self.TABLE)):
+                flips = driver.flip_indices(23)
+                assert flips.tolist() == [int(m.integers(0, 23))
+                                          for m in mirrors]
+                # Downhill, flat and uphill steps, some of them huge.
+                delta = pattern.choice([-5.0, 0.0, 0.25, 3.0, 1e6],
+                                       size=num_replicas)
+                listed = np.flatnonzero(pattern.random(num_replicas) < 0.7)
+                step = delta[listed]
+                verdicts = driver.metropolis(step, listed, iteration)
+                temperatures = driver.temperature_row(iteration)
+                assert verdicts.tolist() == [
+                    rule.accept_scalar(float(d), float(temperatures[k]),
+                                       mirrors[k])
+                    for d, k in zip(step, listed)]
+        self._assert_same_states(generators, mirrors)
+
+    def test_states_are_written_back_when_the_run_raises(self, draws):
+        driver, generators = self._exclusive(draws, (3, 4, 5))
+        mirrors = [np.random.default_rng(s) for s in (3, 4, 5)]
+        with pytest.raises(RuntimeError, match="mid-run"):
+            with driver:
+                driver.flip_indices(9)
+                driver.metropolis(np.array([1.0, 2.0]), np.array([0, 2]), 0)
+                raise RuntimeError("mid-run")
+        for mirror in mirrors:
+            mirror.integers(0, 9)
+        mirrors[0].random()
+        mirrors[2].random()
+        self._assert_same_states(generators, mirrors)
+        # The lanes are handed back: later draws go through the generators.
+        assert driver.replay() is None
+
+    def test_repeated_and_negative_indices_draw_in_list_order(
+            self, draw_path):
+        # The fused NumPy loop (NumPy replay) lists each replica once.
+        driver, _ = self._exclusive(
+            "c" if draw_path == "c" else "generators", (3, 4, 5))
+        mirrors = [np.random.default_rng(s) for s in (3, 4, 5)]
+        rule = MetropolisRule()
+        listed = np.array([2, 0, 2, -1, 1, 1, 0, 2])
+        step = np.linspace(-1.0, 2.0, listed.shape[0])
+        verdicts = driver.metropolis(step, listed, 0)
+        assert verdicts.tolist() == [rule.accept_scalar(float(d), 1.0,
+                                                        mirrors[k])
+                                     for d, k in zip(step, listed)]
+        with pytest.raises(IndexError):
+            driver.metropolis(np.array([1.0]), np.array([3]), 0)
+
+    def test_a_driver_that_is_not_exclusive_keeps_generator_draws(self):
+        # A generic move or a noisy matchline draws from the generators too.
+        driver, generators = self._driver(seeds=(1, 2))
+        assert driver.replay() is None
+        before = generators[0].bit_generator.state
+        driver.flip_indices(5)
+        assert generators[0].bit_generator.state != before

@@ -8,8 +8,10 @@ kernel swap mid-campaign cannot desynchronise a seeded experiment.  The
 ``"auto"`` arm holds whatever backend the environment resolves to (numba
 when installed, else fused) to the same contract.  The ``"fused"`` arm runs
 the C block wherever the system ``cc`` builds it, the ``"fused-numpy"`` arm
-the NumPy loop; on float data the two loops agree bit for bit, as both
-apply the same IEEE operations to each element in the same order.
+the NumPy loop on NumPy replay without the C library, and the
+``"fused-c-draws"`` arm the NumPy loop on the loop driver's C draws; on
+float data the loops agree bit for bit, as all apply the same IEEE
+operations to each element in the same order.
 
 The JIT kernels are exercised here through their interpreted fallback
 (``_ALLOW_INTERPRETED``), so the compiled path's draw-replay logic is
@@ -20,6 +22,7 @@ this module with numba present to cover the compiled path itself.
 import numpy as np
 import pytest
 
+import repro.kernels.fused as fused_module
 import repro.kernels.jit as jit_module
 import repro.kernels.native as native
 from repro.annealing.hycim import HyCiMSolver
@@ -28,10 +31,12 @@ from repro.batched import BatchedHyCiMSolver, BatchedSimulatedAnnealer
 from repro.core.constraints import EqualityConstraint
 from repro.dynamics import (
     Dynamics,
+    ExponentialSchedule,
     GeometricSchedule,
     ParallelTempering,
     exchange_stream,
 )
+from repro.problems.generators import generate_qkp_instance
 from repro.problems.maxcut import MaxCutProblem
 from repro.problems.multidim_knapsack import generate_mdqkp_instance
 from repro.problems.qkp import QuadraticKnapsackProblem
@@ -90,7 +95,8 @@ def disable_c_block(monkeypatch):
     monkeypatch.setattr(native, "_loaded", "C block disabled")
 
 
-@pytest.fixture(params=["fused", "fused-numpy", "numba", "auto"])
+@pytest.fixture(params=["fused", "fused-numpy", "fused-c-draws", "numba",
+                        "auto"])
 def backend(request, monkeypatch):
     if request.param == "numba":
         # Run the JIT kernels interpreted when numba is missing -- the
@@ -98,6 +104,12 @@ def backend(request, monkeypatch):
         monkeypatch.setattr(jit_module, "_ALLOW_INTERPRETED", True)
     if request.param == "fused-numpy":
         disable_c_block(monkeypatch)
+        return "fused"
+    if request.param == "fused-c-draws":
+        # The NumPy loop, drawing through the driver's C lanes.
+        request.getfixturevalue("c_block")
+        monkeypatch.setattr(fused_module, "compiled_block",
+                            lambda kernel, lanes: None)
         return "fused"
     return request.param
 
@@ -356,6 +368,31 @@ class TestHyCiMParity:
         assert_exact_parity(reference, other, (ref_gens, gens))
         assert all(r.num_infeasible_skipped > 0 for r in reference)
         assert all(r.num_accepted_moves > 0 for r in reference)
+
+
+class TestAliasedGenerators:
+    """One ``Generator`` serving two replicas in per-replica mode: its draws
+    follow one another, so no backend may replay it as two streams."""
+
+    def test_every_backend_draws_one_stream(self, draw_path, monkeypatch):
+        problem = generate_qkp_instance(num_items=30, seed=3)
+        annealer = SimulatedAnnealer(
+            schedule=ExponentialSchedule(2000.0, 0.995), num_iterations=300)
+
+        def run(kernel):
+            shared = np.random.default_rng(5)
+            return BatchedSimulatedAnnealer(annealer).anneal(
+                problem.to_qubo(), np.zeros((2, problem.num_variables)),
+                [shared, shared], kernel=kernel), shared
+
+        # The generator calls themselves, one replica after the other.
+        with monkeypatch.context() as patch:
+            disable_c_block(patch)
+            calls, calls_rng = run("reference")
+        assert calls[0].num_accepted_moves > 0
+        for kernel in ("reference", "fused", "auto"):
+            results, shared = run(kernel)
+            assert_exact_parity(calls, results, ([calls_rng], [shared]))
 
 
 class TestSharedRNGMode:

@@ -97,20 +97,19 @@ def kernel_args(problem, dynamics=None, generators=None):
               if dynamics is not None and dynamics.rng_mode == "shared"
               else None)
     driver = LoopDriver(GeometricSchedule(10.0, 0.1), 10, generators,
-                        dynamics=dynamics, shared_rng=shared)
+                        dynamics=dynamics, shared_rng=shared, exclusive=True)
     return dict(matrix=matrix, offset=0.0, driver=driver,
                 move_generator=SingleFlipMove(), single_flip=True,
                 moves_per_iteration=1, current=current,
                 current_energy=batched_energies(matrix, current),
                 accept_filter_batch=problem.is_feasible_batch,
                 feasibility_constraints=(
-                    problem.linear_feasibility_constraints()),
-                generators=generators)
+                    problem.linear_feasibility_constraints()))
 
 
 def run_kernel(kernel):
-    kernel.run_block(0, 10)
-    kernel.finalize()
+    with kernel.driver:
+        kernel.run_block(0, 10)
     return kernel.best_energy.copy(), kernel.num_accepted.copy()
 
 
@@ -144,7 +143,7 @@ class TestWhichLoopRuns:
         }[case]
         kernel = make_sa_kernel("fused", **kernel_args(problem, dynamics,
                                                        generators))
-        assert kernel._streams is None and kernel._compiled is None
+        assert kernel.driver.replay() is None and kernel._compiled is None
         run_kernel(kernel)
 
 

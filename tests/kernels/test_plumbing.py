@@ -133,14 +133,14 @@ def _kernel_args(problem, *, single_flip=True, generic_filter=False):
     matrix = problem.to_qubo().matrix
     current = np.zeros((3, problem.num_variables))
     generators = [np.random.default_rng([9, k]) for k in range(3)]
-    driver = LoopDriver(GeometricSchedule(10.0, 0.1), 10, generators)
+    driver = LoopDriver(GeometricSchedule(10.0, 0.1), 10, generators,
+                        exclusive=single_flip)
     return dict(
         matrix=matrix, offset=0.0, driver=driver,
         move_generator=SingleFlipMove(), single_flip=single_flip,
         moves_per_iteration=1, current=current,
         current_energy=batched_energies(matrix, current),
-        accept_filter=(lambda row: True) if generic_filter else None,
-        generators=generators)
+        accept_filter=(lambda row: True) if generic_filter else None)
 
 
 def _hycim_kernel_args(problem, shift):
@@ -157,8 +157,7 @@ def _hycim_kernel_args(problem, shift):
         current_feasible=np.ones(current.shape[0], dtype=bool),
         use_delta=True, matrix=matrix, raw_energy=energy.copy(),
         constraints=problem.linear_feasibility_constraints(),
-        use_hardware_filters=False, use_crossbar=False,
-        generators=args["generators"])
+        use_hardware_filters=False, use_crossbar=False)
 
 
 class TestConstructionFallbacks:

@@ -83,7 +83,7 @@ def _make_kernel(matrix, starts, constraints, num_iterations, seed,
     generators = [np.random.default_rng([seed, k])
                   for k in range(starts.shape[0])]
     driver = LoopDriver(GeometricSchedule(5.0, 0.1), num_iterations,
-                        generators)
+                        generators, exclusive=True)
     current = starts.copy()
     energy = batched_energies(matrix, current)
     kernel = FusedSAKernel(
@@ -91,7 +91,7 @@ def _make_kernel(matrix, starts, constraints, num_iterations, seed,
         offset=0.0, driver=driver, single_flip=True, moves_per_iteration=1,
         current=current, current_energy=energy,
         accept_filter_batch=(_unconsulted_filter if constraints else None),
-        constraints=constraints or None, generators=generators)
+        constraints=constraints or None)
     return kernel
 
 
@@ -122,7 +122,7 @@ def _make_hycim_kernel(matrix, starts, constraints, num_iterations, seed):
     generators = [np.random.default_rng([seed, k])
                   for k in range(starts.shape[0])]
     driver = LoopDriver(GeometricSchedule(5.0, 0.1), num_iterations,
-                        generators)
+                        generators, exclusive=True)
     current = starts.copy()
     raw_energy = batched_energies(matrix, current)
     feasible = _satisfies(current, constraints)
@@ -130,8 +130,7 @@ def _make_hycim_kernel(matrix, starts, constraints, num_iterations, seed):
         matrix=matrix, driver=driver, single_flip=True,
         moves_per_iteration=1, constraints=constraints, current=current,
         current_energy=np.where(feasible, raw_energy, 0.0),
-        current_feasible=feasible, raw_energy=raw_energy,
-        generators=generators)
+        current_feasible=feasible, raw_energy=raw_energy)
 
 
 def _satisfies(batch, constraints):
@@ -222,8 +221,6 @@ class TestBlockFusionInvariance:
         fused.run_block(0, iterations)
         for iteration in range(iterations):
             stepped.run_block(iteration, 1)
-        fused.finalize()
-        stepped.finalize()
         np.testing.assert_array_equal(fused.current, stepped.current)
         np.testing.assert_array_equal(fused.current_energy,
                                       stepped.current_energy)
@@ -244,8 +241,6 @@ class TestBlockFusionInvariance:
         fused.run_block(0, iterations)
         for iteration in range(iterations):
             stepped.run_block(iteration, 1)
-        fused.finalize()
-        stepped.finalize()
         for name in ("current", "current_energy", "current_feasible",
                      "raw_energy", "best", "best_energy", "best_feasible",
                      "num_accepted", "num_feasible", "num_skipped"):
@@ -260,7 +255,6 @@ class TestBestTracking:
         matrix, starts, constraints, iterations, seed = run
         kernel = _make_kernel(matrix, starts, constraints, iterations, seed)
         kernel.run_block(0, iterations)
-        kernel.finalize()
         np.testing.assert_array_equal(kernel.best_energy,
                                       batched_energies(matrix, kernel.best))
         assert (kernel.best_energy <= kernel.current_energy).all()
@@ -273,7 +267,6 @@ class TestBestTracking:
         kernel = _make_hycim_kernel(matrix, starts, constraints, iterations,
                                     seed)
         kernel.run_block(0, iterations)
-        kernel.finalize()
         found = kernel.best_feasible
         np.testing.assert_array_equal(
             kernel.best_energy[found],

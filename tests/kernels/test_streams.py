@@ -1,11 +1,14 @@
 """ReplayStreams vs real NumPy generators: bit-exact draw replay.
 
-The fused/JIT kernels vectorise the per-replica PCG64 streams instead of
-calling each ``Generator`` in a Python loop.  These tests pin the replay
-contract against NumPy itself: every ``uniforms``/``integers`` draw matches
-what the corresponding ``Generator`` would have produced (including Lemire
-rejection resampling and the 32-bit buffering of ``integers``), and
-``write_back`` leaves the generators exactly where real draws would have.
+Where the loop driver replays the per-replica PCG64 streams, the fused
+NumPy loop draws them vectorised instead of calling each ``Generator`` in a
+Python loop.  These tests pin the replay contract against NumPy itself:
+every ``uniforms``/``integers`` draw matches what the corresponding
+``Generator`` would have produced (including Lemire rejection resampling
+and the 32-bit buffering of ``integers``), and ``write_back`` leaves the
+generators exactly where real draws would have.  ``TestEligibility`` pins
+the driver's rule for which runs replay at all, with the C library loaded
+and unavailable.
 """
 
 import numpy as np
@@ -13,8 +16,9 @@ import pytest
 
 from repro.dynamics.acceptance import MetropolisRule, acceptance_probability
 from repro.dynamics.schedule import GeometricSchedule
-from repro.dynamics.dynamics import Dynamics
+from repro.dynamics.dynamics import Dynamics, ParallelTempering
 from repro.dynamics.driver import LoopDriver
+from repro.kernels import native
 from repro.kernels.base import KernelUnsupportedError
 from repro.kernels.streams import (
     _JUMP_INCC_HI,
@@ -25,7 +29,6 @@ from repro.kernels.streams import (
     ReplayStreams,
     _mul128,
     metropolis_decisions,
-    try_replay_streams,
 )
 
 
@@ -235,44 +238,71 @@ class TestEligibility:
         with pytest.raises(KernelUnsupportedError, match="PCG64"):
             ReplayStreams(bad)
 
-    def _driver(self, generators, dynamics=None, shared_rng=None):
+    def _driver(self, generators, dynamics=None, shared_rng=None,
+                exchange_rng=None, exclusive=True):
         return LoopDriver(GeometricSchedule(10.0, 0.1), 10, generators,
-                          dynamics=dynamics, shared_rng=shared_rng)
+                          dynamics=dynamics, shared_rng=shared_rng,
+                          exchange_rng=exchange_rng, exclusive=exclusive)
 
-    def test_try_replay_accepts_default_configuration(self):
-        generators = make_generators(2)
-        driver = self._driver(generators)
-        assert try_replay_streams(driver, generators, 100) is not None
-
-    def test_try_replay_rejects_shared_rng(self):
-        generators = make_generators(2)
-        driver = self._driver(generators, dynamics=Dynamics(rng_mode="shared"),
-                              shared_rng=np.random.default_rng(0))
-        assert try_replay_streams(driver, generators, 100) is None
-
-    def test_try_replay_rejects_missing_generators(self):
+    def test_replay_accepts_default_configuration(self, draw_path):
         driver = self._driver(make_generators(2))
-        assert try_replay_streams(driver, None, 100) is None
+        lanes = driver.replay()
+        assert lanes is not None and driver.replay() is lanes
+        assert isinstance(lanes, native.NativeLanes) == (draw_path == "c")
 
-    def test_try_replay_rejects_non_metropolis_acceptance(self):
+    def test_replay_rejects_shared_rng(self, draw_path):
+        driver = self._driver(make_generators(2),
+                              dynamics=Dynamics(rng_mode="shared"),
+                              shared_rng=np.random.default_rng(0))
+        assert driver.replay() is None
+
+    def test_replay_needs_the_engines_exclusivity(self, draw_path):
+        assert self._driver(make_generators(2),
+                            exclusive=False).replay() is None
+
+    def test_replay_rejects_non_metropolis_acceptance(self, draw_path):
         class CustomRule(MetropolisRule):
             pass
 
-        generators = make_generators(2)
-        driver = self._driver(
-            generators, dynamics=Dynamics(acceptance=CustomRule()))
-        assert try_replay_streams(driver, generators, 100) is None
+        driver = self._driver(make_generators(2),
+                              dynamics=Dynamics(acceptance=CustomRule()))
+        assert driver.replay() is None
 
-    def test_try_replay_rejects_oversized_lemire_bound(self):
-        generators = make_generators(2)
-        driver = self._driver(generators)
-        assert try_replay_streams(driver, generators, 2**32 + 1) is None
-
-    def test_try_replay_rejects_non_pcg64(self):
+    def test_replay_rejects_non_pcg64(self, draw_path):
         generators = [np.random.Generator(np.random.MT19937(k))
                       for k in range(2)]
-        driver = self._driver(generators)
-        assert try_replay_streams(driver, generators, 100) is None
+        assert self._driver(generators).replay() is None
+
+    def test_replay_rejects_aliased_generators(self, draw_path):
+        shared = np.random.default_rng(4)
+        # Two Generator objects over one bit generator alias it too.
+        twin = np.random.Generator(shared.bit_generator)
+        for generators in ([shared, shared], [shared, twin]):
+            assert self._driver(generators).replay() is None
+
+    def test_replay_rejects_an_exchange_stream_that_is_a_replica(
+            self, draw_path):
+        generators = make_generators(2)
+        driver = self._driver(generators, dynamics=ParallelTempering(),
+                              exchange_rng=generators[1])
+        assert driver.replay() is None
+
+    def test_oversized_lemire_bound_hands_back_to_the_generators(
+            self, draw_path):
+        generators = make_generators(2)
+        control = make_generators(2)
+        with self._driver(generators) as driver:
+            driver.replay()
+            np.testing.assert_array_equal(
+                driver.flip_indices(7), [g.integers(0, 7) for g in control])
+            np.testing.assert_array_equal(
+                driver.flip_indices(2**32 + 1),
+                [g.integers(0, 2**32 + 1) for g in control])
+            assert driver.replay() is None
+            with pytest.raises(ValueError):
+                driver.flip_indices(0)
+        for mine, theirs in zip(generators, control):
+            assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 class TestMetropolisDecisions:

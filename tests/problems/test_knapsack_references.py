@@ -4,17 +4,20 @@ QUBO against the code they replaced.
 ``objective`` evaluates the pairwise profit as ``(x.(P x) - sum p_ii x_i^2)
 / 2``, ``objective_batch`` does so for a whole batch in one product, the
 samplers draw their coins in one ``rng.random(n)`` call (the QKP group
-sampler runs every replica's fit test in lock-step), and the QKP inequality
-QUBO is built from ``to_qubo()``.  The code they replaced is kept below as
-the reference: the samples and the generators' final states must match it
-exactly, the objective must match the ``x @ triu(P, 1) @ x`` form exactly on
-integer profits, and the QUBO matrix must match byte for byte.
+sampler runs every replica's fit test in lock-step), the QKP inequality
+QUBO is built from ``to_qubo()``, and ``to_qubo()`` builds ``-P_upper`` in
+the stored form the ``QUBOModel`` fold would return.  The code they replaced
+is kept below as the reference: the samples and the generators' final states
+must match it exactly, the objective must match the ``x @ triu(P, 1) @ x``
+form exactly on integer profits, and the QUBO matrices must match byte for
+byte.
 """
 
 import numpy as np
 import pytest
 
 from repro.batched.trials import _replica_starts
+from repro.core.qubo import QUBOModel
 from repro.core.transformation import to_inequality_qubo
 from repro.problems.generators import generate_qkp_instance
 from repro.problems.multidim_knapsack import (
@@ -206,6 +209,40 @@ class TestQKPInequalityQubo:
         assert new.qubo.matrix.tobytes() == old.qubo.matrix.tobytes()
         assert new.qubo.offset == old.qubo.offset
         assert new.constraints == old.constraints
+
+
+def folded_objective_qubo(profits):
+    """The replaced ``to_qubo``: ``-P_upper`` built whole, then folded by
+    the ``QUBOModel`` constructor."""
+    return QUBOModel(-(np.diag(np.diag(profits)) + np.triu(profits, k=1)))
+
+
+class TestObjectiveQubo:
+    @pytest.mark.parametrize("profits", ["integer", "float_with_zeros"])
+    @pytest.mark.parametrize("family", ["qkp", "mdqkp"])
+    def test_stored_form_matches_the_fold(self, family, profits):
+        if profits == "integer":
+            problem = integer_families()[family]
+        else:
+            values = float_profits(120, 19)
+            rng = np.random.default_rng(20)
+            zeros = np.triu(rng.random((120, 120)) < 0.3)
+            values[zeros | zeros.T] = 0.0
+            # Negative zeros on the diagonal, in both triangles, and facing
+            # a positive zero across it.
+            values[[0, 3, 9, 5, 7], [0, 9, 3, 5, 8]] = -0.0
+            values[8, 7] = 0.0
+            base = float_families()[family]
+            problem = (QuadraticKnapsackProblem(
+                profits=values, weights=base.weights, capacity=300.0)
+                if family == "qkp" else MultiDimensionalKnapsackProblem(
+                    profits=values, weights=base.weights,
+                    capacities=base.capacities))
+        new = problem.to_qubo()
+        old = folded_objective_qubo(problem.profits)
+        assert new.matrix.tobytes() == old.matrix.tobytes()
+        assert new.offset == old.offset
+        assert new.variable_names == old.variable_names
 
 
 class TestMDQKPSampler:
