@@ -32,6 +32,8 @@ import reporting
 from repro.annealing.sa import SimulatedAnnealer
 from repro.batched import BatchedSimulatedAnnealer
 from repro.dynamics import Dynamics
+from repro.kernels import native
+from repro.kernels.base import KernelUnavailableError
 from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_trials
 
@@ -115,6 +117,16 @@ FLOOR_ITERATIONS = 2500
 FLOOR_SPEEDUP = 5.0
 
 
+def _fused_block() -> str:
+    """Which fused block the timed runs took: ``"c"`` where the compiled
+    library loads, else ``"numpy"`` (the NumPy loop)."""
+    try:
+        native.library()
+    except KernelUnavailableError:
+        return "numpy"
+    return "c"
+
+
 class TestFusedKernelThroughputFloor:
     def test_fused_vs_reference_speedup_at_n1000(self):
         problem = generate_qkp_instance(
@@ -164,7 +176,9 @@ class TestFusedKernelThroughputFloor:
         print(f"\nFused-kernel throughput floor (n={FLOOR_N}, "
               f"M={FLOOR_REPLICAS}, {FLOOR_ITERATIONS} iterations):")
         print(f"  reference: {reference_us:6.2f} us/replica-iteration")
-        print(f"  fused:     {fused_us:6.2f} us/replica-iteration")
+        block = _fused_block()
+        print(f"  fused:     {fused_us:6.2f} us/replica-iteration "
+              f"(fused_block={block})")
         print(f"  speedup:   {speedup:6.2f}x  (pinned floor "
               f"{FLOOR_SPEEDUP:.1f}x)")
 
@@ -177,7 +191,8 @@ class TestFusedKernelThroughputFloor:
                      "num_replicas": FLOOR_REPLICAS,
                      "num_iterations": FLOOR_ITERATIONS,
                      "reference_us_per_replica_iteration": reference_us,
-                     "fused_us_per_replica_iteration": fused_us})
+                     "fused_us_per_replica_iteration": fused_us,
+                     "fused_block": block})
 
         assert speedup >= FLOOR_SPEEDUP, (
             f"fused kernel speedup {speedup:.2f}x at n={FLOOR_N} is below "

@@ -6,7 +6,9 @@ penalty weights ``alpha = beta = 2``, producing an unconstrained QUBO over
 ``n + C`` variables, which is then annealed with a standard simulated
 annealer -- or, for a fair hardware comparison, by the HyCiM engine over the
 constraint-free penalty model, whose FeFET crossbar then evaluates every
-candidate.
+candidate.  :meth:`DQUBOAnnealer.solve_batch` runs a group of replicas on
+either engine in lock-step, and :meth:`DQUBOAnnealer.solve` is its
+one-replica run.
 
 Because the search space is ``2^(n+C)`` and the penalty landscape is full of
 deep local minima at infeasible configurations, the baseline frequently ends
@@ -17,7 +19,7 @@ reports (10.75% average success rate vs HyCiM's 98.54%).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from repro.core.quantization import matrix_bit_width
 from repro.core.transformation import InequalityQUBO
 from repro.dynamics.moves import MoveGenerator, SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule, TemperatureSchedule
+from repro.fefet.variability import VariabilityModel
 from repro.problems.knapsack import KnapsackProblem
 from repro.problems.qkp import QuadraticKnapsackProblem
 
@@ -167,46 +170,63 @@ class DQUBOAnnealer:
         """Run one SA descent on the penalised D-QUBO objective.
 
         ``initial`` may be either a full ``n + m`` configuration or just the
-        ``n`` problem variables (slack bits are then seeded consistently).
+        ``n`` problem variables (slack bits are then seeded consistently);
+        random over all ``n + m`` bits when omitted.  The one-replica run of
+        :meth:`solve_batch`.
         """
         generator = rng or np.random.default_rng(self.seed)
-        total = self._transformation.num_variables
-        n = self._transformation.num_problem_variables
-
         if initial is None:
-            start = generator.integers(0, 2, size=total).astype(float)
-        else:
-            arr = np.asarray(initial, dtype=float)
-            if arr.shape[0] == total:
-                start = arr.copy()
-            elif arr.shape[0] == n:
-                start = self.extend_initial(arr, rng=generator)
-            else:
-                raise ValueError(
-                    f"initial configuration length {arr.shape[0]} matches neither "
-                    f"the problem dimension {n} nor the full dimension {total}"
-                )
+            initial = generator.integers(
+                0, 2, size=self._transformation.num_variables).astype(float)
+        return self.solve_batch([initial], [generator])[0]
 
+    def solve_batch(self, initials: Sequence[np.ndarray],
+                    rngs: Sequence[np.random.Generator],
+                    chips: Optional[Sequence[Optional[VariabilityModel]]] = None,
+                    chip_seeds: Optional[Sequence[Optional[int]]] = None,
+                    **engine) -> List[SolveResult]:
+        """Run one SA descent per replica on the D-QUBO objective, in
+        lock-step.
+
+        Replica ``k`` starts from ``initials[k]``, a full ``n + m``
+        configuration or the ``n`` problem variables, whose slack bits are
+        then seeded from ``rngs[k]``.  Software mode runs the SA engine on
+        the penalty QUBO, hardware mode the HyCiM engine over the penalty
+        model -- on one device-axis crossbar slice per replica when
+        ``chips`` and ``chip_seeds`` are given (see
+        :class:`~repro.batched.engine.BatchedHyCiMSolver`).  The ``engine``
+        keywords (``dynamics``, ``exchange_rng``, ``shared_rng``,
+        ``kernel``) go to either engine unchanged.
+        """
+        from repro.batched.engine import (BatchedHyCiMSolver,
+                                          BatchedSimulatedAnnealer)
+
+        total = self._transformation.num_variables
+        starts = np.stack([
+            np.asarray(initial, dtype=float) if len(initial) == total
+            else self.extend_initial(initial, rng=rng)
+            for initial, rng in zip(initials, rngs)])
         if self._hardware is None:
-            inner = SimulatedAnnealer(
+            inner = BatchedSimulatedAnnealer(SimulatedAnnealer(
                 schedule=self.schedule,
                 move_generator=self.move_generator,
                 num_iterations=self.num_iterations,
                 moves_per_iteration=self.moves_per_iteration,
                 record_history=self.record_history,
-            ).anneal(self._transformation.qubo, initial=start, rng=generator)
+            )).anneal(self._transformation.qubo, starts, rngs, **engine)
         else:
-            inner = self._hardware.solve(initial=start, rng=generator)
-        return self.assemble_result(inner)
+            inner = BatchedHyCiMSolver(
+                self._hardware, chips=chips, chip_seeds=chip_seeds,
+            ).solve_batch(starts, rngs, **engine)
+        return [self.assemble_result(raw) for raw in inner]
 
     def assemble_result(self, raw: SolveResult) -> SolveResult:
         """Decode a full-dimension engine result into the D-QUBO result shape.
 
-        The single assembly point shared by :meth:`solve` and the runtime's
-        trial function (:func:`repro.batched.trials.dqubo_trials`), so slack
-        decoding, the infeasible-objective convention and the metadata schema
-        are the same for one replica and for a batch, in software and
-        hardware mode.  The engine's provenance stamps (``vectorized``,
+        The single assembly point of :meth:`solve_batch`, so slack
+        decoding, the infeasible-objective convention and the metadata
+        schema are the same for one replica and for a batch, in software
+        and hardware mode.  The engine's provenance stamps (``vectorized``,
         ``num_replicas`` and, off the reference backend, ``kernel``) carry
         over, so D-QUBO results name their sweep kernel as HyCiM and SA
         results do.

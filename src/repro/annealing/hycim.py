@@ -76,12 +76,10 @@ class HyCiMSolver:
         Record the incumbent energy after every iteration (Fig. 7(f)).
     seed:
         RNG seed for the SA logic.
-    defer_hardware:
-        Skip building the shared CiM filter(s)/crossbar even though
-        ``use_hardware`` is set.  Intended for the batched engine's
-        batch-of-chips mode, where per-replica *device-axis* hardware
-        replaces the shared components and building them here would be dead
-        work; :meth:`solve` on a deferred solver runs software arithmetic.
+
+    In hardware mode the filter(s) and crossbar are programmed on first
+    use, so an engine that runs the solver's replicas on per-trial
+    device-axis chips instead never programs the shared ones.
     """
 
     problem: ProblemOrModel
@@ -96,7 +94,6 @@ class HyCiMSolver:
     matchline_noise_sigma: float = 0.0
     record_history: bool = False
     seed: Optional[int] = None
-    defer_hardware: bool = False
 
     def __post_init__(self) -> None:
         if self.num_iterations < 1:
@@ -114,16 +111,16 @@ class HyCiMSolver:
                 "problem must be a CombinatorialProblem or an InequalityQUBO, "
                 f"got {type(self.problem).__name__}"
             )
-        self._build_hardware()
+        self._filters: Optional[Dict[int, InequalityFilter]] = None
+        self._crossbar: Optional[FeFETCrossbar] = None
 
     # ------------------------------------------------------------------ #
     # Hardware construction
     # ------------------------------------------------------------------ #
     def _build_hardware(self) -> None:
-        """Instantiate the CiM filter(s) and crossbar when hardware mode is on."""
-        self._filters: Dict[int, InequalityFilter] = {}
-        self._crossbar: Optional[FeFETCrossbar] = None
-        if not self.use_hardware or self.defer_hardware:
+        """Program the CiM filter(s) and crossbar when hardware mode is on."""
+        self._filters = {}
+        if not self.use_hardware:
             return
         for index, constraint in enumerate(self._model.constraints):
             if isinstance(constraint, InequalityConstraint):
@@ -147,11 +144,15 @@ class HyCiMSolver:
     @property
     def inequality_filters(self) -> Dict[int, InequalityFilter]:
         """Constraint-index -> hardware filter map (empty in software mode)."""
+        if self._filters is None:
+            self._build_hardware()
         return dict(self._filters)
 
     @property
     def crossbar(self) -> Optional[FeFETCrossbar]:
         """The CiM crossbar (``None`` in software mode)."""
+        if self._filters is None:
+            self._build_hardware()
         return self._crossbar
 
     # ------------------------------------------------------------------ #

@@ -5,8 +5,9 @@ a whole replica batch per NumPy operation -- lock-step replica engines that
 preserve per-replica ``Generator`` streams for exact scalar parity
 (:mod:`repro.batched.engine`, whose batched energy, delta and verdict
 primitives live with the reference sweep in :mod:`repro.kernels.reference`),
-a batch-of-chips mode that runs per-trial device ``variability`` as one
-slice of the hardware stack's device axis per trial (see ARCHITECTURE.md),
+a batch-of-chips mode that runs per-trial device ``variability`` or a
+noisy crossbar as one slice of the hardware stack's device axis per trial
+(see ARCHITECTURE.md),
 and the trial functions of the runtime's ``"hycim"``, ``"sa"`` and
 ``"dqubo"`` solvers -- one per solver, any group of trial seeds -- with
 their setup from parameter dicts (:mod:`repro.batched.trials`).

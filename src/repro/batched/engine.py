@@ -18,20 +18,22 @@ D-QUBO baseline in both modes).
 does (the initial-state draw, one move draw per proposal, one uniform draw
 per feasible candidate), so replica ``k`` of a batch follows exactly the
 trajectory of a one-replica run with the same stream -- energies,
-accept/reject decisions, final configurations.  Hardware non-idealities
-that draw from a *shared* device RNG (crossbar read noise on a shared chip)
-keep per-replica streams intact but are only reproducible at batch
-granularity.
+accept/reject decisions, final configurations.  Crossbar read noise on a
+*shared* chip draws from that chip's one stream, so its replicas' results
+are reproducible only per batch -- for :class:`BatchedHyCiMSolver` used
+directly: the trial functions (:mod:`repro.batched.trials`) give every
+trial on a noisy crossbar a chip of its own (below).
 
 **Batch-of-chips.**  Per-trial device resampling -- the paper's Monte-Carlo
 over simulated chips -- runs through the hardware stack's device axis
-(ARCHITECTURE.md): :class:`BatchedHyCiMSolver` accepts one
-:class:`~repro.fefet.variability.VariabilityModel` per replica and builds
-device-axis filters and a device-axis crossbar, so replica ``k`` anneals on
-chip ``k``'s sampled non-idealities while all chips advance per NumPy
-operation.  Chip ``k``'s devices, noise and ADC codes are functions of chip
-``k``'s seeds alone, which keeps per-seed results identical to ``M``
-one-replica trials that each build their own hardware.
+(ARCHITECTURE.md): :class:`BatchedHyCiMSolver` accepts one chip per
+replica (a :class:`~repro.fefet.variability.VariabilityModel`, or ``None``
+for nominal filter cells) and builds device-axis filters and a device-axis
+crossbar, so replica ``k`` anneals on chip ``k``'s sampled non-idealities
+while all chips advance per NumPy operation.  Chip ``k``'s devices, noise
+and ADC codes are functions of chip ``k``'s seeds alone, which keeps
+per-seed results identical to ``M`` one-replica trials that each build
+their own hardware.
 
 The engines are deliberately *not* new solvers: they borrow the model,
 hardware, schedule and move generator from a solver instance, so any
@@ -275,10 +277,12 @@ class BatchedHyCiMSolver:
         The solver whose model, schedule, move generator and iteration
         budget the replicas share.
     chips:
-        Optional per-replica :class:`VariabilityModel` list (one freshly
-        sampled chip per replica).  In hardware mode the engine then builds
-        *device-axis* filters and crossbar -- replica ``k`` runs on chip
-        ``k``'s sampled cells -- instead of the solver's shared hardware.
+        Optional per-replica chip list: a :class:`VariabilityModel` (one
+        freshly sampled chip) or ``None`` (nominal filter cells).  In
+        hardware mode the engine then builds *device-axis* filters and
+        crossbar -- replica ``k`` runs on chip ``k``'s sampled cells and
+        draws its read noise from chip ``k``'s stream -- and never programs
+        the solver's shared hardware.
         Each chip's model is consumed in the solver's programming order
         (filters in constraint order, working before replica array), so chip
         ``k`` is identical to the hardware a one-replica trial with the same
@@ -468,14 +472,12 @@ class BatchedHyCiMSolver:
         # per proposal (exact on the integer matrices of the paper
         # benchmarks); the hardware path always goes through the batched
         # crossbar MVM.
-        use_crossbar = (solver.crossbar is not None
-                        or self._device_crossbar is not None)
+        use_crossbar = solver.use_hardware
         use_delta = single_flip and not use_crossbar
         qubo = solver.model.qubo
         raw_energy = (batched_energies(qubo.matrix, current, qubo.offset)
                       if use_delta else None)
-        use_hardware_filters = (self._device_filters is not None
-                                or bool(solver.inequality_filters))
+        use_hardware_filters = bool(self._filters())
         histories: List[List[float]] = [[] for _ in range(num_replicas)]
         # Noisy matchlines draw from the replica generators per candidate.
         with LoopDriver(solver.schedule, solver.num_iterations, generators,

@@ -22,14 +22,15 @@ Parameter dicts may carry plain values (``{"move_generator": "knapsack"}``)
 or constructed schedule / move / dynamics objects; both forms pickle, and
 :func:`build_dynamics` (re-exported by ``repro.runtime``) canonicalises both.
 
-Per-trial device ``variability`` -- a freshly programmed chip per trial --
-runs through the hardware stack's *device axis* (ARCHITECTURE.md): each
-trial's chip is sampled from one :func:`_build_variability` model per trial
-seed and occupies one slice of the device-axis filters/crossbar, so the
-Monte-Carlo over chips advances in lock-step instead of trial by trial.
-Only the ``dqubo`` hardware mode (a per-trial crossbar over the combined
-penalty QUBO, an overhead study rather than a throughput path) runs trial
-by trial, so every registry parameter dict stays valid.
+In hardware mode one rule, :func:`_trial_chips`, places the ``hycim`` and
+``dqubo`` trials of a group on the hardware stack's *device axis*
+(ARCHITECTURE.md).  Where a trial's chip differs from its neighbours' -- a
+``variability`` template samples one per trial seed through
+:func:`_build_variability` -- or draws at read time -- crossbar read noise
+-- each trial occupies its own slice of the device-axis filters/crossbar,
+seeded as a lone trial's chip is, so the Monte-Carlo over chips advances in
+lock-step and every trial's result is independent of its group.  Every
+other group reads one shared chip, which draws nothing per read.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from repro.dynamics.schedule import (
     TemperatureSchedule,
 )
 from repro.fefet.variability import VariabilityModel
-from repro.kernels.base import canonical_kernel_param
 from repro.problems.base import CombinatorialProblem
 
 __all__ = ["dqubo_trials", "hycim_trials", "sa_trials"]
@@ -215,6 +215,33 @@ def _build_variability(value: Any, seed: int):
     return VariabilityModel(seed=device_seed, **payload)
 
 
+def _trial_chips(params: Mapping[str, Any], seeds: Sequence[int],
+                 use_hardware: bool):
+    """The group's chips, ``(chips, chip_seeds)``, or ``(None, None)`` where
+    its trials share one chip (or, in software mode, run on none).
+
+    A trial needs a device-axis slice of its own where its chip is its own
+    (``variability`` samples one per trial seed) or draws at read time
+    (``crossbar_config`` with ``current_noise_sigma > 0``): a shared noisy
+    chip would hand each trial the next values of one noise stream, which
+    depend on the group.  Each slice's crossbar and ADC streams restart
+    from the seed a lone trial's crossbar has -- the ``crossbar_config``
+    seed, else the trial seed.  Any other chip draws nothing per read, so
+    the group shares one.
+    """
+    if not use_hardware:
+        return None, None
+    variability = params.get("variability")
+    config = params.get("crossbar_config")
+    if variability is None and (config is None
+                                or config.current_noise_sigma == 0):
+        return None, None
+    chips = [_build_variability(variability, int(seed)) for seed in seeds]
+    chip_seeds = [config.seed if config is not None else int(seed)
+                  for seed in seeds]
+    return chips, chip_seeds
+
+
 def _auto_schedule(problem: CombinatorialProblem) -> TemperatureSchedule:
     """Instance-scaled geometric schedule (the protocol used throughout
     ``analysis``): start at 20x the largest objective coefficient so uphill
@@ -235,28 +262,6 @@ def _auto_schedule(problem: CombinatorialProblem) -> TemperatureSchedule:
     scale = scale or 1.0
     return GeometricSchedule(start_temperature=20.0 * scale,
                              end_temperature=max(0.02 * scale, 1e-3))
-
-
-def _initial_configuration(problem: CombinatorialProblem, params: Mapping[str, Any],
-                           rng: np.random.Generator,
-                           initial: Optional[np.ndarray]) -> np.ndarray:
-    """Resolve the trial's starting configuration.
-
-    ``params["initial"]`` selects the sampling policy when no explicit initial
-    state was handed to the executor: ``"feasible"`` (default) draws a random
-    feasible configuration, ``"random"`` a uniform binary vector, ``"zeros"``
-    the empty selection (the erased-chip state of Fig. 7(f)).
-    """
-    if initial is not None:
-        return np.asarray(initial, dtype=float)
-    policy = params.get("initial", "feasible")
-    if policy == "feasible":
-        return problem.random_feasible_configuration(rng)
-    if policy == "random":
-        return rng.integers(0, 2, size=problem.num_variables).astype(float)
-    if policy == "zeros":
-        return np.zeros(problem.num_variables)
-    raise ValueError(f"unknown initial-state policy {policy!r}")
 
 
 def _dynamics_setup(params: Mapping[str, object], seeds: Sequence[int]):
@@ -293,25 +298,34 @@ def _group_generators(seeds: Sequence[int],
 def _replica_starts(problem: CombinatorialProblem, params: Mapping[str, object],
                     rngs: Sequence[np.random.Generator],
                     initials: Sequence[Optional[np.ndarray]]) -> np.ndarray:
-    """Per-replica starting configurations, drawn from each replica's stream
-    in the order :func:`_initial_configuration` draws a single trial's.
+    """Per-replica starting configurations: ``initials[k]`` where given,
+    else drawn from ``rngs[k]``, in replica order, by the
+    ``params["initial"]`` policy.
 
-    Under the ``"feasible"`` policy the replicas without an explicit initial
-    state draw theirs in one
+    ``"feasible"`` (default) draws a random feasible configuration -- all
+    of them in one
     :meth:`~repro.problems.base.CombinatorialProblem.random_feasible_configurations`
-    call, in replica order; the others draw nothing.
+    call -- ``"random"`` a uniform binary vector and ``"zeros"`` the empty
+    selection (the erased-chip state of Fig. 7(f)).  Replicas with an
+    explicit initial state draw nothing.
     """
-    starts = list(initials)
-    if params.get("initial", "feasible") == "feasible":
-        missing = [k for k, initial in enumerate(initials) if initial is None]
+    policy = params.get("initial", "feasible")
+    missing = [k for k, initial in enumerate(initials) if initial is None]
+    n = problem.num_variables
+    if policy == "feasible":
         drawn = problem.random_feasible_configurations(
             [rngs[k] for k in missing])
-        for k, row in zip(missing, drawn):
-            starts[k] = row
-    return np.stack([
-        _initial_configuration(problem, params, rng, start)
-        for rng, start in zip(rngs, starts)
-    ])
+    elif policy == "random":
+        drawn = [rngs[k].integers(0, 2, size=n).astype(float)
+                 for k in missing]
+    elif policy == "zeros":
+        drawn = [np.zeros(n)] * len(missing)
+    else:
+        raise ValueError(f"unknown initial-state policy {policy!r}")
+    starts = list(initials)
+    for k, row in zip(missing, drawn):
+        starts[k] = row
+    return np.stack([np.asarray(start, dtype=float) for start in starts])
 
 
 def hycim_trials(
@@ -323,18 +337,17 @@ def hycim_trials(
     """Run the ``"hycim"`` trials of ``seeds`` as one lock-step replica batch.
 
     All replicas share one :class:`HyCiMSolver` instance's model and
-    schedule.  Without per-trial ``variability`` they also share its hardware
-    (one programmed crossbar, one filter per constraint); with a
-    ``variability`` template each trial becomes a freshly sampled chip on the
-    engine's device axis -- chip ``k`` is built from the model
-    :func:`_build_variability` derives from ``seeds[k]``, and its
-    crossbar/ADC streams restart from the same per-trial seed, so a trial's
-    result does not depend on its group.
+    schedule.  In hardware mode they also share its hardware (one
+    programmed crossbar, one filter per constraint), unless
+    :func:`_trial_chips` gives each trial a chip of its own on the engine's
+    device axis -- chip ``k``'s cells sampled from the model
+    :func:`_build_variability` derives from ``seeds[k]`` where a
+    ``variability`` template is set, its crossbar/ADC streams restarted
+    from the seed a lone trial's crossbar has -- so a trial's result does
+    not depend on its group.
     """
     dynamics, exchange_rng, shared_rng = _dynamics_setup(params, seeds)
     use_hardware = bool(params.get("use_hardware", True))
-    variability = params.get("variability")
-    device_mode = use_hardware and variability is not None
     solver = HyCiMSolver(
         problem,
         use_hardware=use_hardware,
@@ -348,20 +361,8 @@ def hycim_trials(
         matchline_noise_sigma=float(
             params.get("matchline_noise_sigma", 0.0)),
         record_history=bool(params.get("record_history", False)),
-        # Device-axis hardware replaces the shared components; building
-        # the shared crossbar/filters would be pure dead work per chunk.
-        defer_hardware=device_mode,
     )
-    chips = chip_seeds = None
-    if device_mode:
-        # One freshly sampled chip per trial; the chip's crossbar/ADC seed
-        # is the trial seed when no CrossbarConfig is given, the config's
-        # own seed -- restarted per trial -- otherwise.
-        chips = [_build_variability(variability, int(seed))
-                 for seed in seeds]
-        config = params.get("crossbar_config")
-        chip_seeds = ([config.seed] * len(chips) if config is not None
-                      else [int(seed) for seed in seeds])
+    chips, chip_seeds = _trial_chips(params, seeds, use_hardware)
     rngs = _group_generators(seeds, shared_rng)
     starts = _replica_starts(problem, params, rngs, initials)
     return BatchedHyCiMSolver(solver, chips=chips,
@@ -431,28 +432,6 @@ def sa_trials(
     return results
 
 
-def _dqubo_solver(problem: CombinatorialProblem, params: Mapping[str, object],
-                  dynamics, **hardware) -> DQUBOAnnealer:
-    """The D-QUBO solver a parameter dict describes; ``hardware`` carries
-    the hardware-mode flag and, in hardware mode, crossbar config and seed."""
-    encoding = params.get("encoding", SlackEncoding.ONE_HOT)
-    if isinstance(encoding, str):
-        encoding = SlackEncoding(encoding)
-    return DQUBOAnnealer(
-        problem,
-        alpha=float(params.get("alpha", 2.0)),
-        beta=float(params.get("beta", 2.0)),
-        encoding=encoding,
-        num_iterations=int(params.get("num_iterations", 1000)),
-        moves_per_iteration=int(params.get("moves_per_iteration", 1)),
-        schedule=_resolve_schedule(problem, params, dynamics),
-        move_generator=_build_move(
-            params.get("move_generator", "single_flip")),
-        record_history=bool(params.get("record_history", False)),
-        **hardware,
-    )
-
-
 def dqubo_trials(
     problem: CombinatorialProblem,
     params: Mapping[str, object],
@@ -462,59 +441,37 @@ def dqubo_trials(
     """Run the ``"dqubo"`` trials of ``seeds`` as one lock-step replica batch.
 
     The D-QUBO construction (penalty + slack transformation) is shared by
-    every replica; the SA descent on the combined matrix then advances all
-    replicas in lock-step with batched energy evaluation on the dQUBO
-    matrix, replaying each replica's stream exactly (slack-bit seeding
-    included).  Hardware mode -- a per-trial crossbar over the combined
-    matrix, seeded from the trial seed and used only for the Fig. 9
-    overhead study -- runs trial by trial.
+    every replica, and :meth:`DQUBOAnnealer.solve_batch` runs the group:
+    each replica's slack bits are seeded from its own stream, then every
+    replica descends in lock-step -- on the SA engine over the dQUBO matrix
+    in software mode, on the HyCiM engine over the penalty model in
+    hardware mode (the Fig. 9 overhead configuration), whose crossbar
+    follows the same per-trial chip rule as ``"hycim"``
+    (:func:`_trial_chips`).
     """
-    if bool(params.get("use_hardware", False)):
-        dynamics = build_dynamics(params.get("dynamics"))
-        if dynamics is not None and dynamics.coupled:
-            raise ValueError(
-                "hardware-mode dqubo runs trial by trial (one crossbar per "
-                "trial) and cannot run coupled dynamics (replica exchange / "
-                "shared RNG)")
-        if canonical_kernel_param(params.get("kernel")) is not None:
-            raise ValueError(
-                "hardware-mode dqubo runs trial by trial (one crossbar per "
-                "trial) and cannot select a sweep-kernel backend; drop "
-                "params['kernel'] or run software mode")
-        results = []
-        for seed, initial in zip(seeds, initials):
-            solver = _dqubo_solver(
-                problem, params, dynamics, use_hardware=True,
-                crossbar_config=params.get("crossbar_config"), seed=int(seed))
-            rng = np.random.default_rng(int(seed))
-            start = _initial_configuration(problem, params, rng, initial)
-            results.append(solver.solve(initial=start, rng=rng))
-        return results
     dynamics, exchange_rng, shared_rng = _dynamics_setup(params, seeds)
-    solver = _dqubo_solver(problem, params, dynamics, use_hardware=False)
-    transformation = solver.transformation
-    total = transformation.num_variables
+    use_hardware = bool(params.get("use_hardware", False))
+    encoding = params.get("encoding", SlackEncoding.ONE_HOT)
+    if isinstance(encoding, str):
+        encoding = SlackEncoding(encoding)
+    solver = DQUBOAnnealer(
+        problem,
+        alpha=float(params.get("alpha", 2.0)),
+        beta=float(params.get("beta", 2.0)),
+        encoding=encoding,
+        use_hardware=use_hardware,
+        num_iterations=int(params.get("num_iterations", 1000)),
+        moves_per_iteration=int(params.get("moves_per_iteration", 1)),
+        schedule=_resolve_schedule(problem, params, dynamics),
+        move_generator=_build_move(
+            params.get("move_generator", "single_flip")),
+        crossbar_config=params.get("crossbar_config"),
+        record_history=bool(params.get("record_history", False)),
+    )
+    chips, chip_seeds = _trial_chips(params, seeds, use_hardware)
     rngs = _group_generators(seeds, shared_rng)
     starts = _replica_starts(problem, params, rngs, initials)
-    # Slack-bit seeding per replica, from that replica's stream (the same
-    # extend_initial branch DQUBOAnnealer.solve takes for problem-dim
-    # initials; full-dimension initials pass through untouched).
-    extended = np.stack([
-        start.copy() if start.shape[0] == total
-        else solver.extend_initial(start, rng=rng)
-        for start, rng in zip(starts, rngs)
-    ])
-    annealer = SimulatedAnnealer(
-        schedule=solver.schedule,
-        move_generator=solver.move_generator,
-        num_iterations=solver.num_iterations,
-        moves_per_iteration=solver.moves_per_iteration,
-        record_history=solver.record_history,
-    )
-    inner = BatchedSimulatedAnnealer(annealer).anneal(
-        transformation.qubo, extended, rngs, dynamics=dynamics,
-        exchange_rng=exchange_rng, shared_rng=shared_rng,
-        # The penalty QUBO is annealed unconstrained, so the fused/JIT
-        # backends apply without a linear-feasibility form.
-        kernel=params.get("kernel"))
-    return [solver.assemble_result(raw) for raw in inner]
+    return solver.solve_batch(
+        starts, rngs, dynamics=dynamics, exchange_rng=exchange_rng,
+        shared_rng=shared_rng, kernel=params.get("kernel"), chips=chips,
+        chip_seeds=chip_seeds)

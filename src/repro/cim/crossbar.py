@@ -268,15 +268,17 @@ class FeFETCrossbar:
         ``(K, 2, bits, M, n)`` column-current stack: shared 0/1 planes take
         one stacked product over the flattened replica axis (exact), per-chip
         ``(D, bits, n, n)`` conductances one stacked product per slice and
-        sign, so every plane keeps the operand shapes of a plane-by-plane
-        read.  Slice ``k`` then draws its read noise for the whole stack at
-        once from chip ``devices[k]``'s stream -- for distinct chips the very
-        values a plane-by-plane read draws (positive planes, then negative,
-        one plane at a time); a chip named twice draws slice by slice rather
-        than interleaved plane by plane.  One ADC call digitises the stack,
-        and each sign's per-plane row sums are shifted by ``2**b`` and added
-        in increasing ``b``.  Returns the ``(K, M)`` positive-minus-negative
-        sums.
+        sign made of one ``(1, n) @ (n, n)`` product per replica row and
+        plane, so a row's floats are those of a lone row's read whatever
+        ``M`` is (a product over ``M`` rows may associate its sums
+        differently).  Slice ``k`` then draws its read noise for the whole
+        stack at once from chip ``devices[k]``'s stream -- for distinct
+        chips the very values a plane-by-plane read draws (positive planes,
+        then negative, one plane at a time); a chip named twice draws slice
+        by slice rather than interleaved plane by plane.  One ADC call
+        digitises the stack, and each sign's per-plane row sums are shifted
+        by ``2**b`` and added in increasing ``b``.  Returns the ``(K, M)``
+        positive-minus-negative sums.
         """
         config = self.config
         bits = config.weight_bits
@@ -289,7 +291,8 @@ class FeFETCrossbar:
                     bits, num_chips, num_replicas, n).swapaxes(0, 1)
             else:
                 for k, device in enumerate(devices):
-                    currents[k, sign] = batch[k] @ planes[device]
+                    np.matmul(batch[k][:, None, :], planes[device][:, None],
+                              out=currents[k, sign][:, :, None])
         currents *= batch[:, None, None]
         if config.current_noise_sigma > 0:
             for k, device in enumerate(devices):
@@ -313,10 +316,9 @@ class FeFETCrossbar:
         The single-chip view over :meth:`compute_energies_devices`: one
         read covers every replica row, with read noise and ADC quantization
         applied per replica.  Noise-free results
-        equal the scalar path's (bit-for-bit for losslessly stored integer
-        matrices); with read noise enabled the draw order differs from ``M``
-        scalar calls, so noisy batches are reproducible at batch granularity
-        only.
+        equal the scalar path's bit for bit; with read noise enabled the
+        draw order differs from ``M`` scalar calls, so noisy batches are
+        reproducible at batch granularity only.
         """
         batch = np.asarray(configurations, dtype=float)
         if batch.ndim == 1:

@@ -183,8 +183,10 @@ class QUBOModel:
     def energy_delta(self, x: np.ndarray, flip_index: int) -> float:
         """Energy change from flipping bit ``flip_index`` of configuration ``x``.
 
-        Computed in O(n) without re-evaluating the full quadratic form; this
-        is the inner loop of every software annealer in the repository.
+        Computed in O(n) without re-evaluating the full quadratic form.  The
+        scalar reference form: the annealing engines evaluate flips in batch
+        with :func:`repro.kernels.reference.batched_energy_delta` or, in the
+        fused kernels, from incrementally maintained local fields.
         """
         vec = _as_binary_vector(x, self.num_variables)
         i = int(flip_index)

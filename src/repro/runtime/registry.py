@@ -126,12 +126,20 @@ def as_solver_spec(spec: SpecLike) -> SolverSpec:
 # --------------------------------------------------------------------- #
 # Exact / reference trial functions
 # --------------------------------------------------------------------- #
+#: ``solver_name`` of each reference solver's results, by registry name.
+_REFERENCE_NAMES = {"greedy": "Greedy", "dp": "DP",
+                    "brute_force": "BruteForce",
+                    "local_search": "LocalSearch"}
+
+
 def _exact_result(problem: CombinatorialProblem, model: InequalityQUBO,
-                  x: np.ndarray, value: float, name: str,
+                  x: np.ndarray, value: float, solver: str,
                   num_evaluated: int = 0) -> SolveResult:
     """A reference solver's result; ``model`` is the problem's HyCiM
     inequality-QUBO form, built once per group, so exact solvers report
-    energies on the same scale as the annealers."""
+    energies on the same scale as the annealers.  Only the
+    :data:`DETERMINISTIC_SOLVERS` are marked ``deterministic``: a local
+    search from random starts is not."""
     x = np.array(x, dtype=float)
     return SolveResult(
         best_configuration=x,
@@ -140,8 +148,9 @@ def _exact_result(problem: CombinatorialProblem, model: InequalityQUBO,
         feasible=problem.is_feasible(x),
         num_iterations=num_evaluated,
         num_feasible_evaluations=num_evaluated,
-        solver_name=name,
-        metadata={"deterministic": True},
+        solver_name=_REFERENCE_NAMES[solver],
+        metadata=({"deterministic": True}
+                  if solver in DETERMINISTIC_SOLVERS else {}),
     )
 
 
@@ -151,7 +160,7 @@ def _greedy_trials(problem: CombinatorialProblem, params: Mapping[str, Any],
     outcome = solve_qkp_greedy(problem)
     model = problem.to_inequality_qubo()
     return [_exact_result(problem, model, outcome.configuration,
-                          outcome.value, "Greedy") for _ in seeds]
+                          outcome.value, "greedy") for _ in seeds]
 
 
 def _dp_trials(problem: CombinatorialProblem, params: Mapping[str, Any],
@@ -167,7 +176,7 @@ def _dp_trials(problem: CombinatorialProblem, params: Mapping[str, Any],
     outcome = solve_knapsack_dp(problem)
     model = problem.to_inequality_qubo()
     return [_exact_result(problem, model, outcome.best_configuration,
-                          outcome.best_value, "DP") for _ in seeds]
+                          outcome.best_value, "dp") for _ in seeds]
 
 
 def _brute_force_trials(problem: CombinatorialProblem,
@@ -178,7 +187,7 @@ def _brute_force_trials(problem: CombinatorialProblem,
         problem, max_variables=int(params.get("max_variables", 22)))
     model = problem.to_inequality_qubo()
     return [_exact_result(problem, model, outcome.best_configuration,
-                          outcome.best_value, "BruteForce",
+                          outcome.best_value, "brute_force",
                           num_evaluated=outcome.num_evaluated)
             for _ in seeds]
 
@@ -200,7 +209,7 @@ def _local_search_trials(problem: CombinatorialProblem,
         outcome = improve_qkp_local_search(
             problem, start, max_passes=int(params.get("max_passes", 50)))
         results.append(_exact_result(problem, model, outcome.configuration,
-                                     outcome.value, "LocalSearch",
+                                     outcome.value, "local_search",
                                      num_evaluated=outcome.iterations))
     return results
 
@@ -271,11 +280,12 @@ def kernel_resolved(result: SolveResult) -> Optional[str]:
     ``"reference"`` for an engine result without one; ``"scalar"`` for a
     result without the engine's ``vectorized`` marker, such as one persisted
     by the scalar loops that single trials ran on before they became
-    one-replica engine runs.  Exact solvers run no sweep kernel: ``None``.
+    one-replica engine runs.  Reference solvers, told apart by their
+    ``solver_name``, run no sweep kernel: ``None``.
     """
-    metadata = result.metadata
-    if metadata.get("deterministic"):
+    if result.solver_name in _REFERENCE_NAMES.values():
         return None
+    metadata = result.metadata
     if "kernel" in metadata:
         return str(metadata["kernel"])
     return "reference" if metadata.get("vectorized") else "scalar"

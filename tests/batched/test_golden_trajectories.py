@@ -88,6 +88,12 @@ CELLS = {
     "hycim-hardware-history": ("qkp", "hycim", {"num_iterations": 30,
                                                 "use_hardware": True,
                                                 "record_history": True}),
+    # Read noise and ADC on one configured chip, no per-trial variability:
+    # each trial still reads its own noise stream, as a lone trial does.
+    "hycim-noisy-crossbar": ("qkp", "hycim", {
+        "num_iterations": 30, "use_hardware": True,
+        "crossbar_config": CrossbarConfig(current_noise_sigma=0.02,
+                                          adc_bits=8, seed=7)}),
 }
 
 #: Fields compared exactly; ``energy_history`` only where a cell records it.

@@ -19,6 +19,7 @@ import pytest
 from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.sa import SimulatedAnnealer
 from repro.batched import BatchedHyCiMSolver, BatchedSimulatedAnnealer
+from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
 from repro.dynamics.schedule import GeometricSchedule
 from repro.runtime import derive_trial_seeds, run_trials
 
@@ -421,19 +422,83 @@ class TestBackendParity:
         np.testing.assert_array_equal(serial.best_energies,
                                       vectorized.best_energies)
 
-    def test_dqubo_hardware_mode_falls_back_to_scalar(self, small_qkp):
-        """Hardware-mode dqubo (the Fig. 9 overhead configuration) runs
-        trial by trial on every backend, with identical per-seed results."""
-        params = {"num_iterations": 8, "use_hardware": True}
-        serial = run_trials(small_qkp, "dqubo", num_trials=2, params=params,
+    #: Hardware D-QUBO crossbars: ideal at the matrix's own bit width, and
+    #: one non-ideality each at 16 bits.
+    DQUBO_CROSSBARS = {
+        "ideal": None,
+        "read-noise": CrossbarConfig(weight_bits=16, current_noise_sigma=0.02,
+                                     seed=7),
+        "adc": CrossbarConfig(weight_bits=16, adc_bits=8, seed=7),
+        "on-current-variation": CrossbarConfig(
+            weight_bits=16, on_current_variation_sigma=0.05, seed=7),
+    }
+
+    @pytest.mark.parametrize("crossbar", sorted(DQUBO_CROSSBARS))
+    def test_dqubo_hardware_group_is_one_engine_batch(self, small_qkp,
+                                                      crossbar):
+        """Hardware-mode dqubo (the Fig. 9 overhead configuration) runs a
+        vectorized group as one HyCiM engine batch, with the serial per-seed
+        configurations, energies, objectives, counters and histories."""
+        params = {"num_iterations": 30, "use_hardware": True,
+                  "record_history": True,
+                  "crossbar_config": self.DQUBO_CROSSBARS[crossbar]}
+        serial = run_trials(small_qkp, "dqubo", num_trials=4, params=params,
                             backend="serial", master_seed=5)
-        vectorized = run_trials(small_qkp, "dqubo", num_trials=2,
+        vectorized = run_trials(small_qkp, "dqubo", num_trials=4,
                                 params=params, backend="vectorized",
                                 master_seed=5)
-        assert all(r.metadata["num_replicas"] == 1
+        assert all(r.metadata["num_replicas"] == 4
                    for r in vectorized.results)
-        np.testing.assert_array_equal(serial.best_energies,
-                                      vectorized.best_energies)
+        assert_results_match(serial.results, vectorized.results, exact=True)
+        for a, b in zip(serial.results, vectorized.results):
+            assert a.metadata["penalty_satisfied"] == \
+                b.metadata["penalty_satisfied"]
+
+    @pytest.mark.parametrize("solver,params,per_trial", [
+        ("hycim", {"variability": {"threshold_sigma": 0.02}}, True),
+        ("hycim", {"crossbar_config": CrossbarConfig(
+            current_noise_sigma=0.02, adc_bits=8, seed=7)}, True),
+        ("hycim", {"crossbar_config": CrossbarConfig(
+            adc_bits=8, on_current_variation_sigma=0.05, seed=7)}, False),
+        ("hycim", {}, False),
+        ("dqubo", {"crossbar_config": CrossbarConfig(
+            weight_bits=16, current_noise_sigma=0.02, seed=7)}, True),
+        ("dqubo", {}, False),
+    ], ids=["hycim-variability", "hycim-read-noise", "hycim-quiet-chip",
+            "hycim-ideal", "dqubo-read-noise", "dqubo-ideal"])
+    def test_a_group_programs_one_crossbar(self, small_qkp, monkeypatch,
+                                           solver, params, per_trial):
+        """A group on per-trial chips builds only its device-axis crossbar
+        (one slice per trial), and a shared-chip group only the shared
+        one."""
+        built = []
+        program = FeFETCrossbar.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("device_seeds"))
+            program(self, *args, **kwargs)
+
+        monkeypatch.setattr(FeFETCrossbar, "__init__", counting)
+        run_trials(small_qkp, solver, num_trials=4, backend="vectorized",
+                   params={"num_iterations": 5, "use_hardware": True,
+                           **params}, master_seed=3)
+        assert len(built) == 1
+        assert built[0] is None or len(built[0]) == 4
+        assert (built[0] is not None) == per_trial
+
+    def test_dqubo_hardware_group_runs_coupled_dynamics(self, small_qkp):
+        """The HyCiM engine's replica exchange and kernel selection reach
+        hardware-mode dqubo too; a tempering group is reproducible."""
+        params = {"num_iterations": 20, "use_hardware": True,
+                  "kernel": "auto",
+                  "dynamics": {"kind": "parallel_tempering", "hottest": 4.0,
+                               "exchange_interval": 5}}
+        first, second = (run_trials(small_qkp, "dqubo", num_trials=4,
+                                    params=params, backend="vectorized",
+                                    master_seed=9) for _ in range(2))
+        assert all(r.metadata["num_replicas"] == 4 for r in first.results)
+        np.testing.assert_array_equal(first.best_energies,
+                                      second.best_energies)
 
     def test_unbatched_solver_falls_back(self, small_qkp):
         """Reference solvers run no lock-step engine, but their trial

@@ -106,6 +106,19 @@ class TestNonIdealCrossbar:
         ]
         assert max(deviations) > 0.0
 
+    def test_varied_chip_reads_each_row_as_a_lone_row(self, rng):
+        """A varied chip's energy for a row does not depend on how many rows
+        share the read: a batch equals its rows read one at a time, bit for
+        bit (at n=100, where one product over all rows rounds differently)."""
+        qubo = QUBOModel(rng.integers(-60, 61, size=(100, 100)).astype(float))
+        crossbar = FeFETCrossbar.from_qubo(
+            qubo, CrossbarConfig(weight_bits=7,
+                                 on_current_variation_sigma=0.05, seed=4))
+        batch = rng.integers(0, 2, size=(16, 100)).astype(float)
+        np.testing.assert_array_equal(
+            crossbar.compute_energies(batch),
+            [crossbar.compute_energy(row) for row in batch])
+
 
 class TestLinearity:
     def test_column_current_scales_linearly(self):

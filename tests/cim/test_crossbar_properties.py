@@ -92,7 +92,8 @@ def non_ideal_crossbars(draw, max_variables=16, max_chips=4, max_replicas=4):
 
 def plane_by_plane_read(crossbar: FeFETCrossbar, seeds, devices,
                         batch: np.ndarray) -> np.ndarray:
-    """Read one sign and one bit plane at a time, chips in selection order.
+    """Read one sign and one bit plane at a time, chips in selection order
+    and each replica row on its own.
 
     Each chip's ON-current factors (positive planes, then negative) and
     read noise come from fresh streams seeded by its chip seed; the column
@@ -123,7 +124,9 @@ def plane_by_plane_read(crossbar: FeFETCrossbar, seeds, devices,
                 plane = planes[sign][b]
                 if config.on_current_variation_sigma > 0:
                     plane = factors[sign][chip][b] * plane
-                currents[k] = (batch[k] @ plane) * batch[k]
+                # Each replica row is a read of its own.
+                currents[k] = np.concatenate(
+                    [row[None] @ plane for row in batch[k]]) * batch[k]
                 if config.current_noise_sigma > 0:
                     currents[k] = np.maximum(currents[k] * (
                         1.0 + noise[chip].normal(

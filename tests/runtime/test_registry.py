@@ -114,6 +114,27 @@ class TestTrialFunctions:
         assert len(batch.results) == 5
         assert len(calls) == 1
 
+    def test_only_deterministic_solvers_are_marked_deterministic(self,
+                                                                 tiny_qkp):
+        """Local search from random starts varies per trial, so its results
+        carry no ``deterministic`` mark; no reference solver's result names
+        a sweep kernel, also when read from a store written while local
+        search was still marked."""
+        from repro.problems.generators import generate_qkp_instance
+        from repro.runtime.registry import kernel_resolved
+        local = run_trials(generate_qkp_instance(num_items=30, seed=3),
+                           "local_search", num_trials=6, master_seed=2024)
+        assert len(set(local.best_energies)) > 1
+        for result in local.results:
+            assert "deterministic" not in result.metadata
+            assert kernel_resolved(result) is None
+            result.metadata["deterministic"] = True
+            assert kernel_resolved(result) is None
+        for solver in ("greedy", "brute_force"):
+            result = run_single_trial(tiny_qkp, solver, seed=0)
+            assert result.metadata["deterministic"] is True
+            assert kernel_resolved(result) is None
+
     def test_exact_energy_matches_inequality_qubo_scale(self, tiny_qkp):
         brute = run_single_trial(tiny_qkp, "brute_force", seed=0)
         model = tiny_qkp.to_inequality_qubo()
