@@ -28,7 +28,11 @@ per seed: chip ``d`` samples its static ON-current factors, draws its read
 noise and runs its column ADCs from streams seeded by ``device_seeds[d]``
 alone, so each chip's analog behaviour is reproducible independently of
 which other chips share a batch (the same per-chip determinism a freshly
-rebuilt scalar crossbar with that seed would exhibit).
+rebuilt scalar crossbar with that seed would exhibit).  Chips that share an
+integer seed sample the same factors, so they share one stored
+conductance stack, and only the *live* bit planes (those with at least one
+set cell) are stored at all: a one-signed matrix, such as the QKP and
+MD-QKP inequality QUBOs, keeps half of them.
 :meth:`FeFETCrossbar.compute_energies_devices` evaluates a ``(D, M, n)``
 batch in one pass -- one MVM in all for an ideal chip, otherwise every bit
 plane of every chip read at once, with one noise draw per chip and one ADC
@@ -131,8 +135,10 @@ class FeFETCrossbar:
 
         An ideal chip (no ON-current variation, read noise or ADC, and every
         add-shift-sum partial below ``2**53``) keeps only the signed integer
-        matrix.  Otherwise each sign is sliced into bit planes; sampled
-        ON-current factors are folded into them here, once per chip.
+        matrix.  Otherwise each sign is sliced into bit planes and only the
+        live ones are kept, as one ``(L, n, n)`` conductance stack: the 0/1
+        planes, shared by every chip, or with ON-current variation one
+        stack per distinct chip seed with its sampled factors folded in.
         """
         n = matrix.shape[0]
         self._n = n
@@ -158,15 +164,20 @@ class FeFETCrossbar:
                  and config.current_noise_sigma == 0
                  and config.adc_bits is None
                  and 2 ** bits * n * n < 2 ** 53)
-        #: ``None`` on an ideal chip; otherwise the (positive, negative)
-        #: bit planes, per chip once ON-current factors are folded in.
-        self._planes: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: ``None`` on an ideal chip; otherwise the ``(U, L, n, n)`` live
+        #: planes of ``U`` stored stacks and the live planes' indices
+        #: ``sign * bits + b`` (positive planes first).  Chip ``d`` reads
+        #: ``_stacks[_stack_of[d]]``, or the one shared 0/1 stack where
+        #: ``_stack_of`` is ``None``.
+        self._stacks: Optional[np.ndarray] = None
+        self._stack_of: Optional[np.ndarray] = None
         if not ideal:
-            # planes[b][j, i] in {0, 1} is bit b of |Q_ji| for one sign.
-            self._planes = (self._slice_bits(positive),
-                            self._slice_bits(negative))
+            self._live, planes = self._slice_bits(positive, negative)
             if config.on_current_variation_sigma > 0:
-                self._planes = self._fold_on_current_factors(self._planes)
+                self._stacks, self._stack_of = \
+                    self._fold_on_current_factors(planes)
+            else:
+                self._stacks = planes.astype(float)[None]
 
         # Column ADC covering the worst-case column current (all n cells ON),
         # one noise stream per chip.
@@ -179,37 +190,61 @@ class FeFETCrossbar:
         else:
             self._adc = None
 
-    def _slice_bits(self, quantized: np.ndarray) -> np.ndarray:
-        """Return an array of shape ``(bits, n, n)`` of 0/1 bit planes."""
-        bits = self.config.weight_bits
-        planes = np.zeros((bits, quantized.shape[0], quantized.shape[1]))
-        for b in range(bits):
-            planes[b] = (quantized >> b) & 1
-        return planes
+    def _slice_bits(self, positive: np.ndarray, negative: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The live planes' indices and their ``(L, n, n)`` 0/1 patterns.
 
-    def _fold_on_current_factors(self, signs: Tuple[np.ndarray, np.ndarray]
-                                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Each chip's ``(D, bits, n, n)`` effective conductances per sign.
-
-        Chip ``d`` samples its static per-cell ON-current factors from its
-        own seed in program order (positive planes first, then negative),
-        exactly as a freshly built scalar crossbar with that seed would;
-        the shared 0/1 planes are multiplied into them in place.
+        Plane ``sign * bits + b`` holds bit ``b`` of one sign's codes; it is
+        live when any of its cells is set, that is when the OR of all of
+        that sign's codes has bit ``b``.  Dead planes are never built.
         """
-        bits, n, _ = signs[0].shape
+        bits = self.config.weight_bits
+        live, planes = [], []
+        for sign, codes in enumerate((positive, negative)):
+            present = int(np.bitwise_or.reduce(codes, axis=None))
+            for b in range(bits):
+                if (present >> b) & 1:
+                    live.append(sign * bits + b)
+                    planes.append(((codes >> b) & 1).astype(np.uint8))
+        return (np.array(live, dtype=np.intp),
+                np.array(planes, dtype=np.uint8).reshape(
+                    len(live), *positive.shape))
+
+    def _fold_on_current_factors(self, planes: np.ndarray
+                                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """One ``(L, n, n)`` stack of effective conductances per chip seed.
+
+        Returns the ``(U, L, n, n)`` stacks and the ``(D,)`` index of each
+        chip's stack.  Chips with the same integer seed would sample
+        bit-identical factors, so they share a stack; a ``None`` seed (fresh
+        entropy) or any other seed gets one of its own.  Each stack samples
+        ``n * n`` factors per plane from its seed in program order
+        (positive planes first, then negative), exactly as a freshly built
+        scalar crossbar with that seed would, and keeps the live planes'
+        draws multiplied by their 0/1 ``planes``; a dead plane's draws are
+        taken and dropped.
+        """
+        n = self._n
         sigma = self.config.on_current_variation_sigma
-        chips = [VariabilityModel(threshold_sigma=0.0, on_current_sigma=sigma,
-                                  seed=seed)
-                 for seed in self._device_seeds]
-        folded = []
-        for planes in signs:
-            conductances = np.empty((len(chips), bits, n, n))
-            for chip, var in zip(conductances, chips):
-                for b in range(bits):
-                    chip[b] = var.sample_on_current_factors(n * n).reshape(n, n)
-            conductances *= planes
-            folded.append(conductances)
-        return tuple(folded)
+        slots = dict(zip(self._live.tolist(), range(self._live.size)))
+        first, seeds = {}, []
+        stack_of = np.empty(self.num_devices, dtype=np.intp)
+        for d, seed in enumerate(self._device_seeds):
+            key = seed if isinstance(seed, (int, np.integer)) else ("chip", d)
+            if key not in first:
+                first[key] = len(seeds)
+                seeds.append(seed)
+            stack_of[d] = first[key]
+        stacks = np.empty((len(seeds), self._live.size, n, n))
+        for stack, seed in zip(stacks, seeds):
+            chip = VariabilityModel(threshold_sigma=0.0, on_current_sigma=sigma,
+                                    seed=seed)
+            for plane in range(2 * self.config.weight_bits):
+                factors = chip.sample_on_current_factors(n * n).reshape(n, n)
+                if plane in slots:
+                    np.multiply(factors, planes[slots[plane]],
+                                out=stack[slots[plane]])
+        return stacks, stack_of
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -264,35 +299,41 @@ class FeFETCrossbar:
         """Add-shift-sum read of every bit plane of both signs in one pass.
 
         ``batch`` is a ``(K, M, n)`` replica tensor whose slice ``k`` runs on
-        chip ``devices[k]``.  All ``2 * bits`` planes land in one
-        ``(K, 2, bits, M, n)`` column-current stack: shared 0/1 planes take
-        one stacked product over the flattened replica axis (exact), per-chip
-        ``(D, bits, n, n)`` conductances one stacked product per slice and
-        sign made of one ``(1, n) @ (n, n)`` product per replica row and
+        chip ``devices[k]``.  All ``2 * bits`` planes land in one zeroed
+        ``(K, 2, bits, M, n)`` column-current stack, of which only the
+        ``L`` live planes are computed; dead planes read ``+0.0``, as their
+        all-zero conductances would.  Shared 0/1 planes take one stacked
+        product over the flattened replica axis (exact).  Varied
+        conductances take one product per stored stack over the slices on
+        it, made of one ``(1, n) @ (n, n)`` product per replica row and
         plane, so a row's floats are those of a lone row's read whatever
         ``M`` is (a product over ``M`` rows may associate its sums
         differently).  Slice ``k`` then draws its read noise for the whole
         stack at once from chip ``devices[k]``'s stream -- for distinct
         chips the very values a plane-by-plane read draws (positive planes,
-        then negative, one plane at a time); a chip named twice draws slice
-        by slice rather than interleaved plane by plane.  One ADC call
-        digitises the stack, and each sign's per-plane row sums are shifted
-        by ``2**b`` and added in increasing ``b``.  Returns the ``(K, M)``
+        then negative, one plane at a time, dead planes included); a chip
+        named twice draws slice by slice rather than interleaved plane by
+        plane.  One ADC call digitises the stack, dead planes' zeros
+        included, and each sign's per-plane row sums are shifted by
+        ``2**b`` and added in increasing ``b``.  Returns the ``(K, M)``
         positive-minus-negative sums.
         """
         config = self.config
         bits = config.weight_bits
         num_chips, num_replicas, n = batch.shape
-        currents = np.empty((num_chips, 2, bits, num_replicas, n))
-        for sign, planes in enumerate(self._planes):
-            if planes.ndim == 3:
-                flat = batch.reshape(num_chips * num_replicas, n)
-                currents[:, sign] = (flat @ planes).reshape(
-                    bits, num_chips, num_replicas, n).swapaxes(0, 1)
-            else:
-                for k, device in enumerate(devices):
-                    np.matmul(batch[k][:, None, :], planes[device][:, None],
-                              out=currents[k, sign][:, :, None])
+        currents = np.zeros((num_chips, 2, bits, num_replicas, n))
+        planes = currents.reshape(num_chips, 2 * bits, num_replicas, n)
+        if self._stack_of is None:
+            flat = batch.reshape(num_chips * num_replicas, n)
+            planes[:, self._live] = (flat @ self._stacks[0]).reshape(
+                -1, num_chips, num_replicas, n).swapaxes(0, 1)
+        else:
+            stack_of = self._stack_of[devices]
+            for stack in np.unique(stack_of):
+                slices = np.flatnonzero(stack_of == stack)
+                products = np.matmul(batch[slices][:, None, :, None],
+                                     self._stacks[stack][:, None])
+                planes[slices[:, None], self._live] = products[..., 0, :]
         currents *= batch[:, None, None]
         if config.current_noise_sigma > 0:
             for k, device in enumerate(devices):
@@ -353,7 +394,7 @@ class FeFETCrossbar:
         selected = resolve_device_selection(batch.shape[0], devices,
                                             self.num_devices,
                                             kind="crossbar chip batch")
-        if self._planes is None:
+        if self._stacks is None:
             # Ideal chip: every add-shift-sum partial is an integer below
             # 2**53, so one MVM with the stored matrix is bit-identical.
             energies = ((batch @ self._codes) * batch).sum(-1)

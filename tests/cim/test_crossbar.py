@@ -1,10 +1,14 @@
 """Unit tests for the bit-sliced FeFET QUBO crossbar."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
 from repro.core.qubo import QUBOModel
+from repro.fefet.variability import VariabilityModel
 
 
 @pytest.fixture
@@ -203,3 +207,77 @@ class TestDeviceAxis:
             stacked.compute_energies_devices(np.zeros((2, 10)))
         with pytest.raises(ValueError):
             FeFETCrossbar.from_qubo(integer_qubo, device_seeds=[])
+
+
+class TestStoredStacks:
+    """Chips that share a seed share one stored stack of live bit planes."""
+
+    CONFIG = CrossbarConfig(weight_bits=7, on_current_variation_sigma=0.05,
+                            current_noise_sigma=0.02, adc_bits=8)
+
+    def test_repeated_seeds_read_like_one_chip_crossbars(self, integer_qubo,
+                                                         rng):
+        """Every slice reads bit for bit as a lone crossbar with its seed,
+        read for read -- factors, read noise and ADC codes included."""
+        seeds = [7, 9, 7, 7]
+        stacked = FeFETCrossbar.from_qubo(integer_qubo, self.CONFIG,
+                                          device_seeds=seeds)
+        lone = [FeFETCrossbar.from_qubo(
+                    integer_qubo, dataclasses.replace(self.CONFIG, seed=seed))
+                for seed in seeds]
+        for devices in ([0, 1, 2, 3], [3, 1], [0, 1, 2, 3], [2]):
+            batch = rng.integers(0, 2, size=(len(devices), 5, 10)).astype(float)
+            energies = stacked.compute_energies_devices(
+                batch, devices=np.array(devices))
+            for k, device in enumerate(devices):
+                np.testing.assert_array_equal(
+                    energies[k], lone[device].compute_energies(batch[k]))
+
+    def test_unseeded_varied_chips_are_not_merged(self, integer_qubo):
+        config = CrossbarConfig(weight_bits=7, on_current_variation_sigma=0.05)
+        crossbar = FeFETCrossbar.from_qubo(integer_qubo, config,
+                                           device_seeds=[None, None])
+        energies = crossbar.compute_energies_devices(np.ones((2, 1, 10)))
+        assert energies[0, 0] != energies[1, 0]
+
+    def test_same_seed_chips_are_sampled_and_stored_once(self, rng,
+                                                         monkeypatch):
+        """Sixteen chips on one seed sample ``2 * bits`` planes of factors,
+        not ``16 * 2 * bits``, and take less than twice one chip's memory."""
+        qubo = QUBOModel(rng.integers(-100, 101, size=(64, 64)).astype(float))
+        config = CrossbarConfig(weight_bits=7, on_current_variation_sigma=0.05,
+                                current_noise_sigma=0.02, adc_bits=8,
+                                seed=2024)
+
+        def peak(seeds):
+            tracemalloc.start()
+            try:
+                FeFETCrossbar.from_qubo(qubo, config, device_seeds=seeds)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak([2024])  # warm up one-time allocations
+        assert peak([2024] * 16) < 2 * peak([2024])
+
+        sampled = []
+        original = VariabilityModel.sample_on_current_factors
+
+        def counted(model, count):
+            sampled.append(count)
+            return original(model, count)
+
+        monkeypatch.setattr(VariabilityModel, "sample_on_current_factors",
+                            counted)
+        FeFETCrossbar.from_qubo(qubo, config, device_seeds=[2024] * 16)
+        assert sampled == [64 * 64] * (2 * 7)
+
+    def test_varied_chip_over_a_zero_qubo_reads_the_offset(self, rng):
+        """No plane is live, yet noise and ADC still run over the stack."""
+        qubo = QUBOModel(np.zeros((6, 6)), offset=2.5)
+        crossbar = FeFETCrossbar.from_qubo(
+            qubo, dataclasses.replace(self.CONFIG, seed=3),
+            device_seeds=[3, 4])
+        batch = rng.integers(0, 2, size=(2, 4, 6)).astype(float)
+        np.testing.assert_array_equal(
+            crossbar.compute_energies_devices(batch), np.full((2, 4), 2.5))

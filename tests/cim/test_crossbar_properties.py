@@ -11,7 +11,9 @@ A non-ideal chip reads all of its bit planes in one pass.  The second
 property pins that pass to the same add-shift-sum read one plane at a time
 -- ON-current factors, read noise and ADC codes drawn from fresh per-chip
 streams in the plane-by-plane order -- bit for bit, for any selection of
-distinct chips in any order.
+distinct chips in any order.  Chip seeds come from a pool of two, so chips
+repeat (and share one stored stack), and the matrix is signed, one-signed
+or zero, so whole signs and single bit planes are dead.
 """
 
 import numpy as np
@@ -68,13 +70,25 @@ class TestIdealMVMIsAddShiftSum:
 
 @st.composite
 def non_ideal_crossbars(draw, max_variables=16, max_chips=4, max_replicas=4):
-    """A QUBO, a non-ideal config, chip seeds and a batch on distinct chips."""
+    """A QUBO, a non-ideal config, chip seeds and a batch on distinct chips.
+
+    The matrix is signed, all ``<= 0``, all ``>= 0`` or all zero, and the
+    chip seeds are drawn from a pool of two values.
+    """
     n = draw(st.integers(1, max_variables))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     magnitude = draw(st.sampled_from([1, 7, 100]))
     matrix = rng.integers(-magnitude, magnitude + 1, size=(n, n)).astype(float)
     if draw(st.booleans()):
         matrix = matrix + rng.random((n, n)) - 0.5
+    sign = draw(st.sampled_from(["signed", "non-positive", "non-negative",
+                                 "zero"]))
+    if sign == "non-positive":
+        matrix = -np.abs(matrix)
+    elif sign == "non-negative":
+        matrix = np.abs(matrix)
+    elif sign == "zero":
+        matrix = np.zeros((n, n))
     config = CrossbarConfig(
         weight_bits=draw(st.integers(1, 8)),
         current_noise_sigma=draw(st.sampled_from([0.0, 0.02, 0.3])),
@@ -82,7 +96,8 @@ def non_ideal_crossbars(draw, max_variables=16, max_chips=4, max_replicas=4):
         on_current_variation_sigma=draw(st.sampled_from([0.0, 0.05])),
         seed=draw(st.integers(0, 2**16)))
     chips = draw(st.integers(1, max_chips))
-    seeds = [int(seed) for seed in rng.integers(0, 2**31, size=chips)]
+    pool = [int(seed) for seed in rng.integers(0, 2**31, size=2)]
+    seeds = [pool[i] for i in rng.integers(0, 2, size=chips)]
     devices = rng.permutation(chips)[:draw(st.integers(1, chips))]
     batch = (rng.random((devices.size, draw(st.integers(1, max_replicas)), n))
              < 0.5).astype(float)
