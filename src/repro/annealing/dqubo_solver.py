@@ -148,7 +148,7 @@ class DQUBOAnnealer:
             raise ValueError(f"problem initial length {x.shape[0]} != {n}")
         m = self._transformation.num_auxiliary_variables
         aux = np.zeros(m)
-        lhs = float(self.problem.constraint().weight_vector @ x)
+        lhs = self.problem.constraint().lhs(x)
         if self.encoding is SlackEncoding.ONE_HOT:
             index = int(round(lhs))
             if 1 <= index <= m:

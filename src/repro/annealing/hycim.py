@@ -23,7 +23,7 @@ analog non-idealities; the default is hardware simulation with ideal devices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.annealing.sa import _start_state
 from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
 from repro.dynamics.moves import MoveGenerator, SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule, TemperatureSchedule
+from repro.cim.filter_array import VariabilityLike
 from repro.cim.inequality_filter import InequalityFilter
 from repro.core.constraints import InequalityConstraint
 from repro.core.transformation import InequalityQUBO
@@ -118,20 +119,37 @@ class HyCiMSolver:
     # Hardware construction
     # ------------------------------------------------------------------ #
     def _build_hardware(self) -> None:
-        """Program the CiM filter(s) and crossbar when hardware mode is on."""
+        """Program the shared chip when hardware mode is on."""
         self._filters = {}
-        if not self.use_hardware:
-            return
-        for index, constraint in enumerate(self._model.constraints):
-            if isinstance(constraint, InequalityConstraint):
-                self._filters[index] = InequalityFilter(
-                    constraint,
-                    num_rows=self.filter_rows,
-                    variability=self.variability,
-                    matchline_noise_sigma=self.matchline_noise_sigma,
-                )
-        config = self.crossbar_config or CrossbarConfig(seed=self.seed)
-        self._crossbar = FeFETCrossbar.from_qubo(self._model.qubo, config=config)
+        if self.use_hardware:
+            self._filters, self._crossbar = self._program_chip(self.variability)
+
+    def _program_chip(self, variability: VariabilityLike,
+                      chip_seeds: Optional[Sequence[Optional[int]]] = None
+                      ) -> Tuple[Dict[int, InequalityFilter], FeFETCrossbar]:
+        """Program one chip, or one per chip along the device axis.
+
+        Filters first, in constraint order, then the crossbar: the order in
+        which a chip consumes its variability model, the same for the
+        shared chip (the solver's ``variability``) and for per-trial chips
+        (one model or ``None`` per chip, with their crossbar seeds in place
+        of the default config's).
+        """
+        filters = {
+            index: InequalityFilter(
+                constraint,
+                num_rows=self.filter_rows,
+                variability=variability,
+                matchline_noise_sigma=self.matchline_noise_sigma,
+            )
+            for index, constraint in enumerate(self._model.constraints)
+            if isinstance(constraint, InequalityConstraint)
+        }
+        config = self.crossbar_config or CrossbarConfig(
+            seed=self.seed if chip_seeds is None else None)
+        crossbar = FeFETCrossbar.from_qubo(self._model.qubo, config=config,
+                                           device_seeds=chip_seeds)
+        return filters, crossbar
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -50,9 +50,10 @@ one chip-faithful shared RNG stream; the default dynamics keep every
 replica on its own stream.
 
 **Kernels.**  The inner sweep itself -- propose, delta, filter, accept,
-state update, best tracking -- lives in :mod:`repro.kernels`, and so do the
-batched energy and verdict primitives the engines call
-(:mod:`repro.kernels.reference`); the engines build a
+state update, best tracking -- lives in :mod:`repro.kernels`; the batched
+energy and the linear verdicts the engines call are
+:func:`repro.core.qubo.batched_energies` and
+:func:`repro.core.constraints.all_satisfied`.  The engines build a
 :class:`~repro.kernels.SweepKernel` and drive it block-wise, with
 :meth:`LoopDriver.block_length` placing block boundaries exactly where an
 exchange round or telemetry probe is due.  ``kernel="reference"`` (the
@@ -79,20 +80,16 @@ import numpy as np
 from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.result import SolveResult
 from repro.annealing.sa import SimulatedAnnealer
-from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
+from repro.cim.crossbar import FeFETCrossbar
 from repro.cim.inequality_filter import InequalityFilter
-from repro.core.constraints import InequalityConstraint
-from repro.core.qubo import QUBOModel
+from repro.core.constraints import InequalityConstraint, all_satisfied
+from repro.core.qubo import QUBOModel, batched_energies
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.dynamics import Dynamics
 from repro.dynamics.moves import SingleFlipMove
 from repro.fefet.variability import VariabilityModel
 from repro.kernels import make_hycim_kernel, make_sa_kernel
-from repro.kernels.reference import (
-    as_replica_matrix,
-    batched_energies,
-    batched_inequality_verdicts,
-)
+from repro.kernels.reference import as_replica_matrix
 
 __all__ = ["BatchedHyCiMSolver", "BatchedSimulatedAnnealer"]
 
@@ -302,29 +299,13 @@ class BatchedHyCiMSolver:
         self._device_filters: Optional[Dict[int, InequalityFilter]] = None
         self._device_crossbar: Optional[FeFETCrossbar] = None
         if self.chips is not None and solver.use_hardware:
-            self._build_device_hardware(chip_seeds)
-
-    def _build_device_hardware(self,
-                               chip_seeds: Optional[Sequence[Optional[int]]]) -> None:
-        """One filter/crossbar *slice* per chip along the device axis."""
-        solver = self.solver
-        num_chips = len(self.chips)
-        seeds = (list(chip_seeds) if chip_seeds is not None
-                 else [None] * num_chips)
-        if len(seeds) != num_chips:
-            raise ValueError("need one chip seed per chip")
-        self._device_filters = {}
-        for index, constraint in enumerate(solver.model.constraints):
-            if isinstance(constraint, InequalityConstraint):
-                self._device_filters[index] = InequalityFilter(
-                    constraint,
-                    num_rows=solver.filter_rows,
-                    variability=self.chips,
-                    matchline_noise_sigma=solver.matchline_noise_sigma,
-                )
-        config = solver.crossbar_config or CrossbarConfig()
-        self._device_crossbar = FeFETCrossbar.from_qubo(
-            solver.model.qubo, config=config, device_seeds=seeds)
+            # One filter/crossbar *slice* per chip along the device axis.
+            seeds = (list(chip_seeds) if chip_seeds is not None
+                     else [None] * len(self.chips))
+            if len(seeds) != len(self.chips):
+                raise ValueError("need one chip seed per chip")
+            self._device_filters, self._device_crossbar = (
+                solver._program_chip(self.chips, seeds))
 
     # ------------------------------------------------------------------ #
     # Batched evaluation primitives
@@ -344,9 +325,11 @@ class BatchedHyCiMSolver:
         """The run's feasibility test over an ``(M, n)`` batch, chosen once.
 
         Inequality constraints go to their CiM filter and the others to
-        exact arithmetic.  Noise-free filters (and software mode) judge the
-        whole batch in one shot per constraint -- one device-axis shot
-        covering every chip when per-replica chips are in play.  A noisy
+        exact arithmetic.  Noise-free filters judge the whole batch in one
+        shot per filter -- one device-axis shot covering every chip when
+        per-replica chips are in play -- and the constraints without a
+        filter (all of them in software mode) in one
+        :func:`~repro.core.constraints.all_satisfied` call.  A noisy
         matchline draws per candidate and the check short-circuits across
         constraints, so the only way to keep every replica's stream is to
         check replica by replica, each on its own chip slice.
@@ -373,20 +356,14 @@ class BatchedHyCiMSolver:
             return lambda batch: np.array(
                 [feasible(batch[k], k) for k in range(batch.shape[0])],
                 dtype=bool)
-        tests: List[BatchFilter] = []
-        for index, constraint in enumerate(constraints):
-            hardware_filter = filters.get(index)
-            if hardware_filter is not None:
-                tests.append(hardware_filter.is_feasible_devices if device_mode
-                             else hardware_filter.is_feasible_batch)
-            elif isinstance(constraint, InequalityConstraint):
-                tests.append(functools.partial(
-                    batched_inequality_verdicts, constraint.weight_vector,
-                    constraint.bound))
-            else:
-                tests.append(lambda batch, constraint=constraint: np.array(
-                    [constraint.is_satisfied(row) for row in batch],
-                    dtype=bool))
+        tests: List[BatchFilter] = [
+            hardware_filter.is_feasible_devices if device_mode
+            else hardware_filter.is_feasible_batch
+            for hardware_filter in filters.values()]
+        exact = tuple(constraint for index, constraint in enumerate(constraints)
+                      if index not in filters)
+        if exact or not tests:  # one call, also for no constraint at all
+            tests.append(functools.partial(all_satisfied, exact))
         if len(tests) == 1:
             return tests[0]
 

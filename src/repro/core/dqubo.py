@@ -128,7 +128,7 @@ class DQUBOTransformation:
         automatically feasible in the original problem.
         """
         problem_part, aux = self.split(configuration)
-        lhs = float(self.constraint.weight_vector @ problem_part)
+        lhs = self.constraint.lhs(problem_part)
         if self.encoding is SlackEncoding.ONE_HOT:
             if not np.isclose(aux.sum(), 1.0):
                 return False

@@ -10,6 +10,15 @@ coefficient dictionaries and normalise them.
 The class is deliberately light-weight -- a thin wrapper around a NumPy array
 -- because the annealers and the CiM crossbar simulator operate directly on
 the dense matrix.
+
+The module also holds the only evaluation of the quadratic form:
+:func:`batched_energies` and :func:`batched_energy_delta` return one value per
+row of an ``(M, n)`` batch (dense or CSR ``matrix``, told apart by
+duck-typing; a CSR delta costs O(M * nnz-per-row)).  The annealing engines
+call them on whole replica batches, and ``QUBOModel.energy``, ``energies``
+and ``energy_delta`` (and the sparse model's) are their one-row or batch
+views, so a scalar value equals the engines' one-row value bit for bit on
+any data.
 """
 
 from __future__ import annotations
@@ -17,12 +26,129 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, Iterable[Iterable[float]]]
 CoefficientKey = Tuple[int, int]
+
+
+def is_sparse_matrix(matrix) -> bool:
+    """True for SciPy sparse payloads (duck-typed, no scipy import needed)."""
+    return hasattr(matrix, "tocsr")
+
+
+def symmetrized_matrix(matrix):
+    """``Q + Q^T`` in the same storage family as ``Q`` (dense or CSR).
+
+    The symmetrized matrix is what the delta kernels gather rows from; CSR
+    input yields CSR output so a sparse model never densifies.
+    """
+    symmetric = matrix + matrix.T
+    if is_sparse_matrix(symmetric):
+        return symmetric.tocsr()
+    return symmetric
+
+
+def batched_energies(matrix, batch: np.ndarray,
+                     offset: float = 0.0) -> np.ndarray:
+    """``x_k^T Q x_k + offset`` for every row ``x_k`` of ``batch``.
+
+    One ``(M, n) x (n, n)`` product followed by a row-wise dot.  A CSR
+    ``matrix`` takes the same product through scipy's dense-times-sparse
+    path.
+    """
+    if is_sparse_matrix(matrix):
+        product = np.asarray(batch @ matrix)
+        return (product * batch).sum(axis=1) + offset
+    return ((batch @ matrix) * batch).sum(axis=1) + offset
+
+
+def batched_energy_delta(matrix, batch: np.ndarray,
+                         flip_indices: np.ndarray,
+                         symmetric=None) -> np.ndarray:
+    """Energy change of flipping bit ``flip_indices[k]`` in row ``k``.
+
+    The flipped variable's contribution is its diagonal term plus its
+    couplings to the other set bits (the upper triangle holds the full
+    pairwise coefficient, so both the row and the column slice contribute).
+
+    ``symmetric`` optionally supplies the precomputed ``matrix + matrix.T``
+    -- callers evaluating many flip rounds against one matrix (the lock-step
+    engines) pass it to halve the per-round gather work.  Without it a dense
+    ``matrix`` gathers the flipped rows of ``matrix + matrix.T`` directly,
+    in O(M * n), with the same sums.
+    """
+    flips = np.asarray(flip_indices, dtype=np.intp)
+    if flips.shape != (batch.shape[0],):
+        raise ValueError(
+            f"flip_indices must have one entry per replica, got shape {flips.shape}"
+        )
+    if flips.size and (flips.min() < 0 or flips.max() >= matrix.shape[0]):
+        raise IndexError("a flip index is out of range")
+    sparse = is_sparse_matrix(matrix)
+    if symmetric is not None:
+        gathered = symmetric[flips]
+    elif sparse:
+        gathered = symmetrized_matrix(matrix)[flips]
+    else:
+        gathered = matrix[flips]
+        gathered += matrix[:, flips].T
+    rows = np.arange(batch.shape[0])
+    # symmetric's diagonal holds 2 * Q_ii; the flipped bit must not couple to
+    # itself, so subtract its own contribution and add the linear term back.
+    current_bits = batch[rows, flips]
+    if sparse:
+        diag = np.asarray(matrix.diagonal())[flips]
+        coupling = (np.asarray(gathered.multiply(batch).sum(axis=1)).ravel()
+                    - 2.0 * diag * current_bits)
+    else:
+        diag = matrix[flips, flips]
+        coupling = ((gathered * batch).sum(axis=1)
+                    - 2.0 * diag * current_bits)
+    contribution = diag + coupling
+    return (1.0 - 2.0 * current_bits) * contribution
+
+
+#: Configurations per chunk of an exhaustive enumeration.
+ENUMERATION_CHUNK = 1 << 12
+
+
+def binary_configurations(n: int) -> Iterator[np.ndarray]:
+    """Every binary ``n``-vector in enumeration order, as float row chunks:
+    configuration ``c`` sets variable ``k`` to bit ``k`` of ``c``."""
+    bits = np.arange(n)
+    total = 1 << n
+    for start in range(0, total, ENUMERATION_CHUNK):
+        codes = np.arange(start, min(start + ENUMERATION_CHUNK, total))
+        yield ((codes[:, None] >> bits) & 1).astype(float)
+
+
+def exhaustive_minimum(energies: Callable[[np.ndarray], np.ndarray],
+                       n: int) -> Tuple[np.ndarray, float]:
+    """The first lowest-energy binary ``n``-vector in enumeration order and
+    its energy, scoring chunks of rows with ``energies`` (``n <= 24``)."""
+    if n > 24:
+        raise ValueError("brute_force_minimum limited to n <= 24")
+    best_x, best_energy = np.zeros(n), np.inf
+    for batch in binary_configurations(n):
+        values = energies(batch)
+        k = int(np.argmin(values))
+        if values[k] < best_energy:
+            best_x, best_energy = batch[k].copy(), float(values[k])
+    return best_x, best_energy
+
+
+def _as_batch(configurations: np.ndarray, n: int) -> np.ndarray:
+    """A float ``(k, n)`` batch; a 1-D row is the ``k = 1`` view."""
+    batch = np.asarray(configurations, dtype=float)
+    if batch.ndim == 1:
+        batch = batch[None, :]
+    if batch.shape[1] != n:
+        raise ValueError(
+            f"configurations have {batch.shape[1]} columns, expected {n}")
+    return batch
 
 
 def _as_binary_vector(x: Iterable[float], n: int) -> np.ndarray:
@@ -165,42 +291,31 @@ class QUBOModel:
     # Evaluation
     # ------------------------------------------------------------------ #
     def energy(self, x: Iterable[float]) -> float:
-        """Evaluate ``x^T Q x + offset`` for a binary configuration ``x``."""
+        """Evaluate ``x^T Q x + offset`` for a binary configuration ``x``.
+
+        The one-row view of :func:`batched_energies`.
+        """
         vec = _as_binary_vector(x, self.num_variables)
-        return float(vec @ self.matrix @ vec) + self.offset
+        return float(batched_energies(self.matrix, vec[None, :],
+                                      self.offset)[0])
 
     def energies(self, configurations: np.ndarray) -> np.ndarray:
         """Vectorised evaluation of a ``(k, n)`` batch of binary rows."""
-        batch = np.asarray(configurations, dtype=float)
-        if batch.ndim == 1:
-            batch = batch[None, :]
-        if batch.shape[1] != self.num_variables:
-            raise ValueError(
-                f"configurations have {batch.shape[1]} columns, expected {self.num_variables}"
-            )
-        return np.einsum("ki,ij,kj->k", batch, self.matrix, batch) + self.offset
+        return batched_energies(
+            self.matrix, _as_batch(configurations, self.num_variables),
+            self.offset)
 
     def energy_delta(self, x: np.ndarray, flip_index: int) -> float:
         """Energy change from flipping bit ``flip_index`` of configuration ``x``.
 
-        Computed in O(n) without re-evaluating the full quadratic form.  The
-        scalar reference form: the annealing engines evaluate flips in batch
-        with :func:`repro.kernels.reference.batched_energy_delta` or, in the
-        fused kernels, from incrementally maintained local fields.
+        Computed in O(n) without re-evaluating the full quadratic form: the
+        one-row view of :func:`batched_energy_delta`, which the annealing
+        engines evaluate flips with (the fused kernels keep incrementally
+        maintained local fields instead).
         """
         vec = _as_binary_vector(x, self.num_variables)
-        i = int(flip_index)
-        if not 0 <= i < self.num_variables:
-            raise IndexError(f"flip index {i} out of range")
-        # Contribution of variable i to the energy given the rest of x:
-        # diag term + couplings to the other set bits (upper triangle holds
-        # the full pairwise coefficient).
-        coupling = self.matrix[i, :] @ vec + self.matrix[:, i] @ vec - 2 * self.matrix[i, i] * vec[i]
-        linear = self.matrix[i, i]
-        current_contrib = vec[i] * (linear + coupling)
-        flipped = 1.0 - vec[i]
-        new_contrib = flipped * (linear + coupling)
-        return float(new_contrib - current_contrib)
+        return float(batched_energy_delta(self.matrix, vec[None, :],
+                                          np.array([int(flip_index)]))[0])
 
     def brute_force_minimum(self) -> Tuple[np.ndarray, float]:
         """Exhaustively minimise the QUBO (only sensible for small ``n``).
@@ -208,18 +323,7 @@ class QUBOModel:
         Returns the optimal binary vector and its energy.  Raises for
         ``n > 24`` to avoid accidental exponential blow-ups in tests.
         """
-        n = self.num_variables
-        if n > 24:
-            raise ValueError("brute_force_minimum limited to n <= 24")
-        best_energy = np.inf
-        best_x = np.zeros(n)
-        for bits in range(1 << n):
-            x = np.array([(bits >> k) & 1 for k in range(n)], dtype=float)
-            e = self.energy(x)
-            if e < best_energy:
-                best_energy = e
-                best_x = x
-        return best_x, float(best_energy)
+        return exhaustive_minimum(self.energies, self.num_variables)
 
     # ------------------------------------------------------------------ #
     # Algebra

@@ -5,10 +5,12 @@ surface the annealing stack actually touches -- ``matrix`` / ``offset`` /
 ``num_variables`` plus ``energy``/``energies`` -- with the coefficient
 matrix held as a SciPy CSR array in the same upper-triangular convention
 (diagonal = linear terms, strict upper triangle = pairwise couplings).
-The sweep kernels and their batched primitives (:mod:`repro.kernels`)
-detect the CSR payload by duck-typing, so a sparse model flows through the
-engines unchanged: energies via scipy's dense-times-CSR product,
-single-flip deltas via CSR row gathers at O(degree) per flip.
+The batched energy and delta of :mod:`repro.core.qubo`, which this model's
+``energy``/``energies`` are views of, and the sweep kernels
+(:mod:`repro.kernels`) detect the CSR payload by duck-typing, so a sparse
+model flows through the engines unchanged: energies via scipy's
+dense-times-CSR product, single-flip deltas via CSR row gathers at
+O(degree) per flip.
 
 SciPy is an *optional* dependency (the ``sparse`` extra): importing this
 module without it raises a clear error at first use, and nothing else in
@@ -17,11 +19,11 @@ the package imports it at module scope.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable
 
 import numpy as np
 
-from repro.core.qubo import QUBOModel, _as_binary_vector
+from repro.core.qubo import QUBOModel, is_sparse_matrix, symmetrized_matrix
 
 try:  # SciPy is optional; everything else in repro runs without it.
     from scipy import sparse as _sparse
@@ -35,23 +37,6 @@ __all__ = ["SparseQUBOModel", "have_scipy", "is_sparse_matrix",
 def have_scipy() -> bool:
     """Whether the optional SciPy dependency is importable."""
     return _sparse is not None
-
-
-def is_sparse_matrix(matrix) -> bool:
-    """True for SciPy sparse payloads (duck-typed, no scipy import needed)."""
-    return hasattr(matrix, "tocsr")
-
-
-def symmetrized_matrix(matrix):
-    """``Q + Q^T`` in the same storage family as ``Q`` (dense or CSR).
-
-    The symmetrized matrix is what the delta kernels gather rows from; CSR
-    input yields CSR output so a sparse model never densifies.
-    """
-    symmetric = matrix + matrix.T
-    if is_sparse_matrix(symmetric):
-        return symmetric.tocsr()
-    return symmetric
 
 
 def _require_scipy():
@@ -134,32 +119,15 @@ class SparseQUBOModel:
         return self.nnz / (n * (n + 1) // 2)
 
     # ------------------------------------------------------------------ #
-    # Evaluation (parity surface with QUBOModel)
+    # Evaluation: QUBOModel's views, which dispatch on the CSR matrix
     # ------------------------------------------------------------------ #
-    def energy(self, x: Iterable[float]) -> float:
-        """Evaluate ``x^T Q x + offset`` for a binary configuration ``x``."""
-        vec = _as_binary_vector(x, self.num_variables)
-        return float(vec @ (self.matrix @ vec)) + self.offset
-
-    def energies(self, configurations: np.ndarray) -> np.ndarray:
-        """Vectorised evaluation of a ``(k, n)`` batch of binary rows."""
-        batch = np.asarray(configurations, dtype=float)
-        if batch.ndim == 1:
-            batch = batch[None, :]
-        if batch.shape[1] != self.num_variables:
-            raise ValueError(
-                f"configurations have {batch.shape[1]} columns, expected "
-                f"{self.num_variables}")
-        product = np.asarray(batch @ self.matrix)
-        return (product * batch).sum(axis=1) + self.offset
+    energy = QUBOModel.energy
+    energies = QUBOModel.energies
+    brute_force_minimum = QUBOModel.brute_force_minimum
 
     def to_dense(self) -> QUBOModel:
         """Densify into an equivalent :class:`QUBOModel` (small ``n`` only)."""
         return QUBOModel(self.matrix.toarray(), offset=self.offset)
-
-    def brute_force_minimum(self) -> Tuple[np.ndarray, float]:
-        """Exhaustive minimisation via the dense view (``n <= 24``)."""
-        return self.to_dense().brute_force_minimum()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SparseQUBOModel(n={self.num_variables}, nnz={self.nnz}, "

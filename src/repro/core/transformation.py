@@ -23,8 +23,14 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.constraints import InequalityConstraint, LinearConstraint
-from repro.core.qubo import QUBOModel
+from repro.core.constraints import LinearConstraint, all_satisfied
+from repro.core.qubo import (
+    QUBOModel,
+    _as_batch,
+    _as_binary_vector,
+    binary_configurations,
+    exhaustive_minimum,
+)
 
 
 @dataclass
@@ -67,18 +73,18 @@ class InequalityQUBO:
     def is_feasible(self, x: Iterable[float]) -> bool:
         """Whether ``x`` satisfies every detached constraint."""
         vec = np.asarray(list(x) if not isinstance(x, np.ndarray) else x, dtype=float)
-        return all(constraint.is_satisfied(vec) for constraint in self.constraints)
+        return bool(all_satisfied(self.constraints,
+                                  _as_batch(vec, self.num_variables))[0])
 
     def energy(self, x: Iterable[float]) -> float:
         """Paper Eq. (6): ``[feasible] * x^T Q x``.
 
         Infeasible configurations evaluate to exactly ``0`` -- they neither
         help nor hurt, which is what allows the filter to simply skip them.
+        The one-row view of :meth:`energies`.
         """
-        vec = np.asarray(list(x) if not isinstance(x, np.ndarray) else x, dtype=float)
-        if not self.is_feasible(vec):
-            return 0.0
-        return self.qubo.energy(vec)
+        vec = _as_binary_vector(x, self.num_variables)
+        return float(self.energies(vec[None, :])[0])
 
     def qubo_energy(self, x: Iterable[float]) -> float:
         """Raw QUBO value ``x^T Q x`` ignoring constraints (crossbar output)."""
@@ -86,33 +92,13 @@ class InequalityQUBO:
 
     def energies(self, configurations: np.ndarray) -> np.ndarray:
         """Vectorised Eq. (6) evaluation over a ``(k, n)`` batch."""
-        batch = np.asarray(configurations, dtype=float)
-        if batch.ndim == 1:
-            batch = batch[None, :]
-        raw = self.qubo.energies(batch)
-        feasible = np.ones(batch.shape[0], dtype=bool)
-        for constraint in self.constraints:
-            lhs = batch @ constraint.weight_vector
-            if isinstance(constraint, InequalityConstraint):
-                feasible &= lhs <= constraint.bound + 1e-9
-            else:
-                feasible &= np.abs(lhs - constraint.bound) <= 1e-9
-        return np.where(feasible, raw, 0.0)
+        batch = _as_batch(configurations, self.num_variables)
+        return np.where(all_satisfied(self.constraints, batch),
+                        self.qubo.energies(batch), 0.0)
 
     def brute_force_minimum(self) -> Tuple[np.ndarray, float]:
         """Exhaustive minimisation of Eq. (6) (``n <= 24``)."""
-        n = self.num_variables
-        if n > 24:
-            raise ValueError("brute_force_minimum limited to n <= 24")
-        best_energy = np.inf
-        best_x = np.zeros(n)
-        for bits in range(1 << n):
-            x = np.array([(bits >> k) & 1 for k in range(n)], dtype=float)
-            e = self.energy(x)
-            if e < best_energy:
-                best_energy = e
-                best_x = x
-        return best_x, float(best_energy)
+        return exhaustive_minimum(self.energies, self.num_variables)
 
     # ------------------------------------------------------------------ #
     # Search-space accounting (used by Fig. 9 reproduction)
@@ -126,12 +112,8 @@ class InequalityQUBO:
         n = self.num_variables
         if n > limit_bits:
             raise ValueError(f"count_feasible limited to n <= {limit_bits}")
-        count = 0
-        for bits in range(1 << n):
-            x = np.array([(bits >> k) & 1 for k in range(n)], dtype=float)
-            if self.is_feasible(x):
-                count += 1
-        return count
+        return sum(int(all_satisfied(self.constraints, batch).sum())
+                   for batch in binary_configurations(n))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

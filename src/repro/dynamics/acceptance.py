@@ -11,6 +11,10 @@ draw cannot decide differently between them.
 :class:`MetropolisRule` is the rule of the paper's SA logic (and the only
 built-in today): always accept downhill moves, accept an uphill move of size
 ``delta`` at temperature ``T`` with probability ``exp(-delta / T)``.
+:func:`metropolis_decisions` is that rule over pre-drawn uniforms, the one
+vectorised form: the shared-RNG mode's :meth:`MetropolisRule.accept_batch`
+and the replayed streams of :mod:`repro.kernels.streams` both decide
+through it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,12 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 TemperatureLike = Union[float, np.ndarray]
+
+
+#: Draws within this relative distance of the vectorised probability are
+#: re-judged with the scalar rule (``np.exp`` vs ``math.exp`` last-ulp
+#: disagreement is far inside this margin).
+_BORDERLINE_RTOL = 8e-16
 
 
 def acceptance_probability(delta: float, temperature: float) -> float:
@@ -38,6 +48,46 @@ def acceptance_probability(delta: float, temperature: float) -> float:
     if exponent < -700:
         return 0.0
     return math.exp(exponent)
+
+
+def metropolis_decisions(step: np.ndarray, temperatures: TemperatureLike,
+                         draws: np.ndarray) -> np.ndarray:
+    """Vectorised Metropolis verdicts, bit-identical to the scalar rule.
+
+    ``temperatures`` is a scalar (flat batch) or already gathered to the
+    same shape as ``step`` (ladder rows indexed by the listed replicas).
+    ``np.exp`` and ``math.exp`` may disagree in the last ulp, so any draw
+    landing within a few ulps of the vectorised probability is re-judged
+    through :func:`acceptance_probability`; the re-judge triggers with
+    probability ~1e-15 per draw.
+    """
+    if isinstance(temperatures, np.ndarray):
+        positive = temperatures > 0.0
+        exponent = np.where(positive,
+                            -step / np.where(positive, temperatures, 1.0),
+                            -np.inf)
+    elif temperatures <= 0.0:
+        return step <= 0.0
+    else:
+        exponent = -step / temperatures
+    # Exponents past the double range underflow to exactly 0, matching the
+    # scalar rule; flushing is intended, so mask the underflow flag.
+    with np.errstate(under="ignore"):
+        probability = np.where(exponent < -700.0, 0.0,
+                               np.exp(np.minimum(exponent, 0.0)))
+    decisions = (step <= 0.0) | (draws < probability)
+    # A draw within a few ulps of the probability could be decided by the
+    # np.exp-vs-math.exp last ulp; re-judge those through the scalar rule.
+    borderline = (np.abs(draws - probability)
+                  <= _BORDERLINE_RTOL * probability) & (step > 0.0)
+    if borderline.any():  # pragma: no cover - ~1e-15 per draw
+        for index in np.flatnonzero(borderline):
+            temperature = (float(temperatures[index])
+                           if isinstance(temperatures, np.ndarray)
+                           else float(temperatures))
+            decisions[index] = draws[index] < acceptance_probability(
+                float(step[index]), temperature)
+    return decisions
 
 
 class AcceptanceRule(ABC):
@@ -112,10 +162,8 @@ class MetropolisRule(AcceptanceRule):
 
     def accept_batch(self, delta: np.ndarray, temperatures: TemperatureLike,
                      draws: np.ndarray) -> np.ndarray:
-        delta = np.asarray(delta, dtype=float)
-        temps = np.broadcast_to(np.asarray(temperatures, dtype=float),
-                                delta.shape)
-        exponents = np.where(temps > 0, -delta / np.where(temps > 0, temps, 1.0),
-                             -np.inf)
-        probabilities = np.exp(np.minimum(exponents, 0.0))
-        return (delta <= 0) | (np.asarray(draws, dtype=float) < probabilities)
+        if not (isinstance(temperatures, np.ndarray) and temperatures.ndim):
+            temperatures = float(temperatures)
+        return metropolis_decisions(np.asarray(delta, dtype=float),
+                                    temperatures,
+                                    np.asarray(draws, dtype=float))

@@ -9,10 +9,10 @@ gather per proposal.  The kernels here maintain, per replica:
   row update, O(n) dense or O(degree) CSR;
 * **running constraint loads** ``load[k,c] = w_c · x_k`` so linear
   feasibility is an O(M·C) compare instead of a batched matvec per
-  constraint (inequality verdicts use the same ``bound + 1e-9`` tolerance
-  as :func:`repro.kernels.reference.batched_inequality_verdicts`; equality
-  verdicts the ``|lhs - bound| <= 1e-9`` of
-  :meth:`EqualityConstraint.is_satisfied`).
+  constraint (with the verdicts and the one tolerance of
+  :meth:`LinearConstraint.is_satisfied_batch
+  <repro.core.constraints.LinearConstraint.is_satisfied_batch>`:
+  ``load <= bound + tol`` and ``|load - bound| <= tol``).
 
 ``run_block`` fuses K iterations per Python call without materialising a
 candidate batch at all.  RNG parity is preserved draw for draw: the NumPy
@@ -46,19 +46,17 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.constraints import (
+    FEASIBILITY_TOLERANCE,
     EqualityConstraint,
     InequalityConstraint,
     LinearConstraint,
 )
-from repro.core.sparse import is_sparse_matrix, symmetrized_matrix
+from repro.core.qubo import is_sparse_matrix, symmetrized_matrix
 from repro.dynamics.driver import LoopDriver
 from repro.kernels.base import KernelUnsupportedError, SweepKernel
 from repro.kernels.native import compiled_block
 
 __all__ = ["FusedHyCiMKernel", "FusedSAKernel"]
-
-#: Feasibility tolerance of the scalar/batched inequality verdict paths.
-LOAD_TOLERANCE = 1e-9
 
 
 def _csr_row_entries(indptr: np.ndarray, indices: np.ndarray,
@@ -98,8 +96,7 @@ class _FusedCore(SweepKernel):
         self._num_variables = int(self._diag.shape[0])
         self._rows = np.arange(current.shape[0])
 
-        weights = [np.asarray(c.weight_vector, dtype=float)
-                   for c in constraints]
+        weights = [c.weights for c in constraints]
         self._num_constraints = len(weights)
         if weights:
             #: (n, C) constraint weights; (M, C) running loads.
@@ -110,7 +107,7 @@ class _FusedCore(SweepKernel):
             self._weights_t = np.zeros((self._num_variables, 0))
             self._bounds = np.zeros(0)
             self.loads = np.zeros((current.shape[0], 0))
-        self._bounds_tol = self._bounds + LOAD_TOLERANCE
+        self._bounds_tol = self._bounds + FEASIBILITY_TOLERANCE
         self._equality = np.array(
             [isinstance(c, EqualityConstraint) for c in constraints],
             dtype=bool)
@@ -144,7 +141,8 @@ class _FusedCore(SweepKernel):
         candidate = self.loads + signs[:, None] * self._weights_t[flips]
         if self._has_equality:
             ok = np.where(self._equality,
-                          np.abs(candidate - self._bounds) <= LOAD_TOLERANCE,
+                          np.abs(candidate - self._bounds)
+                          <= FEASIBILITY_TOLERANCE,
                           candidate <= self._bounds_tol)
             passed = ok.all(axis=1)
         elif self._num_constraints == 1:

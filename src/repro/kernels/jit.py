@@ -45,11 +45,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.constraints import EqualityConstraint, InequalityConstraint
+from repro.core.constraints import (
+    FEASIBILITY_TOLERANCE,
+    EqualityConstraint,
+    InequalityConstraint,
+)
 from repro.dynamics.acceptance import MetropolisRule
 from repro.dynamics.driver import LoopDriver
 from repro.kernels.base import KernelUnavailableError, KernelUnsupportedError
-from repro.kernels.fused import LOAD_TOLERANCE, FusedHyCiMKernel, FusedSAKernel
+from repro.kernels.fused import FusedHyCiMKernel, FusedSAKernel
 
 __all__ = ["HAVE_NUMBA", "JitHyCiMKernel", "JitSAKernel"]
 
@@ -222,7 +226,7 @@ def _sa_block(start, num_iterations, moves_per_iteration, base, factors,
                 for c in range(num_constraints):
                     value = loads[k, c] + sign * weights_t[flip, c]
                     candidate[c] = value
-                    if not (value <= bounds[c] + LOAD_TOLERANCE):
+                    if not (value <= bounds[c] + FEASIBILITY_TOLERANCE):
                         passed = False
                 if not passed:
                     num_skipped[k] += 1
@@ -278,7 +282,7 @@ def _hycim_block(start, num_iterations, moves_per_iteration, base, factors,
                 for c in range(num_constraints):
                     value = loads[k, c] + sign * weights_t[flip, c]
                     candidate[c] = value
-                    if not (value <= bounds[c] + LOAD_TOLERANCE):
+                    if not (value <= bounds[c] + FEASIBILITY_TOLERANCE):
                         passed = False
                 if not passed:
                     num_skipped[k] += 1

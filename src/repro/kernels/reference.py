@@ -1,4 +1,4 @@
-"""Reference sweep kernels: the engines' NumPy inner loops and primitives.
+"""Reference sweep kernels: the engines' NumPy inner loops.
 
 The loop bodies in this module are the inner loops of
 :class:`~repro.batched.engine.BatchedSimulatedAnnealer` and
@@ -18,15 +18,11 @@ evaluation, any move generator, noisy filters, device axes, both RNG
 topologies -- which is why it is the default and the fallback of
 ``kernel="auto"``.
 
-The module also holds the batched primitives the loops and the engines
-share: :func:`batched_energies`, :func:`batched_energy_delta` and
-:func:`batched_inequality_verdicts` return one value per row of an
-``(M, n)`` replica batch (dense or CSR ``matrix``, told apart by
-duck-typing; a CSR delta costs O(M * nnz-per-row)), and
-:func:`as_replica_matrix` validates such a batch.  On
-integer-valued data they equal the scalar ``QUBOModel`` / constraint
-methods exactly (every intermediate is an exactly representable float64
-integer); on float data they agree to floating-point tolerance.
+The loops evaluate energies and flip deltas through
+:func:`repro.core.qubo.batched_energies` and
+:func:`~repro.core.qubo.batched_energy_delta`, the one evaluation of the
+quadratic form, whose one-row views are the scalar ``QUBOModel`` methods;
+:func:`as_replica_matrix` validates the engines' replica batches.
 """
 
 from __future__ import annotations
@@ -35,14 +31,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.sparse import is_sparse_matrix, symmetrized_matrix
+from repro.core.qubo import (
+    batched_energies,
+    batched_energy_delta,
+    symmetrized_matrix,
+)
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.moves import MoveGenerator
 from repro.kernels.base import SweepKernel
 
-__all__ = ["ReferenceHyCiMKernel", "ReferenceSAKernel", "as_replica_matrix",
-           "batched_energies", "batched_energy_delta",
-           "batched_inequality_verdicts"]
+__all__ = ["ReferenceHyCiMKernel", "ReferenceSAKernel", "as_replica_matrix"]
 
 #: Per-row feasibility predicate.
 RowFilter = Callable[[np.ndarray], bool]
@@ -63,72 +61,6 @@ def as_replica_matrix(configurations: np.ndarray,
     if not np.all((batch == 0) | (batch == 1)):
         raise ValueError("replica configurations must be binary (0/1)")
     return batch
-
-
-def batched_energies(matrix: np.ndarray, batch: np.ndarray,
-                     offset: float = 0.0) -> np.ndarray:
-    """``x_k^T Q x_k + offset`` for every row ``x_k`` of ``batch``.
-
-    Equivalent to ``[QUBOModel.energy(row) for row in batch]`` in a single
-    ``(M, n) x (n, n)`` product followed by a row-wise dot.  A CSR ``matrix``
-    takes the same product through scipy's dense-times-sparse path.
-    """
-    if is_sparse_matrix(matrix):
-        product = np.asarray(batch @ matrix)
-        return (product * batch).sum(axis=1) + offset
-    return ((batch @ matrix) * batch).sum(axis=1) + offset
-
-
-def batched_energy_delta(matrix: np.ndarray, batch: np.ndarray,
-                         flip_indices: np.ndarray,
-                         symmetric: Optional[np.ndarray] = None) -> np.ndarray:
-    """Energy change of flipping bit ``flip_indices[k]`` in row ``k``.
-
-    Vectorised translation of :meth:`QUBOModel.energy_delta`: the flipped
-    variable's contribution is its diagonal term plus its couplings to the
-    other set bits (the upper triangle holds the full pairwise coefficient,
-    so both the row and the column slice contribute).
-
-    ``symmetric`` optionally supplies the precomputed ``matrix + matrix.T``
-    -- callers evaluating many flip rounds against one matrix (the lock-step
-    engines) pass it to halve the per-round gather work.
-    """
-    flips = np.asarray(flip_indices, dtype=np.intp)
-    if flips.shape != (batch.shape[0],):
-        raise ValueError(
-            f"flip_indices must have one entry per replica, got shape {flips.shape}"
-        )
-    if flips.size and (flips.min() < 0 or flips.max() >= matrix.shape[0]):
-        raise IndexError("a flip index is out of range")
-    if symmetric is None:
-        symmetric = symmetrized_matrix(matrix)
-    rows = np.arange(batch.shape[0])
-    # symmetric's diagonal holds 2 * Q_ii; the flipped bit must not couple to
-    # itself, so subtract its own contribution and add the linear term back.
-    current_bits = batch[rows, flips]
-    if is_sparse_matrix(matrix):
-        diag = np.asarray(matrix.diagonal())[flips]
-        gathered = symmetric[flips]
-        coupling = (np.asarray(gathered.multiply(batch).sum(axis=1)).ravel()
-                    - 2.0 * diag * current_bits)
-    else:
-        diag = matrix[flips, flips]
-        coupling = ((symmetric[flips] * batch).sum(axis=1)
-                    - 2.0 * diag * current_bits)
-    contribution = diag + coupling
-    return (1.0 - 2.0 * current_bits) * contribution
-
-
-def batched_inequality_verdicts(weights: np.ndarray, bound: float,
-                                batch: np.ndarray,
-                                tolerance: float = 1e-9) -> np.ndarray:
-    """``w . x_k <= bound`` for every row, with the scalar path's tolerance.
-
-    Mirrors :meth:`InequalityConstraint.is_satisfied` (which compares against
-    ``bound + 1e-9``) so batched and scalar feasibility verdicts agree bit for
-    bit on integer weight data.
-    """
-    return (batch @ np.asarray(weights, dtype=float)) <= bound + tolerance
 
 
 class ReferenceSAKernel(SweepKernel):

@@ -43,12 +43,10 @@ Instead there is one refill per depletion event: when any lane's lookahead
 runs out, every lane is rebased on the state it has reached and all lanes
 refill in one vectorised pass.
 
-:func:`metropolis_decisions` vectorises the acceptance rule.  ``np.exp``
-and ``math.exp`` may disagree in the last ulp, so any draw landing within a
-few ulps of the vectorised probability is re-judged through the scalar
-:func:`~repro.dynamics.acceptance.acceptance_probability` -- decisions stay
-bit-identical to :class:`~repro.dynamics.acceptance.MetropolisRule` while
-the re-judge triggers with probability ~1e-15 per draw.
+Its Metropolis verdicts come from
+:func:`~repro.dynamics.acceptance.metropolis_decisions`, the vectorised
+acceptance rule, bit-identical to the scalar
+:class:`~repro.dynamics.acceptance.MetropolisRule`.
 
 Which runs replay at all is the driver's rule
 (:meth:`~repro.dynamics.driver.LoopDriver.replay`): per-replica streams on
@@ -58,14 +56,14 @@ an engine that lets nothing else draw from them during the sweep.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dynamics.acceptance import acceptance_probability
+from repro.dynamics.acceptance import metropolis_decisions
 from repro.kernels.base import KernelUnsupportedError
 
-__all__ = ["Lanes", "ReplayStreams", "metropolis_decisions"]
+__all__ = ["Lanes", "ReplayStreams"]
 
 #: PCG64's 128-bit LCG multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -84,11 +82,6 @@ BUFFER_OUTPUTS = 64
 
 #: Largest ``integers`` bound the 32-bit Lemire sampler covers.
 MAX_LEMIRE_BOUND = 2 ** 32
-
-#: Draws within this relative distance of the vectorised probability are
-#: re-judged with the scalar rule (``np.exp`` vs ``math.exp`` last-ulp
-#: disagreement is far inside this margin).
-_BORDERLINE_RTOL = 8e-16
 
 
 def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,41 +299,3 @@ class ReplayStreams(Lanes):
             return int(self.s_hi[k]), int(self.s_lo[k])
         return (int(self._st_hi[k, position - 1]),
                 int(self._st_lo[k, position - 1]))
-
-
-def metropolis_decisions(step: np.ndarray,
-                         temperatures: Union[float, np.ndarray],
-                         draws: np.ndarray) -> np.ndarray:
-    """Vectorised Metropolis verdicts, bit-identical to the scalar rule.
-
-    ``temperatures`` is a scalar (flat batch) or already gathered to the
-    same shape as ``step`` (ladder rows indexed by the listed replicas).
-    """
-    if isinstance(temperatures, np.ndarray):
-        positive = temperatures > 0.0
-        exponent = np.where(positive,
-                            -step / np.where(positive, temperatures, 1.0),
-                            -np.inf)
-    elif temperatures <= 0.0:
-        return step <= 0.0
-    else:
-        exponent = -step / temperatures
-    # Exponents past the double range underflow to exactly 0, matching the
-    # scalar rule; flushing is intended, so mask the underflow flag.
-    with np.errstate(under="ignore"):
-        probability = np.where(exponent < -700.0, 0.0,
-                               np.exp(np.minimum(exponent, 0.0)))
-    decisions = (step <= 0.0) | (draws < probability)
-    # A draw within a few ulps of the probability could be decided by the
-    # np.exp-vs-math.exp last ulp; re-judge those through the scalar rule.
-    borderline = (np.abs(draws - probability)
-                  <= _BORDERLINE_RTOL * probability) & (step > 0.0)
-    if borderline.any():  # pragma: no cover - ~1e-15 per draw
-        for index in np.flatnonzero(borderline):
-            temperature = (float(temperatures[index])
-                           if isinstance(temperatures, np.ndarray)
-                           else float(temperatures))
-            decisions[index] = draws[index] < acceptance_probability(
-                float(step[index]), temperature)
-    return decisions
-

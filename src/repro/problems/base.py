@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.constraints import InequalityConstraint
+from repro.core.constraints import InequalityConstraint, all_satisfied
 from repro.core.qubo import QUBOModel
 from repro.core.transformation import InequalityQUBO
 
@@ -44,9 +44,19 @@ class CombinatorialProblem(ABC):
         minimisation as defined by the concrete problem; see
         :attr:`is_maximization`)."""
 
-    @abstractmethod
     def is_feasible(self, x: Iterable[float]) -> bool:
-        """Whether ``x`` satisfies all problem constraints."""
+        """Whether ``x`` satisfies all problem constraints.
+
+        The default is the one-row view of the verdicts of
+        :meth:`linear_feasibility_constraints`; a problem without a linear
+        form must override it.
+        """
+        constraints = self.linear_feasibility_constraints()
+        if constraints is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} has no linear feasibility form, so it "
+                "must override is_feasible")
+        return bool(all_satisfied(constraints, self._validate(x)[None, :])[0])
 
     @abstractmethod
     def to_qubo(self) -> QUBOModel:
@@ -60,10 +70,12 @@ class CombinatorialProblem(ABC):
         """Feasibility verdicts for an ``(M, n)`` batch, one row per replica.
 
         The multi-replica annealing engine calls this once per lock-step
-        proposal round.  The default implementation delegates to
-        :meth:`is_feasible` row by row (so verdicts always agree with the
-        scalar path); problems with cheap vectorised constraint checks
-        override it with a single batched evaluation.
+        proposal round.  The default judges the whole batch against
+        :meth:`linear_feasibility_constraints` in one
+        :func:`~repro.core.constraints.all_satisfied` call, of which
+        :meth:`is_feasible` is the one-row view, and without a linear form
+        delegates to :meth:`is_feasible` row by row; problems with a cheaper
+        vectorised check override it.
 
         Contract (asserted for every registered family by the
         ``tests/conformance`` suite): a 1-D input is treated as the ``M = 1``
@@ -72,6 +84,9 @@ class CombinatorialProblem(ABC):
         ``is_feasible(batch[k])`` for any input dtype.
         """
         batch = self._validate_batch(configurations)
+        constraints = self.linear_feasibility_constraints()
+        if constraints is not None:
+            return all_satisfied(constraints, batch)
         return np.fromiter((self.is_feasible(row) for row in batch),
                            dtype=bool, count=batch.shape[0])
 
@@ -95,13 +110,16 @@ class CombinatorialProblem(ABC):
         """The feasible region as linear inequalities, when expressible.
 
         Returns the tuple of :class:`InequalityConstraint` objects whose
-        conjunction is *exactly* :meth:`is_feasible` / row-wise
-        :meth:`is_feasible_batch` (an empty tuple for unconstrained
-        problems), or ``None`` when the feasible region has no such form
-        (colorings, tours, packings).  The fused sweep kernels
-        (:mod:`repro.kernels.fused`) use this to replace the opaque batched
-        filter with incrementally maintained constraint loads;
-        ``kernel="auto"`` falls back to the reference backend on ``None``.
+        conjunction is :meth:`is_feasible` / :meth:`is_feasible_batch` (an
+        empty tuple for unconstrained problems), or ``None`` when the
+        feasible region has no such form (colorings, tours, packings).  A
+        problem that returns a tuple gets both feasibility methods from it,
+        so they judge exactly these constraints; build the tuple once per
+        instance (in-place edits of the arrays it was built from are then
+        not seen).  The fused sweep kernels (:mod:`repro.kernels.fused`) use
+        it to replace the opaque batched filter with incrementally
+        maintained constraint loads; ``kernel="auto"`` falls back to the
+        reference backend on ``None``.
         """
         return None
 
@@ -189,23 +207,11 @@ class CombinatorialProblem(ABC):
         return np.stack(rows)
 
     def brute_force_best(self) -> tuple[np.ndarray, float]:
-        """Exhaustive search over feasible configurations (``n <= 22``)."""
-        n = self.num_variables
-        if n > 22:
+        """Exhaustive search over feasible configurations (``n <= 22``):
+        :func:`repro.exact.brute_force.solve_brute_force`'s optimum."""
+        from repro.exact.brute_force import solve_brute_force
+
+        if self.num_variables > 22:
             raise ValueError("brute_force_best limited to n <= 22")
-        best_value = -np.inf if self.is_maximization else np.inf
-        best_x = np.zeros(n)
-        found = False
-        for bits in range(1 << n):
-            x = np.array([(bits >> k) & 1 for k in range(n)], dtype=float)
-            if not self.is_feasible(x):
-                continue
-            value = self.objective(x)
-            better = value > best_value if self.is_maximization else value < best_value
-            if better or not found:
-                best_value = value
-                best_x = x
-                found = True
-        if not found:
-            raise RuntimeError("problem has no feasible configuration")
-        return best_x, float(best_value)
+        result = solve_brute_force(self)
+        return result.best_configuration, result.best_value

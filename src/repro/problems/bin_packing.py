@@ -21,7 +21,11 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from repro.core.constraints import EqualityConstraint, InequalityConstraint
+from repro.core.constraints import (
+    EqualityConstraint,
+    InequalityConstraint,
+    all_satisfied,
+)
 from repro.core.qubo import QUBOModel
 from repro.core.transformation import InequalityQUBO
 from repro.problems.base import CombinatorialProblem
@@ -59,6 +63,7 @@ class BinPackingProblem(CombinatorialProblem):
             self.penalty_assign = float(2.0 * self.num_bins + 2.0)
         if self.penalty_capacity <= 0:
             self.penalty_capacity = float(2.0 / max(self.capacity, 1.0))
+        self._capacities = self.capacity_constraints()
 
     @property
     def num_items(self) -> int:
@@ -126,33 +131,24 @@ class BinPackingProblem(CombinatorialProblem):
 
     def is_feasible(self, x: Iterable[float]) -> bool:
         """All items assigned once, capacities respected, usage bits consistent."""
-        vec = self._validate(x)
-        if -1 in self.decode(vec):
-            return False
-        loads = self.bin_loads(vec)
-        if np.any(loads > self.capacity + 1e-9):
-            return False
-        for b in range(self.num_bins):
-            used = loads[b] > 0
-            if used and vec[self.usage_index(b)] != 1:
-                return False
-        return True
+        return bool(self.is_feasible_batch(self._validate(x))[0])
 
     def is_feasible_batch(self, configurations: np.ndarray) -> np.ndarray:
         """Vectorised feasibility over an ``(M, n*m + m)`` batch.
 
-        Mirrors :meth:`is_feasible`: every item one-hot assigned, every bin
-        load within capacity, and ``u_b = 1`` for every non-empty bin.
+        Every item one-hot assigned, every bin within its capacity
+        constraint (:meth:`capacity_constraints`, judged by
+        :func:`~repro.core.constraints.all_satisfied`), and ``u_b = 1`` for
+        every non-empty bin.
         """
         batch = self._validate_batch(configurations)
         n, m = self.num_items, self.num_bins
         assignments = batch[:, :n * m].reshape(batch.shape[0], n, m)
         usage = batch[:, n * m:]
         assigned_once = (assignments.sum(axis=2) == 1).all(axis=1)
-        loads = np.einsum("kim,i->km", assignments, self.sizes)
-        within_capacity = (loads <= self.capacity + 1e-9).all(axis=1)
-        usage_consistent = ((loads <= 0) | (usage == 1)).all(axis=1)
-        return assigned_once & within_capacity & usage_consistent
+        usage_consistent = (~assignments.any(axis=1) | (usage == 1)).all(axis=1)
+        return (assigned_once & all_satisfied(self._capacities, batch)
+                & usage_consistent)
 
     def assignment_constraints(self) -> Tuple[EqualityConstraint, ...]:
         """One equality constraint ``sum_b x_{i,b} == 1`` per item."""

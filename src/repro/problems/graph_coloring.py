@@ -125,18 +125,13 @@ class GraphColoringProblem(CombinatorialProblem):
 
     def is_feasible(self, x: Iterable[float]) -> bool:
         """Feasible means every vertex has exactly one colour."""
-        vec = self._validate(x)
-        for v in range(self.num_nodes):
-            block = vec[v * self.num_colors:(v + 1) * self.num_colors]
-            if block.sum() != 1:
-                return False
-        return True
+        return bool(self.is_feasible_batch(self._validate(x))[0])
 
     def is_feasible_batch(self, configurations: np.ndarray) -> np.ndarray:
         """Vectorised one-hot check over an ``(M, V*k)`` batch.
 
         A replica is feasible iff every vertex's colour block sums to exactly
-        one — the same test :meth:`is_feasible` applies per vertex.
+        one; :meth:`is_feasible` is the one-row view.
         """
         batch = self._validate_batch(configurations)
         blocks = batch.reshape(batch.shape[0], self.num_nodes, self.num_colors)

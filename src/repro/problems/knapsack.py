@@ -45,6 +45,8 @@ class KnapsackProblem(CombinatorialProblem):
         self.profits = p
         self.weights = w
         self.capacity = float(self.capacity)
+        self._linear = (InequalityConstraint(w, self.capacity,
+                                             name=f"{self.name}-capacity"),)
 
     @property
     def num_variables(self) -> int:
@@ -64,21 +66,13 @@ class KnapsackProblem(CombinatorialProblem):
         vec = self._validate(x)
         return float(self.weights @ vec)
 
-    def is_feasible(self, x: Iterable[float]) -> bool:
-        return self.total_weight(x) <= self.capacity + 1e-9
-
-    def is_feasible_batch(self, configurations: np.ndarray) -> np.ndarray:
-        """Vectorised capacity check: one weighted sum covers all replicas."""
-        batch = self._validate_batch(configurations)
-        return (batch @ self.weights) <= self.capacity + 1e-9
-
     def constraint(self) -> InequalityConstraint:
         """The capacity constraint as a standalone object."""
-        return InequalityConstraint(self.weights, self.capacity, name=f"{self.name}-capacity")
+        return self._linear[0]
 
     def linear_feasibility_constraints(self) -> tuple:
         """Feasibility is exactly the capacity inequality."""
-        return (self.constraint(),)
+        return self._linear
 
     def to_qubo(self) -> QUBOModel:
         """Objective-only QUBO (diagonal ``-p_i``); constraint not embedded."""
@@ -86,7 +80,7 @@ class KnapsackProblem(CombinatorialProblem):
 
     def to_inequality_qubo(self) -> InequalityQUBO:
         """HyCiM form: diagonal objective QUBO + detached capacity constraint."""
-        return InequalityQUBO(qubo=self.to_qubo(), constraints=(self.constraint(),))
+        return InequalityQUBO(qubo=self.to_qubo(), constraints=self._linear)
 
     def to_quadratic(self) -> "QuadraticKnapsackProblem":
         """Lift to a :class:`QuadraticKnapsackProblem` with zero pairwise profits."""

@@ -75,16 +75,6 @@ class MaxCutProblem(CombinatorialProblem):
                     cut += self.adjacency[i, j]
         return float(cut)
 
-    def is_feasible(self, x: Iterable[float]) -> bool:
-        """Every binary vector is a valid partition."""
-        self._validate(x)
-        return True
-
-    def is_feasible_batch(self, configurations: np.ndarray) -> np.ndarray:
-        """Every replica is feasible: Max-Cut is unconstrained."""
-        batch = self._validate_batch(configurations)
-        return np.ones(batch.shape[0], dtype=bool)
-
     def linear_feasibility_constraints(self) -> tuple:
         """Unconstrained: the empty conjunction."""
         return ()

@@ -83,6 +83,9 @@ class MultiDimensionalKnapsackProblem(CombinatorialProblem):
         self.weights = w
         self.capacities = c
         self._integer = _integer_profits(p)
+        self._linear = tuple(
+            InequalityConstraint(w[k], c[k], name=f"{self.name}-resource{k}")
+            for k in range(w.shape[0]))
 
     # ------------------------------------------------------------------ #
     # CombinatorialProblem interface
@@ -120,26 +123,13 @@ class MultiDimensionalKnapsackProblem(CombinatorialProblem):
         vec = self._validate(x)
         return self.weights @ vec
 
-    def is_feasible(self, x: Iterable[float]) -> bool:
-        return bool(np.all(self.resource_usage(x) <= self.capacities + 1e-9))
-
-    def is_feasible_batch(self, configurations: np.ndarray) -> np.ndarray:
-        """Vectorised resource check: one ``W x`` product covers all replicas."""
-        batch = self._validate_batch(configurations)
-        usage = batch @ self.weights.T
-        return np.all(usage <= self.capacities + 1e-9, axis=1)
-
     def constraints(self) -> Tuple[InequalityConstraint, ...]:
         """One detached inequality constraint per resource dimension."""
-        return tuple(
-            InequalityConstraint(self.weights[k], self.capacities[k],
-                                 name=f"{self.name}-resource{k}")
-            for k in range(self.num_constraints)
-        )
+        return self._linear
 
     def linear_feasibility_constraints(self) -> Tuple[InequalityConstraint, ...]:
         """Feasibility is exactly the conjunction of the resource inequalities."""
-        return self.constraints()
+        return self._linear
 
     def to_qubo(self) -> QUBOModel:
         """Objective-only QUBO (``Q = -P_upper``); constraints not embedded."""

@@ -133,6 +133,8 @@ class QuadraticKnapsackProblem(CombinatorialProblem):
         self.weights = w
         self.capacity = float(self.capacity)
         self._integer = _integer_profits(p)
+        self._linear = (InequalityConstraint(w, self.capacity,
+                                             name=f"{self.name}-capacity"),)
 
     # ------------------------------------------------------------------ #
     # CombinatorialProblem interface
@@ -165,21 +167,13 @@ class QuadraticKnapsackProblem(CombinatorialProblem):
         vec = self._validate(x)
         return float(self.weights @ vec)
 
-    def is_feasible(self, x: Iterable[float]) -> bool:
-        return self.total_weight(x) <= self.capacity + 1e-9
-
-    def is_feasible_batch(self, configurations: np.ndarray) -> np.ndarray:
-        """Vectorised capacity check: one weighted sum covers all replicas."""
-        batch = self._validate_batch(configurations)
-        return (batch @ self.weights) <= self.capacity + 1e-9
-
     def constraint(self) -> InequalityConstraint:
         """The capacity constraint as a standalone object."""
-        return InequalityConstraint(self.weights, self.capacity, name=f"{self.name}-capacity")
+        return self._linear[0]
 
     def linear_feasibility_constraints(self) -> tuple:
         """Feasibility is exactly the capacity inequality."""
-        return (self.constraint(),)
+        return self._linear
 
     def to_qubo(self) -> QUBOModel:
         """Objective-only QUBO: ``Q = -P_upper`` so minimisation maximises profit.
@@ -193,7 +187,7 @@ class QuadraticKnapsackProblem(CombinatorialProblem):
 
     def to_inequality_qubo(self) -> InequalityQUBO:
         """Paper Eq. (6): ``E(x) = [w.x <= C] * x^T Q x`` with ``Q = -P_upper``."""
-        return InequalityQUBO(qubo=self.to_qubo(), constraints=(self.constraint(),))
+        return InequalityQUBO(qubo=self.to_qubo(), constraints=self._linear)
 
     # ------------------------------------------------------------------ #
     # Sampling helpers used by the Monte-Carlo experiments (Fig. 8, Fig. 10)

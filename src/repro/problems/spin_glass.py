@@ -61,16 +61,6 @@ class SherringtonKirkpatrickProblem(CombinatorialProblem):
         sigma = 1.0 - 2.0 * vec
         return self.spin_energy(sigma)
 
-    def is_feasible(self, x: Iterable[float]) -> bool:
-        """Every spin configuration is feasible."""
-        self._validate(x)
-        return True
-
-    def is_feasible_batch(self, configurations: np.ndarray) -> np.ndarray:
-        """Every replica is feasible: the SK model is unconstrained."""
-        batch = self._validate_batch(configurations)
-        return np.ones(batch.shape[0], dtype=bool)
-
     def linear_feasibility_constraints(self) -> tuple:
         """Unconstrained: the empty conjunction."""
         return ()

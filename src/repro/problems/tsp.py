@@ -113,12 +113,8 @@ class TravelingSalesmanProblem(CombinatorialProblem):
         return self.tour_length(self.decode_tour(x))
 
     def is_feasible(self, x: Iterable[float]) -> bool:
-        vec = self._validate(x)
-        try:
-            self.decode_tour(vec)
-        except ValueError:
-            return False
-        return True
+        """Whether ``x`` encodes a tour (one-row :meth:`is_feasible_batch`)."""
+        return bool(self.is_feasible_batch(self._validate(x))[0])
 
     def is_feasible_batch(self, configurations: np.ndarray) -> np.ndarray:
         """Vectorised permutation check over an ``(M, n^2)`` batch.

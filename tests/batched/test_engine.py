@@ -9,14 +9,11 @@ from repro.annealing.sa import SimulatedAnnealer
 from repro.batched import BatchedHyCiMSolver, BatchedSimulatedAnnealer
 from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
 from repro.cim.inequality_filter import InequalityFilter
-from repro.core.qubo import QUBOModel
+from repro.core.constraints import EqualityConstraint, InequalityConstraint
+from repro.core.qubo import QUBOModel, batched_energies, batched_energy_delta
 from repro.dynamics import LoopDriver
-from repro.kernels.reference import (
-    as_replica_matrix,
-    batched_energies,
-    batched_energy_delta,
-    batched_inequality_verdicts,
-)
+from repro.kernels.reference import as_replica_matrix
+from repro.problems import get_family
 from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_trials
 
@@ -76,7 +73,8 @@ class TestKernels:
         bound = float(weights.sum()) / 2
         expected = [(row @ weights) <= bound + 1e-9 for row in batch]
         np.testing.assert_array_equal(
-            batched_inequality_verdicts(weights, bound, batch), expected)
+            InequalityConstraint(weights, bound).is_satisfied_batch(batch),
+            expected)
 
     def test_as_replica_matrix_validation(self):
         assert as_replica_matrix(np.ones(4), 4).shape == (1, 4)
@@ -160,6 +158,26 @@ class TestBatchedCimPaths:
         np.testing.assert_array_equal(
             small_maxcut.is_feasible_batch(batch),
             [small_maxcut.is_feasible(row) for row in batch])
+
+    def test_software_mode_judges_equality_constraints_in_batch(
+            self, monkeypatch):
+        """The coloring one-hot equalities have no filter: the engine judges
+        each proposal round in one batched call, never row by row."""
+        problem = get_family("coloring").conformance_instance(1)
+        calls = []
+        scalar = EqualityConstraint.is_satisfied
+
+        def counted(self, x):
+            calls.append(1)
+            return scalar(self, x)
+
+        monkeypatch.setattr(EqualityConstraint, "is_satisfied", counted)
+        params = dict(get_family("coloring").solver_params(problem),
+                      use_hardware=False, num_iterations=300)
+        batch = run_trials(problem, "hycim", num_trials=8, params=params,
+                           backend="vectorized", master_seed=3)
+        assert len(batch.results) == 8
+        assert not calls
 
 
 class TestDegenerateRuns:

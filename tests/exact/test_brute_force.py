@@ -4,7 +4,71 @@ import numpy as np
 import pytest
 
 from repro.exact.brute_force import enumerate_feasible, solve_brute_force
-from repro.problems.generators import generate_maxcut_instance, generate_qkp_instance
+from repro.problems import family_names, get_family
+from repro.problems.generators import (
+    generate_coloring_instance,
+    generate_maxcut_instance,
+    generate_qkp_instance,
+    generate_sk_instance,
+    generate_tsp_instance,
+)
+
+
+def scalar_search(problem):
+    """The exhaustive search as one scalar ``is_feasible``/``objective`` call
+    per configuration: best (first best in enumeration order), its value,
+    the feasible count, and every feasible row with its value."""
+    n = problem.num_variables
+    rows = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    maximize = problem.is_maximization
+    best_value, best_x = None, np.zeros(n)
+    feasible, values = [], []
+    for x in rows:
+        if not problem.is_feasible(x):
+            continue
+        value = problem.objective(x)
+        feasible.append(x)
+        values.append(value)
+        if best_value is None or (value > best_value if maximize
+                                  else value < best_value):
+            best_value, best_x = value, x
+    return best_x, best_value, feasible, values
+
+
+def _table1_instances():
+    """The five instances Table 1 (``run_solver_summary``, seed 11) scores
+    against brute force."""
+    seed = 11
+    return [
+        generate_maxcut_instance(num_nodes=12, edge_probability=0.5, seed=seed),
+        generate_sk_instance(num_spins=12, seed=seed),
+        generate_tsp_instance(num_cities=4, seed=seed),
+        generate_coloring_instance(num_nodes=6, edge_probability=0.4,
+                                   num_colors=3, seed=seed),
+        generate_qkp_instance(num_items=15, density=0.5, seed=seed),
+    ]
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [get_family(name).conformance_instance(1) for name in family_names()]
+    + _table1_instances(),
+    ids=[f"conformance-{name}" for name in family_names()]
+    + ["table1-maxcut", "table1-sk", "table1-tsp", "table1-coloring",
+       "table1-qkp"])
+def test_enumerator_equals_the_scalar_loop(problem):
+    best_x, best_value, feasible, values = scalar_search(problem)
+    result = solve_brute_force(problem)
+    np.testing.assert_array_equal(result.best_configuration, best_x)
+    assert result.best_value == best_value
+    assert result.num_feasible == len(feasible)
+    assert result.num_evaluated == 1 << problem.num_variables
+    configurations, objective_values = enumerate_feasible(problem)
+    np.testing.assert_array_equal(configurations, np.array(feasible))
+    np.testing.assert_array_equal(objective_values, np.array(values))
+    x, value = problem.brute_force_best()
+    np.testing.assert_array_equal(x, best_x)
+    assert value == best_value
 
 
 class TestSolveBruteForce:

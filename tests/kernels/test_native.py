@@ -19,13 +19,13 @@ import pytest
 
 import repro.kernels.jit as jit_module
 import repro.kernels.native as native
+from repro.core.qubo import batched_energies
 from repro.dynamics import Dynamics
 from repro.dynamics.acceptance import MetropolisRule
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.moves import SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule
 from repro.kernels import KernelUnavailableError, make_sa_kernel
-from repro.kernels.reference import batched_energies
 from repro.problems.generators import generate_qkp_instance
 
 MASK64 = (1 << 64) - 1

@@ -16,6 +16,7 @@ import pytest
 
 import repro.kernels.jit as jit_module
 from repro.core.constraints import EqualityConstraint
+from repro.core.qubo import batched_energies
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.moves import SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule
@@ -27,7 +28,7 @@ from repro.kernels import (
     make_sa_kernel,
     resolve_kernel_backend,
 )
-from repro.kernels.reference import ReferenceSAKernel, batched_energies
+from repro.kernels.reference import ReferenceSAKernel
 from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_trials
 from repro.store import CampaignStore

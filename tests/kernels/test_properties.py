@@ -23,11 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import InequalityConstraint
+from repro.core.qubo import batched_energies, batched_energy_delta
 from repro.core.sparse import symmetrized_matrix
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.schedule import GeometricSchedule
 from repro.kernels.fused import FusedHyCiMKernel, FusedSAKernel
-from repro.kernels.reference import batched_energies, batched_energy_delta
 
 scipy_sparse = pytest.importorskip("scipy.sparse")
 

@@ -14,7 +14,11 @@ and unavailable.
 import numpy as np
 import pytest
 
-from repro.dynamics.acceptance import MetropolisRule, acceptance_probability
+from repro.dynamics.acceptance import (
+    MetropolisRule,
+    acceptance_probability,
+    metropolis_decisions,
+)
 from repro.dynamics.schedule import GeometricSchedule
 from repro.dynamics.dynamics import Dynamics, ParallelTempering
 from repro.dynamics.driver import LoopDriver
@@ -28,7 +32,6 @@ from repro.kernels.streams import (
     BUFFER_OUTPUTS,
     ReplayStreams,
     _mul128,
-    metropolis_decisions,
 )
 
 

@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 
 from repro.cim.inequality_filter import InequalityFilter
 from repro.core.constraints import InequalityConstraint
-from repro.core.qubo import QUBOModel
-from repro.kernels.reference import (
-    batched_energies,
-    batched_energy_delta,
-    batched_inequality_verdicts,
-)
+from repro.core.qubo import QUBOModel, batched_energies, batched_energy_delta
 
 
 @st.composite
@@ -108,8 +103,7 @@ class TestBatchedFilterVerdicts:
     @settings(max_examples=50, deadline=None)
     def test_kernel_verdicts_match_scalar_constraint(self, payload):
         constraint, batch = payload
-        verdicts = batched_inequality_verdicts(constraint.weight_vector,
-                                               constraint.bound, batch)
+        verdicts = constraint.is_satisfied_batch(batch)
         np.testing.assert_array_equal(
             verdicts, [constraint.is_satisfied(row) for row in batch])
 
