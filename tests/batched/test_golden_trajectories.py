@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.cim.crossbar import CrossbarConfig
+from repro.dynamics import ParallelTempering
 from repro.problems.generators import generate_qkp_instance
 from repro.problems.multidim_knapsack import generate_mdqkp_instance
 from repro.runtime import run_trials
@@ -94,6 +95,12 @@ CELLS = {
         "num_iterations": 30, "use_hardware": True,
         "crossbar_config": CrossbarConfig(current_noise_sigma=0.02,
                                           adc_bits=8, seed=7)}),
+    # Single-flip SA on the fused kernel: the C block, or its NumPy loop.
+    "sa-fused": ("qkp", "sa", {"num_iterations": 30, "kernel": "fused"}),
+    # One tempered ladder: exchange swaps every travelling array once.
+    "sa-tempering": ("qkp", "sa", {
+        "num_iterations": 30,
+        "dynamics": ParallelTempering(exchange_interval=3)}),
 }
 
 #: Fields compared exactly; ``energy_history`` only where a cell records it.
