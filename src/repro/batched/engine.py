@@ -49,15 +49,17 @@ with replica exchange (parallel tempering) and/or switches all replicas to
 one chip-faithful shared RNG stream; the default dynamics keep every
 replica on its own stream.
 
-**Kernels.**  The inner sweep itself -- propose, delta, filter, accept,
+**Kernels.**  The inner sweep itself -- propose, filter, evaluate, accept,
 state update, best tracking -- lives in :mod:`repro.kernels`; the batched
 energy and the linear verdicts the engines call are
 :func:`repro.core.qubo.batched_energies` and
-:func:`repro.core.constraints.all_satisfied`.  The engines build a
-:class:`~repro.kernels.SweepKernel` and drive it block-wise, with
-:meth:`LoopDriver.block_length` placing block boundaries exactly where an
-exchange round or telemetry probe is due.  ``kernel="reference"`` (the
-default) is the engines' original loop body;
+:func:`repro.core.constraints.all_satisfied`.  Both engines build their
+sweep with :func:`~repro.kernels.make_hycim_kernel`: plain SA is the HyCiM
+sweep with every incumbent feasible, so no replica drifts at the zero
+energy of Eq. (6).  They drive the :class:`~repro.kernels.SweepKernel`
+block-wise, with :meth:`LoopDriver.block_length` placing block boundaries
+exactly where an exchange round or telemetry probe is due.
+``kernel="reference"`` (the default) is the engines' original loop body;
 ``kernel="fused"`` / ``"numba"`` are the incremental local-field kernels
 (same RNG draws, different arithmetic -- exact on integer data); see
 :mod:`repro.kernels.base` for the backend matrix.  Every kernel draws
@@ -88,7 +90,7 @@ from repro.dynamics.driver import LoopDriver
 from repro.dynamics.dynamics import Dynamics
 from repro.dynamics.moves import SingleFlipMove
 from repro.fefet.variability import VariabilityModel
-from repro.kernels import make_hycim_kernel, make_sa_kernel
+from repro.kernels import make_hycim_kernel
 from repro.kernels.reference import as_replica_matrix
 
 __all__ = ["BatchedHyCiMSolver", "BatchedSimulatedAnnealer"]
@@ -112,14 +114,15 @@ def _check_replica_generators(rngs: Sequence[np.random.Generator],
 
 def _drive_kernel(driver: LoopDriver, kernel, total_iterations: int,
                   record_history: bool, histories: List[List[float]],
-                  solver_name: str) -> None:
+                  solver_name: str, count_feasible: bool) -> None:
     """Advance a sweep kernel block-wise to the end of the run.
 
     Block boundaries come from :meth:`LoopDriver.block_length`, so exchange
     rounds and telemetry probes fire at exactly the iterations the old
     per-iteration loop fired them at; a per-iteration energy history forces
     blocks of one.  Calling :meth:`maybe_exchange` at a non-exchange
-    boundary is a no-op, as in the per-iteration convention.
+    boundary is a no-op, as in the per-iteration convention.  With
+    ``count_feasible`` the probes also count the feasible incumbents.
     """
     limit = 1 if record_history else None
     num_replicas = kernel.current_energy.shape[0]
@@ -139,7 +142,8 @@ def _drive_kernel(driver: LoopDriver, kernel, total_iterations: int,
                 num_accepted=kernel.num_accepted,
                 num_feasible=kernel.num_feasible,
                 num_skipped=kernel.num_skipped,
-                feasible_mask=getattr(kernel, "current_feasible", None),
+                feasible_mask=(kernel.current_feasible if count_feasible
+                               else None),
                 final=iteration == total_iterations)
         if record_history:
             for k in range(num_replicas):
@@ -219,9 +223,24 @@ class BatchedSimulatedAnnealer:
         num_replicas = current.shape[0]
         generators = _check_replica_generators(rngs, num_replicas)
         matrix = qubo.matrix
+        offset = qubo.offset
 
-        current_energy = batched_energies(matrix, current, qubo.offset)
+        current_energy = batched_energies(matrix, current, offset)
         single_flip = isinstance(cfg.move_generator, SingleFlipMove)
+        # The candidate filter, chosen once: the vectorised predicate when
+        # given, else the row-wise one, else none (every candidate passes);
+        # with it its linear form, None where it has none.
+        if accept_filter_batch is not None:
+            def feasible_batch(batch: np.ndarray) -> np.ndarray:
+                return np.asarray(accept_filter_batch(batch), dtype=bool)
+            constraints = feasibility_constraints
+        elif accept_filter is not None:
+            def feasible_batch(batch: np.ndarray) -> np.ndarray:
+                return np.array([bool(accept_filter(row)) for row in batch],
+                                dtype=bool)
+            constraints = None
+        else:
+            feasible_batch, constraints = None, ()
         histories: List[List[float]] = [[] for _ in range(num_replicas)]
         # Single flips are the driver's own draws; a generic move generator
         # draws from the replica generators too.
@@ -229,15 +248,25 @@ class BatchedSimulatedAnnealer:
                         dynamics=dynamics, exchange_rng=exchange_rng,
                         shared_rng=shared_rng,
                         exclusive=single_flip) as driver:
-            sweep = make_sa_kernel(
-                kernel, matrix=matrix, offset=qubo.offset, driver=driver,
+            # Plain SA is the HyCiM sweep with every incumbent feasible: no
+            # replica drifts at energy 0 and the best rule is SA's ``<``.
+            # The raw energy is a copy, since exchange swaps each travelling
+            # array once.
+            sweep = make_hycim_kernel(
+                kernel, num_variables=n, driver=driver,
                 move_generator=cfg.move_generator, single_flip=single_flip,
-                moves_per_iteration=cfg.moves_per_iteration, current=current,
-                current_energy=current_energy, accept_filter=accept_filter,
-                accept_filter_batch=accept_filter_batch,
-                feasibility_constraints=feasibility_constraints)
+                moves_per_iteration=cfg.moves_per_iteration,
+                feasible_batch=feasible_batch,
+                energies=lambda batch, replicas: batched_energies(
+                    matrix, batch, offset),
+                current=current, current_energy=current_energy,
+                current_feasible=np.ones(num_replicas, dtype=bool),
+                use_delta=single_flip, matrix=matrix,
+                raw_energy=current_energy.copy(), constraints=constraints,
+                use_hardware_filters=False, use_crossbar=False)
             _drive_kernel(driver, sweep, cfg.num_iterations,
-                          cfg.record_history, histories, "SimulatedAnnealer")
+                          cfg.record_history, histories, "SimulatedAnnealer",
+                          count_feasible=False)
 
         dynamics_meta = driver.metadata()
         kernel_meta = ({} if sweep.backend == "reference"
@@ -474,7 +503,8 @@ class BatchedHyCiMSolver:
                 use_hardware_filters=use_hardware_filters,
                 use_crossbar=use_crossbar)
             _drive_kernel(driver, sweep, solver.num_iterations,
-                          solver.record_history, histories, "HyCiM")
+                          solver.record_history, histories, "HyCiM",
+                          count_feasible=True)
 
         best = sweep.best
         best_energy = sweep.best_energy

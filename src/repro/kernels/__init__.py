@@ -1,19 +1,20 @@
 """Sweep kernels: pluggable inner loops for the lock-step batched engines.
 
 See :mod:`repro.kernels.base` for the interface and the backend matrix.
-The factories here are what the engines call: given a backend name (or
-``"auto"``) and the engine's loop state, they construct the matching
-:class:`~repro.kernels.base.SweepKernel`, falling back along
-``numba -> fused -> reference`` when ``"auto"`` meets an unsupported
-configuration or a missing optional dependency.  Importing this package
-imports :mod:`repro.kernels.native` (through the fused kernels) but
-compiles nothing: the C library is built when the first loop driver that
-replays its streams is constructed.
+Each backend has one kernel, which runs both engines: plain SA is the
+HyCiM sweep with every incumbent feasible.  The factory here is what the
+engines call: given a backend name (or ``"auto"``) and the engine's loop
+state, it constructs the matching :class:`~repro.kernels.base.SweepKernel`,
+falling back along ``numba -> fused -> reference`` when ``"auto"`` meets
+an unsupported configuration or a missing optional dependency.  Importing
+this package imports :mod:`repro.kernels.native` (through the fused
+kernel) but compiles nothing: the C library is built when the first loop
+driver that replays its streams is constructed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.kernels.base import (
     DEFAULT_KERNEL,
@@ -24,22 +25,19 @@ from repro.kernels.base import (
     canonical_kernel_param,
     resolve_kernel_backend,
 )
-from repro.kernels.fused import FusedHyCiMKernel, FusedSAKernel
-from repro.kernels.reference import ReferenceHyCiMKernel, ReferenceSAKernel
+from repro.kernels.fused import FusedHyCiMKernel
+from repro.kernels.reference import ReferenceHyCiMKernel
 
 __all__ = [
     "DEFAULT_KERNEL",
     "KERNEL_BACKENDS",
     "FusedHyCiMKernel",
-    "FusedSAKernel",
     "KernelUnavailableError",
     "KernelUnsupportedError",
     "ReferenceHyCiMKernel",
-    "ReferenceSAKernel",
     "SweepKernel",
     "canonical_kernel_param",
     "make_hycim_kernel",
-    "make_sa_kernel",
     "resolve_kernel_backend",
 ]
 
@@ -49,30 +47,48 @@ __all__ = [
 AUTO_ORDER = ("numba", "fused", "reference")
 
 
-def _jit_kernel(name: str) -> Callable[..., SweepKernel]:
+def _jit_kernel(**kwargs) -> SweepKernel:
     """Import the numba backend on first use: importing numba is slow."""
+    from repro.kernels.jit import JitHyCiMKernel
 
-    def construct(**kwargs) -> SweepKernel:
-        from repro.kernels import jit
-
-        return getattr(jit, name)(**kwargs)
-
-    return construct
+    return JitHyCiMKernel(**kwargs)
 
 
-#: backend -> constructor per family.  Every non-reference backend of a
-#: family takes the same keywords; the reference kernels take their own.
-_SA_KERNELS = {"fused": FusedSAKernel, "numba": _jit_kernel("JitSAKernel")}
-_HYCIM_KERNELS = {"fused": FusedHyCiMKernel,
-                  "numba": _jit_kernel("JitHyCiMKernel")}
+#: The incremental backends; they take the same keywords, the reference
+#: kernel its own.
+_KERNELS = {"fused": FusedHyCiMKernel, "numba": _jit_kernel}
 
 
-def _build(backend: Optional[str], kernels: dict,
-           reference: Callable[[], SweepKernel], **kwargs) -> SweepKernel:
+def make_hycim_kernel(kernel: Optional[str], *, num_variables, driver,
+                      move_generator, single_flip, moves_per_iteration,
+                      feasible_batch, energies, current, current_energy,
+                      current_feasible, use_delta, matrix, raw_energy,
+                      constraints, use_hardware_filters, use_crossbar
+                      ) -> SweepKernel:
+    """Construct the sweep kernel of either engine for the requested backend.
+
+    ``feasible_batch=None`` runs without a filter; ``constraints`` is the
+    filter's linear form, ``None`` where it has none (which only the
+    reference kernel runs).
+    """
+    shared = dict(matrix=matrix, driver=driver, single_flip=single_flip,
+                  moves_per_iteration=moves_per_iteration, current=current,
+                  current_energy=current_energy,
+                  current_feasible=current_feasible)
+
     def construct(name: str) -> SweepKernel:
-        return reference() if name == "reference" else kernels[name](**kwargs)
+        if name == "reference":
+            return ReferenceHyCiMKernel(
+                num_variables=num_variables, move_generator=move_generator,
+                feasible_batch=feasible_batch, energies=energies,
+                use_delta=use_delta, raw_energy=raw_energy, **shared)
+        return _KERNELS[name](
+            constraints=constraints,
+            raw_energy=raw_energy if use_delta else None,
+            use_hardware_filters=use_hardware_filters,
+            use_crossbar=use_crossbar, **shared)
 
-    name = resolve_kernel_backend(backend)
+    name = resolve_kernel_backend(kernel)
     if name != "auto":
         return construct(name)
     for candidate in AUTO_ORDER[:-1]:
@@ -85,45 +101,3 @@ def _build(backend: Optional[str], kernels: dict,
         except (KernelUnsupportedError, KernelUnavailableError):
             pass
     return construct(AUTO_ORDER[-1])
-
-
-def make_sa_kernel(kernel: Optional[str], *, matrix, offset, driver,
-                   move_generator, single_flip, moves_per_iteration,
-                   current, current_energy, accept_filter=None,
-                   accept_filter_batch=None, feasibility_constraints=None
-                   ) -> SweepKernel:
-    """Construct the SA sweep kernel for the requested backend."""
-    shared = dict(matrix=matrix, offset=offset, driver=driver,
-                  single_flip=single_flip,
-                  moves_per_iteration=moves_per_iteration, current=current,
-                  current_energy=current_energy, accept_filter=accept_filter,
-                  accept_filter_batch=accept_filter_batch)
-    return _build(
-        kernel, _SA_KERNELS,
-        lambda: ReferenceSAKernel(move_generator=move_generator, **shared),
-        constraints=feasibility_constraints, **shared)
-
-
-def make_hycim_kernel(kernel: Optional[str], *, num_variables, driver,
-                      move_generator, single_flip, moves_per_iteration,
-                      feasible_batch, energies, current, current_energy,
-                      current_feasible, use_delta, matrix, raw_energy,
-                      constraints, use_hardware_filters, use_crossbar
-                      ) -> SweepKernel:
-    """Construct the HyCiM sweep kernel for the requested backend."""
-    shared = dict(matrix=matrix, driver=driver, single_flip=single_flip,
-                  moves_per_iteration=moves_per_iteration, current=current,
-                  current_energy=current_energy,
-                  current_feasible=current_feasible)
-
-    def reference() -> SweepKernel:
-        return ReferenceHyCiMKernel(
-            num_variables=num_variables, move_generator=move_generator,
-            feasible_batch=feasible_batch, energies=energies,
-            use_delta=use_delta, raw_energy=raw_energy, **shared)
-
-    return _build(
-        kernel, _HYCIM_KERNELS, reference, constraints=constraints,
-        raw_energy=raw_energy if use_delta else None,
-        use_hardware_filters=use_hardware_filters, use_crossbar=use_crossbar,
-        **shared)

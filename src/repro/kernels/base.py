@@ -1,17 +1,21 @@
 """The sweep-kernel interface: one object owns the inner SA sweep.
 
 The lock-step engines in :mod:`repro.batched.engine` used to inline their
-propose -> dE -> filter -> accept -> update loop; that loop is now a
+propose -> filter -> evaluate -> accept -> update loop; that loop is now a
 :class:`SweepKernel` the engine drives block-wise:
 
-    kernel = make_sa_kernel(backend, ...)
+    kernel = make_hycim_kernel(backend, ...)
     while iteration < total:
         block = driver.block_length(iteration, limit)
         kernel.run_block(iteration, block)
         iteration += block
         ... exchange / probes / history at the block boundary ...
 
-A kernel owns the travelling sweep state (configurations, energies,
+Each backend has one kernel, and both engines run it: the HyCiM sweep of
+paper Fig. 6(b), whose infeasible incumbents drift at the zero energy of
+Eq. (6), and plain SA, which is that sweep with every incumbent feasible
+(so none drifts, and the best rule is plain ``<``).  A kernel owns the
+travelling sweep state (configurations, energies, feasibility flags,
 best-so-far, proposal counters) and advances it ``block`` iterations per
 :meth:`SweepKernel.run_block` call.  :class:`~repro.dynamics.driver.
 LoopDriver` stays the single authority on temperatures, RNG draws,
@@ -24,9 +28,9 @@ exactly where an exchange round or telemetry probe is due.
 Backends
 --------
 ``"reference"``
-    The engines' original NumPy code, moved verbatim: one full-batch matmul
-    / gather per proposal.  Byte-identical trajectories to every release
-    since PR 2; supports every engine configuration.
+    The engines' original NumPy code: one full-batch matmul / gather per
+    proposal.  Its trajectories are the ones the golden cells pin byte for
+    byte; supports every engine configuration.
 ``"fused"``
     Incremental kernels: per-replica local-field caches make the energy
     delta an O(M) gather, inequality feasibility is maintained as running
@@ -55,6 +59,8 @@ Backends
 from __future__ import annotations
 
 from typing import Optional
+
+import numpy as np
 
 __all__ = [
     "KERNEL_BACKENDS",
@@ -130,10 +136,11 @@ class SweepKernel:
 
     Attributes
     ----------
-    current, current_energy:
-        The ``(M, n)`` incumbent configurations and their ``(M,)`` energies.
-    best, best_energy:
-        Best-so-far configurations/energies (same shapes).
+    current, current_energy, current_feasible:
+        The ``(M, n)`` incumbent configurations, their ``(M,)`` energies and
+        feasibility flags (an infeasible incumbent's energy is 0).
+    best, best_energy, best_feasible:
+        Best-so-far configurations/energies/flags (same shapes).
     num_feasible, num_skipped, num_accepted:
         Cumulative ``(M,)`` integer proposal counters (feasible candidates,
         filter-rejected candidates, accepted moves).
@@ -141,6 +148,32 @@ class SweepKernel:
 
     #: Class-level backend tag (for result metadata / introspection).
     backend: str = "reference"
+
+    def _init_state(self, current: np.ndarray, current_energy: np.ndarray,
+                    current_feasible: np.ndarray) -> None:
+        """Adopt the engine's incumbents (not copied -- the engine hands
+        over the travelling state); the best states start as copies."""
+        self.current = current
+        self.current_energy = current_energy
+        self.current_feasible = current_feasible
+        self.best = current.copy()
+        self.best_energy = current_energy.copy()
+        self.best_feasible = current_feasible.copy()
+        num_replicas = current.shape[0]
+        self.num_feasible = np.zeros(num_replicas, dtype=int)
+        self.num_skipped = np.zeros(num_replicas, dtype=int)
+        self.num_accepted = np.zeros(num_replicas, dtype=int)
+        self._all_feasible = False
+
+    def _settled(self) -> bool:
+        """Whether every incumbent and every best state is feasible: then
+        no replica drifts (paper Eq. (6)) and the best rule is plain ``<``.
+        It stays so -- an accepted move only marks states feasible, and an
+        exchange permutes the incumbents -- so a true answer is kept."""
+        if not self._all_feasible:
+            self._all_feasible = bool(self.current_feasible.all()
+                                      and self.best_feasible.all())
+        return self._all_feasible
 
     def run_block(self, start_iteration: int, num_iterations: int) -> None:
         """Advance the sweep ``num_iterations`` iterations in one call."""

@@ -1,7 +1,7 @@
-"""Fused sweep kernels: incremental-ΔE annealing with local-field caches.
+"""The fused sweep kernel: incremental-ΔE annealing with local-field caches.
 
-The reference kernels pay one O(M·n) candidate copy plus an O(M·n) matmul /
-gather per proposal.  The kernels here maintain, per replica:
+The reference kernel pays one O(M·n) candidate copy plus an O(M·n) matmul /
+gather per proposal.  The kernel here maintains, per replica:
 
 * a **local-field cache** ``field = x @ (Q + Q^T)`` so the single-flip
   energy delta is an O(M) gather -- ``ΔE_k = (1-2b)(diag_i + field[k,i]
@@ -32,9 +32,13 @@ advances those lanes and agrees with the NumPy loop here bit for bit on any
 data; where the system ``cc`` cannot build it, or the draws go through the
 ``Generator`` objects, the NumPy loop runs.
 
-Without numba, ``kernel="auto"`` resolves to these kernels.  Configurations
-a fused kernel cannot express -- generic move generators, opaque
-feasibility callables, hardware-mode evaluation, noisy filters -- raise
+Like the reference kernel, it runs plain SA as the HyCiM sweep with every
+incumbent feasible, and once every incumbent and best state is feasible
+the NumPy loop skips the Eq. (6) bookkeeping.
+
+Without numba, ``kernel="auto"`` resolves to this kernel.  Configurations
+it cannot express -- generic move generators, opaque feasibility
+callables, hardware-mode evaluation, noisy filters -- raise
 :class:`~repro.kernels.base.KernelUnsupportedError` at construction;
 ``kernel="auto"`` then falls back to the reference backend.
 """
@@ -56,7 +60,7 @@ from repro.dynamics.driver import LoopDriver
 from repro.kernels.base import KernelUnsupportedError, SweepKernel
 from repro.kernels.native import compiled_block
 
-__all__ = ["FusedHyCiMKernel", "FusedSAKernel"]
+__all__ = ["FusedHyCiMKernel"]
 
 
 def _csr_row_entries(indptr: np.ndarray, indices: np.ndarray,
@@ -71,10 +75,59 @@ def _csr_row_entries(indptr: np.ndarray, indices: np.ndarray,
     return indices[positions], data[positions], counts
 
 
-class _FusedCore(SweepKernel):
-    """Shared state machine: field cache, constraint loads, flip application."""
+class FusedHyCiMKernel(SweepKernel):
+    """Fused counterpart of :class:`~repro.kernels.reference.ReferenceHyCiMKernel`.
+
+    Covers the software-mode single-flip configuration (the ``use_delta``
+    fast path): every constraint a linear inequality or equality evaluated
+    exactly, no crossbar, no hardware filters.  The HyCiM drift semantics
+    are preserved: replicas whose incumbent is infeasible follow every
+    infeasible candidate at energy 0 while ``raw_energy`` tracks the true
+    QUBO value incrementally.  ``constraints=None`` marks a filter without
+    a linear form, which this kernel refuses.
+    """
 
     backend = "fused"
+
+    def __init__(self, *, matrix, driver: LoopDriver, single_flip: bool,
+                 moves_per_iteration: int,
+                 constraints: Optional[Sequence[LinearConstraint]],
+                 current: np.ndarray, current_energy: np.ndarray,
+                 current_feasible: np.ndarray, raw_energy: Optional[np.ndarray],
+                 use_hardware_filters: bool = False,
+                 use_crossbar: bool = False) -> None:
+        if not single_flip:
+            raise KernelUnsupportedError(
+                "fused kernels require single-flip moves; generic move "
+                "generators run on the reference backend")
+        if use_crossbar or raw_energy is None:
+            raise KernelUnsupportedError(
+                "hardware-mode (crossbar) energy evaluation runs on the "
+                "reference backend")
+        if use_hardware_filters:
+            raise KernelUnsupportedError(
+                "hardware inequality filters (quantised weights / matchline "
+                "noise) run on the reference backend")
+        if constraints is None:
+            raise KernelUnsupportedError(
+                "the feasibility filter has no linear form (an opaque "
+                "accept_filter, or accept_filter_batch without "
+                "feasibility_constraints); fused kernels need one to "
+                "maintain incremental constraint loads")
+        constraints = tuple(constraints)
+        for constraint in constraints:
+            if not isinstance(constraint,
+                              (InequalityConstraint, EqualityConstraint)):
+                raise KernelUnsupportedError(
+                    f"constraint {type(constraint).__name__} is not a linear "
+                    "inequality or equality; fused kernels cannot track it "
+                    "incrementally")
+        self.driver = driver
+        self.moves_per_iteration = int(moves_per_iteration)
+        self.raw_energy = raw_energy
+        self._init_state(current, current_energy, current_feasible)
+        self._init_model(matrix, current, constraints)
+        self._init_draws()
 
     def _init_model(self, matrix, current: np.ndarray,
                     constraints: Sequence[LinearConstraint]) -> None:
@@ -182,60 +235,13 @@ class _FusedCore(SweepKernel):
                 self.field[replicas[lowering]] -= self._symmetric[
                     chosen[lowering]]
 
-
-class FusedSAKernel(_FusedCore):
-    """Fused counterpart of :class:`~repro.kernels.reference.ReferenceSAKernel`.
-
-    Requires single-flip moves and filters expressible as linear inequality
-    constraints (``constraints``); an opaque ``accept_filter`` /
-    ``accept_filter_batch`` without its linear form is unsupported.
-    """
-
-    def __init__(self, *, matrix, offset: float, driver: LoopDriver,
-                 single_flip: bool, moves_per_iteration: int,
-                 current: np.ndarray, current_energy: np.ndarray,
-                 accept_filter=None, accept_filter_batch=None,
-                 constraints: Optional[Sequence[LinearConstraint]] = None
-                 ) -> None:
-        if not single_flip:
-            raise KernelUnsupportedError(
-                "fused kernels require single-flip moves; generic move "
-                "generators run on the reference backend")
-        if accept_filter is not None and accept_filter_batch is None:
-            # With a batch filter present the row filter is never consulted
-            # (the reference kernel's precedence), so it need not be linear.
-            raise KernelUnsupportedError(
-                "fused kernels cannot evaluate an opaque per-row "
-                "accept_filter incrementally")
-        if accept_filter_batch is not None and constraints is None:
-            raise KernelUnsupportedError(
-                "accept_filter_batch has no linear-inequality form "
-                "(feasibility_constraints not provided); fused kernels need "
-                "one to maintain incremental constraint loads")
-        effective = (tuple(constraints)
-                     if accept_filter_batch is not None else ())
-        for constraint in effective:
-            if not isinstance(constraint,
-                              (InequalityConstraint, EqualityConstraint)):
-                raise KernelUnsupportedError(
-                    f"constraint {type(constraint).__name__} is not a linear "
-                    "inequality or equality; fused kernels cannot track it "
-                    "incrementally")
-        self.driver = driver
-        self.moves_per_iteration = int(moves_per_iteration)
-        self.current = current
-        self.current_energy = current_energy
-        self.best = current.copy()
-        self.best_energy = current_energy.copy()
-        num_replicas = current.shape[0]
-        self.num_feasible = np.zeros(num_replicas, dtype=int)
-        self.num_skipped = np.zeros(num_replicas, dtype=int)
-        self.num_accepted = np.zeros(num_replicas, dtype=int)
-        self._init_model(matrix, current, effective)
-        self._init_draws()
-
     def _numpy_block(self, start_iteration: int, num_iterations: int) -> None:
         driver = self.driver
+        rows = self._rows
+        num_replicas = rows.shape[0]
+        current_energy = self.current_energy
+        raw_energy = self.raw_energy
+        settled = self._settled()
         for iteration in range(start_iteration,
                                start_iteration + num_iterations):
             for _ in range(self.moves_per_iteration):
@@ -246,142 +252,50 @@ class FusedSAKernel(_FusedCore):
                     self.num_skipped += ~passed
                     self.num_feasible += passed
                     feasible_idx = np.flatnonzero(passed)
+                    if not settled:
+                        # Infeasible incumbents drift freely at energy 0
+                        # (paper Eq. (6)), exactly as the reference kernel.
+                        drifting = np.flatnonzero(~passed
+                                                  & ~self.current_feasible)
+                        if drifting.size:
+                            current_energy[drifting] = 0.0
+                            raw_energy[drifting] += delta[drifting]
+                            self._apply_flips(drifting, flips, bits, signs,
+                                              candidate_loads)
                     if feasible_idx.size == 0:
                         continue
-                    step = delta[feasible_idx]
+                    subset = (feasible_idx if feasible_idx.size < num_replicas
+                              else slice(None))
                 else:
                     candidate_loads = None
-                    feasible_idx = self._rows
+                    feasible_idx = rows
                     self.num_feasible += 1
-                    step = delta
+                    subset = slice(None)
 
+                candidate_energy = raw_energy[subset] + delta[subset]
+                step = candidate_energy - current_energy[subset]
                 accepted = driver.metropolis(step, feasible_idx, iteration)
                 accepted_idx = feasible_idx[accepted]
-                if accepted_idx.size:
-                    # current_energy[f] + delta then assign, as the reference
-                    # does, equals this in-place add entry for entry.
-                    self.current_energy[accepted_idx] += step[accepted]
-                    self._apply_flips(accepted_idx, flips, bits, signs,
-                                      candidate_loads)
-                    self.num_accepted[accepted_idx] += 1
-                    energies = self.current_energy[accepted_idx]
-                    better = energies < self.best_energy[accepted_idx]
-                    if better.any():
-                        improved = accepted_idx[better]
-                        self.best_energy[improved] = energies[better]
-                        self.best[improved] = self.current[improved]
-
-    def swap_arrays(self) -> tuple:
-        arrays = [self.current, self.current_energy, self.field]
-        if self._num_constraints:
-            arrays.append(self.loads)
-        return tuple(arrays)
-
-
-class FusedHyCiMKernel(_FusedCore):
-    """Fused counterpart of :class:`~repro.kernels.reference.ReferenceHyCiMKernel`.
-
-    Covers the software-mode single-flip configuration (the ``use_delta``
-    fast path): every constraint a linear inequality evaluated exactly, no
-    crossbar, no hardware filters.  The HyCiM drift semantics are preserved:
-    replicas whose incumbent is infeasible follow every infeasible candidate
-    at energy 0 while ``raw_energy`` tracks the true QUBO value
-    incrementally.
-    """
-
-    def __init__(self, *, matrix, driver: LoopDriver, single_flip: bool,
-                 moves_per_iteration: int,
-                 constraints: Sequence[LinearConstraint],
-                 current: np.ndarray, current_energy: np.ndarray,
-                 current_feasible: np.ndarray, raw_energy: Optional[np.ndarray],
-                 use_hardware_filters: bool = False,
-                 use_crossbar: bool = False) -> None:
-        if not single_flip:
-            raise KernelUnsupportedError(
-                "fused kernels require single-flip moves")
-        if use_crossbar or raw_energy is None:
-            raise KernelUnsupportedError(
-                "hardware-mode (crossbar) energy evaluation runs on the "
-                "reference backend")
-        if use_hardware_filters:
-            raise KernelUnsupportedError(
-                "hardware inequality filters (quantised weights / matchline "
-                "noise) run on the reference backend")
-        constraints = tuple(constraints)
-        for constraint in constraints:
-            if not isinstance(constraint,
-                              (InequalityConstraint, EqualityConstraint)):
-                raise KernelUnsupportedError(
-                    f"constraint {type(constraint).__name__} is not a linear "
-                    "inequality or equality; fused kernels cannot track it "
-                    "incrementally")
-        self.driver = driver
-        self.moves_per_iteration = int(moves_per_iteration)
-        self.current = current
-        self.current_energy = current_energy
-        self.current_feasible = current_feasible
-        self.raw_energy = raw_energy
-        self.best = current.copy()
-        self.best_energy = current_energy.copy()
-        self.best_feasible = current_feasible.copy()
-        num_replicas = current.shape[0]
-        self.num_feasible = np.zeros(num_replicas, dtype=int)
-        self.num_skipped = np.zeros(num_replicas, dtype=int)
-        self.num_accepted = np.zeros(num_replicas, dtype=int)
-        self._init_model(matrix, current, constraints)
-        self._init_draws()
-
-    def _numpy_block(self, start_iteration: int, num_iterations: int) -> None:
-        driver = self.driver
-        for iteration in range(start_iteration,
-                               start_iteration + num_iterations):
-            for _ in range(self.moves_per_iteration):
-                flips, bits, signs, delta = self._propose(driver)
-                candidate_raw = self.raw_energy + delta
-
-                if self._num_constraints:
-                    candidate_loads, candidate_feasible = \
-                        self._candidate_loads(flips, signs)
-                else:
-                    candidate_loads = None
-                    candidate_feasible = np.ones(self._rows.shape[0],
-                                                 dtype=bool)
-                infeasible_idx = np.flatnonzero(~candidate_feasible)
-                self.num_skipped[infeasible_idx] += 1
-                # Infeasible incumbents drift freely at energy 0 (paper
-                # Eq. (6)), exactly as the reference kernel.
-                drifting = infeasible_idx[
-                    ~self.current_feasible[infeasible_idx]]
-                if drifting.size:
-                    self.current_energy[drifting] = 0.0
-                    self.raw_energy[drifting] = candidate_raw[drifting]
-                    self._apply_flips(drifting, flips, bits, signs,
-                                      candidate_loads)
-
-                feasible_idx = np.flatnonzero(candidate_feasible)
-                if feasible_idx.size == 0:
+                if accepted_idx.size == 0:
                     continue
-                self.num_feasible[feasible_idx] += 1
-
-                candidate_energy = candidate_raw[feasible_idx]
-                step = candidate_energy - self.current_energy[feasible_idx]
-                accepted = driver.metropolis(step, feasible_idx, iteration)
-                accepted_idx = feasible_idx[accepted]
-                if accepted_idx.size:
-                    self.current_energy[accepted_idx] = \
-                        candidate_raw[accepted_idx]
-                    self.raw_energy[accepted_idx] = candidate_raw[accepted_idx]
+                energies = candidate_energy[accepted]
+                current_energy[accepted_idx] = energies
+                raw_energy[accepted_idx] = energies
+                self._apply_flips(accepted_idx, flips, bits, signs,
+                                  candidate_loads)
+                self.num_accepted[accepted_idx] += 1
+                better = energies < self.best_energy[accepted_idx]
+                if not settled:
                     self.current_feasible[accepted_idx] = True
-                    self._apply_flips(accepted_idx, flips, bits, signs,
-                                      candidate_loads)
-                    self.num_accepted[accepted_idx] += 1
-                    improved = accepted_idx[
-                        (self.current_energy[accepted_idx]
-                         < self.best_energy[accepted_idx])
-                        | ~self.best_feasible[accepted_idx]]
-                    self.best_energy[improved] = self.current_energy[improved]
+                    better |= ~self.best_feasible[accepted_idx]
+                if better.any():
+                    improved = accepted_idx[better]
+                    self.best_energy[improved] = energies[better]
                     self.best[improved] = self.current[improved]
-                    self.best_feasible[improved] = True
+                    if not settled:
+                        self.best_feasible[improved] = True
+                if not settled:
+                    settled = self._settled()
 
     def swap_arrays(self) -> tuple:
         arrays = [self.current, self.current_energy, self.current_feasible,

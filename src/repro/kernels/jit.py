@@ -1,11 +1,13 @@
-"""Optional numba JIT backend: compiled per-replica sweep loops.
+"""Optional numba JIT backend: the compiled per-replica sweep loop.
 
-The fused kernels already make the per-proposal work O(M) (plus O(n) or
+The fused kernel already makes the per-proposal work O(M) (plus O(n) or
 O(degree) per *accepted* flip), but every proposal still crosses the
 Python/NumPy boundary several times -- generator method calls, fancy
-indexing, boolean masks.  The kernels here compile the whole fused block
+indexing, boolean masks.  The kernel here compiles the whole fused block
 into one ``numba.njit`` function that loops replicas and iterations in
-native code, including the random streams themselves.
+native code, including the random streams themselves.  Like the other
+backends it serves both engines: plain SA is the HyCiM block with every
+incumbent feasible.
 
 **RNG replay.**  numba cannot call ``numpy.random.Generator`` methods, so
 the compiled loop re-implements the exact draw pipeline of PCG64 +
@@ -27,7 +29,7 @@ driver writes the advanced lanes back into the ``Generator`` objects when it
 exits, so anything consuming the streams afterwards continues exactly where
 a reference run would.
 
-**Support matrix.**  Everything the fused kernels support *except*
+**Support matrix.**  Everything the fused kernel supports *except*
 shared-RNG mode (its draws are batched, not per-replica), non-Metropolis
 acceptance rules and any other run whose streams the driver does not
 replay (non-PCG64 or aliased bit generators) -- those raise
@@ -53,9 +55,9 @@ from repro.core.constraints import (
 from repro.dynamics.acceptance import MetropolisRule
 from repro.dynamics.driver import LoopDriver
 from repro.kernels.base import KernelUnavailableError, KernelUnsupportedError
-from repro.kernels.fused import FusedHyCiMKernel, FusedSAKernel
+from repro.kernels.fused import FusedHyCiMKernel
 
-__all__ = ["HAVE_NUMBA", "JitHyCiMKernel", "JitSAKernel"]
+__all__ = ["HAVE_NUMBA", "JitHyCiMKernel"]
 
 try:  # pragma: no cover - exercised only where numba is installed
     from numba import njit
@@ -175,7 +177,7 @@ def _metropolis_accept(step, temperature, draw):
 
 
 # --------------------------------------------------------------------- #
-# Compiled sweep blocks
+# The compiled sweep block
 # --------------------------------------------------------------------- #
 @njit(cache=False)
 def _commit_flip(k, flip, sign, bit, current, loads, candidate,
@@ -194,63 +196,6 @@ def _commit_flip(k, flip, sign, bit, current, loads, candidate,
 
 
 @njit(cache=False)
-def _sa_block(start, num_iterations, moves_per_iteration, base, factors,
-              is_sparse, symmetric, sym_indptr, sym_indices, sym_data, diag,
-              current, field, current_energy, best, best_energy, loads,
-              weights_t, bounds, num_constraints, num_feasible, num_skipped,
-              num_accepted, rs_hi, rs_lo, ri_hi, ri_lo, r_has, r_buf,
-              num_variables):
-    num_replicas = current.shape[0]
-    candidate = np.empty(num_constraints, dtype=np.float64)
-    # Replicas are independent between exchange boundaries (each owns its
-    # stream and its state rows), so looping them outermost is equivalent
-    # to the reference lock-step order.
-    for k in range(num_replicas):
-        s_hi = rs_hi[k]
-        s_lo = rs_lo[k]
-        i_hi = ri_hi[k]
-        i_lo = ri_lo[k]
-        has32 = r_has[k]
-        buffered = r_buf[k]
-        for iteration in range(start, start + num_iterations):
-            temperature = base[iteration] * factors[k]
-            for _ in range(moves_per_iteration):
-                s_hi, s_lo, has32, buffered, drawn = _pcg_integers(
-                    s_hi, s_lo, i_hi, i_lo, has32, buffered, num_variables)
-                flip = np.int64(drawn)
-                bit = current[k, flip]
-                sign = 1.0 - 2.0 * bit
-                d = diag[flip]
-                delta = sign * (d + field[k, flip] - 2.0 * d * bit)
-                passed = True
-                for c in range(num_constraints):
-                    value = loads[k, c] + sign * weights_t[flip, c]
-                    candidate[c] = value
-                    if not (value <= bounds[c] + FEASIBILITY_TOLERANCE):
-                        passed = False
-                if not passed:
-                    num_skipped[k] += 1
-                    continue
-                num_feasible[k] += 1
-                s_hi, s_lo, draw = _pcg_random(s_hi, s_lo, i_hi, i_lo)
-                if _metropolis_accept(delta, temperature, draw):
-                    current_energy[k] += delta
-                    _commit_flip(k, flip, sign, bit, current, loads,
-                                 candidate, num_constraints, is_sparse,
-                                 symmetric, sym_indptr, sym_indices,
-                                 sym_data, field)
-                    num_accepted[k] += 1
-                    if current_energy[k] < best_energy[k]:
-                        best_energy[k] = current_energy[k]
-                        for j in range(current.shape[1]):
-                            best[k, j] = current[k, j]
-        rs_hi[k] = s_hi
-        rs_lo[k] = s_lo
-        r_has[k] = has32
-        r_buf[k] = buffered
-
-
-@njit(cache=False)
 def _hycim_block(start, num_iterations, moves_per_iteration, base, factors,
                  is_sparse, symmetric, sym_indptr, sym_indices, sym_data,
                  diag, current, field, current_energy, raw_energy,
@@ -260,6 +205,9 @@ def _hycim_block(start, num_iterations, moves_per_iteration, base, factors,
                  r_has, r_buf, num_variables):
     num_replicas = current.shape[0]
     candidate = np.empty(num_constraints, dtype=np.float64)
+    # Replicas are independent between exchange boundaries (each owns its
+    # stream and its state rows), so looping them outermost is equivalent
+    # to the reference lock-step order.
     for k in range(num_replicas):
         s_hi = rs_hi[k]
         s_lo = rs_lo[k]
@@ -337,7 +285,7 @@ def _require_jit(driver: LoopDriver) -> None:
 
 
 def _reject_equality(constraints) -> None:
-    # The compiled blocks hard-code the ``load <= bound + tol`` compare;
+    # The compiled block hard-codes the ``load <= bound + tol`` compare;
     # equality constraints run on the (pure-NumPy) fused backend instead.
     for constraint in constraints or ():
         if isinstance(constraint, EqualityConstraint):
@@ -346,87 +294,15 @@ def _reject_equality(constraints) -> None:
                 "the numba backend covers linear inequalities only")
 
 
-class _JitMixin:
-    """Shared setup: ladder factors, dummy model arrays, the driver's lanes."""
+class JitHyCiMKernel(FusedHyCiMKernel):
+    """Compiled counterpart of :class:`~repro.kernels.fused.FusedHyCiMKernel`:
+    its model and state, with the driver's lanes advanced by ``_hycim_block``."""
 
     backend = "numba"
 
-    def _init_draws(self) -> None:
-        """The compiled blocks' inputs, in place of the fused kernels' draws."""
-        driver = self.driver
-        if self._num_variables > 2 ** 32:
-            raise KernelUnsupportedError(
-                "the compiled Lemire sampler covers bounds up to 2**32")
-        # The driver's lanes (state layout, buffered next32 fields, the
-        # write-back when it exits); the compiled blocks mutate them in
-        # place.
-        self._lanes = driver.replay()
-        if self._lanes is None:
-            raise KernelUnsupportedError(
-                "the driver does not replay these replica streams (bit "
-                "generators that are not PCG64 or shared between replicas)")
-        self._jit_base = np.ascontiguousarray(driver._base, dtype=np.float64)
-        factors = driver._factors
-        self._jit_factors = (np.ones(self.current.shape[0])
-                             if factors is None
-                             else np.ascontiguousarray(factors,
-                                                       dtype=np.float64))
-        self._num_variables_u = np.uint64(self._num_variables)
-        # The compiled blocks take both dense and CSR model arrays and
-        # branch on ``is_sparse``; the unused side is a typed dummy.
-        if self._sparse:
-            self._jit_symmetric = np.zeros((1, 1))
-        else:
-            self._jit_symmetric = self._symmetric
-            self._sym_indptr = np.zeros(1, dtype=np.int64)
-            self._sym_indices = np.zeros(0, dtype=np.int64)
-            self._sym_data = np.zeros(0, dtype=np.float64)
-
-
-class JitSAKernel(_JitMixin, FusedSAKernel):
-    """Compiled counterpart of :class:`~repro.kernels.fused.FusedSAKernel`."""
-
-    def __init__(self, *, matrix, offset: float, driver: LoopDriver,
-                 single_flip: bool, moves_per_iteration: int,
-                 current: np.ndarray, current_energy: np.ndarray,
-                 accept_filter=None, accept_filter_batch=None,
-                 constraints: Optional[Sequence[InequalityConstraint]] = None
-                 ) -> None:
-        _require_jit(driver)
-        _reject_equality(constraints)
-        super().__init__(matrix=matrix, offset=offset, driver=driver,
-                         single_flip=single_flip,
-                         moves_per_iteration=moves_per_iteration,
-                         current=current, current_energy=current_energy,
-                         accept_filter=accept_filter,
-                         accept_filter_batch=accept_filter_batch,
-                         constraints=constraints)
-
-    def run_block(self, start_iteration: int, num_iterations: int) -> None:
-        streams = self._lanes
-        # Interpreted mode wraps uint64 in numpy scalars, which warns on
-        # every (intentional) overflow; compiled mode never raises it.
-        with np.errstate(over="ignore"):
-            _sa_block(start_iteration, num_iterations,
-                      self.moves_per_iteration, self._jit_base,
-                      self._jit_factors, self._sparse, self._jit_symmetric,
-                      self._sym_indptr, self._sym_indices, self._sym_data,
-                      self._diag, self.current, self.field,
-                      self.current_energy, self.best, self.best_energy,
-                      self.loads, self._weights_t, self._bounds,
-                      self._num_constraints, self.num_feasible,
-                      self.num_skipped, self.num_accepted, streams.s_hi,
-                      streams.s_lo, streams.i_hi, streams.i_lo,
-                      streams.has32, streams.buffered,
-                      self._num_variables_u)
-
-
-class JitHyCiMKernel(_JitMixin, FusedHyCiMKernel):
-    """Compiled counterpart of :class:`~repro.kernels.fused.FusedHyCiMKernel`."""
-
     def __init__(self, *, matrix, driver: LoopDriver, single_flip: bool,
                  moves_per_iteration: int,
-                 constraints: Sequence[InequalityConstraint],
+                 constraints: Optional[Sequence[InequalityConstraint]],
                  current: np.ndarray, current_energy: np.ndarray,
                  current_feasible: np.ndarray,
                  raw_energy: Optional[np.ndarray],
@@ -443,6 +319,37 @@ class JitHyCiMKernel(_JitMixin, FusedHyCiMKernel):
                          raw_energy=raw_energy,
                          use_hardware_filters=use_hardware_filters,
                          use_crossbar=use_crossbar)
+
+    def _init_draws(self) -> None:
+        """The compiled block's inputs, in place of the fused kernel's draws."""
+        driver = self.driver
+        if self._num_variables > 2 ** 32:
+            raise KernelUnsupportedError(
+                "the compiled Lemire sampler covers bounds up to 2**32")
+        # The driver's lanes (state layout, buffered next32 fields, the
+        # write-back when it exits); the compiled block mutates them in
+        # place.
+        self._lanes = driver.replay()
+        if self._lanes is None:
+            raise KernelUnsupportedError(
+                "the driver does not replay these replica streams (bit "
+                "generators that are not PCG64 or shared between replicas)")
+        self._jit_base = np.ascontiguousarray(driver._base, dtype=np.float64)
+        factors = driver._factors
+        self._jit_factors = (np.ones(self.current.shape[0])
+                             if factors is None
+                             else np.ascontiguousarray(factors,
+                                                       dtype=np.float64))
+        self._num_variables_u = np.uint64(self._num_variables)
+        # The compiled block takes both dense and CSR model arrays and
+        # branches on ``is_sparse``; the unused side is a typed dummy.
+        if self._sparse:
+            self._jit_symmetric = np.zeros((1, 1))
+        else:
+            self._jit_symmetric = self._symmetric
+            self._sym_indptr = np.zeros(1, dtype=np.int64)
+            self._sym_indices = np.zeros(0, dtype=np.int64)
+            self._sym_data = np.zeros(0, dtype=np.float64)
 
     def run_block(self, start_iteration: int, num_iterations: int) -> None:
         streams = self._lanes

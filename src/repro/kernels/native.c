@@ -1,15 +1,16 @@
-/* The compiled sweep blocks and replica draws (loaded by native.py).
+/* The compiled sweep block and replica draws (loaded by native.py).
  *
- * run_block is a straight port of the fused kernels' per-replica NumPy
- * loop; draw_flips and metropolis are LoopDriver's single-flip draws and
- * Metropolis verdicts, for any kernel.  All of them advance the replicas'
- * numpy PCG64 streams in the driver's lanes: the 128-bit LCG step with the
- * XSL-RR output, the bit generator's buffered next32 (low half first, high
- * half parked), numpy's 32-bit Lemire sampler for integers(0, n) and
- * random().  Every energy, field and load update is the IEEE operation the
- * NumPy loop applies to that element, in the same order, and acceptance
- * calls libm exp as math.exp does.  Build with -ffp-contract=off so the
- * compiler fuses no multiply-add.
+ * run_block is a straight port of the fused kernel's per-replica NumPy
+ * loop, for both engines: plain SA runs it with every incumbent feasible,
+ * so no replica drifts.  draw_flips and metropolis are LoopDriver's
+ * single-flip draws and Metropolis verdicts, for any kernel.  All of them
+ * advance the replicas' numpy PCG64 streams in the driver's lanes: the
+ * 128-bit LCG step with the XSL-RR output, the bit generator's buffered
+ * next32 (low half first, high half parked), numpy's 32-bit Lemire sampler
+ * for integers(0, n) and random().  Every energy, field and load update is
+ * the IEEE operation the NumPy loop applies to that element, in the same
+ * order, and acceptance calls libm exp as math.exp does.  Build with
+ * -ffp-contract=off so the compiler fuses no multiply-add.
  */
 #include <math.h>
 #include <stdint.h>
@@ -22,8 +23,7 @@ typedef unsigned __int128 u128;
 
 /* Pointers into the Python kernel's arrays, row-major; float64 unless
  * noted.  The field order is native.py's _Sweep.  NULL marks an absent
- * array: no ladder factors, the unused dense or CSR side, and the HyCiM
- * state of an SA kernel (raw_energy NULL selects the SA rules). */
+ * array: no ladder factors, or the unused dense or CSR side. */
 typedef struct {
     int64_t replicas, n, constraints, moves, sparse;
     /* travelling state, written by the blocks */
@@ -192,7 +192,6 @@ static void commit(const sweep_t *s, int64_t k, const move_t *m, const double *c
  * rows), so looping them outermost is the lock-step order. */
 void run_block(const sweep_t *s, int64_t start, int64_t count)
 {
-    const int hycim = s->raw_energy != NULL;
     double candidate[s->constraints + 1];
     for (int64_t k = 0; k < s->replicas; k++) {
         stream_t r = load_stream(s->lanes, s->replicas, k);
@@ -200,14 +199,14 @@ void run_block(const sweep_t *s, int64_t start, int64_t count)
             double t = s->factors ? s->base[it] * s->factors[k] : s->base[it];
             for (int64_t move = 0; move < s->moves; move++) {
                 move_t m = propose(s, &r, k);
-                /* SA moves on the energy; HyCiM tracks the raw QUBO value,
-                 * its incumbent energy being 0 while infeasible. */
-                double energy = (hycim ? s->raw_energy[k] : s->current_energy[k]) + m.delta;
+                /* The raw QUBO value moves with the flip; the incumbent's
+                 * energy is 0 while it is infeasible. */
+                double energy = s->raw_energy[k] + m.delta;
                 if (!admits(s, k, &m, candidate)) {
                     s->num_skipped[k]++;
-                    /* Infeasible HyCiM incumbents drift freely at energy 0
+                    /* Infeasible incumbents drift freely at energy 0
                      * (paper Eq. (6)), exactly as the NumPy loop. */
-                    if (hycim && !s->current_feasible[k]) {
+                    if (!s->current_feasible[k]) {
                         s->current_energy[k] = 0.0;
                         s->raw_energy[k] = energy;
                         commit(s, k, &m, candidate);
@@ -215,21 +214,17 @@ void run_block(const sweep_t *s, int64_t start, int64_t count)
                     continue;
                 }
                 s->num_feasible[k]++;
-                double step = hycim ? energy - s->current_energy[k] : m.delta;
-                if (!accept(step, t, uniform(&r)))
+                if (!accept(energy - s->current_energy[k], t, uniform(&r)))
                     continue;
                 s->current_energy[k] = energy;
-                if (hycim) {
-                    s->raw_energy[k] = energy;
-                    s->current_feasible[k] = 1;
-                }
+                s->raw_energy[k] = energy;
+                s->current_feasible[k] = 1;
                 commit(s, k, &m, candidate);
                 s->num_accepted[k]++;
-                if (s->current_energy[k] < s->best_energy[k] || (hycim && !s->best_feasible[k])) {
+                if (s->current_energy[k] < s->best_energy[k] || !s->best_feasible[k]) {
                     s->best_energy[k] = s->current_energy[k];
                     memcpy(s->best + k * s->n, s->current + k * s->n, (size_t)s->n * sizeof(double));
-                    if (hycim)
-                        s->best_feasible[k] = 1;
+                    s->best_feasible[k] = 1;
                 }
             }
         }

@@ -9,11 +9,11 @@
   (``draw_flips``, ``metropolis``) for every kernel, the reference kernel
   included: the buffers' addresses are fixed at construction, so a call
   copies its arguments into them and passes one struct pointer.
-* :func:`compiled_block` ports the fused kernels' per-replica loop to C --
+* :func:`compiled_block` ports the fused kernel's per-replica loop to C --
   the local-field delta, the running inequality and equality loads, the
-  HyCiM drift rule and best tracking -- by pointing one ``sweep_t`` at a
-  fused kernel's arrays (model, state and the driver's lanes) and returning
-  its ``run_block`` as one C call.
+  HyCiM drift rule and best tracking, for SA and HyCiM runs alike -- by
+  pointing one ``sweep_t`` at a fused kernel's arrays (model, state and the
+  driver's lanes) and returning its ``run_block`` as one C call.
 
 Per element the C code applies the IEEE operations the NumPy loop applies,
 in the same order, and decides acceptance with ``-delta / T``, the -700

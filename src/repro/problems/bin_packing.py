@@ -113,13 +113,10 @@ class BinPackingProblem(CombinatorialProblem):
         return assignment
 
     def bin_loads(self, x: Iterable[float]) -> np.ndarray:
-        """Total size assigned to each bin."""
-        vec = self._validate(x)
-        loads = np.zeros(self.num_bins)
-        for item in range(self.num_items):
-            for b in range(self.num_bins):
-                loads[b] += self.sizes[item] * vec[self.assign_index(item, b)]
-        return loads
+        """Total size assigned to each bin: each capacity constraint's load,
+        the product its verdict reads."""
+        row = self._validate(x)[None, :]
+        return np.concatenate([c.loads(row) for c in self._capacities])
 
     # ------------------------------------------------------------------ #
     # CombinatorialProblem interface

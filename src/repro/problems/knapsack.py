@@ -62,9 +62,9 @@ class KnapsackProblem(CombinatorialProblem):
         return float(self.profits @ vec)
 
     def total_weight(self, x: Iterable[float]) -> float:
-        """Total selected weight ``w . x``."""
-        vec = self._validate(x)
-        return float(self.weights @ vec)
+        """Total selected weight ``w . x``: the capacity constraint's load,
+        the product its verdict reads."""
+        return float(self._linear[0].loads(self._validate(x)[None, :])[0])
 
     def constraint(self) -> InequalityConstraint:
         """The capacity constraint as a standalone object."""

@@ -40,6 +40,10 @@ class MaxCutProblem(CombinatorialProblem):
         if np.any(np.diag(w) != 0):
             raise ValueError("adjacency matrix must have a zero diagonal (no self loops)")
         self.adjacency = w
+        # Each edge once, as its upper-triangle entry, and every vertex's
+        # incident weight: the two terms of the cut (see objective).
+        self._edges = np.triu(w, k=1)
+        self._incident = self._edges.sum(axis=0) + self._edges.sum(axis=1)
 
     @classmethod
     def from_graph(cls, graph: nx.Graph, weight: str = "weight",
@@ -65,15 +69,14 @@ class MaxCutProblem(CombinatorialProblem):
         return self.num_variables
 
     def objective(self, x: Iterable[float]) -> float:
-        """Total weight of edges cut by the partition encoded in ``x``."""
+        """Total weight of edges cut by the partition encoded in ``x``.
+
+        ``sum_{i<j} w_ij (x_i - x_j)^2``, which for binary ``x`` is the
+        incident weight of the selected vertices minus twice the weight of
+        the edges inside the selection: exact on integer weights.
+        """
         vec = self._validate(x)
-        cut = 0.0
-        n = self.num_nodes
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.adjacency[i, j] != 0 and vec[i] != vec[j]:
-                    cut += self.adjacency[i, j]
-        return float(cut)
+        return float(self._incident @ vec - 2.0 * (vec @ self._edges @ vec))
 
     def linear_feasibility_constraints(self) -> tuple:
         """Unconstrained: the empty conjunction."""
@@ -87,8 +90,8 @@ class MaxCutProblem(CombinatorialProblem):
         """
         from repro.core.sparse import SparseQUBOModel
 
-        rows, cols = np.nonzero(np.triu(self.adjacency, k=1))
-        weights = self.adjacency[rows, cols]
+        rows, cols = np.nonzero(self._edges)
+        weights = self._edges[rows, cols]
         n = self.num_nodes
         coo_rows = np.concatenate([rows, rows, cols])
         coo_cols = np.concatenate([cols, rows, cols])

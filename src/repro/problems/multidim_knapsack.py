@@ -119,9 +119,10 @@ class MultiDimensionalKnapsackProblem(CombinatorialProblem):
                                   self._integer)
 
     def resource_usage(self, x: Iterable[float]) -> np.ndarray:
-        """Per-dimension resource consumption ``W x``."""
-        vec = self._validate(x)
-        return self.weights @ vec
+        """Per-dimension resource consumption ``W x``: each resource
+        constraint's load, the product its verdict reads."""
+        row = self._validate(x)[None, :]
+        return np.concatenate([c.loads(row) for c in self._linear])
 
     def constraints(self) -> Tuple[InequalityConstraint, ...]:
         """One detached inequality constraint per resource dimension."""

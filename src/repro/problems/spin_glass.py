@@ -41,6 +41,7 @@ class SherringtonKirkpatrickProblem(CombinatorialProblem):
         if np.any(np.diag(j) != 0):
             raise ValueError("coupling matrix diagonal must be zero")
         self.couplings = j
+        self._ising = self.to_ising()
 
     @property
     def num_spins(self) -> int:
@@ -52,8 +53,9 @@ class SherringtonKirkpatrickProblem(CombinatorialProblem):
         return self.num_spins
 
     def spin_energy(self, sigma: Iterable[float]) -> float:
-        """Hamiltonian value for a +/-1 spin vector."""
-        return self.to_ising().energy(sigma)
+        """Hamiltonian value for a +/-1 spin vector (on the Ising model
+        built once per instance)."""
+        return self._ising.energy(sigma)
 
     def objective(self, x: Iterable[float]) -> float:
         """Hamiltonian value with binary encoding ``sigma = 1 - 2x``."""
@@ -72,7 +74,7 @@ class SherringtonKirkpatrickProblem(CombinatorialProblem):
 
     def to_qubo(self) -> QUBOModel:
         """Exact QUBO via the Ising-to-QUBO variable change."""
-        return self.to_ising().to_qubo()
+        return self._ising.to_qubo()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SherringtonKirkpatrickProblem(name={self.name!r}, N={self.num_spins})"

@@ -351,6 +351,31 @@ class TestHyCiMParity:
             qkp_initials, gens, kernel=backend)
         assert_exact_parity(reference, other, (ref_gens, gens))
 
+    @pytest.mark.parametrize("ladder", [False, True],
+                             ids=["independent", "ladder"])
+    def test_infeasible_starts(self, backend, qkp, ladder):
+        # Random starts, two of five over capacity: those replicas drift at
+        # energy 0 (paper Eq. (6)) until they accept a feasible state, and
+        # on a ladder exchange moves the drifting incumbents between
+        # replicas whose best states are feasible.
+        initials = (np.random.default_rng(3).random(
+            (NUM_REPLICAS, qkp.num_variables)) < 0.6).astype(float)
+        assert qkp.is_feasible_batch(initials).tolist() == [
+            False, False, True, True, True]
+        solver = HyCiMSolver(qkp, use_hardware=False, num_iterations=150)
+
+        def run(generators, kernel):
+            coupling = (dict(dynamics=ParallelTempering(exchange_interval=3),
+                             exchange_rng=exchange_stream([4242]))
+                        if ladder else {})
+            return BatchedHyCiMSolver(solver).solve_batch(
+                initials, generators, kernel=kernel, **coupling)
+
+        ref_gens, gens = make_generators(57), make_generators(57)
+        reference = run(ref_gens, "reference")
+        assert_exact_parity(reference, run(gens, backend), (ref_gens, gens))
+        assert all(r.feasible for r in reference)
+
     def test_multidimensional_constraints(self, backend):
         # Several running loads per replica: every constraint column must
         # gate the same proposals the reference's batch filter rejects.

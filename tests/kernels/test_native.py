@@ -1,4 +1,4 @@
-"""The fused kernels' C block: its compiled draws against numpy, its build
+"""The fused kernel's C block: its compiled draws against numpy, its build
 cache, and where the NumPy loop runs instead.
 
 The sweep parity itself lives in ``test_backend_parity.py`` (the ``fused``
@@ -25,7 +25,7 @@ from repro.dynamics.acceptance import MetropolisRule
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.moves import SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule
-from repro.kernels import KernelUnavailableError, make_sa_kernel
+from repro.kernels import KernelUnavailableError, make_hycim_kernel
 from repro.problems.generators import generate_qkp_instance
 
 MASK64 = (1 << 64) - 1
@@ -89,6 +89,9 @@ def problem():
 
 
 def kernel_args(problem, dynamics=None, generators=None):
+    """``make_hycim_kernel`` keywords of a filtered single-flip SA run, as
+    the SA engine passes them: every incumbent feasible, the raw energy a
+    copy of the energies."""
     matrix = problem.to_qubo().matrix
     current = np.zeros((3, problem.num_variables))
     generators = generators or [np.random.default_rng([9, k])
@@ -98,13 +101,18 @@ def kernel_args(problem, dynamics=None, generators=None):
               else None)
     driver = LoopDriver(GeometricSchedule(10.0, 0.1), 10, generators,
                         dynamics=dynamics, shared_rng=shared, exclusive=True)
-    return dict(matrix=matrix, offset=0.0, driver=driver,
+    energy = batched_energies(matrix, current)
+    return dict(num_variables=problem.num_variables, driver=driver,
                 move_generator=SingleFlipMove(), single_flip=True,
-                moves_per_iteration=1, current=current,
-                current_energy=batched_energies(matrix, current),
-                accept_filter_batch=problem.is_feasible_batch,
-                feasibility_constraints=(
-                    problem.linear_feasibility_constraints()))
+                moves_per_iteration=1,
+                feasible_batch=problem.is_feasible_batch,
+                energies=lambda batch, replicas: batched_energies(matrix,
+                                                                  batch),
+                current=current, current_energy=energy,
+                current_feasible=np.ones(3, dtype=bool), use_delta=True,
+                matrix=matrix, raw_energy=energy.copy(),
+                constraints=problem.linear_feasibility_constraints(),
+                use_hardware_filters=False, use_crossbar=False)
 
 
 def run_kernel(kernel):
@@ -116,7 +124,7 @@ def run_kernel(kernel):
 def run_numpy_loop(problem, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(native, "_loaded", "C block disabled")
-        kernel = make_sa_kernel("fused", **kernel_args(problem))
+        kernel = make_hycim_kernel("fused", **kernel_args(problem))
     assert kernel._compiled is None
     return run_kernel(kernel)
 
@@ -127,7 +135,7 @@ class TestWhichLoopRuns:
         """A subclass still counts as a custom rule: it may override."""
 
     def test_per_replica_pcg64_streams_run_in_c(self, problem, monkeypatch):
-        kernel = make_sa_kernel("fused", **kernel_args(problem))
+        kernel = make_hycim_kernel("fused", **kernel_args(problem))
         assert kernel.backend == "fused" and kernel._compiled is not None
         np.testing.assert_array_equal(run_kernel(kernel),
                                       run_numpy_loop(problem, monkeypatch))
@@ -141,8 +149,8 @@ class TestWhichLoopRuns:
             "mt19937": (None, [np.random.Generator(np.random.MT19937(k))
                                for k in range(3)]),
         }[case]
-        kernel = make_sa_kernel("fused", **kernel_args(problem, dynamics,
-                                                       generators))
+        kernel = make_hycim_kernel(
+            "fused", **kernel_args(problem, dynamics, generators))
         assert kernel.driver.replay() is None and kernel._compiled is None
         run_kernel(kernel)
 
@@ -166,7 +174,7 @@ class TestBuild:
         assert len(built) == 1 and built[0].name.startswith("native-")
         assert Path(library._name) == built[0]
         assert stat.S_IMODE(cache.stat().st_mode) == 0o700
-        kernel = make_sa_kernel("fused", **kernel_args(problem))
+        kernel = make_hycim_kernel("fused", **kernel_args(problem))
         assert kernel._compiled is not None
         np.testing.assert_array_equal(run_kernel(kernel),
                                       run_numpy_loop(problem, monkeypatch))
@@ -194,7 +202,8 @@ class TestBuild:
         with pytest.raises(KernelUnavailableError, match="failed"):
             native.library()
         assert list((fresh_build / "cache" / "repro").iterdir()) == []
-        assert make_sa_kernel("fused", **kernel_args(problem))._compiled is None
+        kernel = make_hycim_kernel("fused", **kernel_args(problem))
+        assert kernel._compiled is None
 
     def test_unusable_cache_builds_in_a_private_temporary_directory(
             self, fresh_build, problem, monkeypatch):
@@ -204,7 +213,7 @@ class TestBuild:
         library = native.library()
         assert cache not in Path(library._name).parents
         assert list(cache.iterdir()) == []
-        kernel = make_sa_kernel("fused", **kernel_args(problem))
+        kernel = make_hycim_kernel("fused", **kernel_args(problem))
         assert kernel._compiled is not None
         np.testing.assert_array_equal(run_kernel(kernel),
                                       run_numpy_loop(problem, monkeypatch))
@@ -238,8 +247,8 @@ class TestUnavailable:
         monkeypatch.setattr(jit_module, "HAVE_NUMBA", False)
         with pytest.raises(KernelUnavailableError, match="no `cc` on PATH"):
             native.library()
-        kernel = make_sa_kernel("fused", **kernel_args(problem))
+        kernel = make_hycim_kernel("fused", **kernel_args(problem))
         assert kernel._compiled is None
         run_kernel(kernel)
-        assert make_sa_kernel("auto", **kernel_args(problem)).backend == \
+        assert make_hycim_kernel("auto", **kernel_args(problem)).backend == \
             "fused"

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import repro.kernels.jit as jit_module
+from repro.annealing.sa import SimulatedAnnealer
+from repro.batched import BatchedSimulatedAnnealer
 from repro.core.constraints import EqualityConstraint
-from repro.core.qubo import batched_energies
+from repro.core.qubo import QUBOModel, batched_energies
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.moves import SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule
@@ -25,10 +27,9 @@ from repro.kernels import (
     KernelUnsupportedError,
     canonical_kernel_param,
     make_hycim_kernel,
-    make_sa_kernel,
     resolve_kernel_backend,
 )
-from repro.kernels.reference import ReferenceSAKernel
+from repro.kernels.reference import ReferenceHyCiMKernel
 from repro.problems.generators import generate_qkp_instance
 from repro.runtime import run_trials
 from repro.store import CampaignStore
@@ -130,97 +131,110 @@ class TestRunKeyStability:
         assert fused.num_loaded_from_store == 0
 
 
-def _kernel_args(problem, *, single_flip=True, generic_filter=False):
-    matrix = problem.to_qubo().matrix
+def _kernel_args(problem, *, single_flip=True, generic_filter=False,
+                 shift=0.0):
+    """``make_hycim_kernel`` keywords of a filtered SA run, as the SA engine
+    passes them; ``generic_filter`` swaps the capacity filter for an opaque
+    per-row one, which has no linear form."""
+    matrix = problem.to_qubo().matrix + shift
     current = np.zeros((3, problem.num_variables))
     generators = [np.random.default_rng([9, k]) for k in range(3)]
     driver = LoopDriver(GeometricSchedule(10.0, 0.1), 10, generators,
                         exclusive=single_flip)
-    return dict(
-        matrix=matrix, offset=0.0, driver=driver,
-        move_generator=SingleFlipMove(), single_flip=single_flip,
-        moves_per_iteration=1, current=current,
-        current_energy=batched_energies(matrix, current),
-        accept_filter=(lambda row: True) if generic_filter else None)
-
-
-def _hycim_kernel_args(problem, shift):
-    args = _kernel_args(problem)
-    matrix = args["matrix"] + shift
-    current = args["current"]
     energy = batched_energies(matrix, current)
+    if generic_filter:
+        feasible_batch, constraints = (
+            lambda batch: np.ones(batch.shape[0], dtype=bool)), None
+    else:
+        feasible_batch = problem.is_feasible_batch
+        constraints = problem.linear_feasibility_constraints()
     return dict(
-        num_variables=problem.num_variables, driver=args["driver"],
-        move_generator=args["move_generator"], single_flip=True,
-        moves_per_iteration=1, feasible_batch=problem.is_feasible_batch,
-        energies=lambda batch, replicas=None: batched_energies(matrix, batch),
+        num_variables=problem.num_variables, driver=driver,
+        move_generator=SingleFlipMove(), single_flip=single_flip,
+        moves_per_iteration=1, feasible_batch=feasible_batch,
+        energies=lambda batch, replicas: batched_energies(matrix, batch),
         current=current, current_energy=energy,
         current_feasible=np.ones(current.shape[0], dtype=bool),
-        use_delta=True, matrix=matrix, raw_energy=energy.copy(),
-        constraints=problem.linear_feasibility_constraints(),
-        use_hardware_filters=False, use_crossbar=False)
+        use_delta=single_flip, matrix=matrix, raw_energy=energy.copy(),
+        constraints=constraints, use_hardware_filters=False,
+        use_crossbar=False)
+
+
+def _sa_backend(problem, kernel, *, shift=0.0, **filters):
+    """The backend a short SA run resolves ``kernel`` to; raises where the
+    backend refuses the run."""
+    engine = BatchedSimulatedAnnealer(SimulatedAnnealer(num_iterations=5))
+    results = engine.anneal(
+        QUBOModel(problem.to_qubo().matrix + shift),
+        np.zeros((2, problem.num_variables)),
+        [np.random.default_rng([9, k]) for k in range(2)], kernel=kernel,
+        **filters)
+    return results[0].metadata.get("kernel", "reference")
 
 
 class TestConstructionFallbacks:
     def test_auto_falls_back_to_reference_on_unsupported(self, problem):
         # An opaque per-row filter is not expressible incrementally: "auto"
         # lands on the reference kernel instead of raising.
-        kernel = make_sa_kernel("auto",
-                                **_kernel_args(problem, generic_filter=True))
-        assert isinstance(kernel, ReferenceSAKernel)
+        kernel = make_hycim_kernel(
+            "auto", **_kernel_args(problem, generic_filter=True))
+        assert isinstance(kernel, ReferenceHyCiMKernel)
         assert kernel.backend == "reference"
+        assert _sa_backend(problem, "auto",
+                           accept_filter=problem.is_feasible) == "reference"
 
     def test_explicit_fused_raises_on_unsupported(self, problem):
         with pytest.raises(KernelUnsupportedError, match="accept_filter"):
-            make_sa_kernel("fused",
-                           **_kernel_args(problem, generic_filter=True))
+            _sa_backend(problem, "fused", accept_filter=problem.is_feasible)
+        with pytest.raises(KernelUnsupportedError, match="no linear form"):
+            make_hycim_kernel("fused",
+                              **_kernel_args(problem, generic_filter=True))
 
     def test_explicit_fused_raises_on_generic_moves(self, problem):
         with pytest.raises(KernelUnsupportedError, match="single-flip"):
-            make_sa_kernel("fused",
-                           **_kernel_args(problem, single_flip=False))
+            make_hycim_kernel("fused",
+                              **_kernel_args(problem, single_flip=False))
 
     @pytest.mark.skipif(_has_numba(), reason="numba is installed")
     def test_numba_unavailable_raises(self, problem):
         with pytest.raises(KernelUnavailableError, match="numba"):
-            make_sa_kernel("numba", **_kernel_args(problem))
+            make_hycim_kernel("numba", **_kernel_args(problem))
 
     def test_auto_never_fails_for_support_reasons(self, problem):
         # Whatever the configuration, auto lands on some backend: the
         # integer QKP on the fastest one available, configurations fused
         # cannot express on the reference kernel.
-        kernel = make_sa_kernel("auto", **_kernel_args(problem))
+        kernel = make_hycim_kernel("auto", **_kernel_args(problem))
         assert kernel.backend in ("fused", "numba")
         for unsupported in (dict(generic_filter=True),
                             dict(single_flip=False)):
-            kernel = make_sa_kernel("auto",
-                                    **_kernel_args(problem, **unsupported))
+            kernel = make_hycim_kernel(
+                "auto", **_kernel_args(problem, **unsupported))
             assert kernel.backend == "reference"
 
     def test_auto_falls_back_to_fused_on_float_matrices(self, problem):
         # Non-integer coefficients only cost the fused path its exactness
         # guarantee (tolerance-equal instead), not its support: auto still
         # lands on fused -- or numba, when installed.
-        args = _kernel_args(problem)
-        args["matrix"] = args["matrix"] + 0.25
-        kernel = make_sa_kernel("auto", **args)
+        kernel = make_hycim_kernel("auto",
+                                   **_kernel_args(problem, shift=0.25))
         assert kernel.backend in ("fused", "numba")
 
     def test_auto_steps_from_numba_to_fused_on_equality_constraints(
             self, problem, monkeypatch):
-        # The compiled loop has no equality compare.  With the JIT kernels
+        # The compiled loop has no equality compare.  With the JIT kernel
         # allowed (interpreted where numba is missing), explicit numba
         # refuses an equality constraint and auto takes the next backend in
         # line -- fused, not the reference.
         monkeypatch.setattr(jit_module, "_ALLOW_INTERPRETED", True)
         args = _kernel_args(problem)
-        args["feasibility_constraints"] = [
+        args["constraints"] = [
             EqualityConstraint(np.ones(problem.num_variables), 0.0)]
         with pytest.raises(KernelUnsupportedError, match="equality"):
-            make_sa_kernel("numba", **args)
-        assert make_sa_kernel("auto", **args).backend == "fused"
-        del args["feasibility_constraints"]
-        assert make_sa_kernel("auto", **args).backend == "numba"
+            make_hycim_kernel("numba", **args)
+        assert make_hycim_kernel("auto", **args).backend == "fused"
+        args["constraints"] = problem.linear_feasibility_constraints()
+        assert make_hycim_kernel("auto", **args).backend == "numba"
 
     @pytest.mark.parametrize("use_hardware", [False, True],
                              ids=["software", "hardware"])
@@ -246,7 +260,7 @@ class TestConstructionFallbacks:
 
     def test_packed_is_not_a_backend(self, problem):
         with pytest.raises(ValueError, match="unknown kernel backend") as info:
-            make_sa_kernel("packed", **_kernel_args(problem))
+            make_hycim_kernel("packed", **_kernel_args(problem))
         assert str(info.value).endswith(
             "('reference', 'fused', 'numba', 'auto')")
 
@@ -258,11 +272,14 @@ class TestAutoResolvesToFused:
     def test_both_engine_families_on_integer_and_float_matrices(self,
                                                                 problem):
         for shift in (0.0, 0.25):
-            args = _kernel_args(problem)
-            args["matrix"] = args["matrix"] + shift
-            assert make_sa_kernel("auto", **args).backend == "fused"
+            filters = dict(
+                accept_filter_batch=problem.is_feasible_batch,
+                feasibility_constraints=(
+                    problem.linear_feasibility_constraints()))
+            assert _sa_backend(problem, "auto", shift=shift,
+                               **filters) == "fused"
             hycim = make_hycim_kernel("auto",
-                                      **_hycim_kernel_args(problem, shift))
+                                      **_kernel_args(problem, shift=shift))
             assert hycim.backend == "fused"
 
     def test_run_stamps_the_resolved_backend(self, problem, tmp_path):

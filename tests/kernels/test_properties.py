@@ -1,4 +1,4 @@
-"""Hypothesis property tests for the fused sweep kernels.
+"""Hypothesis property tests for the fused sweep kernel.
 
 Three invariants back the incremental arithmetic:
 
@@ -11,7 +11,8 @@ Three invariants back the incremental arithmetic:
 3. fusing K iterations into one ``run_block`` call leaves exactly the same
    state as K single-iteration calls (block boundaries are unobservable).
 
-The SA and the HyCiM kernel both carry each invariant; the HyCiM runs start
+The kernel carries each invariant both as SA runs it (every incumbent
+feasible, the raw energy a copy of the energies) and as HyCiM runs it,
 from arbitrary (possibly infeasible) batches so the drift path is covered
 too.  A fourth invariant pins the best-so-far state: every feasible best
 configuration re-evaluates to its recorded best energy.
@@ -27,7 +28,7 @@ from repro.core.qubo import batched_energies, batched_energy_delta
 from repro.core.sparse import symmetrized_matrix
 from repro.dynamics.driver import LoopDriver
 from repro.dynamics.schedule import GeometricSchedule
-from repro.kernels.fused import FusedHyCiMKernel, FusedSAKernel
+from repro.kernels.fused import FusedHyCiMKernel
 
 scipy_sparse = pytest.importorskip("scipy.sparse")
 
@@ -71,28 +72,21 @@ class TestDenseSparseEquality:
                                       batched_energies(sparse, batch, 3.0))
 
 
-def _unconsulted_filter(batch):  # pragma: no cover - must never run
-    raise AssertionError(
-        "the fused kernel must track feasibility incrementally, never "
-        "through the opaque batch filter")
-
-
 def _make_kernel(matrix, starts, constraints, num_iterations, seed,
                  sparse=False):
-    """A FusedSAKernel wired to a fresh driver, plus its travelling arrays."""
+    """The fused kernel as the SA engine builds it, on a fresh driver."""
     generators = [np.random.default_rng([seed, k])
                   for k in range(starts.shape[0])]
     driver = LoopDriver(GeometricSchedule(5.0, 0.1), num_iterations,
                         generators, exclusive=True)
     current = starts.copy()
     energy = batched_energies(matrix, current)
-    kernel = FusedSAKernel(
+    return FusedHyCiMKernel(
         matrix=scipy_sparse.csr_matrix(matrix) if sparse else matrix,
-        offset=0.0, driver=driver, single_flip=True, moves_per_iteration=1,
-        current=current, current_energy=energy,
-        accept_filter_batch=(_unconsulted_filter if constraints else None),
-        constraints=constraints or None)
-    return kernel
+        driver=driver, single_flip=True, moves_per_iteration=1,
+        constraints=constraints, current=current, current_energy=energy,
+        current_feasible=np.ones(current.shape[0], dtype=bool),
+        raw_energy=energy.copy())
 
 
 @st.composite
@@ -171,9 +165,12 @@ class TestFieldCacheConsistency:
             for constraint in constraints:
                 assert (kernel.current @ constraint.weight_vector
                         <= constraint.bound + 1e-9).all()
-        # Incremental energies equal full re-evaluation.
+        # Incremental energies equal full re-evaluation; with every
+        # incumbent feasible the raw energy never parts from them.
         np.testing.assert_array_equal(kernel.current_energy,
                                       batched_energies(matrix, kernel.current))
+        np.testing.assert_array_equal(kernel.raw_energy, kernel.current_energy)
+        assert kernel.current_feasible.all()
 
     @given(hycim_run())
     @settings(max_examples=40, deadline=None)

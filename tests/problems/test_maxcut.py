@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.problems.generators import generate_maxcut_instance
 from repro.problems.maxcut import MaxCutProblem
 
 
@@ -49,6 +50,17 @@ class TestObjective:
     def test_complement_symmetry(self, triangle, rng):
         x = rng.integers(0, 2, size=3).astype(float)
         assert triangle.objective(x) == pytest.approx(triangle.objective(1 - x))
+
+    def test_cut_is_the_pairwise_sum_on_integer_weights(self, rng):
+        # One product, yet exactly the sum of the cut edges' weights.
+        for seed in range(5):
+            problem = generate_maxcut_instance(num_nodes=17, seed=seed)
+            w = problem.adjacency
+            for _ in range(10):
+                x = rng.integers(0, 2, size=17).astype(float)
+                cut = sum(w[i, j] for i in range(17) for j in range(i + 1, 17)
+                          if x[i] != x[j])
+                assert problem.objective(x) == cut
 
 
 class TestQUBO:

@@ -33,6 +33,23 @@ class TestBasics:
     def test_every_configuration_feasible(self, two_spin_ferromagnet):
         assert two_spin_ferromagnet.is_feasible([0, 1])
 
+    def test_objective_reuses_the_instance_ising_model(self, rng,
+                                                       monkeypatch):
+        # The Ising model is built once per instance: scoring a state
+        # rebuilds nothing, and its value is the fresh model's, bit for bit.
+        problem = generate_sk_instance(num_spins=12, seed=6)
+        states = rng.integers(0, 2, size=(10, 12)).astype(float)
+        fresh = problem.to_ising()
+        expected = [fresh.energy(1.0 - 2.0 * x) for x in states]
+
+        def rebuild(self):
+            raise AssertionError("objective rebuilt the Ising model")
+
+        monkeypatch.setattr(SherringtonKirkpatrickProblem, "to_ising",
+                            rebuild)
+        assert [problem.objective(x) for x in states] == expected
+        assert problem.spin_energy(1.0 - 2.0 * states[0]) == expected[0]
+
 
 class TestConversions:
     def test_qubo_energy_matches_objective(self, rng):

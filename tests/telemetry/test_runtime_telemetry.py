@@ -122,6 +122,19 @@ class TestProbes:
         assert 0.0 <= values["accept_rate"][0] <= 1.0
         assert 0.0 <= values["filter_reject_rate"][0] <= 1.0
 
+    def test_sa_probes_keep_their_fields(self, problem):
+        # SA runs the HyCiM sweep with every incumbent feasible; its probes
+        # still carry no feasible-replica count, which only HyCiM reports.
+        recorder = InMemoryRecorder(probe_interval=20)
+        run_trials(problem, ("sa", {"num_iterations": 60}), num_trials=2,
+                   master_seed=1, backend="vectorized", telemetry=recorder)
+        probe = recorder.probes("sweep")[-1]
+        assert probe["solver"] == "SimulatedAnnealer"
+        assert set(probe["values"]) == {
+            "temperature", "energy", "best_energy", "mean_energy",
+            "accept_rate", "filter_reject_rate", "proposals_total",
+            "accepted_total", "rejected_total"}
+
     def test_final_iteration_always_probed(self, problem):
         # interval larger than the sweep still yields the final probe
         recorder = InMemoryRecorder(probe_interval=1000)
