@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.cim.crossbar import CrossbarConfig
-from repro.dynamics import ParallelTempering
+from repro.dynamics import Dynamics, ParallelTempering
 from repro.problems.generators import generate_qkp_instance
 from repro.problems.multidim_knapsack import generate_mdqkp_instance
 from repro.runtime import run_trials
@@ -99,6 +99,25 @@ CELLS = {
     "sa-fused": ("qkp", "sa", {"num_iterations": 30, "kernel": "fused"}),
     # One tempered ladder: exchange swaps every travelling array once.
     "sa-tempering": ("qkp", "sa", {
+        "num_iterations": 30,
+        "dynamics": ParallelTempering(exchange_interval=3)}),
+    # Every replica draws its flips and verdicts from one shared stream.
+    "sa-shared-rng": ("qkp", "sa", {
+        "num_iterations": 30, "dynamics": Dynamics(rng_mode="shared")}),
+    # Generic proposals drawn from the shared stream, replica by replica.
+    "sa-multi-flip-shared": ("qkp", "sa", {
+        "num_iterations": 30, "move_generator": "multi_flip",
+        "dynamics": Dynamics(rng_mode="shared")}),
+    # Noisy matchlines draw from the shared stream for each candidate.
+    "hycim-mdqkp-noisy-filter-shared": ("mdqkp", "hycim", {
+        "num_iterations": 30, "use_hardware": True,
+        "matchline_noise_sigma": 0.01,
+        "dynamics": Dynamics(rng_mode="shared")}),
+    # The penalty QUBO on the fused kernel.
+    "dqubo-software-fused": ("qkp", "dqubo", {"num_iterations": 30,
+                                              "kernel": "fused"}),
+    # The penalty QUBO on a tempered ladder.
+    "dqubo-software-tempering": ("qkp", "dqubo", {
         "num_iterations": 30,
         "dynamics": ParallelTempering(exchange_interval=3)}),
 }
