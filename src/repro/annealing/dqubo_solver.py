@@ -3,11 +3,12 @@
 The conventional route the paper compares against: the inequality constraint
 is embedded in the objective with auxiliary one-hot slack variables and
 penalty weights ``alpha = beta = 2``, producing an unconstrained QUBO over
-``n + C`` variables, which is then annealed with a standard simulated
-annealer -- or, for a fair hardware comparison, by the HyCiM engine over the
-constraint-free penalty model, whose FeFET crossbar then evaluates every
-candidate.  :meth:`DQUBOAnnealer.solve_batch` runs a group of replicas on
-either engine in lock-step, and :meth:`DQUBOAnnealer.solve` is its
+``n + C`` variables, which is then annealed by the HyCiM engine over that
+constraint-free penalty model: with no filter to consult, every candidate
+is scored, in exact arithmetic (software mode, the SA of the paper's
+baseline) or, for a fair hardware comparison, on a FeFET crossbar at the
+penalty matrix's bit width.  :meth:`DQUBOAnnealer.solve_batch` runs a group
+of replicas in lock-step, and :meth:`DQUBOAnnealer.solve` is its
 one-replica run.
 
 Because the search space is ``2^(n+C)`` and the penalty landscape is full of
@@ -25,7 +26,6 @@ import numpy as np
 
 from repro.annealing.hycim import HyCiMSolver
 from repro.annealing.result import SolveResult
-from repro.annealing.sa import SimulatedAnnealer
 from repro.cim.crossbar import CrossbarConfig, FeFETCrossbar
 from repro.core.dqubo import DQUBOTransformation, SlackEncoding, to_dqubo
 from repro.core.qubo import QUBOModel
@@ -99,23 +99,25 @@ class DQUBOAnnealer:
             beta=self.beta,
             encoding=self.encoding,
         )
-        # Hardware mode anneals on the HyCiM engine over the constraint-free
-        # penalty model: no filters, every candidate read on the crossbar.
-        self._hardware: Optional[HyCiMSolver] = None
+        # Both modes anneal on the HyCiM engine over the constraint-free
+        # penalty model: no filters, every candidate scored -- on a
+        # crossbar at the penalty matrix's bit width in hardware mode.
+        crossbar_config = None
         if self.use_hardware:
-            bits = matrix_bit_width(self._transformation)
-            self._hardware = HyCiMSolver(
-                InequalityQUBO(self._transformation.qubo),
-                num_iterations=self.num_iterations,
-                moves_per_iteration=self.moves_per_iteration,
-                schedule=self.schedule,
-                move_generator=self.move_generator,
-                crossbar_config=(self.crossbar_config
-                                 or CrossbarConfig(weight_bits=bits,
-                                                   seed=self.seed)),
-                record_history=self.record_history,
-                seed=self.seed,
-            )
+            crossbar_config = self.crossbar_config or CrossbarConfig(
+                weight_bits=matrix_bit_width(self._transformation),
+                seed=self.seed)
+        self._solver = HyCiMSolver(
+            InequalityQUBO(self._transformation.qubo),
+            use_hardware=self.use_hardware,
+            num_iterations=self.num_iterations,
+            moves_per_iteration=self.moves_per_iteration,
+            schedule=self.schedule,
+            move_generator=self.move_generator,
+            crossbar_config=crossbar_config,
+            record_history=self.record_history,
+            seed=self.seed,
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -128,7 +130,7 @@ class DQUBOAnnealer:
     @property
     def crossbar(self) -> Optional[FeFETCrossbar]:
         """The CiM crossbar used for energy evaluation (``None`` in software mode)."""
-        return None if self._hardware is None else self._hardware.crossbar
+        return self._solver.crossbar
 
     # ------------------------------------------------------------------ #
     # Initial-configuration handling
@@ -190,34 +192,23 @@ class DQUBOAnnealer:
 
         Replica ``k`` starts from ``initials[k]``, a full ``n + m``
         configuration or the ``n`` problem variables, whose slack bits are
-        then seeded from ``rngs[k]``.  Software mode runs the SA engine on
-        the penalty QUBO, hardware mode the HyCiM engine over the penalty
-        model -- on one device-axis crossbar slice per replica when
-        ``chips`` and ``chip_seeds`` are given (see
+        then seeded from ``rngs[k]``.  Both modes run the HyCiM engine over
+        the penalty model -- in hardware mode on one device-axis crossbar
+        slice per replica when ``chips`` and ``chip_seeds`` are given (see
         :class:`~repro.batched.engine.BatchedHyCiMSolver`).  The ``engine``
-        keywords (``dynamics``, ``exchange_rng``, ``shared_rng``,
-        ``kernel``) go to either engine unchanged.
+        keywords (``dynamics``, ``exchange_rng``, ``kernel``) go to the
+        engine unchanged.
         """
-        from repro.batched.engine import (BatchedHyCiMSolver,
-                                          BatchedSimulatedAnnealer)
+        from repro.batched.engine import BatchedHyCiMSolver
 
         total = self._transformation.num_variables
         starts = np.stack([
             np.asarray(initial, dtype=float) if len(initial) == total
             else self.extend_initial(initial, rng=rng)
             for initial, rng in zip(initials, rngs)])
-        if self._hardware is None:
-            inner = BatchedSimulatedAnnealer(SimulatedAnnealer(
-                schedule=self.schedule,
-                move_generator=self.move_generator,
-                num_iterations=self.num_iterations,
-                moves_per_iteration=self.moves_per_iteration,
-                record_history=self.record_history,
-            )).anneal(self._transformation.qubo, starts, rngs, **engine)
-        else:
-            inner = BatchedHyCiMSolver(
-                self._hardware, chips=chips, chip_seeds=chip_seeds,
-            ).solve_batch(starts, rngs, **engine)
+        inner = BatchedHyCiMSolver(
+            self._solver, chips=chips, chip_seeds=chip_seeds,
+        ).solve_batch(starts, rngs, **engine)
         return [self.assemble_result(raw) for raw in inner]
 
     def assemble_result(self, raw: SolveResult) -> SolveResult:

@@ -87,7 +87,8 @@ class SimulatedAnnealer:
         accept_filter:
             Optional predicate evaluated on each candidate *before* its energy
             is computed; candidates failing it are skipped (this is the hook
-            the HyCiM solver replaces with the CiM inequality filter).
+            the HyCiM solver replaces with the CiM inequality filter).  The
+            engine calls it as a filter over the candidate batch, row by row.
         rng:
             External random generator (overrides ``seed``).
         """
@@ -95,5 +96,11 @@ class SimulatedAnnealer:
 
         generator = rng or np.random.default_rng(self.seed)
         start = _start_state(initial, qubo.num_variables, generator)
+        batch_filter = None
+        if accept_filter is not None:
+            def batch_filter(batch: np.ndarray) -> np.ndarray:
+                return np.array([bool(accept_filter(row)) for row in batch],
+                                dtype=bool)
         return BatchedSimulatedAnnealer(self).anneal(
-            qubo, start[None, :], [generator], accept_filter=accept_filter)[0]
+            qubo, start[None, :], [generator],
+            accept_filter_batch=batch_filter)[0]

@@ -8,10 +8,11 @@ all feasible candidates with one batched QUBO computation (crossbar MVM in
 hardware mode, one BLAS product in software mode) and applies the Metropolis
 rule per replica.  They are the only annealing loops in the codebase: the
 solvers of :mod:`repro.annealing` run one descent as the ``M = 1`` batch
-(:meth:`HyCiMSolver.solve <repro.annealing.hycim.HyCiMSolver.solve>`,
+(:meth:`HyCiMSolver.solve <repro.annealing.hycim.HyCiMSolver.solve>` and
 :meth:`SimulatedAnnealer.anneal
-<repro.annealing.sa.SimulatedAnnealer.anneal>` and, through them, the
-D-QUBO baseline in both modes).
+<repro.annealing.sa.SimulatedAnnealer.anneal>`), and the D-QUBO baseline
+runs on :class:`BatchedHyCiMSolver` over its constraint-free penalty model
+in both modes.
 
 **Per-replica streams.**  Each replica owns its own
 :class:`numpy.random.Generator` and consumes it in the order one descent
@@ -46,8 +47,9 @@ Metropolis or cooling code.  Passing a
 :class:`~repro.dynamics.Dynamics` bundle to :meth:`anneal` /
 :meth:`solve_batch` turns the lock-step batch into a temperature ladder
 with replica exchange (parallel tempering) and/or switches all replicas to
-one chip-faithful shared RNG stream; the default dynamics keep every
-replica on its own stream.
+one chip-faithful shared RNG stream, which the caller passes as every
+replica generator; the default dynamics keep every replica on its own
+stream.
 
 **Kernels.**  The inner sweep itself -- propose, filter, evaluate, accept,
 state update, best tracking -- lives in :mod:`repro.kernels`; the batched
@@ -56,9 +58,13 @@ energy and the linear verdicts the engines call are
 :func:`repro.core.constraints.all_satisfied`.  Both engines build their
 sweep with :func:`~repro.kernels.make_hycim_kernel`: plain SA is the HyCiM
 sweep with every incumbent feasible, so no replica drifts at the zero
-energy of Eq. (6).  They drive the :class:`~repro.kernels.SweepKernel`
-block-wise, with :meth:`LoopDriver.block_length` placing block boundaries
-exactly where an exchange round or telemetry probe is due.
+energy of Eq. (6).  Each engine sets up its loop state and evaluation
+primitives and hands them to one run routine, which opens the driver,
+drives the :class:`~repro.kernels.SweepKernel` block-wise --
+:meth:`LoopDriver.block_length` placing block boundaries exactly where an
+exchange round or telemetry probe is due -- and returns the fields of each
+replica's result both engines share; the HyCiM engine adds objectives and
+its hardware provenance.
 ``kernel="reference"`` (the default) is the engines' original loop body;
 ``kernel="fused"`` / ``"numba"`` are the incremental local-field kernels
 (same RNG draws, different arithmetic -- exact on integer data); see
@@ -95,8 +101,6 @@ from repro.kernels.reference import as_replica_matrix
 
 __all__ = ["BatchedHyCiMSolver", "BatchedSimulatedAnnealer"]
 
-#: Per-row feasibility predicate.
-RowFilter = Callable[[np.ndarray], bool]
 #: Vectorised feasibility predicate over an ``(M, n)`` batch.
 BatchFilter = Callable[[np.ndarray], np.ndarray]
 
@@ -112,10 +116,20 @@ def _check_replica_generators(rngs: Sequence[np.random.Generator],
     return generators
 
 
-def _drive_kernel(driver: LoopDriver, kernel, total_iterations: int,
-                  record_history: bool, histories: List[List[float]],
-                  solver_name: str, count_feasible: bool) -> None:
-    """Advance a sweep kernel block-wise to the end of the run.
+def _drive_kernel(config, generators: List[np.random.Generator], *,
+                  dynamics: Optional[Dynamics],
+                  exchange_rng: Optional[np.random.Generator],
+                  kernel: Optional[str], solver_name: str,
+                  count_feasible: bool, filter_draws: bool = False,
+                  **sweep) -> List[SolveResult]:
+    """Run one sweep to the end and return one result per replica.
+
+    ``config`` is the annealer or solver whose schedule, move generator,
+    iteration budget and history flag the replicas share; ``sweep`` holds
+    the kernel's loop state and evaluation primitives (see
+    :func:`~repro.kernels.make_hycim_kernel`).  The driver replays the
+    replica streams only where nothing else draws from them: single-flip
+    moves and no filter drawing per candidate (``filter_draws``).
 
     Block boundaries come from :meth:`LoopDriver.block_length`, so exchange
     rounds and telemetry probes fire at exactly the iterations the old
@@ -123,31 +137,67 @@ def _drive_kernel(driver: LoopDriver, kernel, total_iterations: int,
     blocks of one.  Calling :meth:`maybe_exchange` at a non-exchange
     boundary is a no-op, as in the per-iteration convention.  With
     ``count_feasible`` the probes also count the feasible incumbents.
+
+    Each result carries the fields both engines fill: best state, energy
+    and feasibility, the proposal counters, the history and the run's
+    provenance (``seed``, ``vectorized``, ``num_replicas``, ``kernel`` off
+    the reference backend, and the driver's dynamics fields).
     """
-    limit = 1 if record_history else None
-    num_replicas = kernel.current_energy.shape[0]
-    iteration = 0
-    while iteration < total_iterations:
-        block = driver.block_length(iteration, limit)
-        kernel.run_block(iteration, block)
-        iteration += block
-        boundary = iteration - 1
-        driver.maybe_exchange(boundary, kernel.current_energy,
-                              kernel.swap_arrays())
-        if driver.probing:
-            driver.maybe_probe(
-                boundary, solver=solver_name,
-                best_energy=kernel.best_energy,
-                current_energy=kernel.current_energy,
-                num_accepted=kernel.num_accepted,
-                num_feasible=kernel.num_feasible,
-                num_skipped=kernel.num_skipped,
-                feasible_mask=(kernel.current_feasible if count_feasible
-                               else None),
-                final=iteration == total_iterations)
-        if record_history:
-            for k in range(num_replicas):
-                histories[k].append(float(kernel.best_energy[k]))
+    total_iterations = config.num_iterations
+    num_replicas = len(generators)
+    histories: List[List[float]] = [[] for _ in range(num_replicas)]
+    limit = 1 if config.record_history else None
+    exclusive = (isinstance(config.move_generator, SingleFlipMove)
+                 and not filter_draws)
+    with LoopDriver(config.schedule, total_iterations, generators,
+                    dynamics=dynamics, exchange_rng=exchange_rng,
+                    exclusive=exclusive) as driver:
+        kernel = make_hycim_kernel(
+            kernel, driver=driver, move_generator=config.move_generator,
+            moves_per_iteration=config.moves_per_iteration, **sweep)
+        iteration = 0
+        while iteration < total_iterations:
+            block = driver.block_length(iteration, limit)
+            kernel.run_block(iteration, block)
+            iteration += block
+            boundary = iteration - 1
+            driver.maybe_exchange(boundary, kernel.current_energy,
+                                  kernel.swap_arrays())
+            if driver.probing:
+                driver.maybe_probe(
+                    boundary, solver=solver_name,
+                    best_energy=kernel.best_energy,
+                    current_energy=kernel.current_energy,
+                    num_accepted=kernel.num_accepted,
+                    num_feasible=kernel.num_feasible,
+                    num_skipped=kernel.num_skipped,
+                    feasible_mask=(kernel.current_feasible if count_feasible
+                                   else None),
+                    final=iteration == total_iterations)
+            if config.record_history:
+                for k in range(num_replicas):
+                    histories[k].append(float(kernel.best_energy[k]))
+
+    metadata = {"seed": config.seed, "vectorized": True,
+                "num_replicas": num_replicas,
+                **({} if kernel.backend == "reference"
+                   else {"kernel": kernel.backend}),
+                **driver.metadata()}
+    return [
+        SolveResult(
+            best_configuration=kernel.best[k].copy(),
+            best_energy=float(kernel.best_energy[k]),
+            feasible=bool(kernel.best_feasible[k]),
+            energy_history=histories[k],
+            num_iterations=config.num_iterations * config.moves_per_iteration,
+            num_feasible_evaluations=int(kernel.num_feasible[k]),
+            num_infeasible_skipped=int(kernel.num_skipped[k]),
+            num_accepted_moves=int(kernel.num_accepted[k]),
+            solver_name=solver_name,
+            metadata=dict(metadata),
+        )
+        for k in range(num_replicas)
+    ]
 
 
 class BatchedSimulatedAnnealer:
@@ -170,11 +220,9 @@ class BatchedSimulatedAnnealer:
         qubo: QUBOModel,
         initials: np.ndarray,
         rngs: Sequence[np.random.Generator],
-        accept_filter: Optional[RowFilter] = None,
         accept_filter_batch: Optional[BatchFilter] = None,
         dynamics: Optional[Dynamics] = None,
         exchange_rng: Optional[np.random.Generator] = None,
-        shared_rng: Optional[np.random.Generator] = None,
         kernel: Optional[str] = None,
         feasibility_constraints: Optional[Sequence[InequalityConstraint]] = None,
     ) -> List[SolveResult]:
@@ -191,22 +239,18 @@ class BatchedSimulatedAnnealer:
         rngs:
             One independent :class:`~numpy.random.Generator` per replica
             (e.g. seeded from :func:`repro.runtime.derive_trial_seeds`); in
-            shared-RNG mode the entries alias the group's shared stream.
-        accept_filter:
-            Per-row feasibility predicate (the annealer's
-            ``accept_filter`` hook).
+            shared-RNG mode every entry is the group's shared stream.
         accept_filter_batch:
-            Optional vectorised form evaluating a whole candidate batch at
-            once (e.g. :meth:`CombinatorialProblem.is_feasible_batch`); must
-            agree with ``accept_filter`` row-wise.  Preferred when given.
+            Optional feasibility predicate over a whole candidate batch
+            (e.g. :meth:`CombinatorialProblem.is_feasible_batch`); candidates
+            failing it are skipped before their energy is computed.
         dynamics:
             Optional :class:`~repro.dynamics.Dynamics` bundle (temperature
             ladder, exchange policy, RNG topology).  ``None`` -- or a
             default bundle -- keeps every replica on its own stream.
-        exchange_rng / shared_rng:
-            The dedicated auxiliary streams coupled dynamics need (see
-            :func:`repro.dynamics.exchange_stream` /
-            :func:`repro.dynamics.shared_stream`).
+        exchange_rng:
+            The dedicated exchange stream an active exchange policy needs
+            (see :func:`repro.dynamics.exchange_stream`).
         kernel:
             Sweep-kernel backend (``"reference"``/``"fused"``/``"numba"``/
             ``"auto"``; see :mod:`repro.kernels.base`).  ``None`` means the
@@ -218,75 +262,36 @@ class BatchedSimulatedAnnealer:
             filter.  Ignored by the reference backend.
         """
         cfg = self.annealer
-        n = qubo.num_variables
-        current = as_replica_matrix(initials, n).copy()
+        current = as_replica_matrix(initials, qubo.num_variables).copy()
         num_replicas = current.shape[0]
         generators = _check_replica_generators(rngs, num_replicas)
         matrix = qubo.matrix
         offset = qubo.offset
-
         current_energy = batched_energies(matrix, current, offset)
-        single_flip = isinstance(cfg.move_generator, SingleFlipMove)
-        # The candidate filter, chosen once: the vectorised predicate when
-        # given, else the row-wise one, else none (every candidate passes);
-        # with it its linear form, None where it has none.
+        # The candidate filter and its linear form (None where it has
+        # none); no filter at all has no constraints.
         if accept_filter_batch is not None:
             def feasible_batch(batch: np.ndarray) -> np.ndarray:
                 return np.asarray(accept_filter_batch(batch), dtype=bool)
             constraints = feasibility_constraints
-        elif accept_filter is not None:
-            def feasible_batch(batch: np.ndarray) -> np.ndarray:
-                return np.array([bool(accept_filter(row)) for row in batch],
-                                dtype=bool)
-            constraints = None
         else:
             feasible_batch, constraints = None, ()
-        histories: List[List[float]] = [[] for _ in range(num_replicas)]
-        # Single flips are the driver's own draws; a generic move generator
-        # draws from the replica generators too.
-        with LoopDriver(cfg.schedule, cfg.num_iterations, generators,
-                        dynamics=dynamics, exchange_rng=exchange_rng,
-                        shared_rng=shared_rng,
-                        exclusive=single_flip) as driver:
-            # Plain SA is the HyCiM sweep with every incumbent feasible: no
-            # replica drifts at energy 0 and the best rule is SA's ``<``.
-            # The raw energy is a copy, since exchange swaps each travelling
-            # array once.
-            sweep = make_hycim_kernel(
-                kernel, num_variables=n, driver=driver,
-                move_generator=cfg.move_generator, single_flip=single_flip,
-                moves_per_iteration=cfg.moves_per_iteration,
-                feasible_batch=feasible_batch,
-                energies=lambda batch, replicas: batched_energies(
-                    matrix, batch, offset),
-                current=current, current_energy=current_energy,
-                current_feasible=np.ones(num_replicas, dtype=bool),
-                use_delta=single_flip, matrix=matrix,
-                raw_energy=current_energy.copy(), constraints=constraints,
-                use_hardware_filters=False, use_crossbar=False)
-            _drive_kernel(driver, sweep, cfg.num_iterations,
-                          cfg.record_history, histories, "SimulatedAnnealer",
-                          count_feasible=False)
-
-        dynamics_meta = driver.metadata()
-        kernel_meta = ({} if sweep.backend == "reference"
-                       else {"kernel": sweep.backend})
-        return [
-            SolveResult(
-                best_configuration=sweep.best[k].copy(),
-                best_energy=float(sweep.best_energy[k]),
-                energy_history=histories[k],
-                num_iterations=cfg.num_iterations * cfg.moves_per_iteration,
-                num_feasible_evaluations=int(sweep.num_feasible[k]),
-                num_infeasible_skipped=int(sweep.num_skipped[k]),
-                num_accepted_moves=int(sweep.num_accepted[k]),
-                solver_name="SimulatedAnnealer",
-                metadata={"seed": cfg.seed, "vectorized": True,
-                          "num_replicas": num_replicas, **kernel_meta,
-                          **dynamics_meta},
-            )
-            for k in range(num_replicas)
-        ]
+        # Plain SA is the HyCiM sweep with every incumbent feasible: no
+        # replica drifts at energy 0 and the best rule is SA's ``<``.  The
+        # raw energy is a copy, since exchange swaps each travelling array
+        # once.
+        return _drive_kernel(
+            cfg, generators, dynamics=dynamics, exchange_rng=exchange_rng,
+            kernel=kernel, solver_name="SimulatedAnnealer",
+            count_feasible=False, feasible_batch=feasible_batch,
+            energies=lambda batch, replicas: batched_energies(
+                matrix, batch, offset),
+            current=current, current_energy=current_energy,
+            current_feasible=np.ones(num_replicas, dtype=bool), matrix=matrix,
+            raw_energy=(current_energy.copy()
+                        if isinstance(cfg.move_generator, SingleFlipMove)
+                        else None),
+            constraints=constraints)
 
 
 class BatchedHyCiMSolver:
@@ -350,8 +355,9 @@ class BatchedHyCiMSolver:
         return any(f.config.noise_sigma > 0 for f in self._filters().values())
 
     def _feasibility(self, generators: Sequence[np.random.Generator]
-                     ) -> BatchFilter:
-        """The run's feasibility test over an ``(M, n)`` batch, chosen once.
+                     ) -> Optional[BatchFilter]:
+        """The run's feasibility test over an ``(M, n)`` batch, chosen once;
+        ``None`` for a model without constraints (every state feasible).
 
         Inequality constraints go to their CiM filter and the others to
         exact arithmetic.  Noise-free filters judge the whole batch in one
@@ -364,6 +370,8 @@ class BatchedHyCiMSolver:
         check replica by replica, each on its own chip slice.
         """
         constraints = self.solver.model.constraints
+        if not constraints:
+            return None
         device_mode = self._device_filters is not None
         filters = self._filters()
         if self._noisy_filters():
@@ -391,7 +399,7 @@ class BatchedHyCiMSolver:
             for hardware_filter in filters.values()]
         exact = tuple(constraint for index, constraint in enumerate(constraints)
                       if index not in filters)
-        if exact or not tests:  # one call, also for no constraint at all
+        if exact:
             tests.append(functools.partial(all_satisfied, exact))
         if len(tests) == 1:
             return tests[0]
@@ -428,7 +436,6 @@ class BatchedHyCiMSolver:
                     rngs: Sequence[np.random.Generator],
                     dynamics: Optional[Dynamics] = None,
                     exchange_rng: Optional[np.random.Generator] = None,
-                    shared_rng: Optional[np.random.Generator] = None,
                     kernel: Optional[str] = None,
                     ) -> List[SolveResult]:
         """Run one HyCiM SA descent per replica, in lock-step.
@@ -439,10 +446,10 @@ class BatchedHyCiMSolver:
         freely at energy 0 (paper Eq. (6)).
 
         ``dynamics`` plugs in a temperature ladder, replica exchange across
-        the lock-step batch and/or the chip-faithful shared RNG topology
-        (with the matching ``exchange_rng`` / ``shared_rng`` auxiliary
-        streams); the default dynamics keep every replica on its own
-        stream.  Exchange swaps travelling state -- configurations,
+        the lock-step batch (with its ``exchange_rng``) and/or the
+        chip-faithful shared RNG topology, whose one stream every entry of
+        ``rngs`` then is; the default dynamics keep every replica on its
+        own stream.  Exchange swaps travelling state -- configurations,
         energies, feasibility flags, cached raw energies and kernel caches
         -- between rungs; on a device axis the chips stay put (replica ``k``
         keeps annealing chip ``k``, only its configuration migrates).
@@ -464,85 +471,49 @@ class BatchedHyCiMSolver:
             )
 
         feasible_batch = self._feasibility(generators)
-        current_feasible = feasible_batch(current)
+        current_feasible = (np.ones(num_replicas, dtype=bool)
+                            if feasible_batch is None
+                            else feasible_batch(current))
         current_energy = np.zeros(num_replicas)
         feasible_idx = np.flatnonzero(current_feasible)
         if feasible_idx.size:
             current_energy[feasible_idx] = self._energies(current[feasible_idx],
                                                           replicas=feasible_idx)
 
-        single_flip = isinstance(solver.move_generator, SingleFlipMove)
         # Software-mode single-flip fast path: track the raw QUBO value of
         # every incumbent (feasible or not) and update it with the O(n)
         # incremental delta instead of recomputing the O(n^2) quadratic form
         # per proposal (exact on the integer matrices of the paper
         # benchmarks); the hardware path always goes through the batched
         # crossbar MVM.
-        use_crossbar = solver.use_hardware
-        use_delta = single_flip and not use_crossbar
         qubo = solver.model.qubo
-        raw_energy = (batched_energies(qubo.matrix, current, qubo.offset)
-                      if use_delta else None)
-        use_hardware_filters = bool(self._filters())
-        histories: List[List[float]] = [[] for _ in range(num_replicas)]
-        # Noisy matchlines draw from the replica generators per candidate.
-        with LoopDriver(solver.schedule, solver.num_iterations, generators,
-                        dynamics=dynamics, exchange_rng=exchange_rng,
-                        shared_rng=shared_rng,
-                        exclusive=single_flip and not self._noisy_filters()
-                        ) as driver:
-            sweep = make_hycim_kernel(
-                kernel, num_variables=n, driver=driver,
-                move_generator=solver.move_generator, single_flip=single_flip,
-                moves_per_iteration=solver.moves_per_iteration,
-                feasible_batch=feasible_batch, energies=self._energies,
-                current=current, current_energy=current_energy,
-                current_feasible=current_feasible, use_delta=use_delta,
-                matrix=qubo.matrix, raw_energy=raw_energy,
-                constraints=solver.model.constraints,
-                use_hardware_filters=use_hardware_filters,
-                use_crossbar=use_crossbar)
-            _drive_kernel(driver, sweep, solver.num_iterations,
-                          solver.record_history, histories, "HyCiM",
-                          count_feasible=True)
+        use_delta = (isinstance(solver.move_generator, SingleFlipMove)
+                     and not solver.use_hardware)
+        results = _drive_kernel(
+            solver, generators, dynamics=dynamics, exchange_rng=exchange_rng,
+            kernel=kernel, solver_name="HyCiM", count_feasible=True,
+            filter_draws=self._noisy_filters(),
+            feasible_batch=feasible_batch, energies=self._energies,
+            current=current, current_energy=current_energy,
+            current_feasible=current_feasible, matrix=qubo.matrix,
+            raw_energy=(batched_energies(qubo.matrix, current, qubo.offset)
+                        if use_delta else None),
+            constraints=solver.model.constraints)
 
-        best = sweep.best
-        best_energy = sweep.best_energy
-        best_feasible = sweep.best_feasible
         native = solver._native_problem
-        objectives: List[Optional[float]] = [None] * num_replicas
         if native is not None:
             # Infeasible best states score 0 (paper Eq. (6)); the feasible
             # ones are scored in one call.
+            best = np.stack([result.best_configuration for result in results])
+            feasible = np.array([result.feasible for result in results])
             scored = np.zeros(num_replicas)
-            scored[best_feasible] = native.objective_batch(best[best_feasible])
-            objectives = scored.tolist()
-        dynamics_meta = driver.metadata()
-        kernel_meta = ({} if sweep.backend == "reference"
-                       else {"kernel": sweep.backend})
-        results: List[SolveResult] = []
-        for k in range(num_replicas):
-            results.append(SolveResult(
-                best_configuration=best[k].copy(),
-                best_energy=float(best_energy[k]),
-                best_objective=objectives[k],
-                feasible=bool(best_feasible[k]),
-                energy_history=histories[k],
-                num_iterations=solver.num_iterations * solver.moves_per_iteration,
-                num_feasible_evaluations=int(sweep.num_feasible[k]),
-                num_infeasible_skipped=int(sweep.num_skipped[k]),
-                num_accepted_moves=int(sweep.num_accepted[k]),
-                solver_name="HyCiM",
-                metadata={
-                    "use_hardware": solver.use_hardware,
-                    "seed": solver.seed,
-                    "num_constraints": solver.model.num_constraints,
-                    "vectorized": True,
-                    "num_replicas": num_replicas,
-                    **({"num_chips": len(self.chips)}
-                       if self.chips is not None else {}),
-                    **kernel_meta,
-                    **dynamics_meta,
-                },
-            ))
+            scored[feasible] = native.objective_batch(best[feasible])
+            for result, objective in zip(results, scored.tolist()):
+                result.best_objective = objective
+        provenance = {"use_hardware": solver.use_hardware,
+                      "num_constraints": solver.model.num_constraints}
+        if self.chips is not None:
+            provenance["num_chips"] = len(self.chips)
+        for result in results:
+            result.metadata.update(provenance)
         return results

@@ -71,6 +71,7 @@ from repro.dynamics.schedule import (
 )
 from repro.fefet.variability import VariabilityModel
 from repro.problems.base import CombinatorialProblem
+from repro.problems.families import _geometric_schedule
 
 __all__ = ["dqubo_trials", "hycim_trials", "sa_trials"]
 
@@ -243,9 +244,10 @@ def _trial_chips(params: Mapping[str, Any], seeds: Sequence[int],
 
 
 def _auto_schedule(problem: CombinatorialProblem) -> TemperatureSchedule:
-    """Instance-scaled geometric schedule (the protocol used throughout
-    ``analysis``): start at 20x the largest objective coefficient so uphill
-    moves remain possible early in the anneal.
+    """The instance-scaled geometric schedule of the ``analysis`` protocol
+    (:func:`repro.problems.families._geometric_schedule`), scaled by the
+    largest objective coefficient so uphill moves remain possible early in
+    the anneal.
 
     The scale is read from the problem's profit/coefficient data directly
     when available -- building the full O(n^2) QUBO matrix per trial just to
@@ -259,40 +261,31 @@ def _auto_schedule(problem: CombinatorialProblem) -> TemperatureSchedule:
             scale = float(problem.to_qubo().max_abs_coefficient)
         except Exception:
             scale = 1.0
-    scale = scale or 1.0
-    return GeometricSchedule(start_temperature=20.0 * scale,
-                             end_temperature=max(0.02 * scale, 1e-3))
+    return _build_schedule(_geometric_schedule(scale))
 
 
 def _dynamics_setup(params: Mapping[str, object], seeds: Sequence[int]):
-    """Resolve the group's dynamics bundle and its auxiliary streams.
+    """Resolve the group's dynamics bundle, its exchange stream and its
+    replica generators.
 
     The exchange and shared streams are spawned from the group's trial seeds
     (tagged ``SeedSequence`` material), so they are deterministic per
     ``(master_seed, group)``, independent of every replica's own stream, and
-    replayed exactly by a store-resumed run.
+    replayed exactly by a store-resumed run.  Each replica gets its own
+    stream, or in chip-faithful shared mode an alias of the one shared
+    stream: then every per-replica draw site -- initial configurations,
+    moves, verdicts, noisy-filter draws -- consumes it sequentially, like
+    the physical SA logic would.
     """
     dynamics = build_dynamics(params.get("dynamics"))
-    if dynamics is None:
-        return None, None, None
-    exchange_rng = (exchange_stream(seeds) if dynamics.exchange.is_active
+    exchange_rng = (exchange_stream(seeds)
+                    if dynamics is not None and dynamics.exchange.is_active
                     else None)
-    shared_rng = (shared_stream(seeds) if dynamics.rng_mode == "shared"
-                  else None)
-    return dynamics, exchange_rng, shared_rng
-
-
-def _group_generators(seeds: Sequence[int],
-                      shared_rng) -> List[np.random.Generator]:
-    """Per-replica generators, or M aliases of the shared stream.
-
-    In chip-faithful shared mode every per-replica draw site -- initial
-    configurations, generic move proposals, noisy-filter draws -- consumes
-    the one shared stream sequentially, like the physical SA logic would.
-    """
-    if shared_rng is not None:
-        return [shared_rng] * len(seeds)
-    return [np.random.default_rng(int(seed)) for seed in seeds]
+    if dynamics is not None and dynamics.rng_mode == "shared":
+        rngs = [shared_stream(seeds)] * len(seeds)
+    else:
+        rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    return dynamics, exchange_rng, rngs
 
 
 def _replica_starts(problem: CombinatorialProblem, params: Mapping[str, object],
@@ -346,7 +339,7 @@ def hycim_trials(
     from the seed a lone trial's crossbar has -- so a trial's result does
     not depend on its group.
     """
-    dynamics, exchange_rng, shared_rng = _dynamics_setup(params, seeds)
+    dynamics, exchange_rng, rngs = _dynamics_setup(params, seeds)
     use_hardware = bool(params.get("use_hardware", True))
     solver = HyCiMSolver(
         problem,
@@ -363,12 +356,11 @@ def hycim_trials(
         record_history=bool(params.get("record_history", False)),
     )
     chips, chip_seeds = _trial_chips(params, seeds, use_hardware)
-    rngs = _group_generators(seeds, shared_rng)
     starts = _replica_starts(problem, params, rngs, initials)
     return BatchedHyCiMSolver(solver, chips=chips,
                               chip_seeds=chip_seeds).solve_batch(
         starts, rngs, dynamics=dynamics, exchange_rng=exchange_rng,
-        shared_rng=shared_rng, kernel=params.get("kernel"))
+        kernel=params.get("kernel"))
 
 
 def sa_trials(
@@ -389,7 +381,7 @@ def sa_trials(
     override fall back to row-wise ``is_feasible`` calls with identical
     verdicts).  ``respect_constraints=False`` anneals the raw QUBO.
     """
-    dynamics, exchange_rng, shared_rng = _dynamics_setup(params, seeds)
+    dynamics, exchange_rng, rngs = _dynamics_setup(params, seeds)
     annealer = SimulatedAnnealer(
         schedule=_resolve_schedule(problem, params, dynamics),
         move_generator=_build_move(
@@ -398,7 +390,6 @@ def sa_trials(
         moves_per_iteration=int(params.get("moves_per_iteration", 1)),
         record_history=bool(params.get("record_history", False)),
     )
-    rngs = _group_generators(seeds, shared_rng)
     starts = _replica_starts(problem, params, rngs, initials)
     respect_constraints = bool(params.get("respect_constraints", True))
     # ``sparse=True`` anneals the CSR encoding (needs SciPy); the kernels
@@ -409,12 +400,10 @@ def sa_trials(
         qubo,
         starts,
         rngs,
-        accept_filter=problem.is_feasible if respect_constraints else None,
         accept_filter_batch=(problem.is_feasible_batch
                              if respect_constraints else None),
         dynamics=dynamics,
         exchange_rng=exchange_rng,
-        shared_rng=shared_rng,
         kernel=params.get("kernel"),
         # The fused/JIT backends trade the opaque batch filter for
         # incrementally maintained linear constraint loads; ``None``
@@ -443,13 +432,12 @@ def dqubo_trials(
     The D-QUBO construction (penalty + slack transformation) is shared by
     every replica, and :meth:`DQUBOAnnealer.solve_batch` runs the group:
     each replica's slack bits are seeded from its own stream, then every
-    replica descends in lock-step -- on the SA engine over the dQUBO matrix
-    in software mode, on the HyCiM engine over the penalty model in
-    hardware mode (the Fig. 9 overhead configuration), whose crossbar
-    follows the same per-trial chip rule as ``"hycim"``
-    (:func:`_trial_chips`).
+    replica descends in lock-step on the HyCiM engine over the penalty
+    model -- in exact arithmetic in software mode, on a crossbar in
+    hardware mode (the Fig. 9 overhead configuration), which follows the
+    same per-trial chip rule as ``"hycim"`` (:func:`_trial_chips`).
     """
-    dynamics, exchange_rng, shared_rng = _dynamics_setup(params, seeds)
+    dynamics, exchange_rng, rngs = _dynamics_setup(params, seeds)
     use_hardware = bool(params.get("use_hardware", False))
     encoding = params.get("encoding", SlackEncoding.ONE_HOT)
     if isinstance(encoding, str):
@@ -469,9 +457,7 @@ def dqubo_trials(
         record_history=bool(params.get("record_history", False)),
     )
     chips, chip_seeds = _trial_chips(params, seeds, use_hardware)
-    rngs = _group_generators(seeds, shared_rng)
     starts = _replica_starts(problem, params, rngs, initials)
     return solver.solve_batch(
         starts, rngs, dynamics=dynamics, exchange_rng=exchange_rng,
-        shared_rng=shared_rng, kernel=params.get("kernel"), chips=chips,
-        chip_seeds=chip_seeds)
+        kernel=params.get("kernel"), chips=chips, chip_seeds=chip_seeds)

@@ -87,6 +87,14 @@ def batched_energy_delta(matrix, batch: np.ndarray,
         )
     if flips.size and (flips.min() < 0 or flips.max() >= matrix.shape[0]):
         raise IndexError("a flip index is out of range")
+    return unchecked_energy_delta(matrix, batch, flips, symmetric)
+
+
+def unchecked_energy_delta(matrix, batch: np.ndarray, flips: np.ndarray,
+                           symmetric=None) -> np.ndarray:
+    """:func:`batched_energy_delta` without its shape and range checks, for
+    callers whose ``(M,)`` integer flips are in range by construction (the
+    reference kernel's, drawn by the loop driver)."""
     sparse = is_sparse_matrix(matrix)
     if symmetric is not None:
         gathered = symmetric[flips]

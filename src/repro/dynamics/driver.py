@@ -35,6 +35,9 @@ With coupled dynamics the driver adds behaviour on top without touching the
 replica streams: exchange decisions draw from a dedicated per-run stream, so
 a ``NoExchange`` run cannot observe whether exchange code exists; shared-RNG
 mode replaces the per-replica draws wholesale (documented parity break).
+In shared mode every replica generator is the group's one stream, and the
+driver takes it from them: flips and verdicts are one vectorised draw per
+proposal, generic moves draw replica by replica from the same stream.
 """
 
 from __future__ import annotations
@@ -61,18 +64,17 @@ class LoopDriver:
     num_iterations:
         SA iterations of the run (the table length).
     generators:
-        One ``Generator`` per replica (per-replica mode); in shared mode the
-        entries may all alias the shared stream (they are only used for
-        per-replica fallback paths such as noisy-filter evaluation).
+        One ``Generator`` per replica.  In shared mode
+        (``dynamics.rng_mode == "shared"``) every entry must be the group's
+        one chip-faithful stream (see
+        :func:`repro.dynamics.dynamics.shared_stream`), which the driver
+        draws its flips and verdicts from.
     dynamics:
         The :class:`~repro.dynamics.dynamics.Dynamics` bundle; ``None`` means
         default dynamics (flat batch, Metropolis, no exchange).
     exchange_rng:
         Dedicated exchange-decision stream; required when the exchange
         policy is active (see :func:`repro.dynamics.dynamics.exchange_stream`).
-    shared_rng:
-        The single chip-faithful stream; required when
-        ``dynamics.rng_mode == "shared"``.
     exclusive:
         The engine's statement that nothing but this driver's
         :meth:`flip_indices` and :meth:`metropolis` draws from the replica
@@ -90,7 +92,6 @@ class LoopDriver:
                  generators: Sequence[np.random.Generator],
                  dynamics: Optional[Dynamics] = None,
                  exchange_rng: Optional[np.random.Generator] = None,
-                 shared_rng: Optional[np.random.Generator] = None,
                  exclusive: bool = False) -> None:
         self.dynamics = dynamics if dynamics is not None else Dynamics()
         self.num_replicas = len(generators)
@@ -104,12 +105,16 @@ class LoopDriver:
                 "an active exchange policy needs a dedicated exchange_rng "
                 "(see repro.dynamics.exchange_stream)")
         self._exchange_rng = exchange_rng
-        if self.dynamics.rng_mode == "shared" and shared_rng is None:
-            raise ValueError(
-                'rng_mode="shared" needs the group\'s shared_rng '
-                "(see repro.dynamics.shared_stream)")
-        self._shared_rng = (shared_rng if self.dynamics.rng_mode == "shared"
-                            else None)
+        self._shared_rng = None
+        if self.dynamics.rng_mode == "shared":
+            stream = self._generators[0] if self._generators else None
+            if not (isinstance(stream, np.random.Generator)
+                    and all(g is stream for g in self._generators)):
+                raise ValueError(
+                    'rng_mode="shared" needs every replica generator to be '
+                    "the group's one shared stream "
+                    "(see repro.dynamics.shared_stream)")
+            self._shared_rng = stream
         # Pre-bound per-replica draw methods: the engines call these once per
         # replica per proposal, so shaving the attribute lookup matters.
         self._int_draws = [g.integers for g in self._generators]
@@ -280,12 +285,8 @@ class LoopDriver:
 
     def propose(self, move_generator: MoveGenerator,
                 current: np.ndarray) -> np.ndarray:
-        """One generic move proposal per replica (arbitrary generators)."""
-        if self._shared_rng is not None:
-            return np.stack([
-                move_generator.propose(current[k], self._shared_rng)
-                for k in range(self.num_replicas)
-            ])
+        """One generic move proposal per replica (arbitrary generators), in
+        replica order -- from the one shared stream in shared mode."""
         return np.stack([
             move_generator.propose(current[k], self._generators[k])
             for k in range(self.num_replicas)

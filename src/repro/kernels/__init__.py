@@ -3,10 +3,12 @@
 See :mod:`repro.kernels.base` for the interface and the backend matrix.
 Each backend has one kernel, which runs both engines: plain SA is the
 HyCiM sweep with every incumbent feasible.  The factory here is what the
-engines call: given a backend name (or ``"auto"``) and the engine's loop
-state, it constructs the matching :class:`~repro.kernels.base.SweepKernel`,
-falling back along ``numba -> fused -> reference`` when ``"auto"`` meets
-an unsupported configuration or a missing optional dependency.  Importing
+engines' run routine calls: given a backend name (or ``"auto"``), the loop
+driver, the move generator and the engine's loop state and evaluation
+primitives -- nothing a kernel can derive from them -- it constructs the
+matching :class:`~repro.kernels.base.SweepKernel`, falling back along
+``numba -> fused -> reference`` when ``"auto"`` meets an unsupported
+configuration or a missing optional dependency.  Importing
 this package imports :mod:`repro.kernels.native` (through the fused
 kernel) but compiles nothing: the C library is built when the first loop
 driver that replays its streams is constructed.
@@ -59,34 +61,30 @@ def _jit_kernel(**kwargs) -> SweepKernel:
 _KERNELS = {"fused": FusedHyCiMKernel, "numba": _jit_kernel}
 
 
-def make_hycim_kernel(kernel: Optional[str], *, num_variables, driver,
-                      move_generator, single_flip, moves_per_iteration,
-                      feasible_batch, energies, current, current_energy,
-                      current_feasible, use_delta, matrix, raw_energy,
-                      constraints, use_hardware_filters, use_crossbar
-                      ) -> SweepKernel:
+def make_hycim_kernel(kernel: Optional[str], *, driver, move_generator,
+                      moves_per_iteration, feasible_batch, energies, current,
+                      current_energy, current_feasible, matrix, raw_energy,
+                      constraints) -> SweepKernel:
     """Construct the sweep kernel of either engine for the requested backend.
 
     ``feasible_batch=None`` runs without a filter; ``constraints`` is the
     filter's linear form, ``None`` where it has none (which only the
-    reference kernel runs).
+    reference kernel runs).  ``raw_energy`` is every incumbent's QUBO value
+    for the single-flip delta path, ``None`` where each candidate is
+    evaluated through ``energies`` instead (generic moves, the crossbar).
+    The kernels read the rest: the variable count from ``current``, the
+    single-flip path from the move generator's type.
     """
-    shared = dict(matrix=matrix, driver=driver, single_flip=single_flip,
+    shared = dict(matrix=matrix, driver=driver, move_generator=move_generator,
                   moves_per_iteration=moves_per_iteration, current=current,
                   current_energy=current_energy,
-                  current_feasible=current_feasible)
+                  current_feasible=current_feasible, raw_energy=raw_energy)
 
     def construct(name: str) -> SweepKernel:
         if name == "reference":
-            return ReferenceHyCiMKernel(
-                num_variables=num_variables, move_generator=move_generator,
-                feasible_batch=feasible_batch, energies=energies,
-                use_delta=use_delta, raw_energy=raw_energy, **shared)
-        return _KERNELS[name](
-            constraints=constraints,
-            raw_energy=raw_energy if use_delta else None,
-            use_hardware_filters=use_hardware_filters,
-            use_crossbar=use_crossbar, **shared)
+            return ReferenceHyCiMKernel(feasible_batch=feasible_batch,
+                                        energies=energies, **shared)
+        return _KERNELS[name](constraints=constraints, **shared)
 
     name = resolve_kernel_backend(kernel)
     if name != "auto":

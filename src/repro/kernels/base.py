@@ -2,14 +2,25 @@
 
 The lock-step engines in :mod:`repro.batched.engine` used to inline their
 propose -> filter -> evaluate -> accept -> update loop; that loop is now a
-:class:`SweepKernel` the engine drives block-wise:
+:class:`SweepKernel` the engines' one run routine drives block-wise:
 
-    kernel = make_hycim_kernel(backend, ...)
+    kernel = make_hycim_kernel(backend, driver=..., move_generator=...,
+                               moves_per_iteration=..., feasible_batch=...,
+                               energies=..., current=..., current_energy=...,
+                               current_feasible=..., matrix=...,
+                               raw_energy=..., constraints=...)
     while iteration < total:
         block = driver.block_length(iteration, limit)
         kernel.run_block(iteration, block)
         iteration += block
         ... exchange / probes / history at the block boundary ...
+
+The factory takes only what a kernel cannot derive.  A kernel reads the
+variable count from ``current``, the single-flip path from the move
+generator's type, and the incremental-delta path from ``raw_energy``: an
+array of raw QUBO values to update by flip deltas, or ``None`` where every
+candidate is evaluated through ``energies`` (generic moves, and hardware
+mode, whose crossbar the incremental kernels therefore refuse).
 
 Each backend has one kernel, and both engines run it: the HyCiM sweep of
 paper Fig. 6(b), whose infeasible incumbents drift at the zero energy of

@@ -57,6 +57,7 @@ from repro.core.constraints import (
 )
 from repro.core.qubo import is_sparse_matrix, symmetrized_matrix
 from repro.dynamics.driver import LoopDriver
+from repro.dynamics.moves import MoveGenerator, SingleFlipMove
 from repro.kernels.base import KernelUnsupportedError, SweepKernel
 from repro.kernels.native import compiled_block
 
@@ -78,36 +79,33 @@ def _csr_row_entries(indptr: np.ndarray, indices: np.ndarray,
 class FusedHyCiMKernel(SweepKernel):
     """Fused counterpart of :class:`~repro.kernels.reference.ReferenceHyCiMKernel`.
 
-    Covers the software-mode single-flip configuration (the ``use_delta``
-    fast path): every constraint a linear inequality or equality evaluated
-    exactly, no crossbar, no hardware filters.  The HyCiM drift semantics
-    are preserved: replicas whose incumbent is infeasible follow every
-    infeasible candidate at energy 0 while ``raw_energy`` tracks the true
-    QUBO value incrementally.  ``constraints=None`` marks a filter without
-    a linear form, which this kernel refuses.
+    Covers the software-mode single-flip configuration (a ``raw_energy``
+    to update by flip deltas): every constraint a linear inequality or
+    equality evaluated exactly.  Hardware mode evaluates on the crossbar
+    and passes no ``raw_energy``, so its filters never reach this kernel.
+    The HyCiM drift semantics are preserved: replicas whose incumbent is
+    infeasible follow every infeasible candidate at energy 0 while
+    ``raw_energy`` tracks the true QUBO value incrementally.
+    ``constraints=None`` marks a filter without a linear form, which this
+    kernel refuses.
     """
 
     backend = "fused"
 
-    def __init__(self, *, matrix, driver: LoopDriver, single_flip: bool,
-                 moves_per_iteration: int,
+    def __init__(self, *, matrix, driver: LoopDriver,
+                 move_generator: MoveGenerator, moves_per_iteration: int,
                  constraints: Optional[Sequence[LinearConstraint]],
                  current: np.ndarray, current_energy: np.ndarray,
-                 current_feasible: np.ndarray, raw_energy: Optional[np.ndarray],
-                 use_hardware_filters: bool = False,
-                 use_crossbar: bool = False) -> None:
-        if not single_flip:
+                 current_feasible: np.ndarray,
+                 raw_energy: Optional[np.ndarray]) -> None:
+        if not isinstance(move_generator, SingleFlipMove):
             raise KernelUnsupportedError(
                 "fused kernels require single-flip moves; generic move "
                 "generators run on the reference backend")
-        if use_crossbar or raw_energy is None:
+        if raw_energy is None:
             raise KernelUnsupportedError(
                 "hardware-mode (crossbar) energy evaluation runs on the "
                 "reference backend")
-        if use_hardware_filters:
-            raise KernelUnsupportedError(
-                "hardware inequality filters (quantised weights / matchline "
-                "noise) run on the reference backend")
         if constraints is None:
             raise KernelUnsupportedError(
                 "the feasibility filter has no linear form (an opaque "

@@ -54,6 +54,7 @@ from repro.core.constraints import (
 )
 from repro.dynamics.acceptance import MetropolisRule
 from repro.dynamics.driver import LoopDriver
+from repro.dynamics.moves import MoveGenerator
 from repro.kernels.base import KernelUnavailableError, KernelUnsupportedError
 from repro.kernels.fused import FusedHyCiMKernel
 
@@ -300,25 +301,21 @@ class JitHyCiMKernel(FusedHyCiMKernel):
 
     backend = "numba"
 
-    def __init__(self, *, matrix, driver: LoopDriver, single_flip: bool,
-                 moves_per_iteration: int,
+    def __init__(self, *, matrix, driver: LoopDriver,
+                 move_generator: MoveGenerator, moves_per_iteration: int,
                  constraints: Optional[Sequence[InequalityConstraint]],
                  current: np.ndarray, current_energy: np.ndarray,
                  current_feasible: np.ndarray,
-                 raw_energy: Optional[np.ndarray],
-                 use_hardware_filters: bool = False,
-                 use_crossbar: bool = False) -> None:
+                 raw_energy: Optional[np.ndarray]) -> None:
         _require_jit(driver)
         _reject_equality(constraints)
         super().__init__(matrix=matrix, driver=driver,
-                         single_flip=single_flip,
+                         move_generator=move_generator,
                          moves_per_iteration=moves_per_iteration,
                          constraints=constraints, current=current,
                          current_energy=current_energy,
                          current_feasible=current_feasible,
-                         raw_energy=raw_energy,
-                         use_hardware_filters=use_hardware_filters,
-                         use_crossbar=use_crossbar)
+                         raw_energy=raw_energy)
 
     def _init_draws(self) -> None:
         """The compiled block's inputs, in place of the fused kernel's draws."""

@@ -22,9 +22,11 @@ RNG topologies -- which is why it is the default and the fallback of
 ``kernel="auto"``.
 
 The loop evaluates flip deltas through
-:func:`repro.core.qubo.batched_energy_delta`, the one evaluation of the
-quadratic form's delta, whose one-row view is ``QUBOModel.energy_delta``;
-:func:`as_replica_matrix` validates the engines' replica batches.
+:func:`repro.core.qubo.unchecked_energy_delta`, the one evaluation of the
+quadratic form's delta (:func:`~repro.core.qubo.batched_energy_delta` is
+its checked form and ``QUBOModel.energy_delta`` its one-row view), without
+a range check on the driver's flips; :func:`as_replica_matrix` validates
+the engines' replica batches.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.qubo import batched_energy_delta, symmetrized_matrix
+from repro.core.qubo import symmetrized_matrix, unchecked_energy_delta
 from repro.dynamics.driver import LoopDriver
-from repro.dynamics.moves import MoveGenerator
+from repro.dynamics.moves import MoveGenerator, SingleFlipMove
 from repro.kernels.base import SweepKernel
 
 __all__ = ["ReferenceHyCiMKernel", "as_replica_matrix"]
@@ -66,35 +68,34 @@ class ReferenceHyCiMKernel(SweepKernel):
     and ``energies`` are its evaluation primitives (CiM filters / crossbar,
     device axes, the replica-by-replica check of noisy filters), so this
     kernel runs every hardware configuration the engine does.
-    ``feasible_batch=None`` means no filter: every candidate passes.
-    ``use_delta`` enables the software-mode single-flip incremental path
-    over the raw QUBO value (``raw_energy``).
+    ``feasible_batch=None`` means no filter: every candidate passes.  A
+    ``raw_energy`` array enables the software-mode single-flip incremental
+    path over the raw QUBO value; ``None`` evaluates every candidate
+    through ``energies``.
     """
 
     backend = "reference"
 
-    def __init__(self, *, num_variables: int, driver: LoopDriver,
-                 move_generator: MoveGenerator, single_flip: bool,
+    def __init__(self, *, driver: LoopDriver, move_generator: MoveGenerator,
                  moves_per_iteration: int,
                  feasible_batch: Optional[BatchFilter],
                  energies: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  current: np.ndarray, current_energy: np.ndarray,
                  current_feasible: np.ndarray,
-                 use_delta: bool = False,
                  matrix: Optional[np.ndarray] = None,
                  raw_energy: Optional[np.ndarray] = None) -> None:
         self.driver = driver
         self.move_generator = move_generator
-        self.single_flip = bool(single_flip)
+        self.single_flip = isinstance(move_generator, SingleFlipMove)
         self.moves_per_iteration = int(moves_per_iteration)
         self.feasible_batch = feasible_batch
         self.energies = energies
-        self.use_delta = bool(use_delta)
+        self.use_delta = raw_energy is not None
         self.matrix = matrix
         self.raw_energy = raw_energy
         self._init_state(current, current_energy, current_feasible)
         self._rows = np.arange(current.shape[0])
-        self._num_variables = int(num_variables)
+        self._num_variables = current.shape[1]
         self._symmetric = (symmetrized_matrix(matrix)
                            if self.use_delta else None)
         # Reused single-flip candidate buffer: refreshing it with np.copyto
@@ -104,9 +105,10 @@ class ReferenceHyCiMKernel(SweepKernel):
                             else None)
 
     def _flip_delta(self, flips: np.ndarray, replicas) -> np.ndarray:
-        """Energy deltas of the listed replicas' single flips."""
-        return batched_energy_delta(self.matrix, self.current[replicas],
-                                    flips[replicas], symmetric=self._symmetric)
+        """Energy deltas of the listed replicas' single flips (the driver
+        draws every flip in range, so the range check is skipped)."""
+        return unchecked_energy_delta(self.matrix, self.current[replicas],
+                                      flips[replicas], self._symmetric)
 
     def run_block(self, start_iteration: int, num_iterations: int) -> None:
         driver = self.driver

@@ -73,7 +73,8 @@ from repro.problems.tsp import TravelingSalesmanProblem
 def _geometric_schedule(scale: float) -> Dict[str, Any]:
     """The instance-scaled schedule protocol used throughout ``analysis``:
     start at 20x the dominant objective coefficient (dict form so solver
-    params stay picklable and store-key canonical)."""
+    params stay picklable and store-key canonical).  The trial functions'
+    automatic schedule is this one too."""
     scale = float(scale) or 1.0
     return {"kind": "geometric", "start_temperature": 20.0 * scale,
             "end_temperature": max(0.02 * scale, 1e-3)}

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.problems.bin_packing import BinPackingProblem
@@ -145,6 +144,8 @@ def generate_maxcut_instance(
     name: Optional[str] = None,
 ) -> MaxCutProblem:
     """Random weighted Erdos-Renyi Max-Cut instance."""
+    import networkx as nx
+
     rng = _rng(seed)
     graph = nx.gnp_random_graph(num_nodes, edge_probability, seed=int(rng.integers(0, 2**31)))
     for u, v in graph.edges():
@@ -160,6 +161,8 @@ def generate_coloring_instance(
     name: Optional[str] = None,
 ) -> GraphColoringProblem:
     """Random graph coloring instance (not guaranteed to be k-colorable)."""
+    import networkx as nx
+
     rng = _rng(seed)
     graph = nx.gnp_random_graph(num_nodes, edge_probability, seed=int(rng.integers(0, 2**31)))
     return GraphColoringProblem.from_graph(graph, num_colors=num_colors,

@@ -16,15 +16,17 @@ Variable layout: ``x[v * k + c]`` is vertex ``v`` / colour ``c``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.constraints import EqualityConstraint
 from repro.core.qubo import QUBOModel
 from repro.core.transformation import InequalityQUBO
 from repro.problems.base import CombinatorialProblem
+
+if TYPE_CHECKING:  # annotation only; the graph generators import networkx
+    import networkx as nx
 
 
 @dataclass

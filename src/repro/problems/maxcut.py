@@ -12,13 +12,15 @@ Variable layout: ``x_i = 1`` iff vertex ``i`` is in partition 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import networkx as nx
 import numpy as np
 
 from repro.core.qubo import QUBOModel
 from repro.problems.base import CombinatorialProblem
+
+if TYPE_CHECKING:  # annotation only; the graph generators import networkx
+    import networkx as nx
 
 
 @dataclass

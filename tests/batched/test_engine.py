@@ -203,29 +203,6 @@ class TestDegenerateRuns:
             assert result.best_objective == scalar.best_objective == 0.0
             assert result.best_energy == scalar.best_energy
 
-    def test_sa_row_filter_without_batch_hook(self, medium_qkp):
-        """accept_filter alone (no vectorised hook) goes through the row-wise
-        fallback with identical verdicts."""
-        seeds = [3, 4, 5]
-        qubo = medium_qkp.to_qubo()
-        annealer = SimulatedAnnealer(num_iterations=20)
-        rngs = [np.random.default_rng(s) for s in seeds]
-        initials = np.stack([medium_qkp.random_feasible_configuration(r)
-                             for r in rngs])
-        row_only = BatchedSimulatedAnnealer(annealer).anneal(
-            qubo, initials, [np.random.default_rng(s) for s in seeds],
-            accept_filter=medium_qkp.is_feasible)
-        rngs2 = [np.random.default_rng(s) for s in seeds]
-        initials2 = np.stack([medium_qkp.random_feasible_configuration(r)
-                              for r in rngs2])
-        with_batch = BatchedSimulatedAnnealer(annealer).anneal(
-            qubo, initials2, [np.random.default_rng(s) for s in seeds],
-            accept_filter=medium_qkp.is_feasible,
-            accept_filter_batch=medium_qkp.is_feasible_batch)
-        for a, b in zip(row_only, with_batch):
-            assert a.best_energy == b.best_energy
-            assert a.num_infeasible_skipped == b.num_infeasible_skipped
-
 
 class TestVectorizedResultShape:
     def test_results_carry_metadata_and_seeds(self, small_qkp):

@@ -171,7 +171,6 @@ class TestEngineLevelParity:
         batched_results = BatchedSimulatedAnnealer(
             SimulatedAnnealer(**kwargs)).anneal(
                 qubo, initials, rngs,
-                accept_filter=medium_qkp.is_feasible,
                 accept_filter_batch=medium_qkp.is_feasible_batch)
         for scalar, batched in zip(scalar_results, batched_results):
             assert scalar.best_energy == batched.best_energy

@@ -323,7 +323,7 @@ class TestLoopDriver:
         dynamics = Dynamics(rng_mode="shared")
         generators = [shared, shared]
         driver = LoopDriver(ConstantSchedule(1.0), 5, generators,
-                            dynamics=dynamics, shared_rng=shared)
+                            dynamics=dynamics)
         flips = driver.flip_indices(9)
         np.testing.assert_array_equal(
             flips, mirror.integers(0, 9, size=2).astype(np.intp))
@@ -331,6 +331,16 @@ class TestLoopDriver:
         expected_draws = mirror.random(2)
         assert verdicts[1]  # downhill always accepted
         assert verdicts[0] == (expected_draws[0] < np.exp(-0.5))
+
+    def test_shared_mode_refuses_generators_that_are_not_one_stream(self):
+        dynamics = Dynamics(rng_mode="shared")
+        shared = shared_stream([1, 2])
+        for generators in ([shared, shared_stream([1, 2])],
+                           [np.random.default_rng(1), np.random.default_rng(2)],
+                           [None, None], []):
+            with pytest.raises(ValueError, match="one shared stream"):
+                LoopDriver(ConstantSchedule(1.0), 5, generators,
+                           dynamics=dynamics)
 
     def test_metadata_reports_non_default_dynamics(self):
         driver, _ = self._driver()

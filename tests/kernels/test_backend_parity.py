@@ -431,13 +431,13 @@ class TestSharedRNGMode:
             qkp.to_qubo(), qkp_initials, [shared_ref] * NUM_REPLICAS,
             accept_filter_batch=qkp.is_feasible_batch,
             feasibility_constraints=qkp.linear_feasibility_constraints(),
-            dynamics=Dynamics(rng_mode="shared"), shared_rng=shared_ref,
+            dynamics=Dynamics(rng_mode="shared"),
             kernel="reference")
         fused = BatchedSimulatedAnnealer(annealer).anneal(
             qkp.to_qubo(), qkp_initials, [shared_fused] * NUM_REPLICAS,
             accept_filter_batch=qkp.is_feasible_batch,
             feasibility_constraints=qkp.linear_feasibility_constraints(),
-            dynamics=Dynamics(rng_mode="shared"), shared_rng=shared_fused,
+            dynamics=Dynamics(rng_mode="shared"),
             kernel="fused")
         assert_exact_parity(reference, fused)
         assert (shared_ref.bit_generator.state["state"]["state"]

@@ -96,23 +96,18 @@ def kernel_args(problem, dynamics=None, generators=None):
     current = np.zeros((3, problem.num_variables))
     generators = generators or [np.random.default_rng([9, k])
                                 for k in range(3)]
-    shared = (generators[0]
-              if dynamics is not None and dynamics.rng_mode == "shared"
-              else None)
     driver = LoopDriver(GeometricSchedule(10.0, 0.1), 10, generators,
-                        dynamics=dynamics, shared_rng=shared, exclusive=True)
+                        dynamics=dynamics, exclusive=True)
     energy = batched_energies(matrix, current)
-    return dict(num_variables=problem.num_variables, driver=driver,
-                move_generator=SingleFlipMove(), single_flip=True,
+    return dict(driver=driver, move_generator=SingleFlipMove(),
                 moves_per_iteration=1,
                 feasible_batch=problem.is_feasible_batch,
                 energies=lambda batch, replicas: batched_energies(matrix,
                                                                   batch),
                 current=current, current_energy=energy,
-                current_feasible=np.ones(3, dtype=bool), use_delta=True,
-                matrix=matrix, raw_energy=energy.copy(),
-                constraints=problem.linear_feasibility_constraints(),
-                use_hardware_filters=False, use_crossbar=False)
+                current_feasible=np.ones(3, dtype=bool), matrix=matrix,
+                raw_energy=energy.copy(),
+                constraints=problem.linear_feasibility_constraints())
 
 
 def run_kernel(kernel):
@@ -143,8 +138,9 @@ class TestWhichLoopRuns:
     @pytest.mark.parametrize("case", ["shared-rng", "custom-rule", "mt19937"])
     def test_draws_through_the_driver_keep_the_numpy_loop(self, problem,
                                                           case):
+        shared = np.random.default_rng([9, 0])
         dynamics, generators = {
-            "shared-rng": (Dynamics(rng_mode="shared"), None),
+            "shared-rng": (Dynamics(rng_mode="shared"), [shared] * 3),
             "custom-rule": (Dynamics(acceptance=self.Greedy()), None),
             "mt19937": (None, [np.random.Generator(np.random.MT19937(k))
                                for k in range(3)]),

@@ -20,7 +20,7 @@ from repro.batched import BatchedSimulatedAnnealer
 from repro.core.constraints import EqualityConstraint
 from repro.core.qubo import QUBOModel, batched_energies
 from repro.dynamics.driver import LoopDriver
-from repro.dynamics.moves import SingleFlipMove
+from repro.dynamics.moves import MultiFlipMove, SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule
 from repro.kernels import (
     KernelUnavailableError,
@@ -149,15 +149,14 @@ def _kernel_args(problem, *, single_flip=True, generic_filter=False,
         feasible_batch = problem.is_feasible_batch
         constraints = problem.linear_feasibility_constraints()
     return dict(
-        num_variables=problem.num_variables, driver=driver,
-        move_generator=SingleFlipMove(), single_flip=single_flip,
+        driver=driver,
+        move_generator=SingleFlipMove() if single_flip else MultiFlipMove(),
         moves_per_iteration=1, feasible_batch=feasible_batch,
         energies=lambda batch, replicas: batched_energies(matrix, batch),
         current=current, current_energy=energy,
         current_feasible=np.ones(current.shape[0], dtype=bool),
-        use_delta=single_flip, matrix=matrix, raw_energy=energy.copy(),
-        constraints=constraints, use_hardware_filters=False,
-        use_crossbar=False)
+        matrix=matrix, raw_energy=energy.copy() if single_flip else None,
+        constraints=constraints)
 
 
 def _sa_backend(problem, kernel, *, shift=0.0, **filters):
@@ -174,18 +173,20 @@ def _sa_backend(problem, kernel, *, shift=0.0, **filters):
 
 class TestConstructionFallbacks:
     def test_auto_falls_back_to_reference_on_unsupported(self, problem):
-        # An opaque per-row filter is not expressible incrementally: "auto"
-        # lands on the reference kernel instead of raising.
+        # An opaque filter is not expressible incrementally: "auto" lands on
+        # the reference kernel instead of raising.
         kernel = make_hycim_kernel(
             "auto", **_kernel_args(problem, generic_filter=True))
         assert isinstance(kernel, ReferenceHyCiMKernel)
         assert kernel.backend == "reference"
-        assert _sa_backend(problem, "auto",
-                           accept_filter=problem.is_feasible) == "reference"
+        assert _sa_backend(
+            problem, "auto",
+            accept_filter_batch=problem.is_feasible_batch) == "reference"
 
     def test_explicit_fused_raises_on_unsupported(self, problem):
         with pytest.raises(KernelUnsupportedError, match="accept_filter"):
-            _sa_backend(problem, "fused", accept_filter=problem.is_feasible)
+            _sa_backend(problem, "fused",
+                        accept_filter_batch=problem.is_feasible_batch)
         with pytest.raises(KernelUnsupportedError, match="no linear form"):
             make_hycim_kernel("fused",
                               **_kernel_args(problem, generic_filter=True))

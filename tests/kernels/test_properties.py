@@ -27,6 +27,7 @@ from repro.core.constraints import InequalityConstraint
 from repro.core.qubo import batched_energies, batched_energy_delta
 from repro.core.sparse import symmetrized_matrix
 from repro.dynamics.driver import LoopDriver
+from repro.dynamics.moves import SingleFlipMove
 from repro.dynamics.schedule import GeometricSchedule
 from repro.kernels.fused import FusedHyCiMKernel
 
@@ -83,8 +84,9 @@ def _make_kernel(matrix, starts, constraints, num_iterations, seed,
     energy = batched_energies(matrix, current)
     return FusedHyCiMKernel(
         matrix=scipy_sparse.csr_matrix(matrix) if sparse else matrix,
-        driver=driver, single_flip=True, moves_per_iteration=1,
-        constraints=constraints, current=current, current_energy=energy,
+        driver=driver, move_generator=SingleFlipMove(),
+        moves_per_iteration=1, constraints=constraints, current=current,
+        current_energy=energy,
         current_feasible=np.ones(current.shape[0], dtype=bool),
         raw_energy=energy.copy())
 
@@ -121,7 +123,7 @@ def _make_hycim_kernel(matrix, starts, constraints, num_iterations, seed):
     raw_energy = batched_energies(matrix, current)
     feasible = _satisfies(current, constraints)
     return FusedHyCiMKernel(
-        matrix=matrix, driver=driver, single_flip=True,
+        matrix=matrix, driver=driver, move_generator=SingleFlipMove(),
         moves_per_iteration=1, constraints=constraints, current=current,
         current_energy=np.where(feasible, raw_energy, 0.0),
         current_feasible=feasible, raw_energy=raw_energy)

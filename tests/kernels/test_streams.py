@@ -241,11 +241,11 @@ class TestEligibility:
         with pytest.raises(KernelUnsupportedError, match="PCG64"):
             ReplayStreams(bad)
 
-    def _driver(self, generators, dynamics=None, shared_rng=None,
-                exchange_rng=None, exclusive=True):
+    def _driver(self, generators, dynamics=None, exchange_rng=None,
+                exclusive=True):
         return LoopDriver(GeometricSchedule(10.0, 0.1), 10, generators,
-                          dynamics=dynamics, shared_rng=shared_rng,
-                          exchange_rng=exchange_rng, exclusive=exclusive)
+                          dynamics=dynamics, exchange_rng=exchange_rng,
+                          exclusive=exclusive)
 
     def test_replay_accepts_default_configuration(self, draw_path):
         driver = self._driver(make_generators(2))
@@ -254,9 +254,9 @@ class TestEligibility:
         assert isinstance(lanes, native.NativeLanes) == (draw_path == "c")
 
     def test_replay_rejects_shared_rng(self, draw_path):
-        driver = self._driver(make_generators(2),
-                              dynamics=Dynamics(rng_mode="shared"),
-                              shared_rng=np.random.default_rng(0))
+        shared = np.random.default_rng(0)
+        driver = self._driver([shared, shared],
+                              dynamics=Dynamics(rng_mode="shared"))
         assert driver.replay() is None
 
     def test_replay_needs_the_engines_exclusivity(self, draw_path):

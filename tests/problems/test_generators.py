@@ -1,8 +1,13 @@
 """Unit tests for the instance generators."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.problems.generators import (
     generate_bin_packing_instance,
     generate_coloring_instance,
@@ -84,3 +89,15 @@ class TestOtherGenerators:
         problem = generate_bin_packing_instance(num_items=8, num_bins=4, seed=2)
         assert problem.num_items == 8
         assert np.all(problem.sizes <= problem.capacity)
+
+
+def test_import_repro_leaves_networkx_unloaded():
+    # Only the Max-Cut and coloring generators use networkx, and they import
+    # it when called.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import repro; "
+            "print('networkx' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"

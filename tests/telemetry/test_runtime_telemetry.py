@@ -189,6 +189,22 @@ class TestProbes:
                        master_seed=1, telemetry=recorder)
             assert recorder.probes("sweep"), solver
 
+    def test_dqubo_probes_read_alike_in_both_modes(self, problem):
+        # Both modes run the HyCiM engine over the penalty model, so their
+        # probes carry the same label and fields.
+        probes = {}
+        for use_hardware in (False, True):
+            recorder = InMemoryRecorder(probe_interval=20)
+            run_trials(problem, ("dqubo", {"num_iterations": 60,
+                                           "use_hardware": use_hardware}),
+                       num_trials=2, master_seed=1, backend="vectorized",
+                       telemetry=recorder)
+            probes[use_hardware] = recorder.probes("sweep")[-1]
+        for probe in probes.values():
+            assert probe["solver"] == "HyCiM"
+            assert probe["values"]["feasible_replicas"] == 2
+        assert set(probes[False]["values"]) == set(probes[True]["values"])
+
 
 class TestParity:
     """A live recorder never changes results (telemetry consumes no RNG)."""
