@@ -121,12 +121,12 @@ def _drive_kernel(config, generators: List[np.random.Generator], *,
                   exchange_rng: Optional[np.random.Generator],
                   kernel: Optional[str], solver_name: str,
                   count_feasible: bool, filter_draws: bool = False,
-                  **sweep) -> List[SolveResult]:
+                  **loop_state) -> List[SolveResult]:
     """Run one sweep to the end and return one result per replica.
 
     ``config`` is the annealer or solver whose schedule, move generator,
-    iteration budget and history flag the replicas share; ``sweep`` holds
-    the kernel's loop state and evaluation primitives (see
+    iteration budget and history flag the replicas share; ``loop_state``
+    holds the kernel's loop state and evaluation primitives (see
     :func:`~repro.kernels.make_hycim_kernel`).  The driver replays the
     replica streams only where nothing else draws from them: single-flip
     moves and no filter drawing per candidate (``filter_draws``).
@@ -152,47 +152,47 @@ def _drive_kernel(config, generators: List[np.random.Generator], *,
     with LoopDriver(config.schedule, total_iterations, generators,
                     dynamics=dynamics, exchange_rng=exchange_rng,
                     exclusive=exclusive) as driver:
-        kernel = make_hycim_kernel(
+        sweep = make_hycim_kernel(
             kernel, driver=driver, move_generator=config.move_generator,
-            moves_per_iteration=config.moves_per_iteration, **sweep)
+            moves_per_iteration=config.moves_per_iteration, **loop_state)
         iteration = 0
         while iteration < total_iterations:
             block = driver.block_length(iteration, limit)
-            kernel.run_block(iteration, block)
+            sweep.run_block(iteration, block)
             iteration += block
             boundary = iteration - 1
-            driver.maybe_exchange(boundary, kernel.current_energy,
-                                  kernel.swap_arrays())
+            driver.maybe_exchange(boundary, sweep.current_energy,
+                                  sweep.swap_arrays())
             if driver.probing:
                 driver.maybe_probe(
                     boundary, solver=solver_name,
-                    best_energy=kernel.best_energy,
-                    current_energy=kernel.current_energy,
-                    num_accepted=kernel.num_accepted,
-                    num_feasible=kernel.num_feasible,
-                    num_skipped=kernel.num_skipped,
-                    feasible_mask=(kernel.current_feasible if count_feasible
+                    best_energy=sweep.best_energy,
+                    current_energy=sweep.current_energy,
+                    num_accepted=sweep.num_accepted,
+                    num_feasible=sweep.num_feasible,
+                    num_skipped=sweep.num_skipped,
+                    feasible_mask=(sweep.current_feasible if count_feasible
                                    else None),
                     final=iteration == total_iterations)
             if config.record_history:
                 for k in range(num_replicas):
-                    histories[k].append(float(kernel.best_energy[k]))
+                    histories[k].append(float(sweep.best_energy[k]))
 
     metadata = {"seed": config.seed, "vectorized": True,
                 "num_replicas": num_replicas,
-                **({} if kernel.backend == "reference"
-                   else {"kernel": kernel.backend}),
+                **({} if sweep.backend == "reference"
+                   else {"kernel": sweep.backend}),
                 **driver.metadata()}
     return [
         SolveResult(
-            best_configuration=kernel.best[k].copy(),
-            best_energy=float(kernel.best_energy[k]),
-            feasible=bool(kernel.best_feasible[k]),
+            best_configuration=sweep.best[k].copy(),
+            best_energy=float(sweep.best_energy[k]),
+            feasible=bool(sweep.best_feasible[k]),
             energy_history=histories[k],
             num_iterations=config.num_iterations * config.moves_per_iteration,
-            num_feasible_evaluations=int(kernel.num_feasible[k]),
-            num_infeasible_skipped=int(kernel.num_skipped[k]),
-            num_accepted_moves=int(kernel.num_accepted[k]),
+            num_feasible_evaluations=int(sweep.num_feasible[k]),
+            num_infeasible_skipped=int(sweep.num_skipped[k]),
+            num_accepted_moves=int(sweep.num_accepted[k]),
             solver_name=solver_name,
             metadata=dict(metadata),
         )
@@ -501,7 +501,7 @@ class BatchedHyCiMSolver:
             constraints=solver.model.constraints)
 
         native = solver._native_problem
-        if native is not None:
+        if native is not None and results:
             # Infeasible best states score 0 (paper Eq. (6)); the feasible
             # ones are scored in one call.
             best = np.stack([result.best_configuration for result in results])

@@ -203,6 +203,16 @@ class TestDegenerateRuns:
             assert result.best_objective == scalar.best_objective == 0.0
             assert result.best_energy == scalar.best_energy
 
+    @pytest.mark.parametrize("use_hardware", [False, True],
+                             ids=["software", "hardware"])
+    def test_empty_batch_has_no_results(self, tiny_qkp, use_hardware):
+        solver = HyCiMSolver(tiny_qkp, use_hardware=use_hardware,
+                             num_iterations=3)
+        empty = np.zeros((0, tiny_qkp.num_variables))
+        assert BatchedHyCiMSolver(solver).solve_batch(empty, []) == []
+        annealer = BatchedSimulatedAnnealer(SimulatedAnnealer(num_iterations=3))
+        assert annealer.anneal(tiny_qkp.to_qubo(), empty, []) == []
+
 
 class TestVectorizedResultShape:
     def test_results_carry_metadata_and_seeds(self, small_qkp):
